@@ -3,9 +3,10 @@
 Two bosonic modes, truncated to their lowest two levels and dual-rail
 encoded on four qubits, evolve under a bilinear coupling whose exponential
 factors exactly into four commuting Pauli rotations. The package builds that
-circuit, transpiles it to a CNOT-limited device basis, simulates it under a
-stochastic noise model, and estimates entanglement fidelity from five
-tomography settings with readout mitigation and post-selection.
+circuit, transpiles it to a CNOT-limited device basis, computes its exact
+outcome distribution under depolarising and readout noise, samples from it,
+and estimates entanglement fidelity from five tomography settings with readout
+mitigation and post-selection.
 """
 
 __version__ = "0.1.0"
@@ -51,6 +52,7 @@ from .simulator import (
     NoiseModel,
     align_global_phase,
     born_probabilities,
+    noisy_probabilities,
     run_ideal,
     run_noisy,
 )
@@ -122,6 +124,7 @@ __all__ = [
     "mapped_hamiltonian",
     "measurement_circuits",
     "mitigate",
+    "noisy_probabilities",
     "perturbative_state",
     "perturbative_traces",
     "phase_distance",

@@ -22,7 +22,7 @@ from .qasm import emit as qasm_emit
 from .qasm import parse as qasm_parse
 from .simulator import NoiseModel
 from .tomography import calibrate_confusion
-from .transpiler import Layout, hub_layout, lower_to_basis, route, simplify
+from .transpiler import Layout, transpile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -138,6 +138,8 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_tomography(args) -> int:
     cfg = _run_config(args)
+    if len(cfg.epsilon_values) != 1:
+        raise ConfigError("epsilon_values: tomography takes exactly one value")
     row = run_sweep(cfg)[0]
     print(json.dumps(row, indent=2, sort_keys=True))
     return 0
@@ -148,11 +150,7 @@ def _cmd_circuit(args) -> int:
         args.epsilon, prepend_ground_prep=not args.no_ground_prep
     )
     if args.transpile:
-        circ = lower_to_basis(circ)
-        topo = resolve_topology(args.topology)
-        if topo is not None:
-            circ = route(circ, topo, hub_layout(topo, circ.n_qubits)).circuit
-        circ = simplify(circ)
+        circ = transpile(circ, resolve_topology(args.topology)).circuit
     elif args.topology:
         raise ConfigError("topology: only used together with --transpile")
     _write(qasm_emit(circ), args.out)
@@ -162,17 +160,13 @@ def _cmd_circuit(args) -> int:
 def _cmd_transpile(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         circ = qasm_parse(fh.read())
-    circ = lower_to_basis(circ)
     topo = resolve_topology(args.topology)
-    if topo is not None:
-        if args.layout:
-            layout = Layout(tuple(int(q) for q in args.layout.split(",")))
-        else:
-            layout = hub_layout(topo, circ.n_qubits)
-        circ = route(circ, topo, layout).circuit
-    elif args.layout:
-        raise ConfigError("layout: requires a topology")
-    circ = simplify(circ)
+    layout = None
+    if args.layout:
+        if topo is None:
+            raise ConfigError("layout: requires a topology")
+        layout = Layout(tuple(int(q) for q in args.layout.split(",")))
+    circ = transpile(circ, topo, layout).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)
     summary = f"single_qubit_gates={single} cnot_gates={cnots}\n"

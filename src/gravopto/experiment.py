@@ -22,17 +22,10 @@ from .analysis import (
     fidelity_from_traces,
 )
 from .bosonmap import ModeEncoding, PHYSICAL_BITSTRINGS
-from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
 from .qasm import emit as qasm_emit
-from .simulator import (
-    CountsHistogram,
-    NoiseModel,
-    apply_readout,
-    born_probabilities,
-    run_noisy,
-)
+from .simulator import CountsHistogram, NoiseModel, noisy_probabilities, run_noisy
 from .tomography import (
     SETTING_LABELS,
     calibrate_confusion,
@@ -41,7 +34,7 @@ from .tomography import (
     mitigate,
     postselect,
 )
-from .transpiler import Layout, Topology, hub_layout, route, simplify, lower_to_basis
+from .transpiler import Topology, transpile
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -105,10 +98,8 @@ class ExperimentConfig:
             v = getattr(self, name)
             if not 0.0 <= v < 1.0:
                 raise ConfigError(f"{name}: {v} outside [0, 1)")
-        if self.analytic_mode and (self.sq_depol > 0 or self.cx_depol > 0):
-            raise ConfigError(
-                "analytic_mode: exact probabilities support readout noise only"
-            )
+        if self.seed < 0:
+            raise ConfigError(f"seed: {self.seed} is negative")
         if self.workers < 1:
             raise ConfigError("workers: must be >= 1")
         if self.layout is not None:
@@ -175,25 +166,13 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
 def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
     """The five as-run measurement circuits for one sweep point."""
     base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
-    pairs = measurement_circuits(base, ModeEncoding())
     topo = resolve_topology(cfg.topology)
     out = {}
-    for setting, circ in pairs:
+    for setting, circ in measurement_circuits(base, ModeEncoding()):
         if cfg.transpile:
-            circ = lower_to_basis(circ)
-            if topo is not None:
-                lay = Layout(cfg.layout) if cfg.layout else hub_layout(topo, circ.n_qubits)
-                circ = route(circ, topo, lay).circuit
-            circ = simplify(circ)
+            circ = transpile(circ, topo, cfg.layout).circuit
         out[setting.label] = (setting, circ)
     return out
-
-
-def _analytic_histogram(circ: Circuit, shots: int, noise: NoiseModel) -> CountsHistogram:
-    qubits = [q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1])]
-    probs = born_probabilities(circ)
-    probs = apply_readout(probs, [noise.readout_rate(q) for q in qubits])
-    return CountsHistogram.from_vector(probs * shots, shots, len(qubits))
 
 
 def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
@@ -207,7 +186,10 @@ def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
     for idx, label in enumerate(SETTING_LABELS):
         setting, circ = circuits[label]
         if cfg.analytic_mode:
-            hist = _analytic_histogram(circ, cfg.shots, noise)
+            probs = noisy_probabilities(circ, noise)
+            hist = CountsHistogram.from_vector(
+                probs * cfg.shots, cfg.shots, len(circ.measurements)
+            )
         else:
             hist = run_noisy(circ, cfg.shots, noise, seed=int(setting_seeds[idx]))
         if cfg.mitigation:
@@ -309,11 +291,7 @@ def emit_outputs(
         for i, eps in enumerate(cfg.epsilon_values):
             circ = build_evolution_circuit(eps, prepend_ground_prep=True)
             if cfg.transpile:
-                circ = lower_to_basis(circ)
-                if topo is not None:
-                    lay = Layout(cfg.layout) if cfg.layout else hub_layout(topo, circ.n_qubits)
-                    circ = route(circ, topo, lay).circuit
-                circ = simplify(circ)
+                circ = transpile(circ, topo, cfg.layout).circuit
             path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(qasm_emit(circ))

@@ -1,18 +1,23 @@
-"""Dense statevector simulation with sampled depolarising and readout noise.
+"""Dense statevector and density-matrix simulation with depolarising and
+readout noise.
 
 States are complex128 arrays over 2**n amplitudes; axis/bit order follows the
 circuit convention (qubit 0 is the leftmost bit of a basis label). Histogram
 keys follow classical-bit order: cbit 0 is the leftmost character.
 
-The noise model is stochastic rather than a density-matrix channel: after
-every gate, with the configured probability, a uniformly random non-identity
-Pauli error is applied to the gate's qubits. Shots where no error fired are
-all sampled at once from the ideal distribution; the rest are replayed one by
-one from a cached prefix state. Readout error enters as an exact per-qubit
-symmetric bit-flip transform on outcome probabilities before sampling.
+The noise model puts, after every gate and with the configured probability, a
+uniformly random non-identity Pauli error on the gate's qubits. That is the
+depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
+lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). ``noisy_probabilities``
+evolves the density matrix of the qubits the circuit touches under it and
+returns the exact outcome distribution; readout error enters as an exact
+per-qubit symmetric bit-flip transform on that distribution. Shots are i.i.d.,
+so ``run_noisy`` draws the whole histogram as one multinomial sample.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -21,29 +26,12 @@ import numpy as np
 
 from .circuit import Circuit, Gate, matrix_of
 
-_PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
-def _apply_1q(state: np.ndarray, u: np.ndarray, q: int) -> np.ndarray:
-    moved = np.tensordot(u, state, axes=([1], [q]))
-    return np.moveaxis(moved, 0, q)
-
-
-def _apply_2q(state: np.ndarray, u4: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    u = u4.reshape(2, 2, 2, 2)
-    moved = np.tensordot(u, state, axes=([2, 3], [qa, qb]))
-    return np.moveaxis(moved, (0, 1), (qa, qb))
-
 
 def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    if gate.kind == "cx":
-        return _apply_2q(state, matrix_of(gate), *gate.qubits)
-    return _apply_1q(state, matrix_of(gate), gate.qubits[0])
+    k = len(gate.qubits)
+    u = matrix_of(gate).reshape((2,) * (2 * k))
+    moved = np.tensordot(u, state, axes=(list(range(k, 2 * k)), list(gate.qubits)))
+    return np.moveaxis(moved, range(k), gate.qubits)
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -89,12 +77,14 @@ def _measure_order(c: Circuit) -> list[int]:
 
 def born_probabilities(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Exact outcome distribution over the 2**k classical keys."""
-    qubits = _measure_order(c)
     psi = run_ideal(c, initial).reshape((2,) * c.n_qubits)
-    p = np.abs(psi) ** 2
-    rest = [ax for ax in range(c.n_qubits) if ax not in qubits]
-    p = np.transpose(p, qubits + rest).reshape(2 ** len(qubits), -1).sum(axis=1)
-    return p
+    return _marginal(np.abs(psi) ** 2, _measure_order(c))
+
+
+def _marginal(p: np.ndarray, measured: list[int]) -> np.ndarray:
+    """Sum a per-qubit-axis distribution down to the measured axes, in order."""
+    rest = [ax for ax in range(p.ndim) if ax not in measured]
+    return np.transpose(p, measured + rest).reshape(2 ** len(measured), -1).sum(axis=1)
 
 
 def apply_readout(probs: np.ndarray, lambdas) -> np.ndarray:
@@ -207,6 +197,89 @@ class CountsHistogram:
         return cls.from_json_dict(json.loads(text))
 
 
+def _gate_rate(g: Gate, noise: NoiseModel) -> float:
+    return noise.cx_depol if g.kind == "cx" else noise.sq_depol
+
+
+def _expose(rho: np.ndarray, axes: list[int], n_axes: int) -> np.ndarray:
+    """View of a flat contiguous array with each of the ascending bit axes
+    as its own length-2 dimension, at odd positions, and the rest merged."""
+    shape, prev = [], 0
+    for ax in axes:
+        shape += [2 ** (ax - prev), 2]
+        prev = ax + 1
+    shape.append(2 ** (n_axes - prev))
+    return rho.reshape(shape)
+
+
+def _evolve(rho: np.ndarray, g: Gate, m: int, rows: list[int]) -> np.ndarray:
+    """rho -> U rho U^dag on a flat m-qubit density matrix; rows are the
+    gate's qubits as row bit axes, column axes follow at m + row."""
+    if g.kind == "cx":
+        # a permutation of basis states: flip the target bit where the control is 1
+        idx = np.arange(2 ** m)
+        perm = idx ^ (((idx >> (m - 1 - rows[0])) & 1) << (m - 1 - rows[1]))
+        return rho.reshape(2 ** m, 2 ** m)[np.ix_(perm, perm)].reshape(-1)
+    u = matrix_of(g)
+    a = rows[0]
+    rho = u @ rho.reshape(2 ** a, 2, -1)
+    return (u.conj() @ rho.reshape(2 ** (m + a), 2, -1)).reshape(-1)
+
+
+def _depolarize(rho: np.ndarray, m: int, rows: list[int], rate: float) -> np.ndarray:
+    """Pauli error at rate on the row qubits, in closed form:
+    rho -> (1 - lam) rho + lam (I/2**k (x) Tr_rows rho), lam = rate 4**k/(4**k - 1)."""
+    k = len(rows)
+    lam = rate * 4 ** k / (4 ** k - 1)
+    axes = sorted(rows) + sorted(m + a for a in rows)
+    # one index per diagonal block: equal row and column bits on the exposed axes
+    diagonal = [sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
+                for bits in itertools.product((0, 1), repeat=k)]
+    traced = (lam / 2 ** k) * sum(_expose(rho, axes, 2 * m)[key] for key in diagonal)
+    out = (1.0 - lam) * rho
+    out_view = _expose(out, axes, 2 * m)
+    for key in diagonal:
+        out_view[key] += traced
+    return out
+
+
+def _mixed_probabilities(c: Circuit, noise: NoiseModel, qubits: list[int]) -> np.ndarray:
+    """Outcome distribution of the touched qubits' density matrix, no readout."""
+    gates = [g for g in c.gates if g.kind != "measure"]
+    touched = sorted({q for g in gates for q in g.qubits} | set(qubits))
+    axis = {q: i for i, q in enumerate(touched)}
+    m = len(touched)
+    rho = np.zeros(4 ** m, dtype=complex)
+    rho[0] = 1.0
+    for g in gates:
+        rows = [axis[q] for q in g.qubits]
+        rho = _evolve(rho, g, m, rows)
+        rate = _gate_rate(g, noise)
+        if rate:
+            rho = _depolarize(rho, m, rows, rate)
+    p = rho.reshape(2 ** m, 2 ** m).diagonal().real.reshape((2,) * m)
+    return _marginal(p, [axis[q] for q in qubits])
+
+
+# one sweep point: five settings, of which ZZ, IZ and ZI compile to one circuit
+@functools.lru_cache(maxsize=5)
+def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Exact outcome distribution over the 2**k classical keys under noise.
+
+    A circuit none of whose gates carries an error rate stays pure, so it
+    takes the statevector path. The result is cached and read-only.
+    """
+    qubits = _measure_order(c)
+    lambdas = [noise.readout_rate(q) for q in qubits]
+    if any(_gate_rate(g, noise) for g in c.gates if g.kind != "measure"):
+        probs = _mixed_probabilities(c, noise, qubits)
+    else:
+        probs = born_probabilities(c)
+    probs = apply_readout(probs, lambdas)
+    probs.setflags(write=False)
+    return probs
+
+
 def _sample_vector(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     p = np.clip(probs, 0.0, None)
     return rng.multinomial(shots, p / p.sum()).astype(float)
@@ -218,7 +291,7 @@ def run_noisy(
     noise: NoiseModel | None = None,
     seed: int | None = None,
 ) -> CountsHistogram:
-    """Sample a measured circuit under the stochastic noise model.
+    """Sample a measured circuit's histogram from ``noisy_probabilities``.
 
     The Philox counter generator keeps results reproducible for a fixed
     (circuit, shots, noise, seed) regardless of platform.
@@ -226,68 +299,7 @@ def run_noisy(
     if shots < 1:
         raise ValueError("shots must be positive")
     noise = noise or NoiseModel()
-    qubits = _measure_order(c)
-    lambdas = [noise.readout_rate(q) for q in qubits]
-    k = len(qubits)
-
+    probs = noisy_probabilities(c, noise)
     rng = np.random.Generator(np.random.Philox(seed if seed is not None else noise.seed))
-
-    sites = [g for g in c.gates if g.kind != "measure"]
-    site_rates = np.array(
-        [noise.cx_depol if g.kind == "cx" else noise.sq_depol for g in sites]
-    )
-
-    # which shots suffer an error, and where it first strikes
-    if site_rates.size and site_rates.max() > 0.0:
-        fires = np.zeros((shots, len(sites)), dtype=bool)
-        for j, rate in enumerate(site_rates):
-            if rate > 0.0:
-                fires[:, j] = rng.random(shots) < rate
-        dirty = np.flatnonzero(fires.any(axis=1))
-    else:
-        fires = np.zeros((0, 0), dtype=bool)
-        dirty = np.empty(0, dtype=np.intp)
-
-    # prefix states: prefix[i] is the state after the first i gates
-    psi = zero_state(c.n_qubits)
-    prefix = [psi]
-    for g in sites:
-        psi = _apply_gate(psi, g)
-        prefix.append(psi)
-
-    def classical_probs(state: np.ndarray) -> np.ndarray:
-        p = np.abs(state) ** 2
-        rest = [ax for ax in range(c.n_qubits) if ax not in qubits]
-        p = np.transpose(p, qubits + rest).reshape(2 ** k, -1).sum(axis=1)
-        return apply_readout(p, lambdas)
-
-    counts = np.zeros(2 ** k)
-    n_clean = shots - dirty.size
-    if n_clean:
-        counts += _sample_vector(classical_probs(prefix[-1]), n_clean, rng)
-
-    for shot in dirty:
-        hit = [int(i) for i in np.flatnonzero(fires[shot])]
-        state = prefix[hit[0] + 1].copy()
-        pos = hit[0] + 1
-        for site_idx in hit:
-            while pos <= site_idx:
-                state = _apply_gate(state, sites[pos])
-                pos += 1
-            g = sites[site_idx]
-            if g.kind == "cx":
-                pa, pb = divmod(int(rng.integers(1, 16)), 4)
-                if pa:
-                    state = _apply_1q(state, _PAULIS[pa], g.qubits[0])
-                if pb:
-                    state = _apply_1q(state, _PAULIS[pb], g.qubits[1])
-            else:
-                state = _apply_1q(state, _PAULIS[int(rng.integers(1, 4))], g.qubits[0])
-        for i in range(pos, len(sites)):
-            state = _apply_gate(state, sites[i])
-        p = classical_probs(state)
-        u = rng.random()
-        outcome = int(np.searchsorted(np.cumsum(p), u * p.sum(), side="right"))
-        counts[min(outcome, 2 ** k - 1)] += 1.0
-
-    return CountsHistogram.from_vector(counts, shots, k)
+    k = probs.size.bit_length() - 1
+    return CountsHistogram.from_vector(_sample_vector(probs, shots, rng), shots, k)

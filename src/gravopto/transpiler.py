@@ -428,16 +428,22 @@ def _resynth_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
+# every preset circuit converges in two passes
+_SIMPLIFY_MAX_PASSES = 60
+
+
 def simplify(c: Circuit) -> Circuit:
     """Deterministic peephole cleanup; idempotent, count-nonincreasing."""
     gates = list(c.gates)
-    for _ in range(60):
+    for _ in range(_SIMPLIFY_MAX_PASSES):
         new = _float_rz(gates)
         new = _cancel_cx_pairs(new)
         new = _resynth_runs(new)
         if new == gates:
             break
         gates = new
+    else:
+        raise RuntimeError(f"simplify did not converge in {_SIMPLIFY_MAX_PASSES} passes")
     return Circuit(c.n_qubits, tuple(gates), dict(c.metadata))
 
 
@@ -454,11 +460,16 @@ def transpile(
     topology: Topology | None = None,
     layout: Layout | Sequence[int] | None = None,
 ) -> TranspileResult:
-    """lower -> route (if a topology is given) -> simplify."""
+    """lower -> route (if a topology is given) -> simplify.
+
+    Without a layout the circuit is routed from the hub layout.
+    """
     lowered = lower_to_basis(c)
     if topology is None:
         ident = tuple(range(c.n_qubits))
         return TranspileResult(simplify(lowered), ident, ident, ident)
+    if layout is None:
+        layout = hub_layout(topology, c.n_qubits)
     routed = route(lowered, topology, layout)
     return TranspileResult(
         simplify(routed.circuit),

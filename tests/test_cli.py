@@ -81,6 +81,27 @@ def test_tomography_prints_one_row(capsys):
     assert row["fidelity"] == pytest.approx(1.0, abs=1e-6)
 
 
+def test_tomography_rejects_several_epsilons(capsys):
+    rc = main([
+        "tomography", "--epsilon", "0.01,0.002", "--analytic", "--shots", "10",
+        "--no-transpile",
+    ])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert "epsilon_values" in captured.err
+    assert captured.out == ""
+
+
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
+    rc = main([
+        "sweep", "--epsilon", "0.01", "--analytic", "--shots", "10", "--seed", "-1",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "seed" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "results.csv")
+
+
 def test_tomography_requires_epsilon(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["tomography"])

@@ -56,7 +56,7 @@ class TestConfig:
             ({"cx_depol": 1.0}, "cx_depol"),
             ({"workers": 0}, "workers"),
             ({"layout": (0, 1, 2, 3)}, "layout"),
-            ({"analytic_mode": True, "cx_depol": 0.1}, "analytic_mode"),
+            ({"seed": -1}, "seed"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
@@ -204,6 +204,18 @@ class TestRunPoint:
         off = run_point(ExperimentConfig(postselection=False, **base), 0.01, seed=7)
         assert on["retained_fraction_zz"] == off["retained_fraction_zz"]
         assert on["tr_zz"] > off["tr_zz"]
+
+    def test_analytic_mode_takes_depolarizing_noise(self):
+        base = dict(cx_depol=0.1, sq_depol=0.01, readout=0.02)
+        exact = run_point(ExperimentConfig(analytic_mode=True, shots=10, **base), 0.01, seed=0)
+        shots = 200_000
+        sampled = run_point(ExperimentConfig(shots=shots, **base), 0.01, seed=3)
+        assert 0.0 < exact["retained_fraction_zz"] < 1.0
+        # a +-1 estimate from N kept shots has standard error <= 1/sqrt(N);
+        # readout inversion scales it by 1/(1 - 2r)**4
+        sigma = 1.0 / ((1 - 2 * 0.02) ** 4 * math.sqrt(shots * exact["retained_fraction_zz"]))
+        for key in ("tr_zz", "tr_xy", "tr_yx", "tr_iz", "tr_zi"):
+            assert abs(sampled[key] - exact[key]) <= 5 * sigma, key
 
     def test_transpile_toggle_is_invisible_in_analytic_mode(self):
         for topo in (None, "belem-like"):

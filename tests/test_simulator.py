@@ -1,15 +1,20 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import Circuit, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
+from gravopto.experiment import ExperimentConfig, prepare_circuits, run_point
 from gravopto.simulator import (
     CountsHistogram,
     NoiseModel,
     align_global_phase,
     apply_readout,
     born_probabilities,
+    noisy_probabilities,
     run_ideal,
     run_noisy,
     zero_state,
@@ -254,3 +259,111 @@ class TestRunNoisy:
         freq = hist["1"] / shots
         sigma = (want * (1 - want) / shots) ** 0.5
         assert abs(freq - want) <= 4 * sigma
+
+
+PAULIS = (
+    np.eye(2, dtype=complex),
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    """Full density matrix; after each gate, every non-identity Pauli on its
+    qubits as an explicit Kraus term, each with weight rate / (4**k - 1)."""
+    n = c.n_qubits
+    rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
+    rho[0, 0] = 1.0
+    for g in c.without_measurements().gates:
+        u = unitary_of(Circuit(n, (g,)))
+        rho = u @ rho @ u.conj().T
+        rate = noise.cx_depol if g.kind == "cx" else noise.sq_depol
+        terms = list(itertools.product(range(4), repeat=len(g.qubits)))[1:]
+        mixed = np.zeros_like(rho)
+        for term in terms:
+            ops = [PAULIS[0]] * n
+            for q, idx in zip(g.qubits, term):
+                ops[q] = PAULIS[idx]
+            pauli = reduce(np.kron, ops)
+            mixed += pauli @ rho @ pauli.conj().T
+        rho = (1 - rate) * rho + rate / len(terms) * mixed
+    qubits = [q for q, _ in sorted(c.measurements, key=lambda qc: qc[1])]
+    diag = rho.diagonal().real.reshape((2,) * n)
+    rest = [q for q in range(n) if q not in qubits]
+    probs = np.transpose(diag, qubits + rest).reshape(2 ** len(qubits), -1).sum(axis=1)
+    return apply_readout(probs, [noise.readout_rate(q) for q in qubits])
+
+
+class TestNoisyProbabilities:
+    def test_matches_brute_force_kraus_sum(self):
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            c = random_circuit(rng, 3, 12)
+            c = c.extend((measure(2, 0), measure(0, 1)))
+            noise = NoiseModel(readout=(0.03, 0.0, 0.07), sq_depol=0.04, cx_depol=0.09)
+            want = kraus_probabilities(c, noise)
+            got = noisy_probabilities(c, noise)
+            assert np.abs(got - want).max() <= 1e-12
+
+    def test_single_qubit_flip_closed_form(self):
+        c = measured(Circuit(1, (x(0),)))
+        for p in (0.0, 0.01, 0.3, 0.75):
+            probs = noisy_probabilities(c, NoiseModel(sq_depol=p))
+            assert probs[1] == pytest.approx(1 - 2 * p / 3, abs=1e-14)
+
+    def test_idle_pad_qubits_change_nothing(self):
+        rng = np.random.default_rng(5)
+        noise = NoiseModel(readout=0.02, sq_depol=0.01, cx_depol=0.05)
+        bare = random_circuit(rng, 3, 15)
+        # the same gates on qubits 0, 2, 4 of a 6-qubit register
+        padded = Circuit(6, tuple(
+            type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param) for g in bare.gates
+        ))
+        bare = bare.extend(measure(q, q) for q in range(3))
+        padded = padded.extend(measure(2 * q, q) for q in range(3))
+        assert np.abs(
+            noisy_probabilities(padded, noise) - noisy_probabilities(bare, noise)
+        ).max() <= 1e-14
+
+    def test_without_gate_noise_it_is_the_pure_state_distribution(self):
+        c = measured(build_evolution_circuit(0.1, prepend_ground_prep=True))
+        noise = NoiseModel(readout=0.03)
+        want = apply_readout(born_probabilities(c), [0.03] * 4)
+        assert np.array_equal(noisy_probabilities(c, noise), want)
+
+    def test_result_is_read_only(self):
+        probs = noisy_probabilities(measured(Circuit(1, (h(0),))), NoiseModel(sq_depol=0.1))
+        with pytest.raises(ValueError):
+            probs[0] = 1.0
+
+    def test_sampler_chi_square_on_routed_xy_setting(self):
+        cfg = ExperimentConfig.with_preset("belem-like", topology="belem-like")
+        _, circ = prepare_circuits(cfg, 1e-2)["XY"]
+        noise = cfg.noise_model()
+        shots = 200_000
+        expected = shots * noisy_probabilities(circ, noise)
+        observed = run_noisy(circ, shots, noise, seed=31).to_vector()
+        assert observed.sum() == shots and expected.min() > 5
+        chi2 = float(((observed - expected) ** 2 / expected).sum())
+        # 16 bins, 15 degrees of freedom: P(chi2 > 39.3) = 1e-3
+        assert chi2 < 39.3
+
+    def test_one_point_makes_three_distinct_distributions(self):
+        cfg = ExperimentConfig.with_preset(
+            "belem-like", epsilon_values=(1e-3, 2e-3, 5e-3), shots=50,
+            topology="belem-like",
+        )
+        before = noisy_probabilities.cache_info()
+        run_point(cfg, 7e-3, seed=0)
+        after = noisy_probabilities.cache_info()
+        assert (after.misses - before.misses, after.hits - before.hits) == (3, 2)
+        for _ in range(2):
+            # a sweep hits only where a point's ZZ, IZ and ZI circuits coincide,
+            # never on an entry left over from the previous sweep
+            start = noisy_probabilities.cache_info()
+            for i, eps in enumerate(cfg.epsilon_values):
+                run_point(cfg, eps, seed=i)
+            end = noisy_probabilities.cache_info()
+            assert end.hits - start.hits == 2 * len(cfg.epsilon_values)
+            assert end.misses - start.misses == 3 * len(cfg.epsilon_values)

@@ -21,6 +21,7 @@ from gravopto.circuit import (
     x,
 )
 from gravopto.digitizer import build_evolution_circuit
+from gravopto import transpiler
 from gravopto.errors import RoutingError
 from gravopto.transpiler import (
     BASIS_KINDS,
@@ -316,6 +317,12 @@ class TestSimplify:
         (g,) = simplify(c).gates
         assert g == rz(0, 0.4)
 
+    def test_non_convergence_raises(self, monkeypatch):
+        # a pass that reverses the gate list never reaches a fixpoint
+        monkeypatch.setattr(transpiler, "_resynth_runs", lambda gates: gates[::-1])
+        with pytest.raises(RuntimeError, match="did not converge"):
+            simplify(Circuit(2, (cx(0, 1), cx(1, 0))))
+
     def test_reversed_cx_pair_stays(self):
         c = Circuit(2, (cx(0, 1), cx(1, 0)))
         assert len(simplify(c).gates) == 2
@@ -351,6 +358,8 @@ class TestFullPipeline:
         assert two == 24
         assert single <= 40
         assert result.final_layout == result.initial_layout == (1, 0, 2, 3)
+        # the hub layout is also the default
+        assert transpile(c, topo).circuit == result.circuit
 
     def test_routed_pipeline_equivalence(self):
         c = build_evolution_circuit(0.2, prepend_ground_prep=True)
