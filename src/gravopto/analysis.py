@@ -16,7 +16,6 @@ import numpy as np
 
 TRACE_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
 
-_NORM_TOL = 1e-12
 _PERTURBATIVE_GUARD = 0.3
 
 

@@ -233,18 +233,6 @@ class Circuit:
         return unitary_of(self)
 
 
-def append(c: Circuit, gate: Gate) -> Circuit:
-    return c.append(gate)
-
-
-def dagger(c: Circuit) -> Circuit:
-    return c.dagger()
-
-
-def gate_counts(c: Circuit) -> tuple[int, int]:
-    return c.gate_counts()
-
-
 def _embedded(gate: Gate, n: int) -> np.ndarray:
     eye = np.eye(2, dtype=complex)
     if gate.kind == "cx":

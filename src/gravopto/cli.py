@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
+    compile_evolution,
     emit_outputs,
     resolve_topology,
     run_sweep,
@@ -37,7 +38,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_run_flags(sweep)
     sweep.add_argument("--out-dir", default=None, help="output directory")
     sweep.add_argument("--export-qasm", action="store_true", help="also write per-point circuits")
-    sweep.add_argument("--workers", type=int, default=None, help="parallel sweep points")
 
     tomo = sub.add_parser("tomography", help="single-epsilon run with full detail")
     tomo.add_argument("--epsilon", required=True, help="evolution parameter")
@@ -82,14 +82,6 @@ def _add_run_flags(p: argparse.ArgumentParser, epsilon: bool = True):
 
 def _run_config(args) -> ExperimentConfig:
     data: dict = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            try:
-                data = json.loads(fh.read())
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"config: invalid JSON ({exc})") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config: top level must be an object")
     if args.noise_preset:
         data.update(NOISE_PRESETS[args.noise_preset])
     if getattr(args, "epsilon", None) is not None:
@@ -111,11 +103,13 @@ def _run_config(args) -> ExperimentConfig:
         data["analytic_mode"] = True
     if getattr(args, "out_dir", None):
         data["out_dir"] = args.out_dir
-    if getattr(args, "workers", None):
-        data["workers"] = args.workers
     if getattr(args, "export_qasm", False):
         data["export_qasm"] = True
-    return ExperimentConfig.from_json_dict(data)
+    text = "{}"
+    if args.config:
+        with open(args.config, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    return ExperimentConfig.from_json(text, overrides=data)
 
 
 def _write(text: str, dest: str):
@@ -128,8 +122,10 @@ def _write(text: str, dest: str):
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    table = run_sweep(cfg)
-    paths = emit_outputs(table, cfg, out_dir=cfg.out_dir or ".")
+    # each point compiles once, for its five settings and its QASM export
+    evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
+    table = run_sweep(cfg, evolutions)
+    paths = emit_outputs(table, cfg, out_dir=cfg.out_dir or ".", evolutions=evolutions)
     mean_f = sum(r["fidelity"] for r in table) / len(table)
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"{len(table)} points, mean fidelity {mean_f:.4f}")

@@ -1,16 +1,17 @@
 """End-to-end sweeps: build, transpile, simulate, estimate, report.
 
 A sweep point is fully determined by the config and a per-point seed derived
-from the global one, so results are reproducible row by row no matter how
-many workers run the sweep. The CSV payload is byte-stable for a fixed
-config; the JSON report additionally carries a timestamp.
+from the global one, so results are reproducible row by row. A point's
+evolution circuit is compiled once and shared by its five tomography
+settings, which add only basis rotations and measurements, and by its QASM
+export. The CSV payload is byte-stable for a fixed config; the JSON report
+additionally carries a timestamp.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 
@@ -21,7 +22,8 @@ from .analysis import (
     fidelity_error,
     fidelity_from_traces,
 )
-from .bosonmap import ModeEncoding, PHYSICAL_BITSTRINGS
+from .bosonmap import PHYSICAL_BITSTRINGS
+from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
 from .qasm import emit as qasm_emit
@@ -34,7 +36,7 @@ from .tomography import (
     mitigate,
     postselect,
 )
-from .transpiler import Topology, transpile
+from .transpiler import TOPOLOGY_PRESETS, RoutedCircuit, Topology, transpile, transpile_suffix
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -78,7 +80,6 @@ class ExperimentConfig:
     transpile: bool = True
     analytic_mode: bool = False
     seed: int = 0
-    workers: int = 1
     out_dir: str | None = None
     export_qasm: bool = False
 
@@ -100,8 +101,6 @@ class ExperimentConfig:
                 raise ConfigError(f"{name}: {v} outside [0, 1)")
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is negative")
-        if self.workers < 1:
-            raise ConfigError("workers: must be >= 1")
         if self.layout is not None:
             if self.topology is None:
                 raise ConfigError("layout: requires a topology")
@@ -130,14 +129,14 @@ class ExperimentConfig:
         return cls(**clean)
 
     @classmethod
-    def from_json(cls, text: str) -> "ExperimentConfig":
+    def from_json(cls, text: str, overrides: dict | None = None) -> "ExperimentConfig":
         try:
             data = json.loads(text)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be an object")
-        return cls.from_json_dict(data)
+        return cls.from_json_dict({**data, **(overrides or {})})
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -155,7 +154,7 @@ class ExperimentConfig:
 def resolve_topology(name_or_path: str | None) -> Topology | None:
     if name_or_path is None:
         return None
-    if name_or_path in ("belem-like", "nairobi-like"):
+    if name_or_path in TOPOLOGY_PRESETS:
         return Topology.preset(name_or_path)
     if os.path.exists(name_or_path):
         with open(name_or_path, "r", encoding="utf-8") as fh:
@@ -163,21 +162,39 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
     raise ConfigError(f"topology: {name_or_path!r} is neither a preset nor a file")
 
 
-def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
-    """The five as-run measurement circuits for one sweep point."""
+def compile_evolution(cfg: ExperimentConfig, epsilon: float) -> RoutedCircuit:
+    """One point's evolution circuit (with ground-state prep) as it runs."""
     base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
-    topo = resolve_topology(cfg.topology)
+    if cfg.transpile:
+        return transpile(base, resolve_topology(cfg.topology), cfg.layout)
+    ident = tuple(range(base.n_qubits))
+    return RoutedCircuit(base, ident, ident, ident)
+
+
+def prepare_circuits(cfg: ExperimentConfig, epsilon: float,
+                     evolution: RoutedCircuit | None = None) -> dict:
+    """The five as-run measurement circuits for one sweep point: the point's
+    ``compile_evolution`` (made here when not given) plus each setting's
+    basis rotation and measurements. ZZ, IZ and ZI share one circuit.
+    """
+    if evolution is None:
+        evolution = compile_evolution(cfg, epsilon)
+    shared = {}
     out = {}
-    for setting, circ in measurement_circuits(base, ModeEncoding()):
-        if cfg.transpile:
-            circ = transpile(circ, topo, cfg.layout).circuit
-        out[setting.label] = (setting, circ)
+    for setting, suffix in measurement_circuits(Circuit(len(evolution.initial_layout))):
+        if suffix not in shared:
+            if cfg.transpile:
+                shared[suffix] = transpile_suffix(evolution, suffix)
+            else:
+                shared[suffix] = evolution.circuit + suffix
+        out[setting.label] = (setting, shared[suffix])
     return out
 
 
-def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
+def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
+              evolution: RoutedCircuit | None = None) -> dict:
     """One sweep row; self-contained and deterministic for (cfg, eps, seed)."""
-    circuits = prepare_circuits(cfg, epsilon)
+    circuits = prepare_circuits(cfg, epsilon, evolution)
     noise = cfg.noise_model()
     setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
 
@@ -227,17 +244,18 @@ def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
     }
 
 
-def run_sweep(cfg: ExperimentConfig) -> list[dict]:
-    """One row per epsilon, in input order."""
+def run_sweep(cfg: ExperimentConfig, evolutions: list[RoutedCircuit] | None = None) -> list[dict]:
+    """One row per epsilon, in input order. ``evolutions`` are the points'
+    ``compile_evolution`` results, made here when not given."""
+    if evolutions is None:
+        evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(
         len(cfg.epsilon_values)
     )
-    jobs = list(zip(cfg.epsilon_values, (int(s) for s in point_seeds)))
-    if cfg.workers == 1:
-        return [run_point(cfg, eps, s) for eps, s in jobs]
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        futures = [pool.submit(run_point, cfg, eps, s) for eps, s in jobs]
-        return [f.result() for f in futures]
+    return [
+        run_point(cfg, eps, int(s), evo)
+        for eps, s, evo in zip(cfg.epsilon_values, point_seeds, evolutions)
+    ]
 
 
 def _format_cell(value) -> str:
@@ -251,11 +269,13 @@ def emit_outputs(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
     timestamp: str | None = None,
+    evolutions: list[RoutedCircuit] | None = None,
 ) -> dict:
     """Write results.csv and report.json (and QASM exports when asked).
 
     Returns the paths written. The CSV holds exactly RESULT_COLUMNS and is
     byte-stable for a fixed config; the timestamp lives only in the JSON.
+    The QASM export writes the sweep's ``evolutions`` (see ``run_sweep``).
     """
     if not table:
         raise ValueError("nothing to write")
@@ -286,15 +306,13 @@ def emit_outputs(
     paths["json"] = json_path
 
     if cfg.export_qasm:
-        topo = resolve_topology(cfg.topology)
+        if evolutions is None:
+            evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
         qasm_paths = []
-        for i, eps in enumerate(cfg.epsilon_values):
-            circ = build_evolution_circuit(eps, prepend_ground_prep=True)
-            if cfg.transpile:
-                circ = transpile(circ, topo, cfg.layout).circuit
+        for i, evolution in enumerate(evolutions):
             path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(qasm_emit(circ))
+                fh.write(qasm_emit(evolution.circuit))
             qasm_paths.append(path)
         paths["qasm"] = qasm_paths
     return paths

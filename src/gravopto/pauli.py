@@ -118,23 +118,8 @@ class PauliString:
         full = reduce(np.kron, (_SINGLE_MATRICES[f] for f in self.factors))
         return self.phase * full
 
-    def strip_phase(self) -> "PauliString":
-        return PauliString(self.factors, 0)
-
     def __str__(self) -> str:
         return _PHASE_LABELS[self.phase_power] + self.factors
-
-
-def multiply(a: PauliString, b: PauliString) -> PauliString:
-    return a.multiply(b)
-
-
-def commutes(a: PauliString, b: PauliString) -> bool:
-    return a.commutes(b)
-
-
-def to_matrix(p: PauliString) -> np.ndarray:
-    return p.matrix()
 
 
 class PauliSum:

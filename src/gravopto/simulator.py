@@ -5,6 +5,10 @@ States are complex128 arrays over 2**n amplitudes; axis/bit order follows the
 circuit convention (qubit 0 is the leftmost bit of a basis label). Histogram
 keys follow classical-bit order: cbit 0 is the leftmost character.
 
+Statevectors and density matrices (flat, over m row bits then m column bits)
+share one kernel: a one-qubit gate on bit axis a is
+``u @ state.reshape(2**a, 2, -1)`` and a CNOT is a basis-state permutation.
+
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
 depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
@@ -27,11 +31,15 @@ import numpy as np
 from .circuit import Circuit, Gate, matrix_of
 
 
-def _apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
-    k = len(gate.qubits)
-    u = matrix_of(gate).reshape((2,) * (2 * k))
-    moved = np.tensordot(u, state, axes=(list(range(k, 2 * k)), list(gate.qubits)))
-    return np.moveaxis(moved, range(k), gate.qubits)
+def _apply_1q(u: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
+    """u on one bit axis of a flat array; axis 0 is the leftmost bit."""
+    return (u @ state.reshape(2 ** axis, 2, -1)).reshape(-1)
+
+
+def _cx_permutation(n_bits: int, control: int, target: int) -> np.ndarray:
+    """CNOT as a basis permutation: flip the target bit where the control is 1."""
+    idx = np.arange(2 ** n_bits)
+    return idx ^ (((idx >> (n_bits - 1 - control)) & 1) << (n_bits - 1 - target))
 
 
 def zero_state(n_qubits: int) -> np.ndarray:
@@ -42,18 +50,19 @@ def zero_state(n_qubits: int) -> np.ndarray:
 
 def run_ideal(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     """Final statevector, flat shape (2**n,). Measurements are skipped."""
-    if initial is None:
-        psi = zero_state(c.n_qubits)
-    else:
-        initial = np.asarray(initial, dtype=complex)
-        if initial.size != 2 ** c.n_qubits:
-            raise ValueError("initial state has the wrong dimension")
-        psi = initial.reshape((2,) * c.n_qubits).copy()
+    psi = zero_state(c.n_qubits) if initial is None else np.asarray(initial, dtype=complex)
+    if psi.size != 2 ** c.n_qubits:
+        raise ValueError("initial state has the wrong dimension")
+    psi = psi.reshape(-1).copy()
+    perms = {}  # this call's CNOT permutations, by (control, target)
     for g in c.gates:
-        if g.kind == "measure":
-            continue
-        psi = _apply_gate(psi, g)
-    return psi.reshape(-1)
+        if g.kind == "cx":
+            if g.qubits not in perms:
+                perms[g.qubits] = _cx_permutation(c.n_qubits, *g.qubits)
+            psi = psi[perms[g.qubits]]
+        elif g.kind != "measure":
+            psi = _apply_1q(matrix_of(g), psi, g.qubits[0])
+    return psi
 
 
 def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -216,14 +225,10 @@ def _evolve(rho: np.ndarray, g: Gate, m: int, rows: list[int]) -> np.ndarray:
     """rho -> U rho U^dag on a flat m-qubit density matrix; rows are the
     gate's qubits as row bit axes, column axes follow at m + row."""
     if g.kind == "cx":
-        # a permutation of basis states: flip the target bit where the control is 1
-        idx = np.arange(2 ** m)
-        perm = idx ^ (((idx >> (m - 1 - rows[0])) & 1) << (m - 1 - rows[1]))
+        perm = _cx_permutation(m, *rows)
         return rho.reshape(2 ** m, 2 ** m)[np.ix_(perm, perm)].reshape(-1)
     u = matrix_of(g)
-    a = rows[0]
-    rho = u @ rho.reshape(2 ** a, 2, -1)
-    return (u.conj() @ rho.reshape(2 ** (m + a), 2, -1)).reshape(-1)
+    return _apply_1q(u.conj(), _apply_1q(u, rho, rows[0]), m + rows[0])
 
 
 def _depolarize(rho: np.ndarray, m: int, rows: list[int], rate: float) -> np.ndarray:

@@ -192,7 +192,8 @@ def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogr
 
     Plain matrix inversion is kept when the result is a valid distribution up
     to rounding; otherwise the nearest probability vector (nonnegative,
-    normalised) under the forward map is found with SLSQP.
+    normalised) under the forward map is found with SLSQP; RuntimeError
+    when SLSQP reports failure.
     """
     if hist.n_bits != confusion.n_bits:
         raise ValueError("histogram and confusion matrix disagree on width")
@@ -226,6 +227,8 @@ def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogr
             bounds=[(0.0, 1.0)] * target.size,
             constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0}],
         )
+        if not res.success:
+            raise RuntimeError(f"readout mitigation: least squares failed ({res.message})")
         probs = np.clip(res.x, 0.0, None)
     probs = probs / probs.sum() * total
     return CountsHistogram.from_vector(probs, hist.shots, hist.n_bits)

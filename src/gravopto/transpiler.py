@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -129,11 +129,6 @@ class Topology:
         return None
 
 
-def load_topology(path: str) -> Topology:
-    with open(path, "r", encoding="utf-8") as fh:
-        return Topology.from_json(fh.read())
-
-
 @dataclass(frozen=True)
 class Layout:
     """Injective logical -> physical qubit assignment."""
@@ -230,6 +225,8 @@ def lower_to_basis(c: Circuit) -> Circuit:
 
 @dataclass(frozen=True)
 class RoutedCircuit:
+    """A circuit placed on a device, from ``route`` or ``transpile``."""
+
     circuit: Circuit
     initial_layout: tuple[int, ...]
     final_layout: tuple[int, ...]
@@ -447,19 +444,11 @@ def simplify(c: Circuit) -> Circuit:
     return Circuit(c.n_qubits, tuple(gates), dict(c.metadata))
 
 
-@dataclass(frozen=True)
-class TranspileResult:
-    circuit: Circuit
-    initial_layout: tuple[int, ...]
-    final_layout: tuple[int, ...]
-    full_final_layout: tuple[int, ...]
-
-
 def transpile(
     c: Circuit,
     topology: Topology | None = None,
     layout: Layout | Sequence[int] | None = None,
-) -> TranspileResult:
+) -> RoutedCircuit:
     """lower -> route (if a topology is given) -> simplify.
 
     Without a layout the circuit is routed from the hub layout.
@@ -467,13 +456,30 @@ def transpile(
     lowered = lower_to_basis(c)
     if topology is None:
         ident = tuple(range(c.n_qubits))
-        return TranspileResult(simplify(lowered), ident, ident, ident)
+        return RoutedCircuit(simplify(lowered), ident, ident, ident)
     if layout is None:
         layout = hub_layout(topology, c.n_qubits)
     routed = route(lowered, topology, layout)
-    return TranspileResult(
-        simplify(routed.circuit),
-        routed.initial_layout,
-        routed.final_layout,
-        routed.full_final_layout,
-    )
+    return replace(routed, circuit=simplify(routed.circuit))
+
+
+def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit) -> Circuit:
+    """Append 1-qubit gates and measurements to a ``transpile`` result.
+
+    The logical-qubit suffix is lowered, placed through ``prefix.final_layout``
+    (without CNOTs it needs no routing) and simplified with the prefix, so the
+    prefix compiles once for many suffixes. On the evolution circuits this
+    equals ``transpile`` of the whole circuit gate for gate.
+    """
+    if any(g.kind == "cx" for g in suffix.gates):
+        raise ValueError("a suffix with CNOTs needs routing; transpile the whole circuit")
+    placed = [
+        Gate(g.kind, (prefix.final_layout[g.qubits[0]],), param=g.param, cbit=g.cbit)
+        for g in lower_to_basis(suffix).gates
+    ]
+    joined = prefix.circuit + Circuit(prefix.circuit.n_qubits, tuple(placed), suffix.metadata)
+    if all(g.kind == "measure" for g in placed):
+        # every pass ends a run or a float at a measurement as it does at the
+        # end of the circuit, so measurements after a fixpoint stay one
+        return joined
+    return simplify(joined)

@@ -10,7 +10,7 @@ from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
-from gravopto.transpiler import Topology
+from gravopto.transpiler import Topology, transpile
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):
@@ -53,6 +53,24 @@ def test_sweep_export_qasm(tmp_path, capsys):
     assert rc == 0
     circ = qasm_parse(open(tmp_path / "circuit_00.qasm").read())
     assert circ.n_qubits == 4
+
+
+def test_sweep_export_qasm_is_the_transpiled_evolution(tmp_path, capsys):
+    epsilons, layout = (1e-3, 0.3), (0, 2, 4, 6)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "epsilon_values": list(epsilons), "topology": "nairobi-like", "layout": list(layout),
+    }))
+    rc = main([
+        "sweep", "--config", str(cfg), "--analytic", "--shots", "10",
+        "--out-dir", str(tmp_path), "--export-qasm",
+    ])
+    assert rc == 0
+    topo = Topology.preset("nairobi-like")
+    for i, eps in enumerate(epsilons):
+        evolution = build_evolution_circuit(eps, prepend_ground_prep=True)
+        want = qasm_emit(transpile(evolution, topo, layout).circuit)
+        assert (tmp_path / f"circuit_{i:02d}.qasm").read_bytes() == want.encode("utf-8")
 
 
 def test_sweep_rejects_unknown_config_field(tmp_path, capsys):

@@ -23,7 +23,8 @@ from gravopto.experiment import (
 )
 from gravopto.qasm import parse as qasm_parse
 from gravopto.simulator import CountsHistogram
-from gravopto.transpiler import BASIS_KINDS, Topology
+from gravopto.tomography import measurement_circuits
+from gravopto.transpiler import BASIS_KINDS, Topology, transpile
 
 
 def closed_form_fidelity(eps: float) -> float:
@@ -60,8 +61,9 @@ class TestConfig:
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
+        # through the config parser, which also rejects removed fields
         with pytest.raises(ConfigError, match=field):
-            ExperimentConfig(**kwargs)
+            ExperimentConfig.from_json_dict(kwargs)
 
     def test_noise_presets(self):
         cfg = ExperimentConfig.with_preset("belem-like", shots=10)
@@ -119,6 +121,21 @@ class TestPrepareCircuits:
         for label, (setting, circ) in circuits.items():
             assert setting.label == label
             assert circ.has_measurements
+
+    @pytest.mark.parametrize(
+        "topology,layout",
+        [("belem-like", None), ("nairobi-like", (0, 2, 4, 6)), (None, None)],
+    )
+    def test_shared_compile_matches_full_transpile(self, topology, layout):
+        cfg = ExperimentConfig(topology=topology, layout=layout)
+        topo = resolve_topology(topology)
+        for eps in DEFAULT_EPSILONS + (0.3, -0.5):
+            circuits = prepare_circuits(cfg, eps)
+            base = build_evolution_circuit(eps, prepend_ground_prep=True)
+            for setting, full in measurement_circuits(base):
+                want = transpile(full, topo, layout).circuit
+                assert circuits[setting.label][1].gates == want.gates, (eps, setting.label)
+            assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
 
     def test_transpiled_to_basis(self):
         cfg = ExperimentConfig(transpile=True)
@@ -238,18 +255,6 @@ class TestRunSweep:
         )
         table = run_sweep(cfg)
         assert [r["epsilon"] for r in table] == [0.01, 0.001, 0.005]
-
-    def test_workers_do_not_change_results(self):
-        base = dict(
-            epsilon_values=(1e-4, 1e-3, 1e-2),
-            shots=300,
-            readout=0.02,
-            seed=4,
-            transpile=False,
-        )
-        serial = run_sweep(ExperimentConfig(workers=1, **base))
-        threaded = run_sweep(ExperimentConfig(workers=3, **base))
-        assert serial == threaded
 
     def test_reruns_are_identical(self):
         cfg = ExperimentConfig(

@@ -43,6 +43,21 @@ def test_run_ideal_matches_unitary():
         assert np.allclose(got, want, atol=1e-12)
 
 
+def test_run_ideal_matches_unitary_on_wider_registers():
+    # CNOTs between non-adjacent bits, control below and above the target
+    rng = np.random.default_rng(72)
+    for n in (5, 6, 7):
+        for _ in range(3):
+            wide = (cx(n - 1, 0), cx(n - 2, 1), cx(0, n - 1), cx(n - 1, 2))
+            c = Circuit(n, random_circuit(rng, n, 20).gates + wide
+                        + random_circuit(rng, n, 20).gates)
+            u = unitary_of(c)
+            assert np.abs(run_ideal(c) - u[:, 0]).max() <= 1e-12
+            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+            v /= np.linalg.norm(v)
+            assert np.abs(run_ideal(c, initial=v) - u @ v).max() <= 1e-12
+
+
 def test_run_ideal_initial_state():
     c = Circuit(1, (x(0),))
     out = run_ideal(c, initial=np.array([0.0, 1.0]))

@@ -250,6 +250,20 @@ class TestMitigate:
         assert vec.min() >= 0.0
         assert vec.sum() == pytest.approx(hist.total())
 
+    def test_failed_fallback_raises(self, monkeypatch):
+        import scipy.optimize
+
+        def failing(fun, x0, **kwargs):
+            return scipy.optimize.OptimizeResult(
+                x=x0, success=False, message="Iteration limit reached"
+            )
+
+        monkeypatch.setattr(scipy.optimize, "minimize", failing)
+        cm = ConfusionMatrix.from_lambdas([0.2, 0.2])
+        hist = CountsHistogram({"01": 90, "10": 10}, shots=100, n_bits=2)
+        with pytest.raises(RuntimeError, match="Iteration limit reached"):
+            mitigate(hist, cm)
+
     def test_width_mismatch(self):
         hist = CountsHistogram({"01": 1}, shots=1, n_bits=2)
         with pytest.raises(ValueError):

@@ -23,16 +23,17 @@ from gravopto.circuit import (
 from gravopto.digitizer import build_evolution_circuit
 from gravopto import transpiler
 from gravopto.errors import RoutingError
+from gravopto.experiment import resolve_topology
 from gravopto.transpiler import (
     BASIS_KINDS,
     Layout,
     Topology,
     hub_layout,
-    load_topology,
     lower_to_basis,
     route,
     simplify,
     transpile,
+    transpile_suffix,
 )
 
 from test_circuit import random_circuit
@@ -104,7 +105,7 @@ class TestTopology:
         assert back.n == t.n and back.edges == t.edges
         path = tmp_path / "topo.json"
         path.write_text(t.to_json())
-        assert load_topology(str(path)).edges == t.edges
+        assert resolve_topology(str(path)).edges == t.edges
 
     def test_neighbors_sorted(self):
         t = Topology.preset("nairobi-like")
@@ -349,6 +350,14 @@ class TestFullPipeline:
         assert result.initial_layout == (0, 1, 2, 3)
         d = phase_distance(unitary_of(result.circuit), unitary_of(c))
         assert d <= 1e-10
+
+    def test_suffix_places_gates_and_refuses_cnots(self):
+        prefix = transpile(build_evolution_circuit(0.1), Topology.preset("belem-like"))
+        tail = Circuit(4, (h(2), measure(2, 0)))
+        out = transpile_suffix(prefix, tail)
+        assert out.measurements == ((prefix.final_layout[2], 0),)
+        with pytest.raises(ValueError, match="routing"):
+            transpile_suffix(prefix, Circuit(4, (cx(0, 1),)))
 
     def test_hub_layout_avoids_swaps_on_belem(self):
         c = build_evolution_circuit(0.1, prepend_ground_prep=True)
