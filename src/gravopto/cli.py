@@ -142,6 +142,8 @@ def _cmd_tomography(args) -> int:
 
 
 def _cmd_circuit(args) -> int:
+    if not abs(args.epsilon) < 1.0:
+        raise ConfigError(f"epsilon: |{args.epsilon}| is not < 1")
     circ = build_evolution_circuit(
         args.epsilon, prepend_ground_prep=not args.no_ground_prep
     )
@@ -171,6 +173,10 @@ def _cmd_transpile(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
+    if args.n_bits < 1:
+        raise ConfigError(f"n_bits: {args.n_bits} is not >= 1")
+    if args.shots < 0:
+        raise ConfigError(f"shots: {args.shots} is negative")
     rate = args.readout if args.readout is not None else NOISE_PRESETS[args.noise_preset]["readout"]
     noise = NoiseModel(readout=rate)
     confusion = calibrate_confusion(

@@ -22,7 +22,7 @@ from .analysis import (
     fidelity_error,
     fidelity_from_traces,
 )
-from .bosonmap import PHYSICAL_BITSTRINGS
+from .bosonmap import PHYSICAL_BITSTRINGS, ModeEncoding
 from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
@@ -104,7 +104,11 @@ class ExperimentConfig:
         if self.layout is not None:
             if self.topology is None:
                 raise ConfigError("layout: requires a topology")
-            object.__setattr__(self, "layout", tuple(int(q) for q in self.layout))
+            layout = tuple(int(q) for q in self.layout)
+            n = ModeEncoding().n_qubits
+            if len(layout) != n or len(set(layout)) != n or min(layout) < 0:
+                raise ConfigError(f"layout: {list(layout)} is not {n} distinct qubits >= 0")
+            object.__setattr__(self, "layout", layout)
 
     @classmethod
     def with_preset(cls, preset: str, **kwargs) -> "ExperimentConfig":
@@ -166,7 +170,10 @@ def compile_evolution(cfg: ExperimentConfig, epsilon: float) -> RoutedCircuit:
     """One point's evolution circuit (with ground-state prep) as it runs."""
     base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
     if cfg.transpile:
-        return transpile(base, resolve_topology(cfg.topology), cfg.layout)
+        topo = resolve_topology(cfg.topology)
+        if cfg.layout and max(cfg.layout) >= topo.n:
+            raise ConfigError(f"layout: qubit {max(cfg.layout)} is not on the topology")
+        return transpile(base, topo, cfg.layout)
     ident = tuple(range(base.n_qubits))
     return RoutedCircuit(base, ident, ident, ident)
 

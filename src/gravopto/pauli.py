@@ -16,9 +16,8 @@ from typing import Iterable
 
 import numpy as np
 
+from .circuit import MAX_DENSE_QUBITS
 from .errors import CapacityError
-
-MAX_DENSE_QUBITS = 12
 
 PHASE_VALUES = (1, 1j, -1, -1j)
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bosonmap import ModeEncoding, PHYSICAL_BITSTRINGS
-from .circuit import Circuit, Gate, h, measure, sdg
+from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
+from .errors import CapacityError
 from .simulator import CountsHistogram, NoiseModel, run_noisy
 
 SETTING_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
@@ -167,6 +168,8 @@ def calibrate_confusion(
     The sampled variant prepares each of the 2**n basis states with X gates,
     measures, and stacks the observed distributions as columns.
     """
+    if n_bits > MAX_DENSE_QUBITS:
+        raise CapacityError(f"n_bits: {n_bits} exceeds the dense limit")
     qubits = list(qubits) if qubits is not None else list(range(n_bits))
     if len(qubits) != n_bits:
         raise ValueError("one measured qubit per classical bit")
@@ -187,13 +190,25 @@ def calibrate_confusion(
     return ConfusionMatrix(dense)
 
 
-def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogram:
-    """Invert readout confusion; falls back to constrained least squares.
+def project_to_simplex(quasi: np.ndarray) -> np.ndarray:
+    """Euclidean projection onto {p >= 0, sum p = 1}: max(quasi - theta, 0).
 
-    Plain matrix inversion is kept when the result is a valid distribution up
-    to rounding; otherwise the nearest probability vector (nonnegative,
-    normalised) under the forward map is found with SLSQP; RuntimeError
-    when SLSQP reports failure.
+    theta comes from the sorted vector; a distribution projects to itself.
+    """
+    u = np.sort(quasi)[::-1]
+    css = np.cumsum(u)
+    rho = np.flatnonzero(u > (css - 1.0) / np.arange(1, u.size + 1))[-1]
+    theta = (css[rho] - 1.0) / (rho + 1)
+    return np.maximum(quasi - theta, 0.0)
+
+
+def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogram:
+    """Invert readout confusion and take the nearest probability vector.
+
+    The quasi-distribution ``confusion.inverse() @ p`` can have negative
+    entries; its Euclidean projection onto the simplex is the closest
+    distribution (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)). The
+    result is rescaled to the histogram's total weight.
     """
     if hist.n_bits != confusion.n_bits:
         raise ValueError("histogram and confusion matrix disagree on width")
@@ -201,35 +216,7 @@ def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogr
     total = vec.sum()
     if total <= 0:
         raise ValueError("empty histogram")
-    target = vec / total
-    quasi = confusion.inverse() @ target
-    if quasi.min() >= -1e-10:
-        probs = np.clip(quasi, 0.0, None)
-    else:
-        from scipy.optimize import minimize
-
-        c = confusion.matrix()
-
-        def cost(p):
-            r = c @ p - target
-            return float(r @ r)
-
-        def grad(p):
-            return 2.0 * (c.T @ (c @ p - target))
-
-        start = np.clip(quasi, 0.0, None)
-        start = start / start.sum() if start.sum() > 0 else np.full_like(target, 1.0 / target.size)
-        res = minimize(
-            cost,
-            start,
-            jac=grad,
-            method="SLSQP",
-            bounds=[(0.0, 1.0)] * target.size,
-            constraints=[{"type": "eq", "fun": lambda p: p.sum() - 1.0}],
-        )
-        if not res.success:
-            raise RuntimeError(f"readout mitigation: least squares failed ({res.message})")
-        probs = np.clip(res.x, 0.0, None)
+    probs = project_to_simplex(confusion.inverse() @ (vec / total))
     probs = probs / probs.sum() * total
     return CountsHistogram.from_vector(probs, hist.shots, hist.n_bits)
 

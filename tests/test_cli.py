@@ -10,6 +10,7 @@ from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
+from gravopto.tomography import ConfusionMatrix
 from gravopto.transpiler import Topology, transpile
 
 
@@ -120,6 +121,18 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "results.csv")
 
 
+def test_layout_off_the_topology_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"topology": "belem-like", "layout": [0, 1, 2, 9]}')
+    rc = main([
+        "sweep", "--config", str(cfg), "--epsilon", "0.01", "--shots", "10",
+        "--out-dir", str(tmp_path),
+    ])
+    assert rc == 2
+    assert "layout" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "results.csv")
+
+
 def test_tomography_requires_epsilon(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["tomography"])
@@ -164,6 +177,10 @@ class TestCircuitCommand:
         rc = main(["circuit", "--topology", "belem-like"])
         assert rc == 2
         assert "config error:" in capsys.readouterr().err
+
+    def test_epsilon_out_of_range_is_a_config_error(self, capsys):
+        assert main(["circuit", "--epsilon", "1.5"]) == 2
+        assert "epsilon" in capsys.readouterr().err
 
     def test_out_file(self, tmp_path, capsys):
         dest = tmp_path / "evo.qasm"
@@ -253,3 +270,20 @@ class TestCalibrateCommand:
         assert rc == 0
         payload = json.loads(dest.read_text())
         assert len(payload["matrix"]) == 2
+
+    @pytest.mark.parametrize(
+        "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots")]
+    )
+    def test_bad_input_is_a_config_error(self, flags, field, capsys):
+        assert main(["calibrate", *flags]) == 2
+        captured = capsys.readouterr()
+        assert field in captured.err
+        assert captured.out == ""
+
+    def test_dense_limit_exits_3_before_allocation(self, monkeypatch, capsys):
+        def refuse(lambdas):
+            pytest.fail("a 2**40-dimensional confusion matrix was requested")
+
+        monkeypatch.setattr(ConfusionMatrix, "from_lambdas", refuse)
+        assert main(["calibrate", "--n-bits", "40"]) == 3
+        assert "n_bits" in capsys.readouterr().err

@@ -14,6 +14,7 @@ from gravopto.experiment import (
     NOISE_PRESETS,
     RESULT_COLUMNS,
     ExperimentConfig,
+    compile_evolution,
     emit_outputs,
     prepare_circuits,
     resolve_topology,
@@ -58,6 +59,9 @@ class TestConfig:
             ({"workers": 0}, "workers"),
             ({"layout": (0, 1, 2, 3)}, "layout"),
             ({"seed": -1}, "seed"),
+            ({"topology": "belem-like", "layout": (0, 1, 2)}, "layout"),
+            ({"topology": "belem-like", "layout": (0, 1, 1, 2)}, "layout"),
+            ({"topology": "belem-like", "layout": (0, 1, 2, -1)}, "layout"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
@@ -136,6 +140,11 @@ class TestPrepareCircuits:
                 want = transpile(full, topo, layout).circuit
                 assert circuits[setting.label][1].gates == want.gates, (eps, setting.label)
             assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
+
+    def test_layout_off_the_topology_is_a_config_error(self):
+        cfg = ExperimentConfig(topology="belem-like", layout=(0, 1, 2, 9))
+        with pytest.raises(ConfigError, match="layout"):
+            compile_evolution(cfg, 0.01)
 
     def test_transpiled_to_basis(self):
         cfg = ExperimentConfig(transpile=True)

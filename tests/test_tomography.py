@@ -1,9 +1,15 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
 from gravopto.bosonmap import ModeEncoding
 from gravopto.circuit import Circuit, h, measure, sdg
 from gravopto.digitizer import build_evolution_circuit
+from gravopto.errors import CapacityError
 from gravopto.simulator import (
     CountsHistogram,
     NoiseModel,
@@ -22,6 +28,7 @@ from gravopto.tomography import (
     measurement_circuits,
     mitigate,
     postselect,
+    project_to_simplex,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -206,6 +213,14 @@ class TestCalibrateConfusion:
         with pytest.raises(ValueError):
             calibrate_confusion(2, NoiseModel(), qubits=[0, 1, 2])
 
+    def test_dense_limit_checked_before_allocation(self, monkeypatch):
+        def refuse(lambdas):
+            pytest.fail("a 2**40-dimensional confusion matrix was requested")
+
+        monkeypatch.setattr(ConfusionMatrix, "from_lambdas", refuse)
+        with pytest.raises(CapacityError, match="n_bits"):
+            calibrate_confusion(40, NoiseModel(readout=0.01))
+
     def test_empirical_approaches_analytic(self):
         nm = NoiseModel(readout=0.06)
         got = calibrate_confusion(2, nm, shots=20_000, seed=15).matrix()
@@ -240,7 +255,7 @@ class TestMitigate:
 
     def test_constrained_fallback_stays_a_distribution(self):
         # a histogram concentrated on a flipped outcome drives the plain
-        # inverse negative, forcing the least-squares branch
+        # inverse negative, so the simplex projection has work to do
         cm = ConfusionMatrix.from_lambdas([0.2, 0.2])
         hist = CountsHistogram({"01": 90, "10": 10}, shots=100, n_bits=2)
         quasi = cm.inverse() @ (hist.to_vector() / 100.0)
@@ -250,19 +265,61 @@ class TestMitigate:
         assert vec.min() >= 0.0
         assert vec.sum() == pytest.approx(hist.total())
 
-    def test_failed_fallback_raises(self, monkeypatch):
-        import scipy.optimize
+    def test_projection_meets_kkt_conditions(self):
+        # p is the Euclidean projection of q onto the simplex iff p is a
+        # distribution and one theta has p = q - theta on the support and
+        # q <= theta off it
+        rng = np.random.default_rng(7)
+        for _ in range(500):
+            q = rng.normal(scale=rng.uniform(0.01, 2.0), size=rng.integers(1, 17))
+            p = project_to_simplex(q)
+            assert p.min() >= 0.0
+            assert p.sum() == pytest.approx(1.0, abs=1e-12)
+            support = p > 0
+            theta = np.mean(q[support] - p[support])
+            assert np.abs(q[support] - p[support] - theta).max() <= 1e-12
+            assert np.all(q[~support] <= theta + 1e-12)
 
-        def failing(fun, x0, **kwargs):
-            return scipy.optimize.OptimizeResult(
-                x=x0, success=False, message="Iteration limit reached"
-            )
+    def test_distribution_projects_to_itself(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            p = np.concatenate([rng.dirichlet(np.ones(rng.integers(1, 13))),
+                                np.zeros(rng.integers(0, 5))])
+            rng.shuffle(p)
+            assert np.abs(project_to_simplex(p) - p).max() <= 1e-15
 
-        monkeypatch.setattr(scipy.optimize, "minimize", failing)
-        cm = ConfusionMatrix.from_lambdas([0.2, 0.2])
-        hist = CountsHistogram({"01": 90, "10": 10}, shots=100, n_bits=2)
-        with pytest.raises(RuntimeError, match="Iteration limit reached"):
-            mitigate(hist, cm)
+    def test_mitigated_sweep_runs_without_scipy(self, tmp_path):
+        # a readout-only belem point, where the plain inverse goes negative
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "shots": 100_000, "readout": 0.0211, "topology": "belem-like",
+            "epsilon_values": [0.01],
+        }))
+        script = (
+            "import json, sys\n"
+            "from gravopto import tomography\n"
+            "from gravopto.cli import main\n"
+            "project, negative = tomography.project_to_simplex, []\n"
+            "def counting(quasi):\n"
+            "    negative.append(bool(quasi.min() < 0))\n"
+            "    return project(quasi)\n"
+            "tomography.project_to_simplex = counting\n"
+            "rc = main(['sweep', '--config', sys.argv[1], '--out-dir', sys.argv[2]])\n"
+            "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps([rc, sum(negative), scipy]))\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(cfg), str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        rc, negative, scipy = json.loads(proc.stdout.splitlines()[-1])
+        assert rc == 0
+        assert negative > 0
+        assert scipy == []
 
     def test_width_mismatch(self):
         hist = CountsHistogram({"01": 1}, shots=1, n_bits=2)
