@@ -53,8 +53,10 @@ from .simulator import (
     align_global_phase,
     born_probabilities,
     noisy_probabilities,
+    outcome_distributions,
     run_ideal,
     run_noisy,
+    sample_counts,
 )
 from .tomography import (
     ConfusionMatrix,
@@ -125,6 +127,7 @@ __all__ = [
     "measurement_circuits",
     "mitigate",
     "noisy_probabilities",
+    "outcome_distributions",
     "perturbative_state",
     "perturbative_traces",
     "phase_distance",
@@ -137,6 +140,7 @@ __all__ = [
     "run_noisy",
     "run_point",
     "run_sweep",
+    "sample_counts",
     "simplify",
     "trace_uncertainty",
     "transpile",

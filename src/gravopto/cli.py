@@ -14,6 +14,7 @@ from .errors import ConfigError
 from .experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
+    check_layout,
     compile_evolution,
     emit_outputs,
     resolve_topology,
@@ -23,7 +24,7 @@ from .qasm import emit as qasm_emit
 from .qasm import parse as qasm_parse
 from .simulator import NoiseModel
 from .tomography import calibrate_confusion
-from .transpiler import Layout, transpile
+from .transpiler import transpile
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -161,9 +162,7 @@ def _cmd_transpile(args) -> int:
     topo = resolve_topology(args.topology)
     layout = None
     if args.layout:
-        if topo is None:
-            raise ConfigError("layout: requires a topology")
-        layout = Layout(tuple(int(q) for q in args.layout.split(",")))
+        layout = check_layout(args.layout.split(","), circ.n_qubits, topo)
     circ = transpile(circ, topo, layout).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)

@@ -4,8 +4,9 @@ A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row. A point's
 evolution circuit is compiled once and shared by its five tomography
 settings, which add only basis rotations and measurements, and by its QASM
-export. The CSV payload is byte-stable for a fixed config; the JSON report
-additionally carries a timestamp.
+export; one ``outcome_distributions`` call then evolves the settings' shared
+gate prefix once for all of them. The CSV payload is byte-stable for a fixed
+config; the JSON report additionally carries a timestamp.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from datetime import datetime, timezone
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
 from .qasm import emit as qasm_emit
-from .simulator import CountsHistogram, NoiseModel, noisy_probabilities, run_noisy
+from .simulator import CountsHistogram, NoiseModel, outcome_distributions, sample_counts
 from .tomography import (
     SETTING_LABELS,
     calibrate_confusion,
@@ -84,13 +86,24 @@ class ExperimentConfig:
     export_qasm: bool = False
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilon_values)
+        try:
+            eps = tuple(float(e) for e in self.epsilon_values)
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"epsilon_values: {self.epsilon_values!r} is not a list of numbers"
+            ) from None
         if not eps:
             raise ConfigError("epsilon_values: must not be empty")
         for e in eps:
             if not abs(e) < 1.0:
                 raise ConfigError(f"epsilon_values: |{e}| is not < 1")
         object.__setattr__(self, "epsilon_values", eps)
+        for name, kind in (("shots", Integral), ("seed", Integral), ("readout", Real),
+                           ("sq_depol", Real), ("cx_depol", Real)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                what = "an integer" if kind is Integral else "a number"
+                raise ConfigError(f"{name}: {value!r} is not {what}")
         if self.shots < 1:
             raise ConfigError("shots: must be >= 1")
         if not 0.0 <= self.readout < 0.5:
@@ -102,12 +115,7 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed: {self.seed} is negative")
         if self.layout is not None:
-            if self.topology is None:
-                raise ConfigError("layout: requires a topology")
-            layout = tuple(int(q) for q in self.layout)
-            n = ModeEncoding().n_qubits
-            if len(layout) != n or len(set(layout)) != n or min(layout) < 0:
-                raise ConfigError(f"layout: {list(layout)} is not {n} distinct qubits >= 0")
+            layout = check_layout(self.layout, ModeEncoding().n_qubits, self.topology)
             object.__setattr__(self, "layout", layout)
 
     @classmethod
@@ -126,11 +134,7 @@ class ExperimentConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
-        clean = dict(data)
-        for key in ("epsilon_values", "layout"):
-            if clean.get(key) is not None:
-                clean[key] = tuple(clean[key])
-        return cls(**clean)
+        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -155,6 +159,22 @@ class ExperimentConfig:
         )
 
 
+def check_layout(layout, n_qubits: int, topology: Topology | str | None) -> tuple[int, ...]:
+    """``layout`` as n_qubits distinct physical qubits >= 0, on ``topology``
+    once it is resolved (before that, its name); a ConfigError otherwise."""
+    if topology is None:
+        raise ConfigError("layout: requires a topology")
+    try:
+        qubits = tuple(int(q) for q in layout)
+    except (TypeError, ValueError):
+        raise ConfigError(f"layout: {layout!r} is not a list of qubit indices") from None
+    if len(qubits) != n_qubits or len(set(qubits)) != n_qubits or any(q < 0 for q in qubits):
+        raise ConfigError(f"layout: {list(qubits)} is not {n_qubits} distinct qubits >= 0")
+    if isinstance(topology, Topology) and max(qubits) >= topology.n:
+        raise ConfigError(f"layout: qubit {max(qubits)} is not on the topology")
+    return qubits
+
+
 def resolve_topology(name_or_path: str | None) -> Topology | None:
     if name_or_path is None:
         return None
@@ -171,8 +191,8 @@ def compile_evolution(cfg: ExperimentConfig, epsilon: float) -> RoutedCircuit:
     base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
     if cfg.transpile:
         topo = resolve_topology(cfg.topology)
-        if cfg.layout and max(cfg.layout) >= topo.n:
-            raise ConfigError(f"layout: qubit {max(cfg.layout)} is not on the topology")
+        if cfg.layout is not None:
+            check_layout(cfg.layout, base.n_qubits, topo)
         return transpile(base, topo, cfg.layout)
     ident = tuple(range(base.n_qubits))
     return RoutedCircuit(base, ident, ident, ident)
@@ -204,22 +224,26 @@ def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
     circuits = prepare_circuits(cfg, epsilon, evolution)
     noise = cfg.noise_model()
     setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
+    distributions = outcome_distributions(
+        [circuits[label][1] for label in SETTING_LABELS], noise
+    )
 
     histograms = {}
     retained = {}
+    confusions = {}  # by measured qubits, in classical-bit order
     for idx, label in enumerate(SETTING_LABELS):
         setting, circ = circuits[label]
         if cfg.analytic_mode:
-            probs = noisy_probabilities(circ, noise)
             hist = CountsHistogram.from_vector(
-                probs * cfg.shots, cfg.shots, len(circ.measurements)
+                distributions[idx] * cfg.shots, cfg.shots, len(circ.measurements)
             )
         else:
-            hist = run_noisy(circ, cfg.shots, noise, seed=int(setting_seeds[idx]))
+            hist = sample_counts(distributions[idx], cfg.shots, int(setting_seeds[idx]))
         if cfg.mitigation:
-            qubits = [q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1])]
-            confusion = calibrate_confusion(len(qubits), noise, qubits=qubits)
-            hist = mitigate(hist, confusion)
+            qubits = tuple(q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1]))
+            if qubits not in confusions:
+                confusions[qubits] = calibrate_confusion(len(qubits), noise, qubits=qubits)
+            hist = mitigate(hist, confusions[qubits])
         if label == "ZZ":
             # the sweep post-selects the correlation setting; the population
             # settings keep their leakage, which decodes to zero weight

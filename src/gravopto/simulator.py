@@ -12,15 +12,22 @@ share one kernel: a one-qubit gate on bit axis a is
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
 depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
-lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). ``noisy_probabilities``
-evolves the density matrix of the qubits the circuit touches under it and
-returns the exact outcome distribution; readout error enters as an exact
-per-qubit symmetric bit-flip transform on that distribution. Shots are i.i.d.,
-so ``run_noisy`` draws the whole histogram as one multinomial sample.
+lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error enters
+as an exact per-qubit symmetric bit-flip transform on the outcome distribution.
+
+``outcome_distributions`` turns a list of measured circuits (a sweep point's
+tomography settings) into their exact outcome distributions in one pass per
+register: a circuit with gate noise evolves the density matrix of the qubits
+it touches, any other the statevector of its register. Circuits on one
+register walk the tree of their gate sequences, so a shared prefix (the
+point's evolution) is applied once and each setting continues from there; the
+arithmetic per circuit is that of evolving it alone. ``noisy_probabilities``
+is the one-circuit case. Shots are i.i.d., so ``sample_counts`` draws a whole
+histogram as one multinomial sample, and ``run_noisy`` does both for one
+circuit. Nothing is kept between calls.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import math
@@ -42,6 +49,65 @@ def _cx_permutation(n_bits: int, control: int, target: int) -> np.ndarray:
     return idx ^ (((idx >> (n_bits - 1 - control)) & 1) << (n_bits - 1 - target))
 
 
+class _Kernel:
+    """Gates on flat states over ``m`` qubits: statevectors, or (``mixed``)
+    density matrices with the m row bits followed by the m column bits.
+
+    A CNOT's permutation and a depolarising channel's diagonal slices are
+    built once per kernel for each tuple of row axes they act on.
+    """
+
+    def __init__(self, m: int, mixed: bool):
+        self.m, self.mixed = m, mixed
+        self._perms: dict[tuple, np.ndarray] = {}
+        self._diagonals: dict[tuple, tuple] = {}
+
+    def apply(self, state: np.ndarray, g: Gate, rows: tuple[int, ...],
+              rate: float = 0.0) -> np.ndarray:
+        """U state (U^dag), the gate's qubits at row axes ``rows``, then on a
+        density matrix their depolarising error at ``rate``."""
+        if g.kind == "cx":
+            if rows not in self._perms:
+                perm = _cx_permutation(self.m, *rows)
+                if self.mixed:  # the same permutation of rows and of columns
+                    perm = (perm[:, None] * 2 ** self.m + perm).reshape(-1)
+                self._perms[rows] = perm
+            state = state[self._perms[rows]]
+        else:
+            u = matrix_of(g)
+            state = _apply_1q(u, state, rows[0])
+            if self.mixed:
+                state = _apply_1q(u.conj(), state, self.m + rows[0])
+        return self._depolarize(state, rows, rate) if rate else state
+
+    def _depolarize(self, rho: np.ndarray, rows: tuple[int, ...], rate: float) -> np.ndarray:
+        """Pauli error at rate on the row qubits, in closed form:
+        rho -> (1 - lam) rho + lam (I/2**k (x) Tr_rows rho), lam = rate 4**k/(4**k - 1)."""
+        k = len(rows)
+        lam = rate * 4 ** k / (4 ** k - 1)
+        if rows not in self._diagonals:
+            # a view with each row and column axis of the gate as its own
+            # length-2 dimension, at odd positions, and the rest merged
+            shape, prev = [], 0
+            for ax in sorted(rows) + sorted(self.m + a for a in rows):
+                shape += [2 ** (ax - prev), 2]
+                prev = ax + 1
+            shape.append(2 ** (2 * self.m - prev))
+            # one index per diagonal block: equal row and column bits on those axes
+            self._diagonals[rows] = (shape, [
+                sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
+                for bits in itertools.product((0, 1), repeat=k)
+            ])
+        shape, diagonal = self._diagonals[rows]
+        view = rho.reshape(shape)
+        traced = (lam / 2 ** k) * sum(view[key] for key in diagonal)
+        out = (1.0 - lam) * rho
+        out_view = out.reshape(shape)
+        for key in diagonal:
+            out_view[key] += traced
+        return out
+
+
 def zero_state(n_qubits: int) -> np.ndarray:
     psi = np.zeros((2,) * n_qubits, dtype=complex)
     psi[(0,) * n_qubits] = 1.0
@@ -54,14 +120,10 @@ def run_ideal(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     if psi.size != 2 ** c.n_qubits:
         raise ValueError("initial state has the wrong dimension")
     psi = psi.reshape(-1).copy()
-    perms = {}  # this call's CNOT permutations, by (control, target)
+    kernel = _Kernel(c.n_qubits, mixed=False)
     for g in c.gates:
-        if g.kind == "cx":
-            if g.qubits not in perms:
-                perms[g.qubits] = _cx_permutation(c.n_qubits, *g.qubits)
-            psi = psi[perms[g.qubits]]
-        elif g.kind != "measure":
-            psi = _apply_1q(matrix_of(g), psi, g.qubits[0])
+        if g.kind != "measure":
+            psi = kernel.apply(psi, g, g.qubits)
     return psi
 
 
@@ -210,84 +272,72 @@ def _gate_rate(g: Gate, noise: NoiseModel) -> float:
     return noise.cx_depol if g.kind == "cx" else noise.sq_depol
 
 
-def _expose(rho: np.ndarray, axes: list[int], n_axes: int) -> np.ndarray:
-    """View of a flat contiguous array with each of the ascending bit axes
-    as its own length-2 dimension, at odd positions, and the rest merged."""
-    shape, prev = [], 0
-    for ax in axes:
-        shape += [2 ** (ax - prev), 2]
-        prev = ax + 1
-    shape.append(2 ** (n_axes - prev))
-    return rho.reshape(shape)
+def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
+    """Exact outcome distribution over the 2**k classical keys of each
+    measured circuit under noise, in order.
 
-
-def _evolve(rho: np.ndarray, g: Gate, m: int, rows: list[int]) -> np.ndarray:
-    """rho -> U rho U^dag on a flat m-qubit density matrix; rows are the
-    gate's qubits as row bit axes, column axes follow at m + row."""
-    if g.kind == "cx":
-        perm = _cx_permutation(m, *rows)
-        return rho.reshape(2 ** m, 2 ** m)[np.ix_(perm, perm)].reshape(-1)
-    u = matrix_of(g)
-    return _apply_1q(u.conj(), _apply_1q(u, rho, rows[0]), m + rows[0])
-
-
-def _depolarize(rho: np.ndarray, m: int, rows: list[int], rate: float) -> np.ndarray:
-    """Pauli error at rate on the row qubits, in closed form:
-    rho -> (1 - lam) rho + lam (I/2**k (x) Tr_rows rho), lam = rate 4**k/(4**k - 1)."""
-    k = len(rows)
-    lam = rate * 4 ** k / (4 ** k - 1)
-    axes = sorted(rows) + sorted(m + a for a in rows)
-    # one index per diagonal block: equal row and column bits on the exposed axes
-    diagonal = [sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
-                for bits in itertools.product((0, 1), repeat=k)]
-    traced = (lam / 2 ** k) * sum(_expose(rho, axes, 2 * m)[key] for key in diagonal)
-    out = (1.0 - lam) * rho
-    out_view = _expose(out, axes, 2 * m)
-    for key in diagonal:
-        out_view[key] += traced
-    return out
-
-
-def _mixed_probabilities(c: Circuit, noise: NoiseModel, qubits: list[int]) -> np.ndarray:
-    """Outcome distribution of the touched qubits' density matrix, no readout."""
-    gates = [g for g in c.gates if g.kind != "measure"]
-    touched = sorted({q for g in gates for q in g.qubits} | set(qubits))
-    axis = {q: i for i, q in enumerate(touched)}
-    m = len(touched)
-    rho = np.zeros(4 ** m, dtype=complex)
-    rho[0] = 1.0
-    for g in gates:
-        rows = [axis[q] for q in g.qubits]
-        rho = _evolve(rho, g, m, rows)
-        rate = _gate_rate(g, noise)
-        if rate:
-            rho = _depolarize(rho, m, rows, rate)
-    p = rho.reshape(2 ** m, 2 ** m).diagonal().real.reshape((2,) * m)
-    return _marginal(p, [axis[q] for q in qubits])
-
-
-# one sweep point: five settings, of which ZZ, IZ and ZI compile to one circuit
-@functools.lru_cache(maxsize=5)
-def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
-    """Exact outcome distribution over the 2**k classical keys under noise.
-
-    A circuit none of whose gates carries an error rate stays pure, so it
-    takes the statevector path. The result is cached and read-only.
+    A circuit with a gate that carries an error rate evolves a density matrix
+    over the qubits it touches; any other stays pure, a statevector over its
+    whole register. Circuits on the same such register share one pass: their
+    common leading gates are applied once, each circuit continues from the
+    state where it parts from the others, and equal circuits are computed
+    once. The results are read-only; equal circuits share one array.
     """
-    qubits = _measure_order(c)
-    lambdas = [noise.readout_rate(q) for q in qubits]
-    if any(_gate_rate(g, noise) for g in c.gates if g.kind != "measure"):
-        probs = _mixed_probabilities(c, noise, qubits)
-    else:
-        probs = born_probabilities(c)
-    probs = apply_readout(probs, lambdas)
-    probs.setflags(write=False)
-    return probs
+    index: dict[Circuit, int] = {}  # hashing a circuit hashes every gate: once each
+    slots = [index.setdefault(c, len(index)) for c in circuits]
+    distinct = list(index)
+    gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
+    passes: dict[tuple, list[int]] = {}
+    for i, c in enumerate(distinct):
+        measured = _measure_order(c)
+        if any(_gate_rate(g, noise) for g in gates[i]):
+            touched = {q for g in gates[i] for q in g.qubits} | set(measured)
+            passes.setdefault((True, tuple(sorted(touched))), []).append(i)
+        else:
+            passes.setdefault((False, tuple(range(c.n_qubits))), []).append(i)
+    done: dict[int, np.ndarray] = {}
+    for (mixed, register), group in passes.items():
+        m = len(register)
+        kernel = _Kernel(m, mixed)
+        axis = {q: a for a, q in enumerate(register)}
+        # walk the tree of the group's gate sequences; each edge is one gate
+        todo = [(0, zero_state(2 * m if mixed else m).reshape(-1), group)]
+        while todo:
+            depth, state, here = todo.pop()
+            branches: dict[Gate, list[int]] = {}
+            for i in here:
+                if len(gates[i]) > depth:
+                    branches.setdefault(gates[i][depth], []).append(i)
+                    continue
+                p = state.reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(state) ** 2
+                qubits = _measure_order(distinct[i])
+                p = _marginal(p.reshape((2,) * m), [axis[q] for q in qubits])
+                done[i] = apply_readout(p, [noise.readout_rate(q) for q in qubits])
+                done[i].setflags(write=False)
+            for g, further in branches.items():
+                rows = tuple(axis[q] for q in g.qubits)
+                state_after = kernel.apply(state, g, rows, _gate_rate(g, noise))
+                todo.append((depth + 1, state_after, further))
+    return [done[i] for i in slots]
 
 
-def _sample_vector(probs: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
+    """``outcome_distributions`` of one circuit."""
+    return outcome_distributions([c], noise)[0]
+
+
+def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> CountsHistogram:
+    """One multinomial draw of ``shots`` outcomes from ``probs``.
+
+    The Philox counter generator keeps results reproducible for a fixed
+    (probs, shots, seed) regardless of platform.
+    """
+    if shots < 1:
+        raise ValueError("shots must be positive")
+    rng = np.random.Generator(np.random.Philox(seed))
     p = np.clip(probs, 0.0, None)
-    return rng.multinomial(shots, p / p.sum()).astype(float)
+    counts = rng.multinomial(shots, p / p.sum()).astype(float)
+    return CountsHistogram.from_vector(counts, shots, probs.size.bit_length() - 1)
 
 
 def run_noisy(
@@ -296,15 +346,8 @@ def run_noisy(
     noise: NoiseModel | None = None,
     seed: int | None = None,
 ) -> CountsHistogram:
-    """Sample a measured circuit's histogram from ``noisy_probabilities``.
-
-    The Philox counter generator keeps results reproducible for a fixed
-    (circuit, shots, noise, seed) regardless of platform.
-    """
-    if shots < 1:
-        raise ValueError("shots must be positive")
+    """Sample a measured circuit's histogram from ``noisy_probabilities``;
+    the noise model's seed stands in for a missing ``seed``."""
     noise = noise or NoiseModel()
-    probs = noisy_probabilities(c, noise)
-    rng = np.random.Generator(np.random.Philox(seed if seed is not None else noise.seed))
-    k = probs.size.bit_length() - 1
-    return CountsHistogram.from_vector(_sample_vector(probs, shots, rng), shots, k)
+    return sample_counts(noisy_probabilities(c, noise), shots,
+                         seed if seed is not None else noise.seed)

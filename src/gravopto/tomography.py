@@ -127,6 +127,7 @@ class ConfusionMatrix:
         if not np.allclose(dense.sum(axis=0), 1.0, atol=1e-9):
             raise ValueError("columns must sum to one")
         self._dense = dense
+        self._inverse = None
         self.n_bits = n
 
     @classmethod
@@ -148,7 +149,11 @@ class ConfusionMatrix:
         return self._dense.copy()
 
     def inverse(self) -> np.ndarray:
-        return np.linalg.inv(self._dense)
+        """The inverse, computed on first use; read-only."""
+        if self._inverse is None:
+            self._inverse = np.linalg.inv(self._dense)
+            self._inverse.setflags(write=False)
+        return self._inverse
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConfusionMatrix) and np.array_equal(

@@ -121,6 +121,22 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "results.csv")
 
 
+@pytest.mark.parametrize("config,field", [
+    ({"topology": "belem-like", "layout": 5}, "layout"),
+    ({"topology": "belem-like", "layout": [0, 1, "x", 3]}, "layout"),
+    ({"epsilon_values": 0.1}, "epsilon_values"),
+    ({"shots": "many"}, "shots"),
+], ids=["layout-not-a-list", "layout-not-a-qubit", "epsilons-not-a-list", "shots-not-a-number"])
+def test_config_of_the_wrong_type_is_a_config_error(config, field, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    rc = main(["sweep", "--config", str(cfg), "--analytic", "--out-dir", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}:")
+    assert not os.path.exists(tmp_path / "results.csv")
+
+
 def test_layout_off_the_topology_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"topology": "belem-like", "layout": [0, 1, 2, 9]}')
@@ -225,6 +241,15 @@ class TestTranspileCommand:
         for g in circ.gates:
             if g.kind == "cx":
                 assert topo.adjacent(*g.qubits)
+
+    @pytest.mark.parametrize("layout", ["0,1,1,2", "0,1,2,9", "0,1,2", "a,b,c,d"])
+    def test_bad_layout_is_a_config_error(self, layout, tmp_path, capsys):
+        src = self.write_input(tmp_path)
+        rc = main(["transpile", str(src), "--topology", "belem-like", "--layout", layout])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: layout:")
+        assert captured.out == ""
 
     def test_layout_without_topology(self, tmp_path, capsys):
         src = self.write_input(tmp_path)

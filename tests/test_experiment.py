@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from gravopto import experiment
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS
 from gravopto.circuit import phase_distance, unitary_of
 from gravopto.digitizer import build_evolution_circuit
@@ -194,6 +195,20 @@ class TestRunPoint:
         row = run_point(bare, 0.001, seed=0)
         assert row["cnot_gates"] == 24
         assert row["single_qubit_gates"] > 40
+
+    def test_one_confusion_matrix_per_measured_register(self, monkeypatch):
+        calls = []
+        calibrate = experiment.calibrate_confusion
+
+        def counted(n_bits, noise, **kwargs):
+            calls.append(tuple(kwargs["qubits"]))
+            return calibrate(n_bits, noise, **kwargs)
+
+        monkeypatch.setattr(experiment, "calibrate_confusion", counted)
+        cfg = ExperimentConfig(shots=100, readout=0.02, topology="belem-like")
+        run_point(cfg, 0.01, seed=0)
+        # all five settings measure the same four physical qubits
+        assert len(calls) == 1 and len(set(calls[0])) == 4
 
     def test_sampling_is_seeded(self):
         cfg = ExperimentConfig(shots=400, readout=0.02, transpile=False)

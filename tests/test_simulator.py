@@ -4,6 +4,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
+from gravopto import simulator
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import Circuit, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
@@ -15,6 +16,7 @@ from gravopto.simulator import (
     apply_readout,
     born_probabilities,
     noisy_probabilities,
+    outcome_distributions,
     run_ideal,
     run_noisy,
     zero_state,
@@ -364,21 +366,64 @@ class TestNoisyProbabilities:
         # 16 bins, 15 degrees of freedom: P(chi2 > 39.3) = 1e-3
         assert chi2 < 39.3
 
-    def test_one_point_makes_three_distinct_distributions(self):
-        cfg = ExperimentConfig.with_preset(
-            "belem-like", epsilon_values=(1e-3, 2e-3, 5e-3), shots=50,
-            topology="belem-like",
-        )
-        before = noisy_probabilities.cache_info()
-        run_point(cfg, 7e-3, seed=0)
-        after = noisy_probabilities.cache_info()
-        assert (after.misses - before.misses, after.hits - before.hits) == (3, 2)
-        for _ in range(2):
-            # a sweep hits only where a point's ZZ, IZ and ZI circuits coincide,
-            # never on an entry left over from the previous sweep
-            start = noisy_probabilities.cache_info()
-            for i, eps in enumerate(cfg.epsilon_values):
-                run_point(cfg, eps, seed=i)
-            end = noisy_probabilities.cache_info()
-            assert end.hits - start.hits == 2 * len(cfg.epsilon_values)
-            assert end.misses - start.misses == 3 * len(cfg.epsilon_values)
+    def test_a_point_evolves_its_shared_prefix_once(self, monkeypatch):
+        cfg = ExperimentConfig.with_preset("belem-like", shots=50, topology="belem-like")
+        applied = []
+        apply = simulator._Kernel.apply
+
+        def counted(kernel, *args):
+            applied.append(args[1])
+            return apply(kernel, *args)
+
+        monkeypatch.setattr(simulator._Kernel, "apply", counted)
+        for i, eps in enumerate(cfg.epsilon_values):
+            circuits = {circ for _, circ in prepare_circuits(cfg, eps).values()}
+            gates = [[g for g in c.gates if g.kind != "measure"] for c in circuits]
+            shared = 0
+            while (all(len(seq) > shared for seq in gates)
+                   and len({seq[shared] for seq in gates}) == 1):
+                shared += 1
+            assert len(circuits) == 3 and shared in (49, 51)
+            # one gate per distinct non-empty prefix: the tree of the three sequences
+            prefixes = {tuple(seq[:d]) for seq in gates for d in range(1, len(seq) + 1)}
+            applied.clear()
+            run_point(cfg, eps, seed=i)
+            assert len(applied) == len(prefixes)
+
+
+def _family(rng, n):
+    """Measured circuits sharing a random trunk: branches of it, the trunk
+    itself, a copy of a branch, and a circuit on fewer touched qubits."""
+    trunk = random_circuit(rng, n, 10)
+    out = [trunk.extend(random_circuit(rng, n, int(rng.integers(1, 6))).gates)
+           for _ in range(3)]
+    out += [trunk, out[0]]
+    out = [measured(c) for c in out]
+    # gates and measurements on qubits 0 and 2 only, in the same register
+    narrow = Circuit(n, tuple(
+        type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param)
+        for g in random_circuit(rng, 2, 8).gates
+    ))
+    out.append(narrow.extend((measure(2, 0), measure(0, 1))))
+    # a different register width
+    out.append(measured(random_circuit(rng, n - 1, 6)))
+    return out
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel(readout=0.02, sq_depol=0.01, cx_depol=0.05),
+    NoiseModel(readout=(0.03, 0.0, 0.07, 0.01), cx_depol=0.05),
+    NoiseModel(readout=0.02),
+    NoiseModel(),
+], ids=["gate-noise", "cx-noise-only", "readout-only", "noiseless"])
+def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
+    rng = np.random.default_rng(41)
+    for _ in range(4):
+        circuits = _family(rng, 4)
+        together = outcome_distributions(circuits, noise)
+        assert len(together) == len(circuits)
+        for c, got in zip(circuits, together):
+            assert np.array_equal(got, outcome_distributions([c], noise)[0])
+            assert not got.flags.writeable
+        # the repeated circuit is computed once
+        assert together[4] is together[0]

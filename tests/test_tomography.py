@@ -189,6 +189,14 @@ class TestConfusionMatrix:
         cm = ConfusionMatrix.from_lambdas([0.05, 0.1, 0.02])
         assert np.allclose(cm.inverse() @ cm.matrix(), np.eye(8), atol=1e-12)
 
+    def test_inverse_is_computed_once_and_read_only(self, monkeypatch):
+        cm = ConfusionMatrix.from_lambdas([0.05, 0.1])
+        first = cm.inverse()
+        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted twice"))
+        assert cm.inverse() is first
+        with pytest.raises(ValueError):
+            first[0, 0] = 1.0
+
     def test_identity_and_eq(self):
         assert ConfusionMatrix.identity(2) == ConfusionMatrix.from_lambdas([0.0, 0.0])
         assert ConfusionMatrix.identity(1) != ConfusionMatrix.from_lambdas([0.2])
