@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration problem (also argparse's own code),
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,6 +28,9 @@ from .tomography import calibrate_confusion
 from .transpiler import transpile
 
 
+# built once per process: main() may run many times in one process, and
+# each parser is a web of reference cycles that waits for the cyclic GC
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gravopto",

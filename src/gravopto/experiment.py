@@ -104,6 +104,12 @@ class ExperimentConfig:
             if isinstance(value, bool) or not isinstance(value, kind):
                 what = "an integer" if kind is Integral else "a number"
                 raise ConfigError(f"{name}: {value!r} is not {what}")
+        for name in ("mitigation", "postselection", "transpile", "analytic_mode", "export_qasm"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ConfigError(f"{name}: {value!r} is not true or false")
+        if self.topology is not None and not isinstance(self.topology, str):
+            raise ConfigError(f"topology: {self.topology!r} is not a preset name or a file path")
         if self.shots < 1:
             raise ConfigError("shots: must be >= 1")
         if not 0.0 <= self.readout < 0.5:

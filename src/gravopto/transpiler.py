@@ -18,7 +18,19 @@ Simplification iterates three deterministic passes to a fixpoint:
      shorter; this subsumes SX^4 -> identity and SX SX -> X.
 
 All three preserve the unitary up to global phase and never increase any
-gate count, so simplify is idempotent gate for gate.
+gate count, so simplify is idempotent gate for gate. Whether a run is
+replaced depends on its gates alone, so a pass after the first
+re-synthesises only the wires whose gate sequence changed since the
+previous pass.
+
+``transpile_suffix`` appends 1-qubit gates and measurements to a simplified
+circuit and simplifies again only the tail they can reach: the trailing
+single-qubit run of each wire they touch and every still-floating trailing
+Rz, widened to start on a run boundary. The head is already a fixpoint that
+no pass changes, so the result is ``simplify`` of the whole circuit.
+
+Gates and circuits re-emitted from checked ones are built with
+``Gate._trusted`` and ``Circuit._trusted``, which skip re-validation.
 """
 from __future__ import annotations
 
@@ -29,17 +41,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import (
-    Circuit,
-    Gate,
-    SINGLE_QUBIT_KINDS,
-    cx,
-    matrix_of,
-    phase_distance,
-    rz,
-    sx,
-    x,
-)
+from .circuit import FIXED_MATRICES, SINGLE_QUBIT_KINDS, Circuit, Gate, matrix_of, phase_distance
 from .errors import RoutingError
 
 BASIS_KINDS = ("x", "sx", "rz", "cx", "measure")
@@ -179,21 +181,33 @@ def hub_layout(topo: Topology, n_logical: int = 4) -> Layout:
 
 # ---------------------------------------------------------------------------
 # lowering
+#
+# Every gate from here on is re-emitted from gates that were checked on the
+# way in, so it is built with ``Gate._trusted``.
+
+def _fixed(kind: str, q: int) -> Gate:
+    return Gate._trusted(kind, (q,))
+
+
+def _rz(q: int, angle: float) -> Gate:
+    return Gate._trusted("rz", (q,), angle)
+
 
 def _lower_rx(gate: Gate) -> list[Gate]:
     q = gate.qubits[0]
     theta = math.remainder(gate.param, _TWO_PI)
-    for target, gates in (
-        (0.0, []),
-        (math.pi / 2, [sx(q)]),
-        (math.pi, [x(q)]),
-        (-math.pi, [x(q)]),
-        (-math.pi / 2, [sx(q), x(q)]),
+    for target, kinds in (
+        (0.0, ()),
+        (math.pi / 2, ("sx",)),
+        (math.pi, ("x",)),
+        (-math.pi, ("x",)),
+        (-math.pi / 2, ("sx", "x")),
     ):
         if abs(theta - target) < _ANGLE_TOL:
-            return list(gates)
+            return [_fixed(kind, q) for kind in kinds]
     half = math.pi / 2
-    return [rz(q, half), sx(q), rz(q, gate.param + math.pi), sx(q), rz(q, half)]
+    return [_rz(q, half), _fixed("sx", q), _rz(q, gate.param + math.pi), _fixed("sx", q),
+            _rz(q, half)]
 
 
 def lower_to_basis(c: Circuit) -> Circuit:
@@ -204,20 +218,20 @@ def lower_to_basis(c: Circuit) -> Circuit:
         if g.kind in ("x", "sx", "rz", "cx", "measure"):
             out.append(g)
         elif g.kind == "s":
-            out.append(rz(q, math.pi / 2))
+            out.append(_rz(q, math.pi / 2))
         elif g.kind == "sdg":
-            out.append(rz(q, -math.pi / 2))
+            out.append(_rz(q, -math.pi / 2))
         elif g.kind == "u1":
-            out.append(rz(q, g.param))
+            out.append(_rz(q, g.param))
         elif g.kind == "h":
-            out.extend([rz(q, math.pi / 2), sx(q), rz(q, math.pi / 2)])
+            out.extend([_rz(q, math.pi / 2), _fixed("sx", q), _rz(q, math.pi / 2)])
         elif g.kind == "sxdg":
-            out.extend([sx(q), x(q)])
+            out.extend([_fixed("sx", q), _fixed("x", q)])
         elif g.kind == "rx":
             out.extend(_lower_rx(g))
         else:
             raise ValueError(f"no lowering rule for {g.kind}")
-    return Circuit(c.n_qubits, tuple(out), dict(c.metadata))
+    return Circuit._trusted(c.n_qubits, tuple(out), dict(c.metadata))
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +266,8 @@ def route(c: Circuit, topo: Topology, layout: Layout | Sequence[int] | None = No
     out: list[Gate] = []
 
     def emit_swap(a: int, b: int):
-        out.extend([cx(a, b), cx(b, a), cx(a, b)])
+        out.extend([Gate._trusted("cx", (a, b)), Gate._trusted("cx", (b, a)),
+                    Gate._trusted("cx", (a, b))])
         va, vb = p2l[a], p2l[b]
         l2p[va], l2p[vb] = b, a
         p2l[a], p2l[b] = vb, va
@@ -267,12 +282,10 @@ def route(c: Circuit, topo: Topology, layout: Layout | Sequence[int] | None = No
                 emit_swap(path[0], path[1])
                 a = path[1]
                 path = path[1:]
-            out.append(cx(a, b))
-        elif g.kind == "measure":
-            out.append(Gate("measure", (l2p[g.qubits[0]],), cbit=g.cbit))
+            out.append(Gate._trusted("cx", (a, b)))
         else:
-            out.append(Gate(g.kind, (l2p[g.qubits[0]],), param=g.param))
-    routed = Circuit(topo.n, tuple(out), dict(c.metadata))
+            out.append(Gate._trusted(g.kind, (l2p[g.qubits[0]],), g.param, g.cbit))
+    routed = Circuit._trusted(topo.n, tuple(out), dict(c.metadata))
     return RoutedCircuit(
         circuit=routed,
         initial_layout=l2p_logical,
@@ -300,7 +313,7 @@ def _float_rz(gates: list[Gate]) -> list[Gate]:
     def flush(q: int):
         angle = _wrap(pending.pop(q))
         if abs(angle) >= _ANGLE_TOL:
-            out.append(rz(q, angle))
+            out.append(_rz(q, angle))
 
     for g in gates:
         if g.kind == "rz":
@@ -349,7 +362,7 @@ def _cancel_cx_pairs(gates: list[Gate]) -> list[Gate]:
     return gates
 
 
-_SX_MATRIX = matrix_of(sx(0))
+_SX_MATRIX = FIXED_MATRICES["sx"]
 _SX3_MATRIX = _SX_MATRIX @ _SX_MATRIX @ _SX_MATRIX
 
 
@@ -359,16 +372,16 @@ def _synthesize_1q(q: int, u: np.ndarray) -> list[Gate]:
     v = u / np.sqrt(det)
     if abs(v[0, 1]) < _ANGLE_TOL and abs(v[1, 0]) < _ANGLE_TOL:
         angle = 2.0 * np.angle(v[1, 1])
-        return [] if _is_zero_angle(angle) else [rz(q, _wrap(angle))]
+        return [] if _is_zero_angle(angle) else [_rz(q, _wrap(angle))]
     if abs(v[0, 0]) < _ANGLE_TOL and abs(v[1, 1]) < _ANGLE_TOL:
         angle = np.angle(v[0, 1] / v[1, 0])
-        gates = [] if _is_zero_angle(angle) else [rz(q, _wrap(angle))]
-        gates.append(x(q))
+        gates = [] if _is_zero_angle(angle) else [_rz(q, _wrap(angle))]
+        gates.append(_fixed("x", q))
         return gates
     if phase_distance(u, _SX_MATRIX) < _ANGLE_TOL:
-        return [sx(q)]
+        return [_fixed("sx", q)]
     if phase_distance(u, _SX3_MATRIX) < _ANGLE_TOL:
-        return [sx(q), x(q)]
+        return [_fixed("sx", q), _fixed("x", q)]
     beta = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
     alpha_plus = 2.0 * np.angle(v[1, 1])
     alpha_minus = 2.0 * np.angle(v[1, 0])
@@ -376,15 +389,16 @@ def _synthesize_1q(q: int, u: np.ndarray) -> list[Gate]:
     gamma = 0.5 * (alpha_plus - alpha_minus)
     gates = []
     if not _is_zero_angle(gamma):
-        gates.append(rz(q, _wrap(gamma)))
-    gates.extend([sx(q), rz(q, _wrap(beta + math.pi)), sx(q)])
+        gates.append(_rz(q, _wrap(gamma)))
+    gates.extend([_fixed("sx", q), _rz(q, _wrap(beta + math.pi)), _fixed("sx", q)])
     if not _is_zero_angle(alpha + math.pi):
-        gates.append(rz(q, _wrap(alpha + math.pi)))
+        gates.append(_rz(q, _wrap(alpha + math.pi)))
     return gates
 
 
-def _resynth_runs(gates: list[Gate]) -> list[Gate]:
-    """Shrink maximal single-qubit runs to canonical form when shorter."""
+def _resynth_runs(gates: list[Gate], wires: set[int] | None) -> list[Gate]:
+    """Shrink maximal single-qubit runs (on ``wires``, or on every wire when
+    None) to canonical form when that is shorter."""
     runs: list[list[int]] = []
     open_runs: dict[int, list[int]] = {}
     for i, g in enumerate(gates):
@@ -399,9 +413,9 @@ def _resynth_runs(gates: list[Gate]) -> list[Gate]:
     inserts: dict[int, list[Gate]] = {}
     removed: set[int] = set()
     for run in runs:
-        if len(run) < 2:
-            continue
         q = gates[run[0]].qubits[0]
+        if len(run) < 2 or (wires is not None and q not in wires):
+            continue
         u = np.eye(2, dtype=complex)
         for idx in run:
             u = matrix_of(gates[idx]) @ u
@@ -425,23 +439,78 @@ def _resynth_runs(gates: list[Gate]) -> list[Gate]:
     return out
 
 
-# every preset circuit converges in two passes
+def _wire_sequences(gates: list[Gate]) -> dict[int, list[Gate]]:
+    """The gates on each wire, in order (a CNOT is on both of its wires)."""
+    seqs: dict[int, list[Gate]] = {}
+    for g in gates:
+        for q in g.qubits:
+            seqs.setdefault(q, []).append(g)
+    return seqs
+
+
+# every preset circuit and suffix window converges in two passes; the second
+# re-synthesises only the wires the first changed (about two per evolution
+# circuit, none in a suffix window)
 _SIMPLIFY_MAX_PASSES = 60
 
 
 def simplify(c: Circuit) -> Circuit:
-    """Deterministic peephole cleanup; idempotent, count-nonincreasing."""
+    """Deterministic peephole cleanup; idempotent, count-nonincreasing.
+
+    Whether a run is replaced depends on its gates alone, so a pass after
+    the first re-synthesises only the wires whose gate sequence (after rz
+    floating and CNOT cancellation) differs from the previous pass's; the
+    runs on every other wire were examined and kept already.
+    """
     gates = list(c.gates)
+    dirty = None  # every wire
+    seqs = None
     for _ in range(_SIMPLIFY_MAX_PASSES):
-        new = _float_rz(gates)
-        new = _cancel_cx_pairs(new)
-        new = _resynth_runs(new)
+        new = _cancel_cx_pairs(_float_rz(gates))
+        new_seqs = _wire_sequences(new)
+        if seqs is not None:
+            dirty = {q for q in new_seqs.keys() | seqs.keys() if new_seqs.get(q) != seqs.get(q)}
+        seqs = new_seqs
+        new = _resynth_runs(new, dirty)
         if new == gates:
             break
         gates = new
     else:
         raise RuntimeError(f"simplify did not converge in {_SIMPLIFY_MAX_PASSES} passes")
-    return Circuit(c.n_qubits, tuple(gates), dict(c.metadata))
+    return Circuit._trusted(c.n_qubits, tuple(gates), dict(c.metadata))
+
+
+def _suffix_window(gates: Sequence[Gate], wires: set[int]) -> int:
+    """Start of the shortest tail of a ``simplify`` fixpoint that appending
+    1-qubit gates on ``wires`` (and measurements) can change.
+
+    The tail holds the trailing single-qubit run of every wire in ``wires``
+    and every trailing Rz (the last gate on its wire: it is still floating,
+    and a measurement may reorder it), and it cuts through no run. Every
+    pass then leaves the head as it is, so ``simplify(head + tail + suffix)
+    == head + simplify(tail + suffix)``.
+    """
+    run_start: list[int] = []      # gate index -> first index of its run
+    open_run: dict[int, int] = {}  # wire -> first index of its trailing run
+    last_kind: dict[int, str] = {}
+    for i, g in enumerate(gates):
+        if g.kind in SINGLE_QUBIT_KINDS:
+            run_start.append(open_run.setdefault(g.qubits[0], i))
+        else:
+            run_start.append(i)
+            for q in g.qubits:
+                open_run.pop(q, None)
+        for q in g.qubits:
+            last_kind[q] = g.kind
+    start = len(gates)
+    for q, first in open_run.items():
+        if q in wires or last_kind[q] == "rz":
+            start = min(start, first)
+    i = len(gates) - 1
+    while i >= start:
+        start = min(start, run_start[i])
+        i -= 1
+    return start
 
 
 def transpile(
@@ -466,20 +535,32 @@ def transpile(
 def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit) -> Circuit:
     """Append 1-qubit gates and measurements to a ``transpile`` result.
 
-    The logical-qubit suffix is lowered, placed through ``prefix.final_layout``
-    (without CNOTs it needs no routing) and simplified with the prefix, so the
-    prefix compiles once for many suffixes. On the evolution circuits this
-    equals ``transpile`` of the whole circuit gate for gate.
+    The logical-qubit suffix is lowered and placed through
+    ``prefix.final_layout`` (without CNOTs it needs no routing). The result
+    is ``simplify(prefix.circuit + placed suffix)`` gate for gate, but only
+    the tail of the prefix that the suffix can reach is simplified again
+    (see ``_suffix_window``; ``prefix.circuit`` is ``simplify`` output, as
+    ``transpile`` returns it), so the prefix compiles once for many suffixes.
+    Against ``transpile`` of the whole circuit it is equal as a unitary;
+    gate for gate it may differ where summed Rz angles associate
+    differently (Rz(pi) against Rz(-pi), say).
     """
     if any(g.kind == "cx" for g in suffix.gates):
         raise ValueError("a suffix with CNOTs needs routing; transpile the whole circuit")
-    placed = [
-        Gate(g.kind, (prefix.final_layout[g.qubits[0]],), param=g.param, cbit=g.cbit)
+    l2p = prefix.final_layout
+    placed = tuple(
+        Gate._trusted(g.kind, (l2p[g.qubits[0]],), g.param, g.cbit)
         for g in lower_to_basis(suffix).gates
-    ]
-    joined = prefix.circuit + Circuit(prefix.circuit.n_qubits, tuple(placed), suffix.metadata)
-    if all(g.kind == "measure" for g in placed):
+    )
+    base = prefix.circuit
+    wires = {g.qubits[0] for g in placed if g.kind != "measure"}
+    if not wires or base.has_measurements:
         # every pass ends a run or a float at a measurement as it does at the
-        # end of the circuit, so measurements after a fixpoint stay one
-        return joined
-    return simplify(joined)
+        # end of the circuit, so measurements after a fixpoint stay one; a
+        # measured prefix takes no further gates, which Circuit reports
+        return base + Circuit(base.n_qubits, placed, suffix.metadata)
+    cut = _suffix_window(base.gates, wires)
+    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed, {}))
+    metadata = dict(base.metadata)
+    metadata.update(suffix.metadata)
+    return Circuit._trusted(base.n_qubits, base.gates[:cut] + tail.gates, metadata)

@@ -126,7 +126,14 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     ({"topology": "belem-like", "layout": [0, 1, "x", 3]}, "layout"),
     ({"epsilon_values": 0.1}, "epsilon_values"),
     ({"shots": "many"}, "shots"),
-], ids=["layout-not-a-list", "layout-not-a-qubit", "epsilons-not-a-list", "shots-not-a-number"])
+    ({"topology": ["belem-like"]}, "topology"),
+    ({"mitigation": "no", "readout": 0.02}, "mitigation"),
+    ({"postselection": 0}, "postselection"),
+    ({"transpile": "false"}, "transpile"),
+    ({"export_qasm": None}, "export_qasm"),
+], ids=["layout-not-a-list", "layout-not-a-qubit", "epsilons-not-a-list", "shots-not-a-number",
+        "topology-not-a-name", "mitigation-a-string", "postselection-a-number",
+        "transpile-a-string", "export-qasm-null"])
 def test_config_of_the_wrong_type_is_a_config_error(config, field, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -134,6 +141,17 @@ def test_config_of_the_wrong_type_is_a_config_error(config, field, tmp_path, cap
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
+    assert not os.path.exists(tmp_path / "results.csv")
+
+
+def test_string_mitigation_is_not_read_as_true(tmp_path, capsys):
+    # any non-empty string is truthy, so "no" used to run with mitigation on
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"mitigation": "no", "readout": 0.02}')
+    rc = main(["sweep", "--config", str(cfg), "--analytic", "--epsilon", "0.01",
+               "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: mitigation:")
     assert not os.path.exists(tmp_path / "results.csv")
 
 

@@ -63,6 +63,12 @@ class TestConfig:
             ({"topology": "belem-like", "layout": (0, 1, 2)}, "layout"),
             ({"topology": "belem-like", "layout": (0, 1, 1, 2)}, "layout"),
             ({"topology": "belem-like", "layout": (0, 1, 2, -1)}, "layout"),
+            ({"topology": ["belem-like"]}, "topology"),
+            ({"mitigation": "no"}, "mitigation"),
+            ({"postselection": 1}, "postselection"),
+            ({"transpile": None}, "transpile"),
+            ({"analytic_mode": "true"}, "analytic_mode"),
+            ({"export_qasm": 0}, "export_qasm"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):

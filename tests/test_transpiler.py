@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from gravopto.circuit import (
+    SINGLE_QUBIT_KINDS,
     Circuit,
     Gate,
     cx,
     h,
+    matrix_of,
     measure,
     phase_distance,
     rx,
@@ -23,7 +25,13 @@ from gravopto.circuit import (
 from gravopto.digitizer import build_evolution_circuit
 from gravopto import transpiler
 from gravopto.errors import RoutingError
-from gravopto.experiment import resolve_topology
+from gravopto.experiment import (
+    DEFAULT_EPSILONS,
+    ExperimentConfig,
+    compile_evolution,
+    prepare_circuits,
+    resolve_topology,
+)
 from gravopto.transpiler import (
     BASIS_KINDS,
     Layout,
@@ -320,7 +328,7 @@ class TestSimplify:
 
     def test_non_convergence_raises(self, monkeypatch):
         # a pass that reverses the gate list never reaches a fixpoint
-        monkeypatch.setattr(transpiler, "_resynth_runs", lambda gates: gates[::-1])
+        monkeypatch.setattr(transpiler, "_resynth_runs", lambda gates, wires: gates[::-1])
         with pytest.raises(RuntimeError, match="did not converge"):
             simplify(Circuit(2, (cx(0, 1), cx(1, 0))))
 
@@ -390,3 +398,143 @@ class TestFullPipeline:
             for g in result.circuit.gates:
                 if g.kind == "cx":
                     assert topo.adjacent(*g.qubits)
+
+
+SUFFIX_EDGE_ANGLES = (math.pi, -math.pi, 0.0, 1e-13)
+
+
+def trailing_run(circuit, wire):
+    """Indices of the single-qubit gates on ``wire`` after its last CNOT."""
+    run = []
+    for i in reversed(range(len(circuit.gates))):
+        if wire in circuit.gates[i].qubits:
+            if circuit.gates[i].kind == "cx":
+                break
+            run.insert(0, i)
+    return run
+
+
+def undo_on(circuit, run, logical):
+    """The inverse of ``circuit``'s gates at ``run``, on logical wire ``logical``."""
+    undo = Circuit(circuit.n_qubits, tuple(circuit.gates[i] for i in run)).dagger()
+    return [Gate(g.kind, (logical,), param=g.param) for g in undo.gates]
+
+
+def random_suffix(rng, prefix):
+    """1-8 single-qubit gates of every kind and 0-4 measurements on the four
+    logical wires; one time in four the gates first undo the prefix's
+    trailing run on a wire."""
+    gates = []
+    if rng.random() < 0.25:
+        logical = int(rng.integers(4))
+        run = trailing_run(prefix.circuit, prefix.final_layout[logical])
+        gates += undo_on(prefix.circuit, run, logical)
+    for _ in range(int(rng.integers(1, 9))):
+        kind = SINGLE_QUBIT_KINDS[int(rng.integers(len(SINGLE_QUBIT_KINDS)))]
+        param = None
+        if kind in ("rx", "rz", "u1"):
+            if rng.random() < 0.5:
+                param = SUFFIX_EDGE_ANGLES[int(rng.integers(len(SUFFIX_EDGE_ANGLES)))]
+            else:
+                param = float(rng.uniform(-4.0, 4.0))
+        gates.append(Gate(kind, (int(rng.integers(4)),), param=param))
+    measured = rng.permutation(4)[: int(rng.integers(0, 5))]
+    gates += [measure(int(q), cbit) for cbit, q in enumerate(measured)]
+    return Circuit(4, tuple(gates))
+
+
+def stacked_unitary(c):
+    """unitary_of by row-bit reshapes and CNOT row permutations (fast enough
+    for 7-qubit circuits)."""
+    n, dim = c.n_qubits, 2 ** c.n_qubits
+    rows = np.arange(dim)
+    u = np.eye(dim, dtype=complex)
+    for g in c.gates:
+        if g.kind == "cx":
+            control, target = (n - 1 - q for q in g.qubits)
+            u = u[rows ^ (((rows >> control) & 1) << target)]
+        else:
+            u = (matrix_of(g) @ u.reshape(2 ** g.qubits[0], 2, -1)).reshape(dim, dim)
+    return u
+
+
+def test_stacked_unitary_is_unitary_of():
+    rng = np.random.default_rng(73)
+    for _ in range(10):
+        c = random_circuit(rng, 4, 15)
+        assert np.allclose(stacked_unitary(c), unitary_of(c), atol=1e-12)
+
+
+class TestSuffixWindow:
+    """``transpile_suffix`` simplifies only the prefix tail a suffix can
+    reach; the result must be the whole-circuit ``simplify`` exactly."""
+
+    @pytest.mark.parametrize(
+        "topology,layout",
+        [(None, None), ("belem-like", None), ("nairobi-like", (0, 2, 4, 6))],
+    )
+    def test_equals_simplify_of_the_joined_circuit(self, topology, layout):
+        rng = np.random.default_rng(71)
+        topo = resolve_topology(topology)
+        epsilons = DEFAULT_EPSILONS + tuple(float(e) for e in rng.uniform(-0.9, 0.9, 4))
+        for eps in epsilons:
+            base = build_evolution_circuit(eps, prepend_ground_prep=True)
+            prefix = transpile(base, topo, layout)
+            for trial in range(10):
+                suffix = random_suffix(rng, prefix)
+                placed = tuple(
+                    Gate(g.kind, (prefix.final_layout[g.qubits[0]],), param=g.param, cbit=g.cbit)
+                    for g in lower_to_basis(suffix).gates
+                )
+                joined = prefix.circuit + Circuit(prefix.circuit.n_qubits, placed)
+                got = transpile_suffix(prefix, suffix)
+                assert got.gates == simplify(joined).gates, (eps, suffix.gates)
+                if trial < 2:
+                    # against a whole-circuit transpile only the unitary is
+                    # equal: summed angles may associate differently
+                    full = transpile(base + suffix, topo, layout).circuit
+                    d = phase_distance(stacked_unitary(got.without_measurements()),
+                                       stacked_unitary(full.without_measurements()))
+                    assert d <= 1e-10, (eps, suffix.gates)
+                    assert got.measurements == full.measurements
+
+    def test_suffix_undoing_the_trailing_run_removes_it(self):
+        prefix = transpile(build_evolution_circuit(0.1, prepend_ground_prep=True),
+                           Topology.preset("belem-like"))
+        logical, run = next((logical, trailing_run(prefix.circuit, wire))
+                            for logical, wire in enumerate(prefix.final_layout)
+                            if trailing_run(prefix.circuit, wire))
+        suffix = Circuit(4, tuple(undo_on(prefix.circuit, run, logical)))
+        kept = tuple(g for i, g in enumerate(prefix.circuit.gates) if i not in run)
+        assert transpile_suffix(prefix, suffix).gates == kept
+
+    def test_window_starts_on_a_run_boundary(self):
+        # wire 0's trailing run starts inside wire 2's run [sx, rz, sx]; a
+        # window cut there would re-synthesise the run's last two gates alone
+        prefix = Circuit(3, (sx(2), cx(0, 1), sx(0), rz(2, 0.3), sx(2)))
+        assert simplify(prefix).gates == prefix.gates
+        assert transpiler._suffix_window(prefix.gates, {0}) == 0
+        assert transpiler._suffix_window(prefix.gates, {1}) == 5
+        # a trailing rz still floats, so it is always in the window
+        prefix = simplify(Circuit(2, (rz(0, 0.4), cx(0, 1))))
+        assert prefix.gates == (cx(0, 1), rz(0, 0.4))
+        assert transpiler._suffix_window(prefix.gates, {1}) == 1
+
+
+def test_resynthesis_count_guard(monkeypatch):
+    """Preparing the 13 default belem-like points re-synthesises at most 260
+    single-qubit runs. Before suffix windows and dirty-wire passes it took
+    520: every simplify re-synthesised every run twice, and the two rotated
+    settings re-simplified the whole prefix."""
+    calls = []
+    original = transpiler._synthesize_1q
+
+    def counted(q, u):
+        calls.append(q)
+        return original(q, u)
+
+    monkeypatch.setattr(transpiler, "_synthesize_1q", counted)
+    cfg = ExperimentConfig(topology="belem-like")
+    for eps in DEFAULT_EPSILONS:
+        prepare_circuits(cfg, eps, compile_evolution(cfg, eps))
+    assert len(calls) <= 260
