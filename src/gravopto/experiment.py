@@ -4,9 +4,12 @@ A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row. A point's
 evolution circuit is compiled once and shared by its five tomography
 settings, which add only basis rotations and measurements, and by its QASM
-export; one ``outcome_distributions`` call then evolves the settings' shared
-gate prefix once for all of them. The CSV payload is byte-stable for a fixed
-config; the JSON report additionally carries a timestamp.
+export. ``run_sweep`` then makes one ``outcome_distributions`` call for the
+settings of every point, which evolves the points that share a gate structure
+as one stack, and builds one confusion matrix per measured register for the
+whole sweep. ``run_point`` is the one-point case of the same code. The CSV
+payload is byte-stable for a fixed config; the JSON report additionally
+carries a timestamp.
 """
 from __future__ import annotations
 
@@ -227,58 +230,7 @@ def prepare_circuits(cfg: ExperimentConfig, epsilon: float,
 def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
               evolution: RoutedCircuit | None = None) -> dict:
     """One sweep row; self-contained and deterministic for (cfg, eps, seed)."""
-    circuits = prepare_circuits(cfg, epsilon, evolution)
-    noise = cfg.noise_model()
-    setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
-    distributions = outcome_distributions(
-        [circuits[label][1] for label in SETTING_LABELS], noise
-    )
-
-    histograms = {}
-    retained = {}
-    confusions = {}  # by measured qubits, in classical-bit order
-    for idx, label in enumerate(SETTING_LABELS):
-        setting, circ = circuits[label]
-        if cfg.analytic_mode:
-            hist = CountsHistogram.from_vector(
-                distributions[idx] * cfg.shots, cfg.shots, len(circ.measurements)
-            )
-        else:
-            hist = sample_counts(distributions[idx], cfg.shots, int(setting_seeds[idx]))
-        if cfg.mitigation:
-            qubits = tuple(q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1]))
-            if qubits not in confusions:
-                confusions[qubits] = calibrate_confusion(len(qubits), noise, qubits=qubits)
-            hist = mitigate(hist, confusions[qubits])
-        if label == "ZZ":
-            # the sweep post-selects the correlation setting; the population
-            # settings keep their leakage, which decodes to zero weight
-            filtered, frac = postselect(hist, setting)
-            retained[label] = frac
-            if cfg.postselection:
-                hist = filtered
-        histograms[label] = hist
-
-    result = estimate_traces(histograms, retained)
-    fid = fidelity_from_traces(epsilon, result)
-    fid_err = fidelity_error(epsilon, result, cfg.readout)
-    single, cnots = circuits["ZZ"][1].gate_counts()
-    return {
-        "epsilon": float(epsilon),
-        "fidelity": float(fid),
-        "fidelity_err": float(fid_err),
-        "tr_zz": result.tr_zz,
-        "tr_xy": result.tr_xy,
-        "tr_yx": result.tr_yx,
-        "tr_iz": result.tr_iz,
-        "tr_zi": result.tr_zi,
-        "concurrence_theory": concurrence_theory(epsilon),
-        "retained_fraction_zz": retained.get("ZZ", 1.0),
-        "single_qubit_gates": single,
-        "cnot_gates": cnots,
-        "shots": cfg.shots,
-        "seed": int(seed),
-    }
+    return _rows(cfg, [(epsilon, seed, prepare_circuits(cfg, epsilon, evolution))])[0]
 
 
 def run_sweep(cfg: ExperimentConfig, evolutions: list[RoutedCircuit] | None = None) -> list[dict]:
@@ -289,10 +241,71 @@ def run_sweep(cfg: ExperimentConfig, evolutions: list[RoutedCircuit] | None = No
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(
         len(cfg.epsilon_values)
     )
-    return [
-        run_point(cfg, eps, int(s), evo)
+    return _rows(cfg, [
+        (eps, int(s), prepare_circuits(cfg, eps, evo))
         for eps, s, evo in zip(cfg.epsilon_values, point_seeds, evolutions)
-    ]
+    ])
+
+
+def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
+    """The result row of each (epsilon, seed, ``prepare_circuits``) point.
+
+    One ``outcome_distributions`` call evolves every point's settings, and
+    one confusion matrix per measured register serves all of them. Each row
+    depends only on its own point.
+    """
+    noise = cfg.noise_model()
+    distributions = outcome_distributions(
+        [circuits[label][1] for _, _, circuits in points for label in SETTING_LABELS], noise
+    )
+    confusions = {}  # by measured qubits, in classical-bit order
+    table = []
+    for n, (epsilon, seed, circuits) in enumerate(points):
+        setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
+        histograms = {}
+        retained = {}
+        for idx, label in enumerate(SETTING_LABELS):
+            setting, circ = circuits[label]
+            probs = distributions[n * len(SETTING_LABELS) + idx]
+            if cfg.analytic_mode:
+                hist = CountsHistogram.from_vector(
+                    probs * cfg.shots, cfg.shots, len(circ.measurements)
+                )
+            else:
+                hist = sample_counts(probs, cfg.shots, int(setting_seeds[idx]))
+            if cfg.mitigation:
+                qubits = tuple(q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1]))
+                if qubits not in confusions:
+                    confusions[qubits] = calibrate_confusion(len(qubits), noise, qubits=qubits)
+                hist = mitigate(hist, confusions[qubits])
+            if label == "ZZ":
+                # the sweep post-selects the correlation setting; the population
+                # settings keep their leakage, which decodes to zero weight
+                filtered, frac = postselect(hist, setting)
+                retained[label] = frac
+                if cfg.postselection:
+                    hist = filtered
+            histograms[label] = hist
+
+        result = estimate_traces(histograms, retained)
+        single, cnots = circuits["ZZ"][1].gate_counts()
+        table.append({
+            "epsilon": float(epsilon),
+            "fidelity": float(fidelity_from_traces(epsilon, result)),
+            "fidelity_err": float(fidelity_error(epsilon, result, cfg.readout)),
+            "tr_zz": result.tr_zz,
+            "tr_xy": result.tr_xy,
+            "tr_yx": result.tr_yx,
+            "tr_iz": result.tr_iz,
+            "tr_zi": result.tr_zi,
+            "concurrence_theory": concurrence_theory(epsilon),
+            "retained_fraction_zz": retained.get("ZZ", 1.0),
+            "single_qubit_gates": single,
+            "cnot_gates": cnots,
+            "shots": cfg.shots,
+            "seed": int(seed),
+        })
+    return table
 
 
 def _format_cell(value) -> str:

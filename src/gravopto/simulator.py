@@ -6,8 +6,11 @@ circuit convention (qubit 0 is the leftmost bit of a basis label). Histogram
 keys follow classical-bit order: cbit 0 is the leftmost character.
 
 Statevectors and density matrices (flat, over m row bits then m column bits)
-share one kernel: a one-qubit gate on bit axis a is
-``u @ state.reshape(2**a, 2, -1)`` and a CNOT is a basis-state permutation.
+share one kernel, which acts on a stack of them, one per row. A one-qubit
+gate on bit axis a is applied elementwise, out_i = u_i0 v_0 + u_i1 v_1 over
+the halves v_0, v_1 of ``states.reshape(rows, 2**a, 2, -1)``, with a 2x2
+matrix per row for Rz, Rx and U1 and one fixed matrix for the other kinds. A
+CNOT is the same basis-state permutation on every row.
 
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
@@ -15,16 +18,18 @@ depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
 lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error enters
 as an exact per-qubit symmetric bit-flip transform on the outcome distribution.
 
-``outcome_distributions`` turns a list of measured circuits (a sweep point's
+``outcome_distributions`` turns a list of measured circuits (a whole sweep's
 tomography settings) into their exact outcome distributions in one pass per
 register: a circuit with gate noise evolves the density matrix of the qubits
 it touches, any other the statevector of its register. Circuits on one
-register walk the tree of their gate sequences, so a shared prefix (the
-point's evolution) is applied once and each setting continues from there; the
-arithmetic per circuit is that of evolving it alone. ``noisy_probabilities``
-is the one-circuit case. Shots are i.i.d., so ``sample_counts`` draws a whole
-histogram as one multinomial sample, and ``run_noisy`` does both for one
-circuit. Nothing is kept between calls.
+register walk the tree of their gate structures, the gates' kinds and qubits
+without their angles: each position in it is one kernel call on the stacked
+states of every circuit below it, so the sweep points that compile to the
+same structure share every call, and each point's settings share their
+evolution's calls. Every row gets the arithmetic of its circuit evolved
+alone. ``noisy_probabilities`` is the one-circuit case. Shots are i.i.d., so
+``sample_counts`` draws a whole histogram as one multinomial sample, and
+``run_noisy`` does both for one circuit. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -35,12 +40,48 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, matrix_of
+from .circuit import FIXED_MATRICES, PARAM_KINDS, SINGLE_QUBIT_KINDS, Circuit
 
 
-def _apply_1q(u: np.ndarray, state: np.ndarray, axis: int) -> np.ndarray:
-    """u on one bit axis of a flat array; axis 0 is the leftmost bit."""
-    return (u @ state.reshape(2 ** axis, 2, -1)).reshape(-1)
+_FIXED_ENTRIES = {
+    kind: [[None if z == 0 else complex(z) for z in row] for row in u]
+    for kind, u in FIXED_MATRICES.items()
+}
+
+
+def _entries_of(kind: str, params) -> list[list]:
+    """The 2x2 matrix of a one-qubit gate kind, entry by entry: a structural
+    zero is None, any other entry a scalar or, for a parametric kind, one
+    value per angle in ``params``, shaped (rows, 1, 1) to broadcast over the
+    rows of a stack."""
+    if kind in _FIXED_ENTRIES:
+        return _FIXED_ENTRIES[kind]
+    theta = np.asarray(params, dtype=float).reshape(-1, 1, 1)
+    if kind == "u1":
+        return [[1.0, None], [None, np.exp(1j * theta)]]
+    # exp(-i theta/2) = cos(theta/2) - i sin(theta/2), each part as libm gives it
+    phase = np.exp(-1j * (theta / 2.0))
+    if kind == "rz":
+        return [[phase, None], [None, phase.conj()]]
+    if kind == "rx":
+        c, minus_i_s = phase.real, 1j * phase.imag
+        return [[c, minus_i_s], [minus_i_s, c]]
+    raise ValueError(f"{kind} is not a one-qubit gate")
+
+
+def _apply_1q(u: list[list], states: np.ndarray, axis: int) -> np.ndarray:
+    """u (``_entries_of``) on one bit axis of every row of a stack of flat
+    states; axis 0 is the leftmost bit. Each output half is u_i0 v_0 + u_i1 v_1
+    with the structural zeros' terms left out, which changes no value but
+    the sign of a zero."""
+    v = states.reshape(len(states), 2 ** axis, 2, -1)
+    out = np.empty_like(v)
+    for i in (0, 1):
+        (a, va), *rest = [(uij, v[:, :, j]) for j, uij in enumerate(u[i]) if uij is not None]
+        np.multiply(a, va, out=out[:, :, i])
+        for b, vb in rest:
+            out[:, :, i] += b * vb
+    return out.reshape(len(states), -1)
 
 
 def _cx_permutation(n_bits: int, control: int, target: int) -> np.ndarray:
@@ -50,11 +91,13 @@ def _cx_permutation(n_bits: int, control: int, target: int) -> np.ndarray:
 
 
 class _Kernel:
-    """Gates on flat states over ``m`` qubits: statevectors, or (``mixed``)
-    density matrices with the m row bits followed by the m column bits.
+    """Gates on stacks of flat states over ``m`` qubits, one state per row:
+    statevectors of 2**m entries, or (``mixed``) density matrices of 4**m
+    entries, the m row bits followed by the m column bits.
 
     A CNOT's permutation and a depolarising channel's diagonal slices are
-    built once per kernel for each tuple of row axes they act on.
+    built once per kernel for each tuple of row axes they act on, and shared
+    by every row.
     """
 
     def __init__(self, m: int, mixed: bool):
@@ -62,43 +105,47 @@ class _Kernel:
         self._perms: dict[tuple, np.ndarray] = {}
         self._diagonals: dict[tuple, tuple] = {}
 
-    def apply(self, state: np.ndarray, g: Gate, rows: tuple[int, ...],
-              rate: float = 0.0) -> np.ndarray:
-        """U state (U^dag), the gate's qubits at row axes ``rows``, then on a
-        density matrix their depolarising error at ``rate``."""
-        if g.kind == "cx":
-            if rows not in self._perms:
-                perm = _cx_permutation(self.m, *rows)
+    def apply(self, states: np.ndarray, kind: str, axes: tuple[int, ...],
+              params=None, rate: float = 0.0) -> np.ndarray:
+        """U state (U^dag) on every row, the gate's qubits at row axes
+        ``axes``; a parametric kind takes one angle per row in ``params``.
+        Then on density matrices the depolarising error at ``rate``. The
+        input stack is left as it was."""
+        if kind == "cx":
+            if axes not in self._perms:
+                perm = _cx_permutation(self.m, *axes)
                 if self.mixed:  # the same permutation of rows and of columns
                     perm = (perm[:, None] * 2 ** self.m + perm).reshape(-1)
-                self._perms[rows] = perm
-            state = state[self._perms[rows]]
+                self._perms[axes] = perm
+            states = states[:, self._perms[axes]]
         else:
-            u = matrix_of(g)
-            state = _apply_1q(u, state, rows[0])
+            u = _entries_of(kind, params)
+            states = _apply_1q(u, states, axes[0])
             if self.mixed:
-                state = _apply_1q(u.conj(), state, self.m + rows[0])
-        return self._depolarize(state, rows, rate) if rate else state
+                u_conj = [[None if z is None else np.conj(z) for z in row] for row in u]
+                states = _apply_1q(u_conj, states, self.m + axes[0])
+        return self._depolarize(states, axes, rate) if rate else states
 
-    def _depolarize(self, rho: np.ndarray, rows: tuple[int, ...], rate: float) -> np.ndarray:
+    def _depolarize(self, rho: np.ndarray, axes: tuple[int, ...], rate: float) -> np.ndarray:
         """Pauli error at rate on the row qubits, in closed form:
-        rho -> (1 - lam) rho + lam (I/2**k (x) Tr_rows rho), lam = rate 4**k/(4**k - 1)."""
-        k = len(rows)
+        rho -> (1 - lam) rho + lam (I/2**k (x) Tr_axes rho), lam = rate 4**k/(4**k - 1)."""
+        k = len(axes)
         lam = rate * 4 ** k / (4 ** k - 1)
-        if rows not in self._diagonals:
+        if axes not in self._diagonals:
             # a view with each row and column axis of the gate as its own
-            # length-2 dimension, at odd positions, and the rest merged
-            shape, prev = [], 0
-            for ax in sorted(rows) + sorted(self.m + a for a in rows):
+            # length-2 dimension, at odd positions after the stack's rows,
+            # and the rest merged
+            shape, prev = [-1], 0
+            for ax in sorted(axes) + sorted(self.m + a for a in axes):
                 shape += [2 ** (ax - prev), 2]
                 prev = ax + 1
             shape.append(2 ** (2 * self.m - prev))
             # one index per diagonal block: equal row and column bits on those axes
-            self._diagonals[rows] = (shape, [
-                sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
+            self._diagonals[axes] = (shape, [
+                (slice(None),) + sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
                 for bits in itertools.product((0, 1), repeat=k)
             ])
-        shape, diagonal = self._diagonals[rows]
+        shape, diagonal = self._diagonals[axes]
         view = rho.reshape(shape)
         traced = (lam / 2 ** k) * sum(view[key] for key in diagonal)
         out = (1.0 - lam) * rho
@@ -119,12 +166,12 @@ def run_ideal(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
     psi = zero_state(c.n_qubits) if initial is None else np.asarray(initial, dtype=complex)
     if psi.size != 2 ** c.n_qubits:
         raise ValueError("initial state has the wrong dimension")
-    psi = psi.reshape(-1).copy()
+    psi = psi.reshape(1, -1)
     kernel = _Kernel(c.n_qubits, mixed=False)
     for g in c.gates:
         if g.kind != "measure":
-            psi = kernel.apply(psi, g, g.qubits)
-    return psi
+            psi = kernel.apply(psi, g.kind, g.qubits, [g.param])
+    return psi.reshape(-1).copy()
 
 
 def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -268,29 +315,28 @@ class CountsHistogram:
         return cls.from_json_dict(json.loads(text))
 
 
-def _gate_rate(g: Gate, noise: NoiseModel) -> float:
-    return noise.cx_depol if g.kind == "cx" else noise.sq_depol
-
-
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     """Exact outcome distribution over the 2**k classical keys of each
     measured circuit under noise, in order.
 
     A circuit with a gate that carries an error rate evolves a density matrix
     over the qubits it touches; any other stays pure, a statevector over its
-    whole register. Circuits on the same such register share one pass: their
-    common leading gates are applied once, each circuit continues from the
-    state where it parts from the others, and equal circuits are computed
-    once. The results are read-only; equal circuits share one array.
+    whole register. Circuits on the same such register share one pass over
+    the tree of their gate structures, the gates' kinds and qubits: each
+    position in it is applied once to the stacked states of every circuit
+    below it, each with its own angle, and equal circuits are computed once.
+    Every row sees the arithmetic of its circuit evolved alone. The results
+    are read-only; equal circuits share one array.
     """
     index: dict[Circuit, int] = {}  # hashing a circuit hashes every gate: once each
     slots = [index.setdefault(c, len(index)) for c in circuits]
     distinct = list(index)
     gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
+    rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
     passes: dict[tuple, list[int]] = {}
     for i, c in enumerate(distinct):
         measured = _measure_order(c)
-        if any(_gate_rate(g, noise) for g in gates[i]):
+        if any(rates[g.kind] for g in gates[i]):
             touched = {q for g in gates[i] for q in g.qubits} | set(measured)
             passes.setdefault((True, tuple(sorted(touched))), []).append(i)
         else:
@@ -300,24 +346,30 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
         m = len(register)
         kernel = _Kernel(m, mixed)
         axis = {q: a for a, q in enumerate(register)}
-        # walk the tree of the group's gate sequences; each edge is one gate
-        todo = [(0, zero_state(2 * m if mixed else m).reshape(-1), group)]
+        start = np.zeros((len(group), 4 ** m if mixed else 2 ** m), dtype=complex)
+        start[:, 0] = 1.0
+        # walk the tree of the group's gate structures; each edge is one gate
+        # position, and row r of a node's stack is the state of circuit here[r]
+        todo = [(0, start, group)]
         while todo:
-            depth, state, here = todo.pop()
-            branches: dict[Gate, list[int]] = {}
-            for i in here:
+            depth, states, here = todo.pop()
+            branches: dict[tuple, list[int]] = {}
+            for r, i in enumerate(here):
                 if len(gates[i]) > depth:
-                    branches.setdefault(gates[i][depth], []).append(i)
+                    g = gates[i][depth]
+                    branches.setdefault((g.kind, g.qubits), []).append(r)
                     continue
-                p = state.reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(state) ** 2
+                p = states[r].reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(states[r]) ** 2
                 qubits = _measure_order(distinct[i])
                 p = _marginal(p.reshape((2,) * m), [axis[q] for q in qubits])
                 done[i] = apply_readout(p, [noise.readout_rate(q) for q in qubits])
                 done[i].setflags(write=False)
-            for g, further in branches.items():
-                rows = tuple(axis[q] for q in g.qubits)
-                state_after = kernel.apply(state, g, rows, _gate_rate(g, noise))
-                todo.append((depth + 1, state_after, further))
+            for (kind, qubits), rows in branches.items():
+                below = [here[r] for r in rows]
+                params = [gates[i][depth].param for i in below] if kind in PARAM_KINDS else None
+                stack = states if len(rows) == len(here) else states[rows]
+                axes = tuple(axis[q] for q in qubits)
+                todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), below))
     return [done[i] for i in slots]
 
 

@@ -308,17 +308,19 @@ def _is_zero_angle(angle: float) -> bool:
 def _float_rz(gates: list[Gate]) -> list[Gate]:
     """Slide Rz gates over CNOT controls and merge them along each wire."""
     out: list[Gate] = []
-    pending: dict[int, float] = {}
+    pending: dict[int, tuple[float, Gate | None]] = {}  # wire -> (angle, lone Rz)
 
     def flush(q: int):
-        angle = _wrap(pending.pop(q))
+        total, lone = pending.pop(q)
+        angle = _wrap(total)
         if abs(angle) >= _ANGLE_TOL:
-            out.append(_rz(q, angle))
+            # a lone Rz whose angle is already in range goes out as it came
+            out.append(lone if lone is not None and lone.param == angle else _rz(q, angle))
 
     for g in gates:
         if g.kind == "rz":
             q = g.qubits[0]
-            pending[q] = pending.get(q, 0.0) + g.param
+            pending[q] = (pending[q][0] + g.param, None) if q in pending else (g.param, g)
             continue
         if g.kind == "cx":
             if g.qubits[1] in pending:

@@ -215,6 +215,10 @@ class TestRunPoint:
         run_point(cfg, 0.01, seed=0)
         # all five settings measure the same four physical qubits
         assert len(calls) == 1 and len(set(calls[0])) == 4
+        # and so do all 13 points of a sweep: one matrix serves them all
+        calls.clear()
+        run_sweep(cfg)
+        assert len(calls) == 1 and len(set(calls[0])) == 4
 
     def test_sampling_is_seeded(self):
         cfg = ExperimentConfig(shots=400, readout=0.02, transpile=False)

@@ -6,9 +6,16 @@ import pytest
 
 from gravopto import simulator
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
-from gravopto.circuit import Circuit, cx, h, measure, rz, s, sx, unitary_of, x
+from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
-from gravopto.experiment import ExperimentConfig, prepare_circuits, run_point
+from gravopto.experiment import (
+    NOISE_PRESETS,
+    ExperimentConfig,
+    compile_evolution,
+    prepare_circuits,
+    run_point,
+    run_sweep,
+)
 from gravopto.simulator import (
     CountsHistogram,
     NoiseModel,
@@ -366,30 +373,6 @@ class TestNoisyProbabilities:
         # 16 bins, 15 degrees of freedom: P(chi2 > 39.3) = 1e-3
         assert chi2 < 39.3
 
-    def test_a_point_evolves_its_shared_prefix_once(self, monkeypatch):
-        cfg = ExperimentConfig.with_preset("belem-like", shots=50, topology="belem-like")
-        applied = []
-        apply = simulator._Kernel.apply
-
-        def counted(kernel, *args):
-            applied.append(args[1])
-            return apply(kernel, *args)
-
-        monkeypatch.setattr(simulator._Kernel, "apply", counted)
-        for i, eps in enumerate(cfg.epsilon_values):
-            circuits = {circ for _, circ in prepare_circuits(cfg, eps).values()}
-            gates = [[g for g in c.gates if g.kind != "measure"] for c in circuits]
-            shared = 0
-            while (all(len(seq) > shared for seq in gates)
-                   and len({seq[shared] for seq in gates}) == 1):
-                shared += 1
-            assert len(circuits) == 3 and shared in (49, 51)
-            # one gate per distinct non-empty prefix: the tree of the three sequences
-            prefixes = {tuple(seq[:d]) for seq in gates for d in range(1, len(seq) + 1)}
-            applied.clear()
-            run_point(cfg, eps, seed=i)
-            assert len(applied) == len(prefixes)
-
 
 def _family(rng, n):
     """Measured circuits sharing a random trunk: branches of it, the trunk
@@ -427,3 +410,80 @@ def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
             assert not got.flags.writeable
         # the repeated circuit is computed once
         assert together[4] is together[0]
+
+
+def _structure_family(rng, n):
+    """Measured circuits that share gate structures (kinds and qubits) but
+    not angles: a trunk with every gate kind, two tails after it that three
+    sets of angles each take, and the trunk alone."""
+    def structure(kinds):
+        return [(k, tuple(int(q) for q in rng.choice(n, 2 if k == "cx" else 1, replace=False)))
+                for k in kinds]
+
+    kinds = ("x", "sx", "sxdg", "h", "s", "sdg", "rx", "rz", "u1", "cx")
+    trunk = structure(rng.permutation(kinds + tuple(rng.choice(kinds, 6))))
+    tails = [structure(rng.choice(kinds, int(rng.integers(1, 6)))) for _ in range(2)]
+
+    def with_angles(gates):
+        return measured(Circuit(n, tuple(
+            Gate(k, qubits, rng.uniform(-4, 4) if k in PARAM_KINDS else None)
+            for k, qubits in gates
+        )))
+
+    return [with_angles(trunk + tail) for tail in tails for _ in range(3)] + [with_angles(trunk)]
+
+
+@pytest.mark.parametrize("noise", [
+    NoiseModel(readout=0.02, sq_depol=0.01, cx_depol=0.05),
+    NoiseModel(readout=(0.03, 0.0, 0.07, 0.01), cx_depol=0.05),
+    NoiseModel(readout=0.02),
+    NoiseModel(),
+], ids=["gate-noise", "cx-noise-only", "readout-only", "noiseless"])
+def test_stacked_angles_equal_each_circuit_alone_and_the_kraus_sum(noise):
+    rng = np.random.default_rng(43)
+    for _ in range(3):
+        circuits = _structure_family(rng, 4)
+        together = outcome_distributions(circuits, noise)
+        for c, got in zip(circuits, together):
+            assert np.array_equal(got, outcome_distributions([c], noise)[0])
+            assert np.abs(got - kraus_probabilities(c, noise)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("kwargs,bound", [
+    # gate noise: one density-matrix pass
+    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 160),
+    # readout only, SWAP-routed: one statevector pass
+    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 260),
+], ids=["belem-like", "nairobi-like-swap"])
+def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound):
+    cfg = ExperimentConfig(shots=50, **kwargs)
+    applied = []
+    apply = simulator._Kernel.apply
+
+    def counted(kernel, states, kind, axes, *args):
+        applied.append((kind, axes))
+        return apply(kernel, states, kind, axes, *args)
+
+    monkeypatch.setattr(simulator._Kernel, "apply", counted)
+    run_sweep(cfg)
+    circuits = {c for eps in cfg.epsilon_values for _, c in prepare_circuits(cfg, eps).values()}
+    assert len(circuits) == 3 * len(cfg.epsilon_values)
+    structures = [[(g.kind, g.qubits) for g in c.gates if g.kind != "measure"] for c in circuits]
+    # one application per node of the tree of the distinct circuits' structures
+    prefixes = {tuple(seq[:d]) for seq in structures for d in range(1, len(seq) + 1)}
+    assert len(applied) == len(prefixes) <= bound
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(analytic_mode=True, topology="belem-like", **NOISE_PRESETS["belem-like"]),
+    dict(shots=2000, seed=5, topology="belem-like", **NOISE_PRESETS["belem-like"]),
+    dict(analytic_mode=True, topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306),
+], ids=["analytic-gate-noise", "sampled-gate-noise", "analytic-readout-swap"])
+def test_sweep_rows_equal_each_point_run_alone(kwargs):
+    cfg = ExperimentConfig(**kwargs)
+    evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
+    seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
+    alone = [run_point(cfg, eps, int(seed), evo)
+             for eps, seed, evo in zip(cfg.epsilon_values, seeds, evolutions)]
+    assert run_sweep(cfg, evolutions) == alone
+    assert run_sweep(cfg) == alone

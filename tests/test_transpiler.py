@@ -318,6 +318,18 @@ class TestSimplify:
         (g,) = simplify(c).gates
         assert g.kind == "rz" and g.param == pytest.approx(0.5)
 
+    def test_lone_rz_in_range_is_kept_as_is(self):
+        lone, far, first, second = rz(0, 0.3), rz(1, 4.0), rz(2, 0.2), rz(2, 0.3)
+        c = Circuit(3, (lone, sx(0), far, cx(1, 2), first, second, sx(2)))
+        out = transpiler._float_rz(list(c.gates))
+        assert out[0] is lone
+        # out of range, or merged with another Rz: a new gate with the wrapped sum
+        (wrapped,) = [g for g in out if g.kind == "rz" and g.qubits == (1,)]
+        assert wrapped is not far and wrapped == rz(1, math.remainder(4.0, 2 * math.pi))
+        (merged,) = [g for g in out if g.kind == "rz" and g.qubits == (2,)]
+        assert merged == rz(2, 0.2 + 0.3)
+        assert simplify(Circuit(1, (lone, sx(0)))).gates[0] is lone
+
     def test_cx_pair_cancels(self):
         c = Circuit(2, (cx(0, 1), cx(0, 1)))
         assert simplify(c).gates == ()
