@@ -16,7 +16,7 @@ from .experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
     check_layout,
-    compile_evolution,
+    compile_sweep,
     emit_outputs,
     resolve_topology,
     run_sweep,
@@ -127,9 +127,10 @@ def _write(text: str, dest: str):
 
 def _cmd_sweep(args) -> int:
     cfg = _run_config(args)
-    # each point compiles once, for its five settings and its QASM export
-    evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
-    table = run_sweep(cfg, evolutions)
+    # one compile serves the settings and the QASM export of every point
+    compiled = compile_sweep(cfg)
+    table = run_sweep(cfg, compiled)
+    evolutions = [evolution for evolution, _ in compiled]
     paths = emit_outputs(table, cfg, out_dir=cfg.out_dir or ".", evolutions=evolutions)
     mean_f = sum(r["fidelity"] for r in table) / len(table)
     print(f"wrote {paths['csv']} and {paths['json']}")

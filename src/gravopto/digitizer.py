@@ -109,10 +109,11 @@ def build_evolution_circuit(
 ) -> Circuit:
     """Full coupling unitary exp(i eps M), optionally after ground-state prep."""
     _check_epsilon(epsilon, max_epsilon)
-    total = ground_state_prep() if prepend_ground_prep else Circuit(4)
-    for index in (1, 2, 3, 4):
-        total = total + decompose_term(index, epsilon, max_epsilon)
-    return Circuit(total.n_qubits, total.gates, {"epsilon": float(epsilon)})
+    gates = ground_state_prep().gates if prepend_ground_prep else ()
+    for factors in INTERACTION_FACTORS:
+        gates += compile_pauli_exponential(PauliString(factors), epsilon / 4.0).gates
+    # the assembled gates are checked once, not once per partial sum
+    return Circuit(4, gates, {"epsilon": float(epsilon)})
 
 
 def _check_epsilon(epsilon: float, max_epsilon: float):

@@ -1,15 +1,21 @@
 """End-to-end sweeps: build, transpile, simulate, estimate, report.
 
 A sweep point is fully determined by the config and a per-point seed derived
-from the global one, so results are reproducible row by row. A point's
-evolution circuit is compiled once and shared by its five tomography
-settings, which add only basis rotations and measurements, and by its QASM
-export. ``run_sweep`` then makes one ``outcome_distributions`` call for the
-settings of every point, which evolves the points that share a gate structure
-as one stack, and builds one confusion matrix per measured register for the
-whole sweep. ``run_point`` is the one-point case of the same code. The CSV
-payload is byte-stable for a fixed config; the JSON report additionally
-carries a timestamp.
+from the global one, so results are reproducible row by row.
+
+``compile_sweep`` compiles every point: a point's evolution circuit is
+compiled once and shared by its five tomography settings, which add only
+basis rotations and measurements, and by its QASM export. What does not
+depend on epsilon is done once per sweep: the topology and layout are
+resolved, the measurement suffixes built, and one memo of single-qubit
+resyntheses (see ``transpiler``) serves every ``simplify`` of the sweep and
+is dropped with it. ``compile_evolution`` and ``prepare_circuits`` are its
+one-point case. ``run_sweep`` then makes one ``outcome_distributions`` call
+for the settings of every point, which evolves the points that share a gate
+structure as one stack, and builds one confusion matrix per measured
+register for the whole sweep. ``run_point`` is the one-point case of the
+same code. The CSV payload is byte-stable for a fixed config; the JSON
+report additionally carries a timestamp.
 """
 from __future__ import annotations
 
@@ -41,7 +47,14 @@ from .tomography import (
     mitigate,
     postselect,
 )
-from .transpiler import TOPOLOGY_PRESETS, RoutedCircuit, Topology, transpile, transpile_suffix
+from .transpiler import (
+    TOPOLOGY_PRESETS,
+    RoutedCircuit,
+    Topology,
+    hub_layout,
+    transpile,
+    transpile_suffix,
+)
 
 RESULT_COLUMNS = (
     "epsilon",
@@ -195,36 +208,75 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
     raise ConfigError(f"topology: {name_or_path!r} is neither a preset nor a file")
 
 
+class _SweepCompiler:
+    """What the points of a sweep share when they compile, made once: the
+    resolved topology and layout, the measurement suffixes and one memo of
+    single-qubit resyntheses (see ``transpiler.simplify``). It lives as long
+    as the sweep's compile, so nothing is kept between sweeps."""
+
+    def __init__(self, cfg: ExperimentConfig):
+        self.cfg = cfg
+        n = ModeEncoding().n_qubits
+        self.topology = self.layout = None
+        if cfg.transpile:
+            self.topology = resolve_topology(cfg.topology)
+            if cfg.layout is not None:
+                self.layout = check_layout(cfg.layout, n, self.topology)
+            elif self.topology is not None:
+                self.layout = hub_layout(self.topology, n)
+        # each distinct suffix with its settings; ZZ, IZ and ZI share one
+        self.suffixes: dict[Circuit, list] = {}
+        for setting, suffix in measurement_circuits(Circuit(n)):
+            self.suffixes.setdefault(suffix, []).append(setting)
+        self.memo: dict = {}
+
+    def evolution(self, epsilon: float) -> RoutedCircuit:
+        base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
+        if self.cfg.transpile:
+            return transpile(base, self.topology, self.layout, self.memo)
+        ident = tuple(range(base.n_qubits))
+        return RoutedCircuit(base, ident, ident, ident)
+
+    def settings(self, evolution: RoutedCircuit) -> dict:
+        circuits = {}
+        for suffix, settings in self.suffixes.items():
+            if self.cfg.transpile:
+                circ = transpile_suffix(evolution, suffix, self.memo)
+            else:
+                circ = evolution.circuit + suffix
+            circuits.update((setting.label, (setting, circ)) for setting in settings)
+        return {label: circuits[label] for label in SETTING_LABELS}
+
+
+def compile_sweep(cfg: ExperimentConfig) -> list[tuple[RoutedCircuit, dict]]:
+    """Each point's ``(compile_evolution, prepare_circuits)``, in input order,
+    gate for gate as each point compiles alone; what does not depend on
+    epsilon is made once for the sweep (see ``_SweepCompiler``)."""
+    compiler = _SweepCompiler(cfg)
+    points = []
+    for eps in cfg.epsilon_values:
+        evolution = compiler.evolution(eps)
+        points.append((evolution, compiler.settings(evolution)))
+    return points
+
+
 def compile_evolution(cfg: ExperimentConfig, epsilon: float) -> RoutedCircuit:
-    """One point's evolution circuit (with ground-state prep) as it runs."""
-    base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
-    if cfg.transpile:
-        topo = resolve_topology(cfg.topology)
-        if cfg.layout is not None:
-            check_layout(cfg.layout, base.n_qubits, topo)
-        return transpile(base, topo, cfg.layout)
-    ident = tuple(range(base.n_qubits))
-    return RoutedCircuit(base, ident, ident, ident)
+    """One point's evolution circuit (with ground-state prep) as it runs;
+    ``compile_sweep``'s for a one-point sweep."""
+    return _SweepCompiler(cfg).evolution(epsilon)
 
 
 def prepare_circuits(cfg: ExperimentConfig, epsilon: float,
                      evolution: RoutedCircuit | None = None) -> dict:
-    """The five as-run measurement circuits for one sweep point: the point's
-    ``compile_evolution`` (made here when not given) plus each setting's
-    basis rotation and measurements. ZZ, IZ and ZI share one circuit.
+    """The five as-run measurement circuits for one sweep point, by setting
+    label: the point's ``compile_evolution`` (made here when not given) plus
+    each setting's basis rotation and measurements, as ``compile_sweep``
+    makes them. ZZ, IZ and ZI share one circuit.
     """
+    compiler = _SweepCompiler(cfg)
     if evolution is None:
-        evolution = compile_evolution(cfg, epsilon)
-    shared = {}
-    out = {}
-    for setting, suffix in measurement_circuits(Circuit(len(evolution.initial_layout))):
-        if suffix not in shared:
-            if cfg.transpile:
-                shared[suffix] = transpile_suffix(evolution, suffix)
-            else:
-                shared[suffix] = evolution.circuit + suffix
-        out[setting.label] = (setting, shared[suffix])
-    return out
+        evolution = compiler.evolution(epsilon)
+    return compiler.settings(evolution)
 
 
 def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
@@ -233,17 +285,18 @@ def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
     return _rows(cfg, [(epsilon, seed, prepare_circuits(cfg, epsilon, evolution))])[0]
 
 
-def run_sweep(cfg: ExperimentConfig, evolutions: list[RoutedCircuit] | None = None) -> list[dict]:
-    """One row per epsilon, in input order. ``evolutions`` are the points'
-    ``compile_evolution`` results, made here when not given."""
-    if evolutions is None:
-        evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
+def run_sweep(cfg: ExperimentConfig,
+              compiled: list[tuple[RoutedCircuit, dict]] | None = None) -> list[dict]:
+    """One row per epsilon, in input order. ``compiled`` is the sweep's
+    ``compile_sweep``, made here when not given."""
+    if compiled is None:
+        compiled = compile_sweep(cfg)
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(
         len(cfg.epsilon_values)
     )
     return _rows(cfg, [
-        (eps, int(s), prepare_circuits(cfg, eps, evo))
-        for eps, s, evo in zip(cfg.epsilon_values, point_seeds, evolutions)
+        (eps, int(s), circuits)
+        for eps, s, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compiled)
     ])
 
 
@@ -325,7 +378,8 @@ def emit_outputs(
 
     Returns the paths written. The CSV holds exactly RESULT_COLUMNS and is
     byte-stable for a fixed config; the timestamp lives only in the JSON.
-    The QASM export writes the sweep's ``evolutions`` (see ``run_sweep``).
+    The QASM export writes the sweep's ``evolutions`` (the first items of
+    ``compile_sweep``), made here when not given.
     """
     if not table:
         raise ValueError("nothing to write")
@@ -357,7 +411,8 @@ def emit_outputs(
 
     if cfg.export_qasm:
         if evolutions is None:
-            evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
+            compiler = _SweepCompiler(cfg)
+            evolutions = [compiler.evolution(eps) for eps in cfg.epsilon_values]
         qasm_paths = []
         for i, evolution in enumerate(evolutions):
             path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")

@@ -288,12 +288,13 @@ class CountsHistogram:
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, shots: int, n_bits: int) -> "CountsHistogram":
-        entries = {}
-        for idx, w in enumerate(np.asarray(vec).reshape(-1)):
-            if w != 0:
-                entries[format(idx, f"0{n_bits}b")] = (
-                    int(w) if float(w).is_integer() else float(w)
-                )
+        vec = np.asarray(vec).reshape(-1)
+        nonzero = np.flatnonzero(vec)
+        key = f"0{n_bits}b"
+        entries = {
+            format(idx, key): int(w) if float(w).is_integer() else float(w)
+            for idx, w in zip(nonzero.tolist(), vec[nonzero].tolist())
+        }
         return cls(entries, shots, n_bits)
 
     def to_json_dict(self) -> dict:
@@ -328,8 +329,15 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     Every row sees the arithmetic of its circuit evolved alone. The results
     are read-only; equal circuits share one array.
     """
-    index: dict[Circuit, int] = {}  # hashing a circuit hashes every gate: once each
-    slots = [index.setdefault(c, len(index)) for c in circuits]
+    # hashing a circuit hashes every gate, so a circuit object seen before
+    # (a point's ZZ, IZ and ZI settings share one) is found by identity
+    index: dict[Circuit, int] = {}
+    by_id: dict[int, int] = {}
+    slots = []
+    for c in circuits:
+        if id(c) not in by_id:
+            by_id[id(c)] = index.setdefault(c, len(index))
+        slots.append(by_id[id(c)])
     distinct = list(index)
     gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}

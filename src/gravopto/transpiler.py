@@ -21,7 +21,11 @@ All three preserve the unitary up to global phase and never increase any
 gate count, so simplify is idempotent gate for gate. Whether a run is
 replaced depends on its gates alone, so a pass after the first
 re-synthesises only the wires whose gate sequence changed since the
-previous pass.
+previous pass. For the same reason ``simplify``, ``transpile`` and
+``transpile_suffix`` take a memo of resyntheses keyed by a run's (kind,
+param) sequence. The compile of a sweep passes one memo to all its calls,
+so a run that recurs across the sweep's points is synthesised once; without
+one, each call keeps its own.
 
 ``transpile_suffix`` appends 1-qubit gates and measurements to a simplified
 circuit and simplifies again only the tail they can reach: the trailing
@@ -62,6 +66,8 @@ class Topology:
     n: int
     edges: frozenset = field(default_factory=frozenset)
     name: str = ""
+    # each qubit's neighbours, ascending, so a BFS step scans no edge set
+    _adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 1:
@@ -75,6 +81,11 @@ class Topology:
                 raise ValueError(f"edge ({a},{b}) outside {self.n} qubits")
             norm.add((min(a, b), max(a, b)))
         object.__setattr__(self, "edges", frozenset(norm))
+        adjacency = [[] for _ in range(self.n)]
+        for a, b in norm:
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency", tuple(tuple(sorted(nbs)) for nbs in adjacency))
 
     @classmethod
     def preset(cls, name: str) -> "Topology":
@@ -99,8 +110,7 @@ class Topology:
         return json.dumps({"n": self.n, "edges": sorted(list(e) for e in self.edges)})
 
     def neighbors(self, q: int) -> list[int]:
-        out = [b if a == q else a for a, b in self.edges if q in (a, b)]
-        return sorted(out)
+        return list(self._adjacency[q])
 
     def adjacent(self, a: int, b: int) -> bool:
         return (min(a, b), max(a, b)) in self.edges
@@ -117,7 +127,7 @@ class Topology:
         while frontier:
             nxt = []
             for node in frontier:
-                for nb in self.neighbors(node):
+                for nb in self._adjacency[node]:
                     if nb in parent:
                         continue
                     parent[nb] = node
@@ -398,9 +408,16 @@ def _synthesize_1q(q: int, u: np.ndarray) -> list[Gate]:
     return gates
 
 
-def _resynth_runs(gates: list[Gate], wires: set[int] | None) -> list[Gate]:
+def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list[Gate]:
     """Shrink maximal single-qubit runs (on ``wires``, or on every wire when
-    None) to canonical form when that is shorter."""
+    None) to canonical form when that is shorter.
+
+    ``memo`` maps a run's (kind, param) sequence to its replacement's, or to
+    None when the run is kept. Whether and how a run is replaced depends on
+    those pairs alone, not on its wire, so a hit re-labels the stored
+    replacement onto the run's wire, and the synthesis and its drift guard
+    run once per distinct run.
+    """
     runs: list[list[int]] = []
     open_runs: dict[int, list[int]] = {}
     for i, g in enumerate(gates):
@@ -418,6 +435,13 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None) -> list[Gate]:
         q = gates[run[0]].qubits[0]
         if len(run) < 2 or (wires is not None and q not in wires):
             continue
+        key = tuple((gates[idx].kind, gates[idx].param) for idx in run)
+        if key in memo:
+            found = memo[key]
+            if found is not None:
+                inserts[run[0]] = [Gate._trusted(kind, (q,), param) for kind, param in found]
+                removed.update(run)
+            continue
         u = np.eye(2, dtype=complex)
         for idx in run:
             u = matrix_of(gates[idx]) @ u
@@ -428,8 +452,11 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None) -> list[Gate]:
         if phase_distance(check, u) > 1e-10:
             raise RuntimeError("single-qubit resynthesis drifted")
         if len(candidate) < len(run):
+            memo[key] = tuple((g.kind, g.param) for g in candidate)
             inserts[run[0]] = candidate
             removed.update(run)
+        else:
+            memo[key] = None
     if not inserts:
         return gates
     out: list[Gate] = []
@@ -456,14 +483,20 @@ def _wire_sequences(gates: list[Gate]) -> dict[int, list[Gate]]:
 _SIMPLIFY_MAX_PASSES = 60
 
 
-def simplify(c: Circuit) -> Circuit:
+def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     """Deterministic peephole cleanup; idempotent, count-nonincreasing.
 
     Whether a run is replaced depends on its gates alone, so a pass after
     the first re-synthesises only the wires whose gate sequence (after rz
     floating and CNOT cancellation) differs from the previous pass's; the
     runs on every other wire were examined and kept already.
+
+    For the same reason the resynthesis of a run can be remembered by its
+    gates' (kind, param) sequence (see ``_resynth_runs``). Callers that
+    compile many related circuits pass one ``memo`` to every call; without
+    one, the call keeps its own.
     """
+    memo = {} if memo is None else memo
     gates = list(c.gates)
     dirty = None  # every wire
     seqs = None
@@ -473,7 +506,7 @@ def simplify(c: Circuit) -> Circuit:
         if seqs is not None:
             dirty = {q for q in new_seqs.keys() | seqs.keys() if new_seqs.get(q) != seqs.get(q)}
         seqs = new_seqs
-        new = _resynth_runs(new, dirty)
+        new = _resynth_runs(new, dirty, memo)
         if new == gates:
             break
         gates = new
@@ -519,22 +552,24 @@ def transpile(
     c: Circuit,
     topology: Topology | None = None,
     layout: Layout | Sequence[int] | None = None,
+    memo: dict | None = None,
 ) -> RoutedCircuit:
     """lower -> route (if a topology is given) -> simplify.
 
-    Without a layout the circuit is routed from the hub layout.
+    Without a layout the circuit is routed from the hub layout. ``memo`` is
+    ``simplify``'s.
     """
     lowered = lower_to_basis(c)
     if topology is None:
         ident = tuple(range(c.n_qubits))
-        return RoutedCircuit(simplify(lowered), ident, ident, ident)
+        return RoutedCircuit(simplify(lowered, memo), ident, ident, ident)
     if layout is None:
         layout = hub_layout(topology, c.n_qubits)
     routed = route(lowered, topology, layout)
-    return replace(routed, circuit=simplify(routed.circuit))
+    return replace(routed, circuit=simplify(routed.circuit, memo))
 
 
-def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit) -> Circuit:
+def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit, memo: dict | None = None) -> Circuit:
     """Append 1-qubit gates and measurements to a ``transpile`` result.
 
     The logical-qubit suffix is lowered and placed through
@@ -545,7 +580,7 @@ def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit) -> Circuit:
     ``transpile`` returns it), so the prefix compiles once for many suffixes.
     Against ``transpile`` of the whole circuit it is equal as a unitary;
     gate for gate it may differ where summed Rz angles associate
-    differently (Rz(pi) against Rz(-pi), say).
+    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s.
     """
     if any(g.kind == "cx" for g in suffix.gates):
         raise ValueError("a suffix with CNOTs needs routing; transpile the whole circuit")
@@ -562,7 +597,7 @@ def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit) -> Circuit:
         # measured prefix takes no further gates, which Circuit reports
         return base + Circuit(base.n_qubits, placed, suffix.metadata)
     cut = _suffix_window(base.gates, wires)
-    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed, {}))
+    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed, {}), memo)
     metadata = dict(base.metadata)
     metadata.update(suffix.metadata)
     return Circuit._trusted(base.n_qubits, base.gates[:cut] + tail.gates, metadata)

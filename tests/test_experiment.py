@@ -16,6 +16,7 @@ from gravopto.experiment import (
     RESULT_COLUMNS,
     ExperimentConfig,
     compile_evolution,
+    compile_sweep,
     emit_outputs,
     prepare_circuits,
     resolve_topology,
@@ -122,6 +123,40 @@ def test_resolve_topology(tmp_path):
     assert topo.n == 4 and topo.adjacent(3, 0)
     with pytest.raises(ConfigError):
         resolve_topology("no-such-thing")
+
+
+def exact_gates(circ):
+    """Every gate field, the angle by its bits (so -0.0 is not 0.0)."""
+    return [(g.kind, g.qubits, None if g.param is None else g.param.hex(), g.cbit)
+            for g in circ.gates]
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(topology="belem-like"),
+    dict(topology="nairobi-like"),
+    dict(topology="nairobi-like", layout=(0, 2, 4, 6)),
+    dict(transpile=False),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-transpile"])
+def test_compile_sweep_equals_each_point_compiled_alone(kwargs):
+    """One memo, suffix set and topology for the sweep change no gate:
+    each point as ``compile_evolution`` + ``prepare_circuits`` make it, each
+    call with a memo of its own."""
+    cfg = ExperimentConfig(epsilon_values=DEFAULT_EPSILONS + (0.1, -0.3, 1e-7), **kwargs)
+    compiled = compile_sweep(cfg)
+    assert len(compiled) == len(cfg.epsilon_values)
+    for eps, (evolution, circuits) in zip(cfg.epsilon_values, compiled):
+        alone = compile_evolution(cfg, eps)
+        assert exact_gates(evolution.circuit) == exact_gates(alone.circuit), eps
+        assert evolution.initial_layout == alone.initial_layout
+        assert evolution.final_layout == alone.final_layout
+        want = prepare_circuits(cfg, eps, alone)
+        assert list(circuits) == list(want)
+        for label, (setting, circ) in circuits.items():
+            assert setting == want[label][0]
+            assert exact_gates(circ) == exact_gates(want[label][1]), (eps, label)
+            assert circ.measurements == want[label][1].measurements
+            assert circ.gate_counts() == want[label][1].gate_counts()
+        assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
 
 
 class TestPrepareCircuits:

@@ -11,7 +11,7 @@ from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
-    compile_evolution,
+    compile_sweep,
     prepare_circuits,
     run_point,
     run_sweep,
@@ -195,6 +195,25 @@ class TestCountsHistogram:
         back = CountsHistogram.from_vector(np.array([0.25, 0.75]), shots=1, n_bits=1)
         assert back.entries == {"0": 0.25, "1": 0.75}
         assert isinstance(back.entries["0"], float)
+
+    def test_from_vector_equals_the_entrywise_loop(self):
+        def entrywise(vec, n_bits):
+            return {format(i, f"0{n_bits}b"): int(w) if float(w).is_integer() else float(w)
+                    for i, w in enumerate(np.asarray(vec).reshape(-1)) if w != 0}
+
+        rng = np.random.default_rng(5)
+        vectors = [
+            rng.multinomial(1000, np.full(16, 1 / 16)).astype(float),
+            np.array([0.0, -0.0, 2.5, -3.0, 0.0, 1e-300, 7.0, 0.0]),
+            np.array([0, 4, 0, 9]),
+            np.zeros(4),
+        ]
+        for vec in vectors:
+            n_bits = vec.size.bit_length() - 1
+            got = CountsHistogram.from_vector(vec, 10, n_bits).entries
+            want = entrywise(vec, n_bits)
+            assert list(got.items()) == list(want.items())
+            assert [type(w) for w in got.values()] == [type(w) for w in want.values()]
 
     def test_json_round_trip(self):
         hist = CountsHistogram({"10": 2, "01": 7}, shots=9, n_bits=2)
@@ -412,6 +431,29 @@ def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
         assert together[4] is together[0]
 
 
+def test_each_circuit_object_is_hashed_once(monkeypatch):
+    """A circuit object given again (a point's ZZ, IZ and ZI settings) is
+    found by identity; an equal circuit that is another object is hashed,
+    and still computed once."""
+    rng = np.random.default_rng(47)
+    a = measured(random_circuit(rng, 3, 8))
+    b = measured(random_circuit(rng, 3, 8))
+    b_copy = Circuit(b.n_qubits, b.gates)
+    hashed = []
+    circuit_hash = Circuit.__hash__
+
+    def counted(c):
+        hashed.append(c)
+        return circuit_hash(c)
+
+    monkeypatch.setattr(Circuit, "__hash__", counted)
+    got = outcome_distributions([a, a, b, a, b, b_copy], NoiseModel(readout=0.02))
+    assert len(hashed) == 3
+    assert got[0] is got[1] is got[3]
+    assert got[2] is got[4] is got[5]
+    assert got[0] is not got[2]
+
+
 def _structure_family(rng, n):
     """Measured circuits that share gate structures (kinds and qubits) but
     not angles: a trunk with every gate kind, two tails after it that three
@@ -481,9 +523,9 @@ def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound)
 ], ids=["analytic-gate-noise", "sampled-gate-noise", "analytic-readout-swap"])
 def test_sweep_rows_equal_each_point_run_alone(kwargs):
     cfg = ExperimentConfig(**kwargs)
-    evolutions = [compile_evolution(cfg, eps) for eps in cfg.epsilon_values]
+    compiled = compile_sweep(cfg)
     seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
     alone = [run_point(cfg, eps, int(seed), evo)
-             for eps, seed, evo in zip(cfg.epsilon_values, seeds, evolutions)]
-    assert run_sweep(cfg, evolutions) == alone
+             for eps, seed, (evo, _) in zip(cfg.epsilon_values, seeds, compiled)]
+    assert run_sweep(cfg, compiled) == alone
     assert run_sweep(cfg) == alone
