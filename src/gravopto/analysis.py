@@ -3,14 +3,13 @@
 The register of interest is the logical two-mode space {|00>, |01>, |10>,
 |11>} (matter mode first). The fidelity target is the second-order
 perturbative state, so evaluating the closed-form fidelity on perfect inputs
-overshoots 1 by 2*eps**4; reports keep the raw value and clamp only for
-display.
+overshoots 1 by 2*eps**4; results keep that raw value, unclamped.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,23 +170,3 @@ def fidelity_error(epsilon: float, traces, lam: float, n_qubits: int = 4) -> flo
         + w_pop * (d["IZ"] ** 2 + d["ZI"] ** 2)
     )
     return 0.25 * math.sqrt(max(total, 0.0))
-
-
-@dataclass(frozen=True)
-class FidelityReport:
-    """One sweep point: raw fidelity plus the quantities that produced it."""
-
-    epsilon: float
-    fidelity: float
-    fidelity_err: float
-    concurrence_theory: float
-    traces: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.fidelity_err < 0.0:
-            raise ValueError("uncertainty cannot be negative")
-
-    @property
-    def fidelity_clamped(self) -> float:
-        """Display value restricted to [0, 1]; the raw field may overshoot."""
-        return min(max(self.fidelity, 0.0), 1.0)

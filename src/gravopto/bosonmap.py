@@ -73,33 +73,6 @@ class ModeEncoding:
             raise CapacityError(f"{what} is only defined for two modes at n_p = 1")
 
 
-@dataclass(frozen=True)
-class CouplingParameters:
-    """Optomechanical coupling data; epsilon is always derived as g * t."""
-
-    g0: float
-    alpha: float
-    t: float
-
-    @classmethod
-    def from_linearized(cls, g: float, t: float) -> "CouplingParameters":
-        return cls(g0=g, alpha=1.0, t=t)
-
-    @property
-    def g(self) -> float:
-        return self.g0 * self.alpha
-
-    @property
-    def epsilon(self) -> float:
-        return self.g * self.t
-
-
-def physical_subspace(encoding: ModeEncoding = ModeEncoding()) -> tuple:
-    """One-hot bitstrings (qubit 0 leftmost) with their logical labels."""
-    encoding._require_two_level_pair("the physical subspace table")
-    return PHYSICAL_SUBSPACE
-
-
 def mapped_hamiltonian(g: float, encoding: ModeEncoding = ModeEncoding()) -> PauliSum:
     """Qubit image of -g (b + b^dag)(a + a^dag) under the dual-rail encoding."""
     encoding._require_two_level_pair("the mapped Hamiltonian")

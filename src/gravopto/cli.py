@@ -112,8 +112,11 @@ def _run_config(args) -> ExperimentConfig:
         data["export_qasm"] = True
     text = "{}"
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(args.config, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeError) as exc:
+            raise ConfigError(f"config: {exc}") from exc
     return ExperimentConfig.from_json(text, overrides=data)
 
 
@@ -182,6 +185,8 @@ def _cmd_calibrate(args) -> int:
     if args.shots < 0:
         raise ConfigError(f"shots: {args.shots} is negative")
     rate = args.readout if args.readout is not None else NOISE_PRESETS[args.noise_preset]["readout"]
+    if not 0.0 <= rate < 0.5:
+        raise ConfigError(f"readout: {rate} outside [0, 0.5)")
     noise = NoiseModel(readout=rate)
     confusion = calibrate_confusion(
         args.n_bits, noise, shots=args.shots or None, seed=args.seed

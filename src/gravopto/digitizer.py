@@ -88,11 +88,11 @@ def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
     return Circuit(n, tuple(gates))
 
 
-def decompose_term(index: int, epsilon: float, max_epsilon: float = 1.0) -> Circuit:
+def decompose_term(index: int, epsilon: float) -> Circuit:
     """Circuit for the index-th factor of exp(i eps M), index in 1..4."""
     if index not in (1, 2, 3, 4):
         raise ValueError(f"term index must be 1..4, got {index}")
-    _check_epsilon(epsilon, max_epsilon)
+    _check_epsilon(epsilon)
     string = PauliString(INTERACTION_FACTORS[index - 1])
     circ = compile_pauli_exponential(string, epsilon / 4.0)
     return Circuit(
@@ -102,13 +102,9 @@ def decompose_term(index: int, epsilon: float, max_epsilon: float = 1.0) -> Circ
     )
 
 
-def build_evolution_circuit(
-    epsilon: float,
-    prepend_ground_prep: bool = False,
-    max_epsilon: float = 1.0,
-) -> Circuit:
+def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -> Circuit:
     """Full coupling unitary exp(i eps M), optionally after ground-state prep."""
-    _check_epsilon(epsilon, max_epsilon)
+    _check_epsilon(epsilon)
     gates = ground_state_prep().gates if prepend_ground_prep else ()
     for factors in INTERACTION_FACTORS:
         gates += compile_pauli_exponential(PauliString(factors), epsilon / 4.0).gates
@@ -116,9 +112,6 @@ def build_evolution_circuit(
     return Circuit(4, gates, {"epsilon": float(epsilon)})
 
 
-def _check_epsilon(epsilon: float, max_epsilon: float):
-    if not abs(epsilon) < max_epsilon:
-        raise ValueError(
-            f"|epsilon| = {abs(epsilon)} outside the validated range "
-            f"(< {max_epsilon}); pass max_epsilon explicitly to override"
-        )
+def _check_epsilon(epsilon: float):
+    if not abs(epsilon) < 1.0:
+        raise ValueError(f"|epsilon| = {abs(epsilon)} outside the validated range (< 1)")

@@ -3,15 +3,15 @@
 A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row.
 
-``compile_sweep`` compiles every point: a point's evolution circuit is
-compiled once and shared by its five tomography settings, which add only
-basis rotations and measurements, and by its QASM export. What does not
-depend on epsilon is done once per sweep: the topology and layout are
-resolved, the measurement suffixes built, and one memo of single-qubit
-resyntheses (see ``transpiler``) serves every ``simplify`` of the sweep and
-is dropped with it. ``compile_evolution`` and ``prepare_circuits`` are its
-one-point case. ``run_sweep`` then makes one ``outcome_distributions`` call
-for the settings of every point, which evolves the points that share a gate
+``compile_sweep`` is the one way a point compiles, and ``prepare_circuits``
+is its one-point case. A point's evolution circuit is compiled once and
+shared by its five tomography settings, which add only basis rotations and
+measurements, and by its QASM export. What does not depend on epsilon is
+done once per sweep: the topology and layout are resolved, the measurement
+suffixes built, and one memo of single-qubit resyntheses (see
+``transpiler``) serves every ``simplify`` of the sweep and is dropped with
+it. ``run_sweep`` then makes one ``outcome_distributions`` call for the
+settings of every point, which evolves the points that share a gate
 structure as one stack, and builds one confusion matrix per measured
 register for the whole sweep. ``run_point`` is the one-point case of the
 same code. The CSV payload is byte-stable for a fixed config; the JSON
@@ -22,7 +22,7 @@ from __future__ import annotations
 import csv
 import json
 import os
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from datetime import datetime, timezone
 from numbers import Integral, Real
 
@@ -33,7 +33,7 @@ from .analysis import (
     fidelity_error,
     fidelity_from_traces,
 )
-from .bosonmap import PHYSICAL_BITSTRINGS, ModeEncoding
+from .bosonmap import ModeEncoding
 from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
@@ -202,10 +202,15 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
         return None
     if name_or_path in TOPOLOGY_PRESETS:
         return Topology.preset(name_or_path)
-    if os.path.exists(name_or_path):
+    if not os.path.exists(name_or_path):
+        raise ConfigError(f"topology: {name_or_path!r} is neither a preset nor a file")
+    try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return Topology.from_json(fh.read(), name=os.path.basename(name_or_path))
-    raise ConfigError(f"topology: {name_or_path!r} is neither a preset nor a file")
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(
+            f"topology: {name_or_path!r} is not a topology file ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 class _SweepCompiler:
@@ -249,9 +254,10 @@ class _SweepCompiler:
 
 
 def compile_sweep(cfg: ExperimentConfig) -> list[tuple[RoutedCircuit, dict]]:
-    """Each point's ``(compile_evolution, prepare_circuits)``, in input order,
-    gate for gate as each point compiles alone; what does not depend on
-    epsilon is made once for the sweep (see ``_SweepCompiler``)."""
+    """Each point's ``(evolution, settings)``, in input order: its evolution
+    circuit (with ground-state prep) as it runs, and its ``prepare_circuits``.
+    A point compiles gate for gate as it does in a one-point sweep; what does
+    not depend on epsilon is made once for the sweep (see ``_SweepCompiler``)."""
     compiler = _SweepCompiler(cfg)
     points = []
     for eps in cfg.epsilon_values:
@@ -260,29 +266,18 @@ def compile_sweep(cfg: ExperimentConfig) -> list[tuple[RoutedCircuit, dict]]:
     return points
 
 
-def compile_evolution(cfg: ExperimentConfig, epsilon: float) -> RoutedCircuit:
-    """One point's evolution circuit (with ground-state prep) as it runs;
-    ``compile_sweep``'s for a one-point sweep."""
-    return _SweepCompiler(cfg).evolution(epsilon)
-
-
-def prepare_circuits(cfg: ExperimentConfig, epsilon: float,
-                     evolution: RoutedCircuit | None = None) -> dict:
+def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
     """The five as-run measurement circuits for one sweep point, by setting
-    label: the point's ``compile_evolution`` (made here when not given) plus
-    each setting's basis rotation and measurements, as ``compile_sweep``
-    makes them. ZZ, IZ and ZI share one circuit.
+    label: the point's evolution plus each setting's basis rotation and
+    measurements, ``compile_sweep`` of the one-point sweep. ZZ, IZ and ZI
+    share one circuit.
     """
-    compiler = _SweepCompiler(cfg)
-    if evolution is None:
-        evolution = compiler.evolution(epsilon)
-    return compiler.settings(evolution)
+    return compile_sweep(replace(cfg, epsilon_values=(epsilon,)))[0][1]
 
 
-def run_point(cfg: ExperimentConfig, epsilon: float, seed: int,
-              evolution: RoutedCircuit | None = None) -> dict:
+def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
     """One sweep row; self-contained and deterministic for (cfg, eps, seed)."""
-    return _rows(cfg, [(epsilon, seed, prepare_circuits(cfg, epsilon, evolution))])[0]
+    return _rows(cfg, [(epsilon, seed, prepare_circuits(cfg, epsilon))])[0]
 
 
 def run_sweep(cfg: ExperimentConfig,
@@ -411,8 +406,7 @@ def emit_outputs(
 
     if cfg.export_qasm:
         if evolutions is None:
-            compiler = _SweepCompiler(cfg)
-            evolutions = [compiler.evolution(eps) for eps in cfg.epsilon_values]
+            evolutions = [evolution for evolution, _ in compile_sweep(cfg)]
         qasm_paths = []
         for i, evolution in enumerate(evolutions):
             path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")
@@ -421,12 +415,3 @@ def emit_outputs(
             qasm_paths.append(path)
         paths["qasm"] = qasm_paths
     return paths
-
-
-def subspace_weight(hist: CountsHistogram) -> float:
-    """Fraction of histogram weight inside the dual-rail subspace."""
-    total = hist.total()
-    if total <= 0:
-        return 0.0
-    kept = sum(hist.entries.get(k, 0.0) for k in PHYSICAL_BITSTRINGS)
-    return kept / total

@@ -34,7 +34,6 @@ alone. ``noisy_probabilities`` is the one-circuit case. Shots are i.i.d., so
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -228,7 +227,6 @@ class NoiseModel:
     readout: float | tuple[float, ...] = 0.0
     sq_depol: float = 0.0
     cx_depol: float = 0.0
-    seed: int | None = None
 
     def __post_init__(self):
         ro = self.readout
@@ -249,12 +247,6 @@ class NoiseModel:
         if qubit >= len(self.readout):
             raise ValueError(f"no readout rate for qubit {qubit}")
         return self.readout[qubit]
-
-    @property
-    def is_noiseless(self) -> bool:
-        scalar = np.isscalar(self.readout)
-        ro_zero = self.readout == 0.0 if scalar else all(r == 0.0 for r in self.readout)
-        return ro_zero and self.sq_depol == 0.0 and self.cx_depol == 0.0
 
 
 @dataclass(frozen=True)
@@ -296,24 +288,6 @@ class CountsHistogram:
             for idx, w in zip(nonzero.tolist(), vec[nonzero].tolist())
         }
         return cls(entries, shots, n_bits)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "counts": {k: self.entries[k] for k in sorted(self.entries)},
-            "n_bits": self.n_bits,
-            "shots": self.shots,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "CountsHistogram":
-        return cls(dict(data["counts"]), int(data["shots"]), int(data["n_bits"]))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CountsHistogram":
-        return cls.from_json_dict(json.loads(text))
 
 
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
@@ -406,8 +380,7 @@ def run_noisy(
     noise: NoiseModel | None = None,
     seed: int | None = None,
 ) -> CountsHistogram:
-    """Sample a measured circuit's histogram from ``noisy_probabilities``;
-    the noise model's seed stands in for a missing ``seed``."""
+    """Sample a measured circuit's histogram from ``noisy_probabilities``
+    (noiseless without ``noise``) with ``sample_counts``."""
     noise = noise or NoiseModel()
-    return sample_counts(noisy_probabilities(c, noise), shots,
-                         seed if seed is not None else noise.seed)
+    return sample_counts(noisy_probabilities(c, noise), shots, seed)

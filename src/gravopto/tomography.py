@@ -141,10 +141,6 @@ class ConfusionMatrix:
             dense = np.kron(dense, c)
         return cls(dense)
 
-    @classmethod
-    def identity(cls, n_bits: int) -> "ConfusionMatrix":
-        return cls(np.eye(2 ** n_bits))
-
     def matrix(self) -> np.ndarray:
         return self._dense.copy()
 
@@ -154,11 +150,6 @@ class ConfusionMatrix:
             self._inverse = np.linalg.inv(self._dense)
             self._inverse.setflags(write=False)
         return self._inverse
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ConfusionMatrix) and np.array_equal(
-            self._dense, other._dense
-        )
 
 
 def calibrate_confusion(
@@ -248,9 +239,6 @@ class TomographyResult:
     errors: dict
     retained: dict
     shots: dict
-
-    def trace(self, label: str) -> float:
-        return self.traces[label]
 
     @property
     def tr_zz(self) -> float:

@@ -97,17 +97,9 @@ class Topology:
         return cls(n, frozenset(edges), name)
 
     @classmethod
-    def fully_connected(cls, n: int) -> "Topology":
-        edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n))
-        return cls(n, edges, f"complete-{n}")
-
-    @classmethod
     def from_json(cls, text: str, name: str = "") -> "Topology":
         data = json.loads(text)
         return cls(int(data["n"]), frozenset(tuple(e) for e in data["edges"]), name)
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "edges": sorted(list(e) for e in self.edges)})
 
     def neighbors(self, q: int) -> list[int]:
         return list(self._adjacency[q])
@@ -152,9 +144,6 @@ class Layout:
         if len(set(l2p)) != len(l2p):
             raise ValueError("layout is not injective")
         object.__setattr__(self, "logical_to_physical", l2p)
-
-    def __getitem__(self, logical: int) -> int:
-        return self.logical_to_physical[logical]
 
     def __len__(self) -> int:
         return len(self.logical_to_physical)

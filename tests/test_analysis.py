@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gravopto.analysis import (
-    FidelityReport,
     LogicalState,
     concurrence,
     concurrence_theory,
@@ -229,17 +228,3 @@ class TestFidelityError:
     def test_nonnegative(self):
         for eps in (0.0, 0.1, 0.4):
             assert fidelity_error(eps, exact_traces(eps), 0.03) >= 0.0
-
-
-def test_fidelity_report():
-    rep = FidelityReport(
-        epsilon=0.01,
-        fidelity=1.0000000002,
-        fidelity_err=0.12,
-        concurrence_theory=concurrence_theory(0.01),
-        traces=exact_traces(0.01),
-    )
-    assert rep.fidelity_clamped == 1.0
-    assert rep.fidelity > 1.0
-    with pytest.raises(ValueError):
-        FidelityReport(0.01, 0.9, -0.1, 0.02)

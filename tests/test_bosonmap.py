@@ -6,11 +6,9 @@ from gravopto.bosonmap import (
     PHYSICAL_BITSTRINGS,
     PHYSICAL_SUBSPACE,
     SUBSPACE_INDICES,
-    CouplingParameters,
     ModeEncoding,
     ground_state_prep,
     mapped_hamiltonian,
-    physical_subspace,
     qubit_count,
 )
 from gravopto.errors import CapacityError
@@ -69,7 +67,6 @@ def test_subspace_table():
         assert bits[:2].count("1") == 1 and bits[2:].count("1") == 1
         assert bits[:2] == ("01", "10")[matter]
         assert bits[2:] == ("01", "10")[photon]
-    assert physical_subspace() == PHYSICAL_SUBSPACE
 
 
 def test_mapped_hamiltonian_matches_ladder_construction():
@@ -122,14 +119,3 @@ def test_two_level_pair_guard():
         mapped_hamiltonian(1.0, wide)
     with pytest.raises(CapacityError):
         ground_state_prep(wide)
-    with pytest.raises(CapacityError):
-        physical_subspace(wide)
-
-
-def test_coupling_parameters():
-    p = CouplingParameters(g0=2.0, alpha=1.5, t=0.1)
-    assert p.g == pytest.approx(3.0)
-    assert p.epsilon == pytest.approx(0.3)
-    q = CouplingParameters.from_linearized(g=0.25, t=2.0)
-    assert q.epsilon == pytest.approx(0.5)
-    assert q.alpha == 1.0

@@ -82,6 +82,38 @@ def test_sweep_rejects_unknown_config_field(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_missing_config_file_is_a_config_error(tmp_path, capsys):
+    rc = main(["sweep", "--config", str(tmp_path / "missing.json"), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("config error: config:")
+    assert not os.path.exists(tmp_path / "results.csv")
+
+
+@pytest.mark.parametrize("text", ['{"n": 5}', "not json", '{"n": 3, "edges": [[0, 0]]}'],
+                         ids=["no-edges", "not-json", "self-loop"])
+@pytest.mark.parametrize("command", [
+    ["sweep", "--epsilon", "0.01", "--analytic", "--shots", "10"],
+    ["tomography", "--epsilon", "0.01", "--analytic", "--shots", "10"],
+    ["circuit", "--transpile"],
+    ["transpile"],
+], ids=["sweep", "tomography", "circuit", "transpile"])
+def test_malformed_topology_file_is_a_config_error(command, text, tmp_path, capsys):
+    topo = tmp_path / "topo.json"
+    topo.write_text(text)
+    if command == ["transpile"]:
+        src = tmp_path / "in.qasm"
+        src.write_text(qasm_emit(build_evolution_circuit(0.1)))
+        command = command + [str(src)]
+    out = tmp_path / "out"
+    rc = main(command + ["--topology", str(topo)]
+              + (["--out-dir", str(out)] if command[0] == "sweep" else []))
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: topology: {str(topo)!r}")
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
 def test_sweep_rejects_malformed_epsilon(capsys):
     rc = main(["sweep", "--epsilon", "abc", "--analytic"])
     assert rc == 2
@@ -315,7 +347,8 @@ class TestCalibrateCommand:
         assert len(payload["matrix"]) == 2
 
     @pytest.mark.parametrize(
-        "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots")]
+        "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots"),
+                        (["--readout", "0.7"], "readout"), (["--readout", "-0.1"], "readout")]
     )
     def test_bad_input_is_a_config_error(self, flags, field, capsys):
         assert main(["calibrate", *flags]) == 2

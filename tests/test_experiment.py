@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,7 +7,6 @@ import numpy as np
 import pytest
 
 from gravopto import experiment
-from gravopto.bosonmap import PHYSICAL_BITSTRINGS
 from gravopto.circuit import phase_distance, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
@@ -15,17 +15,14 @@ from gravopto.experiment import (
     NOISE_PRESETS,
     RESULT_COLUMNS,
     ExperimentConfig,
-    compile_evolution,
     compile_sweep,
     emit_outputs,
     prepare_circuits,
     resolve_topology,
     run_point,
     run_sweep,
-    subspace_weight,
 )
 from gravopto.qasm import parse as qasm_parse
-from gravopto.simulator import CountsHistogram
 from gravopto.tomography import measurement_circuits
 from gravopto.transpiler import BASIS_KINDS, Topology, transpile
 
@@ -139,17 +136,16 @@ def exact_gates(circ):
 ], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-transpile"])
 def test_compile_sweep_equals_each_point_compiled_alone(kwargs):
     """One memo, suffix set and topology for the sweep change no gate:
-    each point as ``compile_evolution`` + ``prepare_circuits`` make it, each
-    call with a memo of its own."""
+    each point as the one-point sweep of it compiles, with a memo of its
+    own."""
     cfg = ExperimentConfig(epsilon_values=DEFAULT_EPSILONS + (0.1, -0.3, 1e-7), **kwargs)
     compiled = compile_sweep(cfg)
     assert len(compiled) == len(cfg.epsilon_values)
     for eps, (evolution, circuits) in zip(cfg.epsilon_values, compiled):
-        alone = compile_evolution(cfg, eps)
+        alone, want = compile_sweep(dataclasses.replace(cfg, epsilon_values=(eps,)))[0]
         assert exact_gates(evolution.circuit) == exact_gates(alone.circuit), eps
         assert evolution.initial_layout == alone.initial_layout
         assert evolution.final_layout == alone.final_layout
-        want = prepare_circuits(cfg, eps, alone)
         assert list(circuits) == list(want)
         for label, (setting, circ) in circuits.items():
             assert setting == want[label][0]
@@ -186,7 +182,7 @@ class TestPrepareCircuits:
     def test_layout_off_the_topology_is_a_config_error(self):
         cfg = ExperimentConfig(topology="belem-like", layout=(0, 1, 2, 9))
         with pytest.raises(ConfigError, match="layout"):
-            compile_evolution(cfg, 0.01)
+            compile_sweep(cfg)
 
     def test_transpiled_to_basis(self):
         cfg = ExperimentConfig(transpile=True)
@@ -392,11 +388,3 @@ class TestEmitOutputs:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_outputs([], self.small_config(), out_dir=str(tmp_path))
-
-
-def test_subspace_weight():
-    hist = CountsHistogram({"0101": 3, "1111": 1}, shots=4, n_bits=4)
-    assert subspace_weight(hist) == pytest.approx(0.75)
-    assert subspace_weight(CountsHistogram({}, 0, 4)) == 0.0
-    full = CountsHistogram({k: 1 for k in PHYSICAL_BITSTRINGS}, shots=4, n_bits=4)
-    assert subspace_weight(full) == 1.0

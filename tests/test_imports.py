@@ -1,0 +1,32 @@
+import os
+import pkgutil
+import subprocess
+import sys
+
+import pytest
+
+import gravopto
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(gravopto.__path__))
+
+
+def test_every_module_is_listed():
+    assert len(MODULES) == 12
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_on_its_own(module):
+    """``gravopto/__init__.py`` imports none of its modules, so each must
+    import first in a fresh interpreter: a cycle between modules would
+    otherwise show only for some import orders."""
+    script = (
+        f"import gravopto.{module}\n"
+        "import gravopto\n"
+        "assert gravopto.__version__, 'no version'\n"
+    )
+    root = os.path.dirname(os.path.dirname(os.path.abspath(gravopto.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr

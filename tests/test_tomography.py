@@ -127,7 +127,7 @@ def test_measurement_circuits_label_subset():
 def test_decoded_settings_match_dense_operators():
     # analytic distributions reproduce <psi| O |psi> for all five settings
     for eps in (0.0, 0.05, 0.2, 0.45):
-        base = build_evolution_circuit(eps, prepend_ground_prep=True, max_epsilon=1.0)
+        base = build_evolution_circuit(eps, prepend_ground_prep=True)
         psi = run_ideal(base)
         for setting, circ in measurement_circuits(base):
             want = np.vdot(psi, setting_operator(setting.label) @ psi).real
@@ -197,21 +197,17 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError):
             first[0, 0] = 1.0
 
-    def test_identity_and_eq(self):
-        assert ConfusionMatrix.identity(2) == ConfusionMatrix.from_lambdas([0.0, 0.0])
-        assert ConfusionMatrix.identity(1) != ConfusionMatrix.from_lambdas([0.2])
-
 
 class TestCalibrateConfusion:
     def test_analytic_default(self):
         nm = NoiseModel(readout=0.04)
         cm = calibrate_confusion(4, nm)
-        assert cm == ConfusionMatrix.from_lambdas([0.04] * 4)
+        assert np.array_equal(cm.matrix(), ConfusionMatrix.from_lambdas([0.04] * 4).matrix())
 
     def test_analytic_respects_qubit_selection(self):
         nm = NoiseModel(readout=(0.01, 0.02, 0.03, 0.04, 0.05))
         cm = calibrate_confusion(2, nm, qubits=[4, 1])
-        assert cm == ConfusionMatrix.from_lambdas([0.05, 0.02])
+        assert np.array_equal(cm.matrix(), ConfusionMatrix.from_lambdas([0.05, 0.02]).matrix())
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
@@ -240,13 +236,13 @@ class TestCalibrateConfusion:
         nm = NoiseModel(readout=0.06)
         a = calibrate_confusion(2, nm, shots=500, seed=3)
         b = calibrate_confusion(2, nm, shots=500, seed=3)
-        assert a == b
+        assert np.array_equal(a.matrix(), b.matrix())
 
 
 class TestMitigate:
     def test_identity_matrix_is_noop(self):
         hist = CountsHistogram({"00": 7, "11": 3}, shots=10, n_bits=2)
-        out = mitigate(hist, ConfusionMatrix.identity(2))
+        out = mitigate(hist, ConfusionMatrix.from_lambdas([0.0] * 2))
         assert out.entries == {"00": 7, "11": 3}
 
     def test_exact_recovery_of_transformed_distribution(self):
@@ -332,7 +328,7 @@ class TestMitigate:
     def test_width_mismatch(self):
         hist = CountsHistogram({"01": 1}, shots=1, n_bits=2)
         with pytest.raises(ValueError):
-            mitigate(hist, ConfusionMatrix.identity(3))
+            mitigate(hist, ConfusionMatrix.from_lambdas([0.0] * 3))
 
     def test_round_trip_through_sampling(self):
         lam = 0.04
@@ -380,5 +376,5 @@ def test_estimate_traces_collects_everything():
     assert result.tr_iz == pytest.approx(np.cos(2 * eps), abs=1e-9)
     assert result.tr_zi == pytest.approx(np.cos(2 * eps), abs=1e-9)
     assert result.retained == {"ZZ": 0.97, "XY": 1.0, "YX": 1.0, "IZ": 1.0, "ZI": 1.0}
-    assert result.trace("IZ") == result.tr_iz
+    assert result.traces["IZ"] == result.tr_iz
     assert set(result.errors) == set(SETTING_LABELS)
