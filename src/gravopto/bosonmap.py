@@ -1,27 +1,24 @@
-"""Dual-rail (one-hot) encoding of two truncated bosonic modes onto qubits.
+"""Dual-rail (one-hot) encoding of the two modes onto four qubits.
 
-Each mode keeps Fock levels 0..n_p and occupies the qubit block
-(n_p + 1) * m .. (n_p + 1) * m + n_p. A mode in level l puts a single
-excitation on the (n_p - l)-th qubit of its block, so with n_p = 1 the
-level-0 state reads |0 1> and the level-1 state reads |1 0>.
-
-For the coupling studied here (two modes, n_p = 1, four qubits):
+The experiment couples two modes, matter (mode 0) and light (mode 1), each
+truncated to levels 0 and 1. Mode m occupies the qubit pair (2m, 2m + 1):
+level 0 puts the excitation on qubit 2m + 1, level 1 on qubit 2m, so
 
     |0>_m <-> |0 1> on qubits (0, 1)      |0>_p <-> |0 1> on qubits (2, 3)
     |1>_m <-> |1 0> on qubits (0, 1)      |1>_p <-> |1 0> on qubits (2, 3)
 
-so the physical subspace is spanned by bitstrings 0101, 0110, 1001, 1010
+and the physical subspace is spanned by bitstrings 0101, 0110, 1001, 1010
 (qubit 0 leftmost). Under this encoding the interaction
 -g (b + b^dag)(a + a^dag) becomes
 -(g/4) (XXXX + XXYY + YYXX + YYYY).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .circuit import Circuit, x
-from .errors import CapacityError
 from .pauli import PauliString, PauliSum
+
+# two modes, one qubit pair each
+N_QUBITS = 4
 
 # Physical 4-qubit bitstrings paired with (matter, photon) logical labels.
 PHYSICAL_SUBSPACE = (
@@ -38,56 +35,19 @@ SUBSPACE_INDICES = tuple(int(bits, 2) for bits in PHYSICAL_BITSTRINGS)
 INTERACTION_FACTORS = ("XXXX", "XXYY", "YYXX", "YYYY")
 
 
-def qubit_count(n_modes: int, n_p: int) -> int:
-    """Qubits needed to hold n_modes modes truncated at occupation n_p."""
-    if n_modes < 1:
-        raise ValueError("need at least one mode")
-    if n_p < 1:
-        raise ValueError("truncation level must be at least 1")
-    return n_modes * (n_p + 1)
-
-
-@dataclass(frozen=True)
-class ModeEncoding:
-    """Placement of mode levels on qubits."""
-
-    n_modes: int = 2
-    n_p: int = 1
-
-    def __post_init__(self):
-        qubit_count(self.n_modes, self.n_p)  # validates
-
-    @property
-    def n_qubits(self) -> int:
-        return qubit_count(self.n_modes, self.n_p)
-
-    def qubit_of(self, mode: int, level: int) -> int:
-        if not 0 <= mode < self.n_modes:
-            raise ValueError(f"mode {mode} out of range")
-        if not 0 <= level <= self.n_p:
-            raise ValueError(f"level {level} out of range")
-        return (self.n_p + 1) * mode + level
-
-    def _require_two_level_pair(self, what: str):
-        if (self.n_modes, self.n_p) != (2, 1):
-            raise CapacityError(f"{what} is only defined for two modes at n_p = 1")
-
-
-def mapped_hamiltonian(g: float, encoding: ModeEncoding = ModeEncoding()) -> PauliSum:
+def mapped_hamiltonian(g: float) -> PauliSum:
     """Qubit image of -g (b + b^dag)(a + a^dag) under the dual-rail encoding."""
-    encoding._require_two_level_pair("the mapped Hamiltonian")
     coeff = -g / 4.0
     return PauliSum(
-        [(coeff, PauliString(f)) for f in INTERACTION_FACTORS], n_qubits=4
+        [(coeff, PauliString(f)) for f in INTERACTION_FACTORS], n_qubits=N_QUBITS
     )
 
 
-def ground_state_prep(encoding: ModeEncoding = ModeEncoding()) -> Circuit:
+def ground_state_prep() -> Circuit:
     """Circuit preparing |0>_m |0>_p from the all-zeros register.
 
     The ground state of each mode is |0 1> on its qubit pair, so flip the
-    second qubit, (n_p + 1) * m + 1, of every mode.
+    second qubit, 2m + 1, of every mode m.
     """
-    encoding._require_two_level_pair("ground-state preparation")
-    gates = [x(encoding.qubit_of(m, 1)) for m in range(encoding.n_modes)]
-    return Circuit(encoding.n_qubits, tuple(gates), {"segment": "ground-prep"})
+    gates = [x(2 * m + 1) for m in range(N_QUBITS // 2)]
+    return Circuit(N_QUBITS, tuple(gates), {"segment": "ground-prep"})

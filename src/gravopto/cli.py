@@ -39,14 +39,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sweep = sub.add_parser("sweep", help="run a full epsilon sweep and write results")
+    # a run flag stores onto its config field, and only when it is given
+    sweep = sub.add_parser("sweep", help="run a full epsilon sweep and write results",
+                           argument_default=argparse.SUPPRESS)
     _add_run_flags(sweep)
-    sweep.add_argument("--out-dir", default=None, help="output directory")
-    sweep.add_argument("--export-qasm", action="store_true", help="also write per-point circuits")
+    sweep.add_argument("--out-dir", help="output directory")
+    sweep.add_argument("--export-qasm", action="store_true",
+                       help="also write per-point circuits")
 
-    tomo = sub.add_parser("tomography", help="single-epsilon run with full detail")
-    tomo.add_argument("--epsilon", required=True, help="evolution parameter")
-    _add_run_flags(tomo, epsilon=False)
+    tomo = sub.add_parser("tomography", help="single-epsilon run with full detail",
+                          argument_default=argparse.SUPPRESS)
+    _add_run_flags(tomo, epsilon_required=True)
 
     circuit = sub.add_parser("circuit", help="emit one evolution circuit as OpenQASM")
     circuit.add_argument("--epsilon", type=float, default=0.1)
@@ -71,45 +74,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_run_flags(p: argparse.ArgumentParser, epsilon: bool = True):
+def _add_run_flags(p: argparse.ArgumentParser, epsilon_required: bool = False):
     p.add_argument("--config", default=None, help="JSON config file")
-    if epsilon:
-        p.add_argument("--epsilon", default=None, help="comma-separated values, overrides config")
-    p.add_argument("--shots", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--epsilon", dest="epsilon_values", required=epsilon_required,
+                   help="comma-separated values, overrides config")
+    p.add_argument("--shots", type=int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--noise-preset", choices=sorted(NOISE_PRESETS), default=None)
-    p.add_argument("--topology", default=None, help="preset name or JSON file")
-    p.add_argument("--no-mitigation", action="store_true")
-    p.add_argument("--no-postselect", action="store_true")
-    p.add_argument("--no-transpile", action="store_true")
-    p.add_argument("--analytic", action="store_true")
+    p.add_argument("--topology", help="preset name or JSON file")
+    p.add_argument("--no-mitigation", dest="mitigation", action="store_false")
+    p.add_argument("--no-postselect", dest="postselection", action="store_false")
+    p.add_argument("--no-transpile", dest="transpile", action="store_false")
+    p.add_argument("--analytic", dest="analytic_mode", action="store_true")
 
 
 def _run_config(args) -> ExperimentConfig:
-    data: dict = {}
-    if args.noise_preset:
-        data.update(NOISE_PRESETS[args.noise_preset])
-    if getattr(args, "epsilon", None) is not None:
+    """The config file's fields, overridden by the noise preset's rates and
+    then by every run flag given, each stored under its field's name."""
+    data = dict(NOISE_PRESETS[args.noise_preset]) if args.noise_preset else {}
+    data.update((k, v) for k, v in vars(args).items()
+                if k not in ("command", "config", "noise_preset"))
+    if "epsilon_values" in data:
         try:
-            data["epsilon_values"] = [float(v) for v in str(args.epsilon).split(",")]
+            data["epsilon_values"] = [float(v) for v in data["epsilon_values"].split(",")]
         except ValueError as exc:
             raise ConfigError(f"epsilon_values: {exc}") from exc
-    for flag, key in (("shots", "shots"), ("seed", "seed"), ("topology", "topology")):
-        value = getattr(args, flag, None)
-        if value is not None:
-            data[key] = value
-    if args.no_mitigation:
-        data["mitigation"] = False
-    if args.no_postselect:
-        data["postselection"] = False
-    if args.no_transpile:
-        data["transpile"] = False
-    if args.analytic:
-        data["analytic_mode"] = True
-    if getattr(args, "out_dir", None):
-        data["out_dir"] = args.out_dir
-    if getattr(args, "export_qasm", False):
-        data["export_qasm"] = True
     text = "{}"
     if args.config:
         try:
@@ -134,7 +123,7 @@ def _cmd_sweep(args) -> int:
     compiled = compile_sweep(cfg)
     table = run_sweep(cfg, compiled)
     evolutions = [evolution for evolution, _ in compiled]
-    paths = emit_outputs(table, cfg, out_dir=cfg.out_dir or ".", evolutions=evolutions)
+    paths = emit_outputs(table, cfg, evolutions=evolutions)
     mean_f = sum(r["fidelity"] for r in table) / len(table)
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"{len(table)} points, mean fidelity {mean_f:.4f}")
@@ -170,7 +159,11 @@ def _cmd_transpile(args) -> int:
     topo = resolve_topology(args.topology)
     layout = None
     if args.layout:
-        layout = check_layout(args.layout.split(","), circ.n_qubits, topo)
+        try:
+            qubits = [int(q) for q in args.layout.split(",")]
+        except ValueError:
+            raise ConfigError(f"layout: {args.layout!r} is not a list of qubit indices") from None
+        layout = check_layout(qubits, circ.n_qubits, topo)
     circ = transpile(circ, topo, layout).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)
@@ -185,8 +178,6 @@ def _cmd_calibrate(args) -> int:
     if args.shots < 0:
         raise ConfigError(f"shots: {args.shots} is negative")
     rate = args.readout if args.readout is not None else NOISE_PRESETS[args.noise_preset]["readout"]
-    if not 0.0 <= rate < 0.5:
-        raise ConfigError(f"readout: {rate} outside [0, 0.5)")
     noise = NoiseModel(readout=rate)
     confusion = calibrate_confusion(
         args.n_bits, noise, shots=args.shots or None, seed=args.seed

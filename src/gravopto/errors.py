@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """A request exceeds a hard size limit (dense matrices, encoding levels)."""
+    """A request exceeds a hard size limit (dense matrices)."""
 
 
 class RoutingError(RuntimeError):

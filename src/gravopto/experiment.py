@@ -12,10 +12,10 @@ suffixes built, and one memo of single-qubit resyntheses (see
 ``transpiler``) serves every ``simplify`` of the sweep and is dropped with
 it. ``run_sweep`` then makes one ``outcome_distributions`` call for the
 settings of every point, which evolves the points that share a gate
-structure as one stack, and builds one confusion matrix per measured
-register for the whole sweep. ``run_point`` is the one-point case of the
-same code. The CSV payload is byte-stable for a fixed config; the JSON
-report additionally carries a timestamp.
+structure as one stack, and builds one confusion matrix for the whole
+sweep. ``run_point`` is the one-point case of the same code. The CSV
+payload is byte-stable for a fixed config; the JSON report additionally
+carries a timestamp.
 """
 from __future__ import annotations
 
@@ -33,7 +33,7 @@ from .analysis import (
     fidelity_error,
     fidelity_from_traces,
 )
-from .bosonmap import ModeEncoding
+from .bosonmap import N_QUBITS
 from .circuit import Circuit
 from .digitizer import build_evolution_circuit
 from .errors import ConfigError
@@ -82,6 +82,52 @@ NOISE_PRESETS = {
 DEFAULT_EPSILONS = tuple(float(e) for e in np.logspace(-7.0, -2.0, 13))
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _kept_if(test):
+    """A rule that stores a value as given when ``test`` holds for it."""
+    def rule(value):
+        if not test(value):
+            raise ValueError(value)
+        return value
+    return rule
+
+
+_NUMBER = _kept_if(lambda v: isinstance(v, Real) and not isinstance(v, bool))
+_FLAG = _kept_if(lambda v: isinstance(v, bool))
+_PATH = _kept_if(lambda v: v is None or isinstance(v, str))
+
+
+def _epsilons(values) -> tuple:
+    eps = tuple(float(_NUMBER(e)) for e in values)
+    if not eps or not all(abs(e) < 1.0 for e in eps):
+        raise ValueError(values)
+    return eps
+
+# One row per ExperimentConfig field: the rule that returns the value as
+# stored or raises TypeError or ValueError, and what a valid value is, for the
+# error "<field>: <value> is not <what>". A rate's range is NoiseModel's, and
+# a layout is checked against its topology by ``check_layout``.
+FIELD_RULES = {
+    "epsilon_values": (_epsilons, "a non-empty list of numbers, each of absolute value < 1"),
+    "shots": (_kept_if(lambda v: _is_integer(v) and v >= 1), "an integer >= 1"),
+    "readout": (_NUMBER, "a number"),
+    "sq_depol": (_NUMBER, "a number"),
+    "cx_depol": (_NUMBER, "a number"),
+    "topology": (_PATH, "a preset name or a file path"),
+    "layout": (lambda v: v, "a list of qubit indices"),  # see check_layout
+    "mitigation": (_FLAG, "true or false"),
+    "postselection": (_FLAG, "true or false"),
+    "transpile": (_FLAG, "true or false"),
+    "analytic_mode": (_FLAG, "true or false"),
+    "seed": (_kept_if(lambda v: _is_integer(v) and v >= 0), "an integer >= 0"),
+    "out_dir": (_PATH, "a directory path"),
+    "export_qasm": (_FLAG, "true or false"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a sweep needs; validation errors name the offending field."""
@@ -102,42 +148,15 @@ class ExperimentConfig:
     export_qasm: bool = False
 
     def __post_init__(self):
-        try:
-            eps = tuple(float(e) for e in self.epsilon_values)
-        except (TypeError, ValueError):
-            raise ConfigError(
-                f"epsilon_values: {self.epsilon_values!r} is not a list of numbers"
-            ) from None
-        if not eps:
-            raise ConfigError("epsilon_values: must not be empty")
-        for e in eps:
-            if not abs(e) < 1.0:
-                raise ConfigError(f"epsilon_values: |{e}| is not < 1")
-        object.__setattr__(self, "epsilon_values", eps)
-        for name, kind in (("shots", Integral), ("seed", Integral), ("readout", Real),
-                           ("sq_depol", Real), ("cx_depol", Real)):
+        for name, (rule, what) in FIELD_RULES.items():
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, kind):
-                what = "an integer" if kind is Integral else "a number"
-                raise ConfigError(f"{name}: {value!r} is not {what}")
-        for name in ("mitigation", "postselection", "transpile", "analytic_mode", "export_qasm"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                raise ConfigError(f"{name}: {value!r} is not true or false")
-        if self.topology is not None and not isinstance(self.topology, str):
-            raise ConfigError(f"topology: {self.topology!r} is not a preset name or a file path")
-        if self.shots < 1:
-            raise ConfigError("shots: must be >= 1")
-        if not 0.0 <= self.readout < 0.5:
-            raise ConfigError(f"readout: {self.readout} outside [0, 0.5)")
-        for name in ("sq_depol", "cx_depol"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ConfigError(f"{name}: {v} outside [0, 1)")
-        if self.seed < 0:
-            raise ConfigError(f"seed: {self.seed} is negative")
+            try:
+                object.__setattr__(self, name, rule(value))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{name}: {value!r} is not {what}") from None
+        self.noise_model()  # checks the rates' ranges
         if self.layout is not None:
-            layout = check_layout(self.layout, ModeEncoding().n_qubits, self.topology)
+            layout = check_layout(self.layout, N_QUBITS, self.topology)
             object.__setattr__(self, "layout", layout)
 
     @classmethod
@@ -182,14 +201,14 @@ class ExperimentConfig:
 
 
 def check_layout(layout, n_qubits: int, topology: Topology | str | None) -> tuple[int, ...]:
-    """``layout`` as n_qubits distinct physical qubits >= 0, on ``topology``
-    once it is resolved (before that, its name); a ConfigError otherwise."""
+    """``layout`` as n_qubits distinct physical qubits >= 0, integers that are
+    not bools, on ``topology`` once it is resolved (before that, its name); a
+    ConfigError otherwise."""
     if topology is None:
         raise ConfigError("layout: requires a topology")
-    try:
-        qubits = tuple(int(q) for q in layout)
-    except (TypeError, ValueError):
-        raise ConfigError(f"layout: {layout!r} is not a list of qubit indices") from None
+    if not isinstance(layout, (list, tuple)) or not all(_is_integer(q) for q in layout):
+        raise ConfigError(f"layout: {layout!r} is not a list of qubit indices")
+    qubits = tuple(int(q) for q in layout)
     if len(qubits) != n_qubits or len(set(qubits)) != n_qubits or any(q < 0 for q in qubits):
         raise ConfigError(f"layout: {list(qubits)} is not {n_qubits} distinct qubits >= 0")
     if isinstance(topology, Topology) and max(qubits) >= topology.n:
@@ -221,7 +240,7 @@ class _SweepCompiler:
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        n = ModeEncoding().n_qubits
+        n = N_QUBITS
         self.topology = self.layout = None
         if cfg.transpile:
             self.topology = resolve_topology(cfg.topology)
@@ -299,14 +318,15 @@ def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
     """The result row of each (epsilon, seed, ``prepare_circuits``) point.
 
     One ``outcome_distributions`` call evolves every point's settings, and
-    one confusion matrix per measured register serves all of them. Each row
-    depends only on its own point.
+    one confusion matrix serves all of them: every setting measures all
+    N_QUBITS qubits, each flipped at the one readout rate. Each row depends
+    only on its own point.
     """
     noise = cfg.noise_model()
     distributions = outcome_distributions(
         [circuits[label][1] for _, _, circuits in points for label in SETTING_LABELS], noise
     )
-    confusions = {}  # by measured qubits, in classical-bit order
+    confusion = calibrate_confusion(N_QUBITS, noise) if cfg.mitigation else None
     table = []
     for n, (epsilon, seed, circuits) in enumerate(points):
         setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
@@ -322,10 +342,7 @@ def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
             else:
                 hist = sample_counts(probs, cfg.shots, int(setting_seeds[idx]))
             if cfg.mitigation:
-                qubits = tuple(q for q, _ in sorted(circ.measurements, key=lambda qc: qc[1]))
-                if qubits not in confusions:
-                    confusions[qubits] = calibrate_confusion(len(qubits), noise, qubits=qubits)
-                hist = mitigate(hist, confusions[qubits])
+                hist = mitigate(hist, confusion)
             if label == "ZZ":
                 # the sweep post-selects the correlation setting; the population
                 # settings keep their leakage, which decodes to zero weight

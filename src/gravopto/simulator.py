@@ -16,7 +16,8 @@ The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
 depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
 lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error enters
-as an exact per-qubit symmetric bit-flip transform on the outcome distribution.
+as an exact symmetric bit-flip transform, at one rate for every measured
+qubit, on the outcome distribution.
 
 ``outcome_distributions`` turns a list of measured circuits (a whole sweep's
 tomography settings) into their exact outcome distributions in one pass per
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import FIXED_MATRICES, PARAM_KINDS, SINGLE_QUBIT_KINDS, Circuit
+from .errors import ConfigError
 
 
 _FIXED_ENTRIES = {
@@ -219,34 +221,18 @@ def apply_readout(probs: np.ndarray, lambdas) -> np.ndarray:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Bit-flip readout plus per-gate depolarising error rates.
+    """Bit-flip readout at one rate for every measured qubit, plus per-gate
+    depolarising error rates. The rates' ranges are checked here alone."""
 
-    readout is a single rate for all qubits or one rate per physical qubit.
-    """
-
-    readout: float | tuple[float, ...] = 0.0
+    readout: float = 0.0
     sq_depol: float = 0.0
     cx_depol: float = 0.0
 
     def __post_init__(self):
-        ro = self.readout
-        rates = (ro,) if np.isscalar(ro) else tuple(float(r) for r in ro)
-        for r in rates:
-            if not 0.0 <= r < 0.5:
-                raise ValueError(f"readout rate {r} outside [0, 0.5)")
-        if not np.isscalar(ro):
-            object.__setattr__(self, "readout", rates)
-        for name in ("sq_depol", "cx_depol"):
-            v = getattr(self, name)
-            if not 0.0 <= v < 1.0:
-                raise ValueError(f"{name} rate {v} outside [0, 1)")
-
-    def readout_rate(self, qubit: int) -> float:
-        if np.isscalar(self.readout):
-            return float(self.readout)
-        if qubit >= len(self.readout):
-            raise ValueError(f"no readout rate for qubit {qubit}")
-        return self.readout[qubit]
+        for name, high in (("readout", 0.5), ("sq_depol", 1.0), ("cx_depol", 1.0)):
+            rate = getattr(self, name)
+            if not 0.0 <= rate < high:
+                raise ConfigError(f"{name}: {rate} outside [0, {high:g})")
 
 
 @dataclass(frozen=True)
@@ -344,7 +330,7 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                 p = states[r].reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(states[r]) ** 2
                 qubits = _measure_order(distinct[i])
                 p = _marginal(p.reshape((2,) * m), [axis[q] for q in qubits])
-                done[i] = apply_readout(p, [noise.readout_rate(q) for q in qubits])
+                done[i] = apply_readout(p, [noise.readout] * len(qubits))
                 done[i].setflags(write=False)
             for (kind, qubits), rows in branches.items():
                 below = [here[r] for r in rows]

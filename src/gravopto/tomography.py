@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bosonmap import ModeEncoding, PHYSICAL_BITSTRINGS
+from .bosonmap import N_QUBITS, PHYSICAL_BITSTRINGS
 from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
 from .errors import CapacityError
 from .simulator import CountsHistogram, NoiseModel, run_noisy
@@ -46,11 +46,10 @@ class MeasurementSetting:
         """True when measured directly in the computational basis."""
         return set(self.label) <= {"I", "Z"}
 
-    def rotation_gates(self, enc: ModeEncoding | None = None) -> list[Gate]:
-        enc = enc or ModeEncoding()
+    def rotation_gates(self) -> list[Gate]:
         gates: list[Gate] = []
         for mode, basis in enumerate(self.label):
-            first, second = enc.qubit_of(mode, 0), enc.qubit_of(mode, 1)
+            first, second = 2 * mode, 2 * mode + 1
             if basis == "X":
                 gates += [h(first), h(second)]
             elif basis == "Y":
@@ -74,25 +73,19 @@ class MeasurementSetting:
         return value
 
 
-def measurement_circuits(
-    base: Circuit,
-    enc: ModeEncoding | None = None,
-    labels=SETTING_LABELS,
-) -> list[tuple[MeasurementSetting, Circuit]]:
+def measurement_circuits(base: Circuit) -> list[tuple[MeasurementSetting, Circuit]]:
     """Append basis rotations and a full register measurement per setting."""
-    enc = enc or ModeEncoding()
     if base.has_measurements:
         raise ValueError("base circuit already measures")
-    n = enc.qubit_of(enc.n_modes - 1, enc.n_p) + 1
-    if base.n_qubits != n:
-        raise ValueError(f"base circuit must act on {n} qubits")
+    if base.n_qubits != N_QUBITS:
+        raise ValueError(f"base circuit must act on {N_QUBITS} qubits")
     out = []
-    for label in labels:
+    for label in SETTING_LABELS:
         setting = MeasurementSetting(label)
-        gates = setting.rotation_gates(enc) + [measure(q, q) for q in range(n)]
+        gates = setting.rotation_gates() + [measure(q, q) for q in range(N_QUBITS)]
         meta = dict(base.metadata)
         meta["setting"] = label
-        out.append((setting, Circuit(n, base.gates + tuple(gates), meta)))
+        out.append((setting, Circuit(N_QUBITS, base.gates + tuple(gates), meta)))
     return out
 
 
@@ -157,30 +150,26 @@ def calibrate_confusion(
     noise: NoiseModel,
     shots: int | None = None,
     seed: int | None = None,
-    qubits=None,
 ) -> ConfusionMatrix:
-    """Readout confusion, analytic from the model (default) or sampled.
+    """Readout confusion of ``n_bits`` measured qubits, analytic from the
+    model (default) or sampled.
 
     The sampled variant prepares each of the 2**n basis states with X gates,
     measures, and stacks the observed distributions as columns.
     """
     if n_bits > MAX_DENSE_QUBITS:
         raise CapacityError(f"n_bits: {n_bits} exceeds the dense limit")
-    qubits = list(qubits) if qubits is not None else list(range(n_bits))
-    if len(qubits) != n_bits:
-        raise ValueError("one measured qubit per classical bit")
     if shots is None:
-        return ConfusionMatrix.from_lambdas([noise.readout_rate(q) for q in qubits])
+        return ConfusionMatrix.from_lambdas([noise.readout] * n_bits)
     if shots < 1:
         raise ValueError("empirical calibration needs at least one shot")
-    width = max(qubits) + 1
     column_seeds = np.random.SeedSequence(seed).generate_state(2 ** n_bits)
     dense = np.zeros((2 ** n_bits, 2 ** n_bits))
     for state in range(2 ** n_bits):
         bits = format(state, f"0{n_bits}b")
-        gates = [Gate("x", (qubits[j],)) for j, b in enumerate(bits) if b == "1"]
-        gates += [measure(q, j) for j, q in enumerate(qubits)]
-        circ = Circuit(width, tuple(gates))
+        gates = [Gate("x", (j,)) for j, b in enumerate(bits) if b == "1"]
+        gates += [measure(j, j) for j in range(n_bits)]
+        circ = Circuit(n_bits, tuple(gates))
         hist = run_noisy(circ, shots, noise, seed=int(column_seeds[state]))
         dense[:, state] = hist.to_vector() / shots
     return ConfusionMatrix(dense)

@@ -98,8 +98,12 @@ class Topology:
 
     @classmethod
     def from_json(cls, text: str, name: str = "") -> "Topology":
+        """``{"n": 5, "edges": [[0, 1], ...]}``, every number an integer."""
         data = json.loads(text)
-        return cls(int(data["n"]), frozenset(tuple(e) for e in data["edges"]), name)
+        n, edges = data["n"], [tuple(e) for e in data["edges"]]
+        if not all(type(v) is int for v in (n, *(q for e in edges for q in e))):
+            raise ValueError("the qubit count and the edge ends must be integers")
+        return cls(n, frozenset(edges), name)
 
     def neighbors(self, q: int) -> list[int]:
         return list(self._adjacency[q])

@@ -5,13 +5,11 @@ from gravopto.bosonmap import (
     INTERACTION_FACTORS,
     PHYSICAL_BITSTRINGS,
     PHYSICAL_SUBSPACE,
+    N_QUBITS,
     SUBSPACE_INDICES,
-    ModeEncoding,
     ground_state_prep,
     mapped_hamiltonian,
-    qubit_count,
 )
-from gravopto.errors import CapacityError
 from gravopto.simulator import run_ideal
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -40,23 +38,11 @@ def one_hot_annihilator(pair_offset: int) -> np.ndarray:
     return kron_all(ops)
 
 
-def test_qubit_count():
-    assert qubit_count(2, 1) == 4
-    assert qubit_count(3, 2) == 9
-    with pytest.raises(ValueError):
-        qubit_count(0, 1)
-    with pytest.raises(ValueError):
-        qubit_count(2, 0)
-
-
 def test_qubit_placement():
-    enc = ModeEncoding()
-    assert enc.n_qubits == 4
-    assert [enc.qubit_of(m, l) for m in (0, 1) for l in (0, 1)] == [0, 1, 2, 3]
-    with pytest.raises(ValueError):
-        enc.qubit_of(2, 0)
-    with pytest.raises(ValueError):
-        enc.qubit_of(0, 2)
+    # mode m on the pair (2m, 2m + 1); its ground state |0 1> flips qubit 2m + 1
+    prep = ground_state_prep()
+    assert N_QUBITS == prep.n_qubits == mapped_hamiltonian(1.0).n_qubits == 4
+    assert [g.qubits for g in prep.gates] == [(1,), (3,)]
 
 
 def test_subspace_table():
@@ -112,10 +98,3 @@ def test_ground_state_prep():
     vec = state.reshape(-1)
     assert abs(vec[int("0101", 2)]) == pytest.approx(1.0)
 
-
-def test_two_level_pair_guard():
-    wide = ModeEncoding(n_modes=2, n_p=2)
-    with pytest.raises(CapacityError):
-        mapped_hamiltonian(1.0, wide)
-    with pytest.raises(CapacityError):
-        ground_state_prep(wide)

@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -5,9 +7,9 @@ import numpy as np
 import pytest
 
 from gravopto.circuit import phase_distance, unitary_of
-from gravopto.cli import main
+from gravopto.cli import _build_parser, main
 from gravopto.digitizer import build_evolution_circuit
-from gravopto.experiment import RESULT_COLUMNS
+from gravopto.experiment import RESULT_COLUMNS, ExperimentConfig
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
 from gravopto.tomography import ConfusionMatrix
@@ -44,6 +46,32 @@ def test_sweep_flag_overrides_config_file(tmp_path, capsys):
     report = json.load(open(tmp_path / "report.json"))
     assert report["results"][0]["shots"] == 30
     assert report["config"]["shots"] == 30
+
+
+def test_run_flags_store_onto_their_fields(tmp_path, capsys):
+    rc = main([
+        "sweep", "--epsilon", "0.01,0.02", "--shots", "7", "--seed", "5",
+        "--noise-preset", "nairobi-like", "--topology", "belem-like", "--no-mitigation",
+        "--no-postselect", "--no-transpile", "--analytic", "--out-dir", str(tmp_path),
+        "--export-qasm",
+    ])
+    assert rc == 0
+    cfg = json.load(open(tmp_path / "report.json"))["config"]
+    assert cfg == {
+        "epsilon_values": [0.01, 0.02], "shots": 7, "seed": 5, "readout": 0.0306,
+        "sq_depol": 3.28e-4, "cx_depol": 0.01492, "topology": "belem-like", "layout": None,
+        "mitigation": False, "postselection": False, "transpile": False, "analytic_mode": True,
+        "out_dir": str(tmp_path), "export_qasm": True,
+    }
+
+
+@pytest.mark.parametrize("command", ["sweep", "tomography"])
+def test_every_run_flag_is_stored_under_a_config_field(command):
+    subparsers = next(a for a in _build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    allowed = {f.name for f in dataclasses.fields(ExperimentConfig)} | {"config", "noise_preset"}
+    dests = {a.dest for a in subparsers.choices[command]._actions if a.dest != "help"}
+    assert dests <= allowed
 
 
 def test_sweep_export_qasm(tmp_path, capsys):
@@ -89,8 +117,10 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "results.csv")
 
 
-@pytest.mark.parametrize("text", ['{"n": 5}', "not json", '{"n": 3, "edges": [[0, 0]]}'],
-                         ids=["no-edges", "not-json", "self-loop"])
+@pytest.mark.parametrize("text", [
+    '{"n": 5}', "not json", '{"n": 3, "edges": [[0, 0]]}',
+    '{"n": 5.9, "edges": [[0, 1.7], [1, 2], [1, 3], [3, 4]]}', '{"n": true, "edges": []}',
+], ids=["no-edges", "not-json", "self-loop", "fractional", "bool-size"])
 @pytest.mark.parametrize("command", [
     ["sweep", "--epsilon", "0.01", "--analytic", "--shots", "10"],
     ["tomography", "--epsilon", "0.01", "--analytic", "--shots", "10"],
@@ -157,19 +187,29 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     ({"topology": "belem-like", "layout": 5}, "layout"),
     ({"topology": "belem-like", "layout": [0, 1, "x", 3]}, "layout"),
     ({"epsilon_values": 0.1}, "epsilon_values"),
+    ({"epsilon_values": [False, 0.01]}, "epsilon_values"),
+    ({"epsilon_values": ["0.01"]}, "epsilon_values"),
     ({"shots": "many"}, "shots"),
     ({"topology": ["belem-like"]}, "topology"),
     ({"mitigation": "no", "readout": 0.02}, "mitigation"),
     ({"postselection": 0}, "postselection"),
     ({"transpile": "false"}, "transpile"),
     ({"export_qasm": None}, "export_qasm"),
-], ids=["layout-not-a-list", "layout-not-a-qubit", "epsilons-not-a-list", "shots-not-a-number",
+    ({"out_dir": 5}, "out_dir"),
+    ({"out_dir": ["a"]}, "out_dir"),
+    ({"topology": "belem-like", "layout": [1, 0.9, 2, 3.99]}, "layout"),
+    ({"topology": "belem-like", "layout": [0, True, 2, 3]}, "layout"),
+], ids=["layout-not-a-list", "layout-not-a-qubit", "epsilons-not-a-list", "epsilon-a-bool",
+        "epsilon-a-string", "shots-not-a-number",
         "topology-not-a-name", "mitigation-a-string", "postselection-a-number",
-        "transpile-a-string", "export-qasm-null"])
-def test_config_of_the_wrong_type_is_a_config_error(config, field, tmp_path, capsys):
+        "transpile-a-string", "export-qasm-null", "out-dir-a-number", "out-dir-a-list",
+        "layout-fractional", "layout-a-bool"])
+def test_config_of_the_wrong_type_is_a_config_error(config, field, tmp_path, capsys, monkeypatch):
+    # no --out-dir, which would override the config's: outputs go to the cwd
+    monkeypatch.chdir(tmp_path)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    rc = main(["sweep", "--config", str(cfg), "--analytic", "--out-dir", str(tmp_path)])
+    rc = main(["sweep", "--config", str(cfg), "--analytic"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {field}:")
@@ -292,7 +332,7 @@ class TestTranspileCommand:
             if g.kind == "cx":
                 assert topo.adjacent(*g.qubits)
 
-    @pytest.mark.parametrize("layout", ["0,1,1,2", "0,1,2,9", "0,1,2", "a,b,c,d"])
+    @pytest.mark.parametrize("layout", ["0,1,1,2", "0,1,2,9", "0,1,2", "a,b,c,d", "1,0.9,2,3"])
     def test_bad_layout_is_a_config_error(self, layout, tmp_path, capsys):
         src = self.write_input(tmp_path)
         rc = main(["transpile", str(src), "--topology", "belem-like", "--layout", layout])

@@ -67,12 +67,17 @@ class TestConfig:
             ({"transpile": None}, "transpile"),
             ({"analytic_mode": "true"}, "analytic_mode"),
             ({"export_qasm": 0}, "export_qasm"),
+            ({"out_dir": 5}, "out_dir"),
+            ({"topology": "belem-like", "layout": (1, 0.9, 2, 3.99)}, "layout"),
         ],
     )
     def test_validation_names_the_field(self, kwargs, field):
         # through the config parser, which also rejects removed fields
         with pytest.raises(ConfigError, match=field):
             ExperimentConfig.from_json_dict(kwargs)
+
+    def test_one_rule_per_field(self):
+        assert set(experiment.FIELD_RULES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
 
     def test_noise_presets(self):
         cfg = ExperimentConfig.with_preset("belem-like", shots=10)
@@ -234,22 +239,25 @@ class TestRunPoint:
         assert row["single_qubit_gates"] > 40
 
     def test_one_confusion_matrix_per_measured_register(self, monkeypatch):
+        # every setting of every point measures the same four-qubit register at
+        # the one readout rate, so one matrix serves a whole sweep
         calls = []
         calibrate = experiment.calibrate_confusion
 
-        def counted(n_bits, noise, **kwargs):
-            calls.append(tuple(kwargs["qubits"]))
-            return calibrate(n_bits, noise, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return calibrate(*args, **kwargs)
 
         monkeypatch.setattr(experiment, "calibrate_confusion", counted)
         cfg = ExperimentConfig(shots=100, readout=0.02, topology="belem-like")
         run_point(cfg, 0.01, seed=0)
-        # all five settings measure the same four physical qubits
-        assert len(calls) == 1 and len(set(calls[0])) == 4
-        # and so do all 13 points of a sweep: one matrix serves them all
+        assert len(calls) == 1 and calls[0][0] == 4
         calls.clear()
         run_sweep(cfg)
-        assert len(calls) == 1 and len(set(calls[0])) == 4
+        assert len(calls) == 1 and calls[0][0] == 4
+        calls.clear()
+        run_sweep(dataclasses.replace(cfg, mitigation=False))
+        assert calls == []
 
     def test_sampling_is_seeded(self):
         cfg = ExperimentConfig(shots=400, readout=0.02, transpile=False)

@@ -8,6 +8,7 @@ from gravopto import simulator
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
+from gravopto.errors import ConfigError
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
@@ -151,23 +152,21 @@ class TestApplyReadout:
 
 class TestNoiseModel:
     def test_validation(self):
-        with pytest.raises(ValueError):
+        # the one place the rates' ranges are checked; the error names the field
+        with pytest.raises(ConfigError, match=r"^readout: 0\.5 outside \[0, 0\.5\)$"):
             NoiseModel(readout=0.5)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^readout:"):
             NoiseModel(readout=-0.1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match=r"^sq_depol: 1\.0 outside \[0, 1\)$"):
             NoiseModel(sq_depol=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError, match="^cx_depol:"):
             NoiseModel(cx_depol=-0.5)
-        with pytest.raises(ValueError):
-            NoiseModel(readout=(0.1, 0.6))
 
     def test_per_qubit_readout(self):
-        nm = NoiseModel(readout=(0.01, 0.02, 0.03))
-        assert nm.readout_rate(1) == 0.02
-        with pytest.raises(ValueError):
-            nm.readout_rate(3)
-        assert NoiseModel(readout=0.05).readout_rate(17) == 0.05
+        # the one rate flips every measured qubit, whichever qubits they are
+        c = Circuit(3, (x(0), h(1))).extend((measure(2, 0), measure(0, 1)))
+        got = noisy_probabilities(c, NoiseModel(readout=0.05))
+        assert np.array_equal(got, apply_readout(born_probabilities(c), [0.05, 0.05]))
 
 
 class TestCountsHistogram:
@@ -317,7 +316,7 @@ def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     diag = rho.diagonal().real.reshape((2,) * n)
     rest = [q for q in range(n) if q not in qubits]
     probs = np.transpose(diag, qubits + rest).reshape(2 ** len(qubits), -1).sum(axis=1)
-    return apply_readout(probs, [noise.readout_rate(q) for q in qubits])
+    return apply_readout(probs, [noise.readout] * len(qubits))
 
 
 class TestNoisyProbabilities:
@@ -326,7 +325,7 @@ class TestNoisyProbabilities:
         for _ in range(5):
             c = random_circuit(rng, 3, 12)
             c = c.extend((measure(2, 0), measure(0, 1)))
-            noise = NoiseModel(readout=(0.03, 0.0, 0.07), sq_depol=0.04, cx_depol=0.09)
+            noise = NoiseModel(readout=0.07, sq_depol=0.04, cx_depol=0.09)
             want = kraus_probabilities(c, noise)
             got = noisy_probabilities(c, noise)
             assert np.abs(got - want).max() <= 1e-12
@@ -396,7 +395,7 @@ def _family(rng, n):
 
 @pytest.mark.parametrize("noise", [
     NoiseModel(readout=0.02, sq_depol=0.01, cx_depol=0.05),
-    NoiseModel(readout=(0.03, 0.0, 0.07, 0.01), cx_depol=0.05),
+    NoiseModel(readout=0.03, cx_depol=0.05),
     NoiseModel(readout=0.02),
     NoiseModel(),
 ], ids=["gate-noise", "cx-noise-only", "readout-only", "noiseless"])
@@ -459,7 +458,7 @@ def _structure_family(rng, n):
 
 @pytest.mark.parametrize("noise", [
     NoiseModel(readout=0.02, sq_depol=0.01, cx_depol=0.05),
-    NoiseModel(readout=(0.03, 0.0, 0.07, 0.01), cx_depol=0.05),
+    NoiseModel(readout=0.03, cx_depol=0.05),
     NoiseModel(readout=0.02),
     NoiseModel(),
 ], ids=["gate-noise", "cx-noise-only", "readout-only", "noiseless"])

@@ -6,7 +6,6 @@ import sys
 import numpy as np
 import pytest
 
-from gravopto.bosonmap import ModeEncoding
 from gravopto.circuit import Circuit, h, measure, sdg
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError
@@ -118,12 +117,6 @@ def test_measurement_circuits_rejects_bad_base():
         measurement_circuits(Circuit(3, (h(0),)))
 
 
-def test_measurement_circuits_label_subset():
-    base = build_evolution_circuit(0.1, prepend_ground_prep=True)
-    pairs = measurement_circuits(base, labels=("ZZ", "XY"))
-    assert [s.label for s, _ in pairs] == ["ZZ", "XY"]
-
-
 def test_decoded_settings_match_dense_operators():
     # analytic distributions reproduce <psi| O |psi> for all five settings
     for eps in (0.0, 0.05, 0.2, 0.45):
@@ -204,18 +197,9 @@ class TestCalibrateConfusion:
         cm = calibrate_confusion(4, nm)
         assert np.array_equal(cm.matrix(), ConfusionMatrix.from_lambdas([0.04] * 4).matrix())
 
-    def test_analytic_respects_qubit_selection(self):
-        nm = NoiseModel(readout=(0.01, 0.02, 0.03, 0.04, 0.05))
-        cm = calibrate_confusion(2, nm, qubits=[4, 1])
-        assert np.array_equal(cm.matrix(), ConfusionMatrix.from_lambdas([0.05, 0.02]).matrix())
-
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             calibrate_confusion(2, NoiseModel(readout=0.1), shots=0)
-
-    def test_qubit_count_mismatch(self):
-        with pytest.raises(ValueError):
-            calibrate_confusion(2, NoiseModel(), qubits=[0, 1, 2])
 
     def test_dense_limit_checked_before_allocation(self, monkeypatch):
         def refuse(lambdas):
