@@ -28,17 +28,15 @@ from .circuit import Circuit, Gate, cx, h, rx, s, sdg, u1
 from .pauli import PauliString
 
 _HALF_PI = math.pi / 2.0
+_TERMS = tuple(PauliString(factors) for factors in INTERACTION_FACTORS)
 
 
-def _core_gates(pivot: int, j: int, theta: float) -> list[Gate]:
-    """Pivot rotation for a ladder with j fan steps, targeting exp(i theta X...X)."""
-    sign = 1.0 if j % 4 in (0, 3) else -1.0
-    alpha = sign * theta
-    if j % 2 == 1:
-        # Y-type core: Rx(pi/2) U1(2a) Rx(-pi/2) = exp(ia) exp(ia Y)
-        return [rx(pivot, -_HALF_PI), u1(pivot, 2.0 * alpha), rx(pivot, _HALF_PI)]
-    # X-type core: exp(ia X) = Rx(-2a)
-    return [rx(pivot, -2.0 * alpha)]
+def _core_angle(string: PauliString, angle: float) -> float:
+    """2a for the core of exp(i * angle * string)'s ladder, with a -1 string
+    phase folded into the angle and the sign set by the fan steps modulo 4."""
+    theta = float(angle) if string.phase_power == 0 else -float(angle)
+    sign = 1.0 if (sum(f != "I" for f in string.factors) - 1) % 4 in (0, 3) else -1.0
+    return float(2.0 * sign * theta)
 
 
 def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
@@ -48,15 +46,15 @@ def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
     """
     if string.phase_power % 2 == 1:
         raise ValueError("cannot exponentiate a string with +-i phase")
-    theta = float(angle) if string.phase_power == 0 else -float(angle)
     support = [q for q, f in enumerate(string.factors) if f != "I"]
     if not support:
         raise ValueError("identity string has no nontrivial exponential")
     n = string.n_qubits
+    core = _core_angle(string, angle)
 
     if len(support) == 1 and string.factors[support[0]] == "Z":
-        # diagonal case: exp(i t Z) = U1(-2t) up to phase
-        return Circuit(n, (u1(support[0], -2.0 * theta),))
+        # diagonal case: exp(i t Z) = U1(-2t) up to phase, 2t the core angle
+        return Circuit(n, (u1(support[0], -core),))
 
     opening: list[Gate] = []
     closing: list[Gate] = []
@@ -83,9 +81,13 @@ def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
         fan_out.append(s(pivot))
         fan_out.append(cx(pivot, q))
 
-    core = _core_gates(pivot, len(rest), theta)
-    gates = opening + fan_in + core + fan_out + closing
-    return Circuit(n, tuple(gates))
+    if len(rest) % 2 == 1:
+        # Y-type core: Rx(pi/2) U1(2a) Rx(-pi/2) = exp(ia) exp(ia Y)
+        core_gates = [rx(pivot, -_HALF_PI), u1(pivot, core), rx(pivot, _HALF_PI)]
+    else:
+        # X-type core: exp(ia X) = Rx(-2a)
+        core_gates = [rx(pivot, -core)]
+    return Circuit(n, tuple(opening + fan_in + core_gates + fan_out + closing))
 
 
 def decompose_term(index: int, epsilon: float) -> Circuit:
@@ -93,8 +95,7 @@ def decompose_term(index: int, epsilon: float) -> Circuit:
     if index not in (1, 2, 3, 4):
         raise ValueError(f"term index must be 1..4, got {index}")
     _check_epsilon(epsilon)
-    string = PauliString(INTERACTION_FACTORS[index - 1])
-    circ = compile_pauli_exponential(string, epsilon / 4.0)
+    circ = compile_pauli_exponential(_TERMS[index - 1], epsilon / 4.0)
     return Circuit(
         circ.n_qubits,
         circ.gates,
@@ -106,10 +107,17 @@ def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -
     """Full coupling unitary exp(i eps M), optionally after ground-state prep."""
     _check_epsilon(epsilon)
     gates = ground_state_prep().gates if prepend_ground_prep else ()
-    for factors in INTERACTION_FACTORS:
-        gates += compile_pauli_exponential(PauliString(factors), epsilon / 4.0).gates
+    for term in _TERMS:
+        gates += compile_pauli_exponential(term, epsilon / 4.0).gates
     # the assembled gates are checked once, not once per partial sum
     return Circuit(4, gates, {"epsilon": float(epsilon)})
+
+
+def core_angles(epsilon: float) -> tuple[float, ...]:
+    """The angles of ``build_evolution_circuit(epsilon)``'s four U1 gates, in
+    order: its Y-type cores, and the only gates whose angle depends on epsilon."""
+    _check_epsilon(epsilon)
+    return tuple(_core_angle(term, epsilon / 4.0) for term in _TERMS)
 
 
 def _check_epsilon(epsilon: float):

@@ -4,18 +4,19 @@ A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row.
 
 ``compile_sweep`` is the one way a point compiles, and ``prepare_circuits``
-is its one-point case. A point's evolution circuit is compiled once and
-shared by its five tomography settings, which add only basis rotations and
-measurements, and by its QASM export. What does not depend on epsilon is
-done once per sweep: the topology and layout are resolved, the measurement
-suffixes built, and one memo of single-qubit resyntheses (see
-``transpiler``) serves every ``simplify`` of the sweep and is dropped with
-it. ``run_sweep`` then makes one ``outcome_distributions`` call for the
-settings of every point, which evolves the points that share a gate
-structure as one stack, and builds one confusion matrix for the whole
-sweep. ``run_point`` is the one-point case of the same code. The CSV
-payload is byte-stable for a fixed config; the JSON report additionally
-carries a timestamp.
+is its one-point case. What does not depend on epsilon is done once per
+sweep: the topology and layout are resolved, the measurement suffixes built,
+and the evolution's skeleton, its circuit at epsilon = 0, is built, lowered
+and routed once, keeping the positions of its four U1 cores. A point binds
+its core angles there and simplifies; one memo of single-qubit resyntheses
+(see ``transpiler``) serves every ``simplify`` of the sweep and is dropped
+with it. A point's evolution is shared by its five tomography settings,
+which add only basis rotations and measurements, and by its QASM export.
+``run_sweep`` then makes one ``outcome_distributions`` call for the settings
+of every point, which evolves the points that share a gate structure as one
+stack, and builds one confusion matrix for the whole sweep. ``run_point`` is
+the one-point case of the same code. The CSV payload is byte-stable for a
+fixed config; the JSON report additionally carries a timestamp.
 """
 from __future__ import annotations
 
@@ -34,8 +35,8 @@ from .analysis import (
     fidelity_from_traces,
 )
 from .bosonmap import N_QUBITS
-from .circuit import Circuit
-from .digitizer import build_evolution_circuit
+from .circuit import Circuit, Gate
+from .digitizer import build_evolution_circuit, core_angles
 from .errors import ConfigError
 from .qasm import emit as qasm_emit
 from .simulator import CountsHistogram, NoiseModel, outcome_distributions, sample_counts
@@ -52,7 +53,9 @@ from .transpiler import (
     RoutedCircuit,
     Topology,
     hub_layout,
-    transpile,
+    lower_to_basis,
+    route,
+    simplify,
     transpile_suffix,
 )
 
@@ -234,9 +237,12 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
 
 class _SweepCompiler:
     """What the points of a sweep share when they compile, made once: the
-    resolved topology and layout, the measurement suffixes and one memo of
-    single-qubit resyntheses (see ``transpiler.simplify``). It lives as long
-    as the sweep's compile, so nothing is kept between sweeps."""
+    resolved topology and layout, the measurement suffixes, one memo of
+    single-qubit resyntheses (see ``transpiler.simplify``) and the
+    evolution's skeleton, lowered and routed as ``transpile`` would before
+    it simplifies, with its four core slots. ``evolution`` binds a point's
+    ``core_angles`` there. It lives as long as the sweep's compile, so
+    nothing is kept between sweeps."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -253,13 +259,37 @@ class _SweepCompiler:
         for setting, suffix in measurement_circuits(Circuit(n)):
             self.suffixes.setdefault(suffix, []).append(setting)
         self.memo: dict = {}
+        # the slots are the U1 cores ``core_angles`` binds, found by position
+        skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)
+        slots = [i for i, g in enumerate(skeleton.gates) if g.kind == "u1"]
+        if cfg.transpile:
+            # lowering is gate-local and makes one Rz of a U1 whatever its
+            # angle: lowered in pieces that each end on a slot, every gate is
+            # lowered once and each slot's Rz ends its piece
+            gates, ends = (), []
+            for start, end in zip([0] + [i + 1 for i in slots], slots + [len(skeleton.gates)]):
+                gates += lower_to_basis(Circuit._trusted(n, skeleton.gates[start:end + 1], {})).gates
+                ends.append(len(gates) - 1)
+            skeleton, slots = Circuit._trusted(n, gates, {}), ends[:-1]
+        ident = tuple(range(n))
+        self.skeleton = RoutedCircuit(skeleton, ident, ident, ident)
+        if self.topology is not None:
+            # routing emits every gate but a CNOT once and in order
+            self.skeleton = route(skeleton, self.topology, self.layout)
+            singles = [i for i, g in enumerate(self.skeleton.circuit.gates) if g.kind != "cx"]
+            slots = [singles[sum(g.kind != "cx" for g in skeleton.gates[:i])] for i in slots]
+        assert len(slots) == 4
+        self.slots = slots
 
     def evolution(self, epsilon: float) -> RoutedCircuit:
-        base = build_evolution_circuit(epsilon, prepend_ground_prep=True)
+        gates = list(self.skeleton.circuit.gates)
+        for i, angle in zip(self.slots, core_angles(epsilon)):
+            gates[i] = Gate._trusted(gates[i].kind, gates[i].qubits, angle)
+        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates),
+                                   {"epsilon": float(epsilon)})
         if self.cfg.transpile:
-            return transpile(base, self.topology, self.layout, self.memo)
-        ident = tuple(range(base.n_qubits))
-        return RoutedCircuit(base, ident, ident, ident)
+            circuit = simplify(circuit, self.memo)
+        return replace(self.skeleton, circuit=circuit)
 
     def settings(self, evolution: RoutedCircuit) -> dict:
         circuits = {}

@@ -252,6 +252,15 @@ class CountsHistogram:
             if len(key) != self.n_bits or set(key) - {"0", "1"}:
                 raise ValueError(f"malformed outcome key {key!r}")
 
+    @classmethod
+    def _trusted(cls, entries: dict, shots: int, n_bits: int) -> "CountsHistogram":
+        """A histogram of keys formatted or checked already, built without ``__post_init__``."""
+        hist = object.__new__(cls)
+        object.__setattr__(hist, "entries", entries)
+        object.__setattr__(hist, "shots", shots)
+        object.__setattr__(hist, "n_bits", n_bits)
+        return hist
+
     def total(self) -> float:
         return float(sum(self.entries.values()))
 
@@ -273,7 +282,7 @@ class CountsHistogram:
             format(idx, key): int(w) if float(w).is_integer() else float(w)
             for idx, w in zip(nonzero.tolist(), vec[nonzero].tolist())
         }
-        return cls(entries, shots, n_bits)
+        return cls._trusted(entries, shots, n_bits)
 
 
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:

@@ -104,7 +104,7 @@ def postselect(
         return hist, 1.0
     kept = {k: w for k, w in hist.entries.items() if k in PHYSICAL_BITSTRINGS}
     retained = sum(kept.values()) / total
-    return CountsHistogram(kept, hist.shots, hist.n_bits), retained
+    return CountsHistogram._trusted(kept, hist.shots, hist.n_bits), retained
 
 
 class ConfusionMatrix:

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -70,6 +71,9 @@ class Topology:
     _adjacency: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        ends = [q for edge in self.edges for q in edge]
+        if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (self.n, *ends)):
+            raise ValueError("the qubit count and the edge ends must be integers")
         if self.n < 1:
             raise ValueError("topology needs at least one qubit")
         norm = set()
@@ -100,10 +104,7 @@ class Topology:
     def from_json(cls, text: str, name: str = "") -> "Topology":
         """``{"n": 5, "edges": [[0, 1], ...]}``, every number an integer."""
         data = json.loads(text)
-        n, edges = data["n"], [tuple(e) for e in data["edges"]]
-        if not all(type(v) is int for v in (n, *(q for e in edges for q in e))):
-            raise ValueError("the qubit count and the edge ends must be integers")
-        return cls(n, frozenset(edges), name)
+        return cls(data["n"], frozenset(tuple(e) for e in data["edges"]), name)
 
     def neighbors(self, q: int) -> list[int]:
         return list(self._adjacency[q])

@@ -6,10 +6,11 @@ import pytest
 from scipy.linalg import expm
 
 from gravopto.bosonmap import SUBSPACE_INDICES, mapped_hamiltonian
-from gravopto.circuit import phase_distance, unitary_of
+from gravopto.circuit import phase_distance, u1, unitary_of
 from gravopto.digitizer import (
     build_evolution_circuit,
     compile_pauli_exponential,
+    core_angles,
     decompose_term,
 )
 from gravopto.pauli import PauliString
@@ -167,3 +168,23 @@ def test_gate_budget_of_logical_circuit():
     single, two = circ.gate_counts()
     assert two == 24
     assert single == 54
+
+
+@pytest.mark.parametrize("eps", [1e-7, 0.01, 0.1, -0.3, 0.0, -0.0, -0.999])
+def test_core_angles_are_the_only_epsilon_dependent_angles(eps):
+    """Binding ``core_angles(eps)`` into the U1 gates of the epsilon = 0
+    circuit gives the circuit at eps, bit for bit."""
+    def exact(gates):
+        return [(g.kind, g.qubits, None if g.param is None else g.param.hex()) for g in gates]
+
+    bound = list(build_evolution_circuit(0.0, prepend_ground_prep=True).gates)
+    slots = [i for i, g in enumerate(bound) if g.kind == "u1"]
+    assert len(slots) == 4
+    for i, angle in zip(slots, core_angles(eps)):
+        bound[i] = u1(bound[i].qubits[0], angle)
+    assert exact(bound) == exact(build_evolution_circuit(eps, prepend_ground_prep=True).gates)
+
+
+def test_core_angles_check_epsilon():
+    with pytest.raises(ValueError, match="epsilon"):
+        core_angles(1.0)

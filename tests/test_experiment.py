@@ -6,8 +6,8 @@ import os
 import numpy as np
 import pytest
 
-from gravopto import experiment
-from gravopto.circuit import phase_distance, unitary_of
+from gravopto import experiment, transpiler
+from gravopto.circuit import Circuit, phase_distance, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
@@ -24,7 +24,16 @@ from gravopto.experiment import (
 )
 from gravopto.qasm import parse as qasm_parse
 from gravopto.tomography import measurement_circuits
-from gravopto.transpiler import BASIS_KINDS, Topology, transpile
+from gravopto.transpiler import (
+    BASIS_KINDS,
+    RoutedCircuit,
+    Topology,
+    hub_layout,
+    lower_to_basis,
+    route,
+    transpile,
+    transpile_suffix,
+)
 
 
 def closed_form_fidelity(eps: float) -> float:
@@ -158,6 +167,112 @@ def test_compile_sweep_equals_each_point_compiled_alone(kwargs):
             assert circ.measurements == want[label][1].measurements
             assert circ.gate_counts() == want[label][1].gate_counts()
         assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
+
+
+SKELETON_CASES = pytest.mark.parametrize("kwargs", [
+    dict(topology="belem-like"),
+    dict(topology="nairobi-like"),
+    dict(topology="nairobi-like", layout=(0, 2, 4, 6)),
+    dict(),
+    dict(transpile=False),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-topology", "no-transpile"])
+
+
+@SKELETON_CASES
+def test_compile_sweep_equals_the_reference_compile(kwargs):
+    """Each point as it compiles from scratch, with nothing shared: its
+    evolution built, lowered, routed and simplified by ``transpile`` (or
+    built bare without transpiling), each setting appended by
+    ``transpile_suffix`` (or concatenated)."""
+    eps_values = DEFAULT_EPSILONS + (0.1, -0.3, -1e-7, 0.9, 0.0, -0.0, -0.999)
+    cfg = ExperimentConfig(epsilon_values=eps_values, **kwargs)
+    topo = resolve_topology(cfg.topology)
+    for eps, (evolution, circuits) in zip(eps_values, compile_sweep(cfg)):
+        base = build_evolution_circuit(eps, prepend_ground_prep=True)
+        if cfg.transpile:
+            want = transpile(base, topo, cfg.layout)
+        else:
+            want = RoutedCircuit(base, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
+        key = (kwargs, eps.hex())
+        assert exact_gates(evolution.circuit) == exact_gates(want.circuit), key
+        assert evolution.circuit.n_qubits == want.circuit.n_qubits
+        assert evolution.circuit.metadata == want.circuit.metadata == {"epsilon": eps}
+        assert evolution.initial_layout == want.initial_layout, key
+        assert evolution.final_layout == want.final_layout, key
+        assert evolution.full_final_layout == want.full_final_layout, key
+        # ZZ, IZ and ZI share one suffix and one circuit, made for ZZ
+        refs = {}
+        for setting, suffix in measurement_circuits(Circuit(4)):
+            got = circuits[setting.label][1]
+            ref = refs.setdefault(suffix, transpile_suffix(want, suffix) if cfg.transpile
+                                  else want.circuit + suffix)
+            assert exact_gates(got) == exact_gates(ref), (key, setting.label)
+            assert got.metadata == ref.metadata
+
+
+@SKELETON_CASES
+def test_evolution_compile_runs_once_per_sweep(kwargs, monkeypatch):
+    """Build, lowering and routing of the evolution do not grow with the
+    number of points: one build, one route, and each gate of the evolution
+    lowered once per sweep, all made again by the next sweep."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            circuit = args[0]
+            if name == "build":
+                calls.append((name, None))
+            elif not circuit.has_measurements:  # a suffix is not the evolution
+                calls.append((name, len(circuit.gates)))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name, short in (("build_evolution_circuit", "build"),
+                        ("lower_to_basis", "lower"), ("route", "route")):
+        for module in (experiment, transpiler):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(short, getattr(module, name)))
+
+    def one_sweep(cfg):
+        calls.clear()
+        compile_sweep(cfg)
+        return list(calls)
+
+    cfg = ExperimentConfig(**kwargs)
+    many = one_sweep(cfg)
+    one = one_sweep(dataclasses.replace(cfg, epsilon_values=(0.01,)))
+    again = one_sweep(cfg)
+    assert many == one == again
+    names = [name for name, _ in many]
+    assert names.count("build") == 1
+    assert names.count("route") == (1 if cfg.transpile and cfg.topology else 0)
+    whole = len(build_evolution_circuit(0.0, prepend_ground_prep=True).gates)
+    assert sum(n for name, n in many if name == "lower") == (whole if cfg.transpile else 0)
+
+
+@pytest.mark.parametrize("topology,layout", [
+    ("belem-like", None), ("nairobi-like", None), ("nairobi-like", (0, 2, 4, 6)), (None, None),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-topology"])
+def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
+    """The evolution at two epsilons, lowered and routed from scratch, has
+    the same gate kinds, qubits and layouts, and the angles differ at the
+    compiler's four slots and nowhere else."""
+    topo = resolve_topology(topology)
+    compiler = experiment._SweepCompiler(ExperimentConfig(topology=topology, layout=layout))
+    placed = []
+    for eps in (0.37, -0.81):
+        lowered = lower_to_basis(build_evolution_circuit(eps, prepend_ground_prep=True))
+        if topo is None:
+            placed.append((lowered.gates, None))
+        else:
+            routed = route(lowered, topo, layout or hub_layout(topo, 4))
+            placed.append((routed.circuit.gates, routed.full_final_layout))
+    (a, layout_a), (b, layout_b) = placed
+    assert [(g.kind, g.qubits) for g in a] == [(g.kind, g.qubits) for g in b]
+    assert layout_a == layout_b
+    differ = [i for i, (g, h) in enumerate(zip(a, b)) if g.param != h.param]
+    assert differ == list(compiler.slots)
+    assert all(a[i].kind == "rz" for i in differ)
 
 
 class TestPrepareCircuits:

@@ -9,6 +9,7 @@ from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
+from gravopto.tomography import MeasurementSetting, postselect
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
@@ -175,6 +176,19 @@ class TestCountsHistogram:
             CountsHistogram({"012": 1}, shots=1, n_bits=3)
         with pytest.raises(ValueError):
             CountsHistogram({"01": 1}, shots=1, n_bits=3)
+
+    def test_keys_made_here_are_not_checked_again(self, monkeypatch):
+        # from_vector formats its keys and postselect filters checked ones
+        want = CountsHistogram({"0101": 3, "1010": 2, "1111": 1}, shots=6, n_bits=4)
+
+        def refuse(self):
+            raise AssertionError("re-validated")
+
+        monkeypatch.setattr(CountsHistogram, "__post_init__", refuse)
+        got = CountsHistogram.from_vector(want.to_vector(), shots=6, n_bits=4)
+        assert (got.entries, got.shots, got.n_bits) == (want.entries, 6, 4)
+        kept, frac = postselect(got, MeasurementSetting("ZZ"))
+        assert kept.entries == {"0101": 3, "1010": 2} and frac == 5 / 6
 
     def test_vector_round_trip(self):
         hist = CountsHistogram({"00": 3, "11": 5}, shots=8, n_bits=2)

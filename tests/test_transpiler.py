@@ -99,6 +99,17 @@ class TestTopology:
         with pytest.raises(ValueError):
             Topology(2, frozenset({(0, 5)}))
 
+    @pytest.mark.parametrize("n,edges", [
+        (5, {(0, 1.7), (1, 2)}),
+        (5, {(0, True), (1, 2)}),
+        (5, {(0, 1.0)}),
+        (5.0, {(0, 1)}),
+        (True, set()),
+    ], ids=["fractional-end", "bool-end", "float-end", "float-count", "bool-count"])
+    def test_non_integers_are_refused_not_truncated(self, n, edges):
+        with pytest.raises(ValueError, match="integers"):
+            Topology(n, frozenset(edges))
+
     def test_presets(self):
         belem = Topology.preset("belem-like")
         assert belem.n == 5
