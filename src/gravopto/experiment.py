@@ -5,18 +5,21 @@ from the global one, so results are reproducible row by row.
 
 ``compile_sweep`` is the one way a point compiles, and ``prepare_circuits``
 is its one-point case. What does not depend on epsilon is done once per
-sweep: the topology and layout are resolved, the measurement suffixes built,
-and the evolution's skeleton, its circuit at epsilon = 0, is built, lowered
-and routed once, keeping the positions of its four U1 cores. A point binds
-its core angles there and simplifies; one memo of single-qubit resyntheses
-(see ``transpiler``) serves every ``simplify`` of the sweep and is dropped
-with it. A point's evolution is shared by its five tomography settings,
-which add only basis rotations and measurements, and by its QASM export.
-``run_sweep`` then makes one ``outcome_distributions`` call for the settings
-of every point, which evolves the points that share a gate structure as one
-stack, and builds one confusion matrix for the whole sweep. ``run_point`` is
-the one-point case of the same code. The CSV payload is byte-stable for a
-fixed config; the JSON report additionally carries a timestamp.
+sweep: the topology and layout are resolved, the measurement suffixes built
+and placed, and the evolution's skeleton, its circuit at epsilon = 0, is
+built, lowered and routed once, keeping the positions of its four U1 cores.
+A point binds its core angles there and simplifies; one memo of single-qubit
+resyntheses (see ``transpiler``) serves every ``simplify`` of the sweep and
+is dropped with it. A point's evolution is shared by its five tomography
+settings, which add only basis rotations and measurements, and by its QASM
+export. ``run_sweep`` then makes one ``outcome_distributions`` call for the
+settings of every point, which evolves the points that share a gate
+structure as one stack. The settings' weights, sampled or exact, are the rows
+of one array, which one confusion matrix mitigates and which are
+post-selected and estimated row by row (see ``tomography``); no setting
+makes a histogram. ``run_point`` is the one-point case of the same code. The
+CSV payload is byte-stable for a fixed config; the JSON report additionally
+carries a timestamp.
 """
 from __future__ import annotations
 
@@ -39,24 +42,26 @@ from .circuit import Circuit, Gate
 from .digitizer import build_evolution_circuit, core_angles
 from .errors import ConfigError
 from .qasm import emit as qasm_emit
-from .simulator import CountsHistogram, NoiseModel, outcome_distributions, sample_counts
+from .simulator import NoiseModel, outcome_distributions, sample_weights
 from .tomography import (
     SETTING_LABELS,
+    MeasurementSetting,
     calibrate_confusion,
-    estimate_traces,
+    expectations,
     measurement_circuits,
-    mitigate,
-    postselect,
+    mitigate_weights,
+    postselect_weights,
 )
 from .transpiler import (
     TOPOLOGY_PRESETS,
     RoutedCircuit,
     Topology,
+    append_placed,
     hub_layout,
     lower_to_basis,
+    place_suffix,
     route,
     simplify,
-    transpile_suffix,
 )
 
 RESULT_COLUMNS = (
@@ -254,10 +259,6 @@ class _SweepCompiler:
                 self.layout = check_layout(cfg.layout, n, self.topology)
             elif self.topology is not None:
                 self.layout = hub_layout(self.topology, n)
-        # each distinct suffix with its settings; ZZ, IZ and ZI share one
-        self.suffixes: dict[Circuit, list] = {}
-        for setting, suffix in measurement_circuits(Circuit(n)):
-            self.suffixes.setdefault(suffix, []).append(setting)
         self.memo: dict = {}
         # the slots are the U1 cores ``core_angles`` binds, found by position
         skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)
@@ -280,6 +281,13 @@ class _SweepCompiler:
             slots = [singles[sum(g.kind != "cx" for g in skeleton.gates[:i])] for i in slots]
         assert len(slots) == 4
         self.slots = slots
+        # each distinct suffix with its settings (ZZ, IZ and ZI share one),
+        # placed once: every point keeps the skeleton's final layout
+        suffixes: dict[Circuit, list] = {}
+        for setting, suffix in measurement_circuits(Circuit(n)):
+            suffixes.setdefault(suffix, []).append(setting)
+        self.suffixes = {place_suffix(suffix, self.skeleton) if cfg.transpile else suffix: settings
+                         for suffix, settings in suffixes.items()}
 
     def evolution(self, epsilon: float) -> RoutedCircuit:
         gates = list(self.skeleton.circuit.gates)
@@ -295,7 +303,7 @@ class _SweepCompiler:
         circuits = {}
         for suffix, settings in self.suffixes.items():
             if self.cfg.transpile:
-                circ = transpile_suffix(evolution, suffix, self.memo)
+                circ = append_placed(evolution.circuit, suffix, self.memo)
             else:
                 circ = evolution.circuit + suffix
             circuits.update((setting.label, (setting, circ)) for setting in settings)
@@ -347,54 +355,46 @@ def run_sweep(cfg: ExperimentConfig,
 def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
     """The result row of each (epsilon, seed, ``prepare_circuits``) point.
 
-    One ``outcome_distributions`` call evolves every point's settings, and
-    one confusion matrix serves all of them: every setting measures all
-    N_QUBITS qubits, each flipped at the one readout rate. Each row depends
-    only on its own point.
+    One ``outcome_distributions`` call evolves every point's settings, whose
+    weights, sampled with a seed per setting or exact, are the rows of one
+    array; one confusion matrix serves all: every setting measures all
+    N_QUBITS qubits, each flipped at the one readout rate. Each result row
+    depends only on its own point.
     """
     noise = cfg.noise_model()
     distributions = outcome_distributions(
         [circuits[label][1] for _, _, circuits in points for label in SETTING_LABELS], noise
     )
-    confusion = calibrate_confusion(N_QUBITS, noise) if cfg.mitigation else None
+    if cfg.analytic_mode:
+        weights = np.array(distributions) * cfg.shots
+    else:
+        seeds = [int(s) for _, seed, _ in points
+                 for s in np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))]
+        weights = np.array([sample_weights(p, cfg.shots, s) for p, s in zip(distributions, seeds)])
+    if cfg.mitigation:
+        weights = mitigate_weights(weights, calibrate_confusion(N_QUBITS, noise))
+    rows = dict(zip(SETTING_LABELS, weights.reshape(len(points), len(SETTING_LABELS), -1).swapaxes(0, 1)))
+    # the sweep post-selects the correlation setting; the population settings
+    # keep their leakage, which decodes to zero weight
+    kept, retained = postselect_weights(rows["ZZ"], MeasurementSetting("ZZ"))
+    if cfg.postselection:
+        empty = [eps for (eps, _, _), frac in zip(points, retained) if not frac > 0]
+        if empty:
+            raise ConfigError(f"shots: {cfg.shots} is too few: post-selection keeps no weight of "
+                              f"setting ZZ at epsilon {empty[0]!r}; use more shots or --no-postselect")
+        rows["ZZ"] = kept
+    estimates = {label: expectations(w, MeasurementSetting(label))[0] for label, w in rows.items()}
     table = []
     for n, (epsilon, seed, circuits) in enumerate(points):
-        setting_seeds = np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))
-        histograms = {}
-        retained = {}
-        for idx, label in enumerate(SETTING_LABELS):
-            setting, circ = circuits[label]
-            probs = distributions[n * len(SETTING_LABELS) + idx]
-            if cfg.analytic_mode:
-                hist = CountsHistogram.from_vector(
-                    probs * cfg.shots, cfg.shots, len(circ.measurements)
-                )
-            else:
-                hist = sample_counts(probs, cfg.shots, int(setting_seeds[idx]))
-            if cfg.mitigation:
-                hist = mitigate(hist, confusion)
-            if label == "ZZ":
-                # the sweep post-selects the correlation setting; the population
-                # settings keep their leakage, which decodes to zero weight
-                filtered, frac = postselect(hist, setting)
-                retained[label] = frac
-                if cfg.postselection:
-                    hist = filtered
-            histograms[label] = hist
-
-        result = estimate_traces(histograms, retained)
+        traces = {label: float(est[n]) for label, est in estimates.items()}
         single, cnots = circuits["ZZ"][1].gate_counts()
         table.append({
             "epsilon": float(epsilon),
-            "fidelity": float(fidelity_from_traces(epsilon, result)),
-            "fidelity_err": float(fidelity_error(epsilon, result, cfg.readout)),
-            "tr_zz": result.tr_zz,
-            "tr_xy": result.tr_xy,
-            "tr_yx": result.tr_yx,
-            "tr_iz": result.tr_iz,
-            "tr_zi": result.tr_zi,
+            "fidelity": float(fidelity_from_traces(epsilon, traces)),
+            "fidelity_err": float(fidelity_error(epsilon, traces, cfg.readout)),
+            **{f"tr_{label.lower()}": trace for label, trace in traces.items()},
             "concurrence_theory": concurrence_theory(epsilon),
-            "retained_fraction_zz": retained.get("ZZ", 1.0),
+            "retained_fraction_zz": float(retained[n]),
             "single_qubit_gates": single,
             "cnot_gates": cnots,
             "shots": cfg.shots,

@@ -29,8 +29,9 @@ states of every circuit below it, so the sweep points that compile to the
 same structure share every call, and each point's settings share their
 evolution's calls. Every row gets the arithmetic of its circuit evolved
 alone. ``noisy_probabilities`` is the one-circuit case. Shots are i.i.d., so
-``sample_counts`` draws a whole histogram as one multinomial sample, and
-``run_noisy`` does both for one circuit. Nothing is kept between calls.
+``sample_weights`` draws a whole setting as one multinomial sample, a row of
+counts; ``sample_counts`` makes it a histogram, and ``run_noisy`` does both
+for one circuit. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -355,8 +356,8 @@ def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     return outcome_distributions([c], noise)[0]
 
 
-def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> CountsHistogram:
-    """One multinomial draw of ``shots`` outcomes from ``probs``.
+def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarray:
+    """One multinomial draw of ``shots`` outcomes from ``probs``, a float count per key.
 
     The Philox counter generator keeps results reproducible for a fixed
     (probs, shots, seed) regardless of platform.
@@ -365,7 +366,12 @@ def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> CountsHist
         raise ValueError("shots must be positive")
     rng = np.random.Generator(np.random.Philox(seed))
     p = np.clip(probs, 0.0, None)
-    counts = rng.multinomial(shots, p / p.sum()).astype(float)
+    return rng.multinomial(shots, p / p.sum()).astype(float)
+
+
+def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> CountsHistogram:
+    """``sample_weights`` as a histogram."""
+    counts = sample_weights(probs, shots, seed)
     return CountsHistogram.from_vector(counts, shots, probs.size.bit_length() - 1)
 
 

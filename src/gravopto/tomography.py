@@ -14,6 +14,12 @@ pair as 01 -> +1, 10 -> -1, and anything else contributes 0 to the numerator
 while the shot still counts in the denominator. X and Y factors read the pair
 parity, (-1)**(sum of the two bits). Post-selection applies only to settings
 measured in the computational basis, where leaked pairs are identifiable.
+
+A sweep's settings are the rows of one weights array, 2**4 weights per row
+in key order. ``mitigate_weights``, ``postselect_weights`` and
+``expectations`` work on such rows, adding a row's weights one after another
+in key order. ``CountsHistogram`` is the one-histogram API: ``mitigate``,
+``postselect``, ``expectation`` and ``estimate_traces`` are the one-row case.
 """
 from __future__ import annotations
 
@@ -21,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bosonmap import N_QUBITS, PHYSICAL_BITSTRINGS
+from .bosonmap import N_QUBITS, SUBSPACE_INDICES
 from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
 from .errors import CapacityError
 from .simulator import CountsHistogram, NoiseModel, run_noisy
@@ -89,22 +95,35 @@ def measurement_circuits(base: Circuit) -> list[tuple[MeasurementSetting, Circui
     return out
 
 
-def postselect(
-    hist: CountsHistogram, setting: MeasurementSetting
-) -> tuple[CountsHistogram, float]:
-    """Drop leaked outcomes for computational-basis settings.
+def _totals(weights: np.ndarray) -> np.ndarray:
+    """Each row's weight, added one entry after another in key order (``np.sum``
+    adds in pairs, which can differ in the last bit)."""
+    return 0.0 + np.cumsum(weights, axis=-1)[..., -1]
+
+
+def postselect_weights(weights: np.ndarray,
+                       setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
+    """Drop leaked outcomes from each row for computational-basis settings.
 
     Rotated settings pass through untouched (leakage is not identifiable
-    there); the second return value is the retained weight fraction.
+    there); the second return value is each row's retained weight fraction.
     """
-    total = hist.total()
-    if total <= 0:
+    totals = _totals(weights)
+    if not (totals > 0).all():
         raise ValueError("empty histogram")
     if not setting.z_type:
-        return hist, 1.0
-    kept = {k: w for k, w in hist.entries.items() if k in PHYSICAL_BITSTRINGS}
-    retained = sum(kept.values()) / total
-    return CountsHistogram._trusted(kept, hist.shots, hist.n_bits), retained
+        return weights, np.ones(len(weights))
+    if weights.shape[-1] != 2 ** N_QUBITS:
+        raise ValueError(f"post-selection reads {N_QUBITS}-bit outcomes")
+    kept = np.zeros_like(weights)
+    kept[:, SUBSPACE_INDICES] = weights[:, SUBSPACE_INDICES]
+    return kept, _totals(kept) / totals
+
+
+def postselect(hist: CountsHistogram, setting: MeasurementSetting) -> tuple[CountsHistogram, float]:
+    """``postselect_weights`` of one histogram."""
+    kept, retained = postselect_weights(hist.to_vector()[None], setting)
+    return CountsHistogram.from_vector(kept[0], hist.shots, hist.n_bits), float(retained[0])
 
 
 class ConfusionMatrix:
@@ -176,78 +195,71 @@ def calibrate_confusion(
 
 
 def project_to_simplex(quasi: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto {p >= 0, sum p = 1}: max(quasi - theta, 0).
+    """Euclidean projection onto {p >= 0, sum p = 1}, max(quasi - theta, 0),
+    of each vector along the last axis.
 
     theta comes from the sorted vector; a distribution projects to itself.
     """
-    u = np.sort(quasi)[::-1]
-    css = np.cumsum(u)
-    rho = np.flatnonzero(u > (css - 1.0) / np.arange(1, u.size + 1))[-1]
-    theta = (css[rho] - 1.0) / (rho + 1)
+    u = np.sort(quasi, axis=-1)[..., ::-1]
+    css = np.cumsum(u, axis=-1)
+    ks = np.arange(1, u.shape[-1] + 1)
+    # the last k with u_k > (css_k - 1) / k; the first always qualifies
+    rho = u.shape[-1] - 1 - np.argmax((u > (css - 1.0) / ks)[..., ::-1], axis=-1)
+    theta = (np.take_along_axis(css, rho[..., None], -1) - 1.0) / (rho[..., None] + 1)
     return np.maximum(quasi - theta, 0.0)
 
 
-def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogram:
-    """Invert readout confusion and take the nearest probability vector.
+def mitigate_weights(weights: np.ndarray, confusion: ConfusionMatrix) -> np.ndarray:
+    """Invert readout confusion and take the nearest distribution, row by row.
 
     The quasi-distribution ``confusion.inverse() @ p`` can have negative
     entries; its Euclidean projection onto the simplex is the closest
-    distribution (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)). The
-    result is rescaled to the histogram's total weight.
+    distribution (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)). Each
+    result is rescaled to its row's total weight.
     """
-    if hist.n_bits != confusion.n_bits:
+    if weights.shape[-1] != 2 ** confusion.n_bits:
         raise ValueError("histogram and confusion matrix disagree on width")
-    vec = hist.to_vector()
-    total = vec.sum()
-    if total <= 0:
+    totals = [w.sum() for w in weights]
+    if min(totals) <= 0:
         raise ValueError("empty histogram")
-    probs = project_to_simplex(confusion.inverse() @ (vec / total))
-    probs = probs / probs.sum() * total
+    inverse = confusion.inverse()
+    # one matrix-vector product per row: a stacked product can round otherwise
+    probs = project_to_simplex(np.array([inverse @ (w / t) for w, t in zip(weights, totals)]))
+    return np.array([p / p.sum() * t for p, t in zip(probs, totals)])
+
+
+def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogram:
+    """``mitigate_weights`` of one histogram."""
+    probs = mitigate_weights(hist.to_vector()[None], confusion)[0]
     return CountsHistogram.from_vector(probs, hist.shots, hist.n_bits)
 
 
-def expectation(hist: CountsHistogram, setting: MeasurementSetting) -> tuple[float, float]:
-    """(estimate, shot-noise standard error) of the setting's eigenvalue."""
-    num = 0.0
-    den = 0.0
-    for key, w in hist.entries.items():
-        num += w * setting.decode(key)
-        den += w
-    if den <= 0:
+def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
+    """(estimate, shot-noise standard error) of the setting's eigenvalue for
+    each row, from the ``decode`` of every outcome key."""
+    n_bits = weights.shape[-1].bit_length() - 1
+    decoded = np.array([setting.decode(format(i, f"0{n_bits}b")) for i in range(2 ** n_bits)])
+    den = _totals(weights)
+    if not (den > 0).all():
         raise ValueError("no weight left to average")
-    est = num / den
-    se = float(np.sqrt(max(1.0 - est * est, 0.0) / den))
-    return est, se
+    est = _totals(weights * decoded) / den
+    return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / den)
+
+
+def expectation(hist: CountsHistogram, setting: MeasurementSetting) -> tuple[float, float]:
+    """``expectations`` of one histogram."""
+    est, se = expectations(hist.to_vector()[None], setting)
+    return float(est[0]), float(se[0])
 
 
 @dataclass(frozen=True)
 class TomographyResult:
-    """Estimated two-mode correlators and their bookkeeping."""
+    """Estimated two-mode correlators and their bookkeeping, by setting label."""
 
     traces: dict
     errors: dict
     retained: dict
     shots: dict
-
-    @property
-    def tr_zz(self) -> float:
-        return self.traces["ZZ"]
-
-    @property
-    def tr_xy(self) -> float:
-        return self.traces["XY"]
-
-    @property
-    def tr_yx(self) -> float:
-        return self.traces["YX"]
-
-    @property
-    def tr_iz(self) -> float:
-        return self.traces["IZ"]
-
-    @property
-    def tr_zi(self) -> float:
-        return self.traces["ZI"]
 
 
 def estimate_traces(

@@ -563,19 +563,9 @@ def transpile(
     return replace(routed, circuit=simplify(routed.circuit, memo))
 
 
-def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit, memo: dict | None = None) -> Circuit:
-    """Append 1-qubit gates and measurements to a ``transpile`` result.
-
-    The logical-qubit suffix is lowered and placed through
-    ``prefix.final_layout`` (without CNOTs it needs no routing). The result
-    is ``simplify(prefix.circuit + placed suffix)`` gate for gate, but only
-    the tail of the prefix that the suffix can reach is simplified again
-    (see ``_suffix_window``; ``prefix.circuit`` is ``simplify`` output, as
-    ``transpile`` returns it), so the prefix compiles once for many suffixes.
-    Against ``transpile`` of the whole circuit it is equal as a unitary;
-    gate for gate it may differ where summed Rz angles associate
-    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s.
-    """
+def place_suffix(suffix: Circuit, prefix: RoutedCircuit) -> Circuit:
+    """A logical-qubit suffix of 1-qubit gates and measurements, lowered and placed
+    through ``prefix.final_layout`` (without CNOTs it needs no routing)."""
     if any(g.kind == "cx" for g in suffix.gates):
         raise ValueError("a suffix with CNOTs needs routing; transpile the whole circuit")
     l2p = prefix.final_layout
@@ -583,15 +573,32 @@ def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit, memo: dict | None =
         Gate._trusted(g.kind, (l2p[g.qubits[0]],), g.param, g.cbit)
         for g in lower_to_basis(suffix).gates
     )
-    base = prefix.circuit
-    wires = {g.qubits[0] for g in placed if g.kind != "measure"}
+    return Circuit._trusted(prefix.circuit.n_qubits, placed, suffix.metadata)
+
+
+def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit, memo: dict | None = None) -> Circuit:
+    """Append 1-qubit gates and measurements to a ``transpile`` result:
+    ``append_placed`` of its circuit and the ``place_suffix`` of ``suffix``."""
+    return append_placed(prefix.circuit, place_suffix(suffix, prefix), memo)
+
+
+def append_placed(base: Circuit, placed: Circuit, memo: dict | None = None) -> Circuit:
+    """``simplify(base + placed)`` gate for gate, for a ``simplify`` output
+    ``base`` (as ``transpile`` returns it) and a ``place_suffix`` result, but
+    only the tail of ``base`` that the suffix can reach is simplified again
+    (see ``_suffix_window``), so the prefix compiles once for many suffixes.
+    Against ``transpile`` of the whole circuit it is equal as a unitary;
+    gate for gate it may differ where summed Rz angles associate
+    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s.
+    """
+    wires = {g.qubits[0] for g in placed.gates if g.kind != "measure"}
     if not wires or base.has_measurements:
         # every pass ends a run or a float at a measurement as it does at the
         # end of the circuit, so measurements after a fixpoint stay one; a
         # measured prefix takes no further gates, which Circuit reports
-        return base + Circuit(base.n_qubits, placed, suffix.metadata)
+        return base + placed
     cut = _suffix_window(base.gates, wires)
-    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed, {}), memo)
+    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed.gates, {}), memo)
     metadata = dict(base.metadata)
-    metadata.update(suffix.metadata)
+    metadata.update(placed.metadata)
     return Circuit._trusted(base.n_qubits, base.gates[:cut] + tail.gates, metadata)

@@ -183,6 +183,20 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "results.csv")
 
 
+def test_postselection_keeping_nothing_is_a_config_error(tmp_path, capsys):
+    # at this seed the one mitigated shot of ZZ has no weight in the physical
+    # subspace; Philox draws it alike on every platform
+    flags = ["sweep", "--noise-preset", "nairobi-like", "--shots", "1", "--seed", "1",
+             "--epsilon=0.001", "--out-dir", str(tmp_path)]
+    assert main(flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: shots: 1 ")
+    for part in ("ZZ", "epsilon 0.001", "--no-postselect"):
+        assert part in err
+    assert not os.path.exists(tmp_path / "results.csv")
+    assert main(flags + ["--no-postselect"]) == 0
+
+
 @pytest.mark.parametrize("config,field", [
     ({"topology": "belem-like", "layout": 5}, "layout"),
     ({"topology": "belem-like", "layout": [0, 1, "x", 3]}, "layout"),

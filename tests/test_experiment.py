@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gravopto import experiment, transpiler
+from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces
 from gravopto.circuit import Circuit, phase_distance, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
@@ -23,7 +24,15 @@ from gravopto.experiment import (
     run_sweep,
 )
 from gravopto.qasm import parse as qasm_parse
-from gravopto.tomography import measurement_circuits
+from gravopto.simulator import CountsHistogram, outcome_distributions, sample_counts
+from gravopto.tomography import (
+    SETTING_LABELS,
+    calibrate_confusion,
+    estimate_traces,
+    measurement_circuits,
+    mitigate,
+    postselect,
+)
 from gravopto.transpiler import (
     BASIS_KINDS,
     RoutedCircuit,
@@ -250,6 +259,29 @@ def test_evolution_compile_runs_once_per_sweep(kwargs, monkeypatch):
     assert sum(n for name, n in many if name == "lower") == (whole if cfg.transpile else 0)
 
 
+@SKELETON_CASES
+def test_suffixes_are_lowered_once_per_sweep(kwargs, monkeypatch):
+    """Every point keeps the skeleton's final layout, so each of the three
+    distinct measurement suffixes is lowered and placed once per sweep,
+    whatever the number of points."""
+    lowered = []
+    lower = transpiler.lower_to_basis
+
+    def counted(circuit):
+        if circuit.has_measurements:
+            lowered.append(circuit)
+        return lower(circuit)
+
+    for module in (experiment, transpiler):
+        monkeypatch.setattr(module, "lower_to_basis", counted)
+    cfg = ExperimentConfig(**kwargs)
+    for eps_values in (DEFAULT_EPSILONS, (0.01,)):
+        lowered.clear()
+        compile_sweep(dataclasses.replace(cfg, epsilon_values=eps_values))
+        assert len(lowered) == (3 if cfg.transpile else 0)
+        assert len(set(lowered)) == len(lowered)
+
+
 @pytest.mark.parametrize("topology,layout", [
     ("belem-like", None), ("nairobi-like", None), ("nairobi-like", (0, 2, 4, 6)), (None, None),
 ], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-topology"])
@@ -450,6 +482,85 @@ class TestRunSweep:
             transpile=False,
         )
         assert run_sweep(cfg) == run_sweep(cfg)
+
+
+def reference_rows(cfg: ExperimentConfig) -> list[dict]:
+    """Each point's row as the sweep made it setting by setting: one
+    histogram per setting, sampled with the setting's seed or exact,
+    mitigated, post-selected and estimated on its own."""
+    noise = cfg.noise_model()
+    confusion = calibrate_confusion(4, noise)
+    point_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
+    rows = []
+    for eps, seed, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compile_sweep(cfg)):
+        setting_seeds = np.random.SeedSequence(int(seed)).generate_state(5)
+        distributions = outcome_distributions([circuits[lab][1] for lab in SETTING_LABELS], noise)
+        histograms, retained = {}, {}
+        for label, probs, setting_seed in zip(SETTING_LABELS, distributions, setting_seeds):
+            if cfg.analytic_mode:
+                hist = CountsHistogram.from_vector(probs * cfg.shots, cfg.shots, 4)
+            else:
+                hist = sample_counts(probs, cfg.shots, int(setting_seed))
+            if cfg.mitigation:
+                hist = mitigate(hist, confusion)
+            if label == "ZZ":
+                kept, retained[label] = postselect(hist, circuits[label][0])
+                if cfg.postselection:
+                    hist = kept
+            histograms[label] = hist
+        result = estimate_traces(histograms, retained)
+        single, cnots = circuits["ZZ"][1].gate_counts()
+        rows.append({
+            "epsilon": eps,
+            "fidelity": fidelity_from_traces(eps, result),
+            "fidelity_err": fidelity_error(eps, result, cfg.readout),
+            "tr_zz": result.traces["ZZ"], "tr_xy": result.traces["XY"],
+            "tr_yx": result.traces["YX"], "tr_iz": result.traces["IZ"],
+            "tr_zi": result.traces["ZI"],
+            "concurrence_theory": concurrence_theory(eps),
+            "retained_fraction_zz": retained["ZZ"],
+            "single_qubit_gates": single, "cnot_gates": cnots,
+            "shots": cfg.shots, "seed": int(seed),
+        })
+    return rows
+
+
+def exact_row(row: dict) -> dict:
+    """Every cell with its type, a float by its bits."""
+    return {k: (type(v).__name__, v.hex() if isinstance(v, float) else v) for k, v in row.items()}
+
+
+@pytest.mark.parametrize("preset,kwargs", [
+    ("belem-like", dict(topology="belem-like", shots=1000)),
+    ("none", dict(readout=0.0211, topology="belem-like", shots=100_000)),
+    ("none", dict(readout=0.0306, topology="nairobi-like", layout=(0, 2, 4, 6),
+                  analytic_mode=True)),
+], ids=["belem-like-1k", "readout-belem-100k", "analytic-nairobi-0246"])
+@pytest.mark.parametrize("mitigation", [True, False])
+@pytest.mark.parametrize("postselection", [True, False])
+@pytest.mark.parametrize("seed", [11, 12])
+def test_sweep_rows_equal_the_per_setting_reference(preset, kwargs, mitigation, postselection, seed):
+    """A sweep's weights array gives each point the row its settings give
+    one histogram at a time, float for float."""
+    cfg = ExperimentConfig.with_preset(preset, mitigation=mitigation,
+                                       postselection=postselection, seed=seed, **kwargs)
+    got = run_sweep(cfg)
+    want = reference_rows(cfg)
+    assert [exact_row(row) for row in got] == [exact_row(row) for row in want]
+
+
+@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
+def test_a_sweep_builds_no_histogram(analytic, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep built a histogram")
+
+    monkeypatch.setattr(CountsHistogram, "from_vector", staticmethod(refuse))
+    monkeypatch.setattr(CountsHistogram, "_trusted", staticmethod(refuse))
+    cfg = ExperimentConfig.with_preset("belem-like", topology="belem-like", shots=500,
+                                       analytic_mode=analytic)
+    assert len(run_sweep(cfg)) == len(cfg.epsilon_values)
+    with pytest.raises(AssertionError):
+        sample_counts(np.full(16, 1 / 16), 10, 0)
 
 
 class TestEmitOutputs:

@@ -24,9 +24,12 @@ from gravopto.tomography import (
     calibrate_confusion,
     estimate_traces,
     expectation,
+    expectations,
     measurement_circuits,
     mitigate,
+    mitigate_weights,
     postselect,
+    postselect_weights,
     project_to_simplex,
 )
 
@@ -152,6 +155,13 @@ class TestPostselect:
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
             postselect(CountsHistogram({}, 0, 4), MeasurementSetting("ZZ"))
+
+    @pytest.mark.parametrize("n_bits", [2, 5])
+    def test_other_widths_are_refused(self, n_bits):
+        # the physical subspace is one of 4-bit dual-rail keys
+        hist = CountsHistogram({"0" * (n_bits - 1) + "1": 3}, shots=3, n_bits=n_bits)
+        with pytest.raises(ValueError, match="4-bit"):
+            postselect(hist, MeasurementSetting("ZZ"))
 
 
 class TestConfusionMatrix:
@@ -354,11 +364,78 @@ def test_estimate_traces_collects_everything():
     for setting, circ in measurement_circuits(base):
         hists[setting.label] = analytic_histogram(circ)
     result = estimate_traces(hists, retained={"ZZ": 0.97})
-    assert result.tr_zz == pytest.approx(1.0, abs=1e-9)
-    assert result.tr_xy == pytest.approx(np.sin(2 * eps), abs=1e-9)
-    assert result.tr_yx == pytest.approx(np.sin(2 * eps), abs=1e-9)
-    assert result.tr_iz == pytest.approx(np.cos(2 * eps), abs=1e-9)
-    assert result.tr_zi == pytest.approx(np.cos(2 * eps), abs=1e-9)
+    assert result.traces["ZZ"] == pytest.approx(1.0, abs=1e-9)
+    assert result.traces["XY"] == pytest.approx(np.sin(2 * eps), abs=1e-9)
+    assert result.traces["YX"] == pytest.approx(np.sin(2 * eps), abs=1e-9)
+    assert result.traces["IZ"] == pytest.approx(np.cos(2 * eps), abs=1e-9)
+    assert result.traces["ZI"] == pytest.approx(np.cos(2 * eps), abs=1e-9)
     assert result.retained == {"ZZ": 0.97, "XY": 1.0, "YX": 1.0, "IZ": 1.0, "ZI": 1.0}
-    assert result.traces["IZ"] == result.tr_iz
     assert set(result.errors) == set(SETTING_LABELS)
+
+
+def random_weight_rows() -> np.ndarray:
+    """Sampled counts with zero entries, fractional exact weights, and a row
+    with nothing in the physical subspace."""
+    rng = np.random.default_rng(21)
+    rows = [rng.multinomial(300, rng.dirichlet(np.full(16, 0.2))).astype(float) for _ in range(8)]
+    rows += [rng.dirichlet(np.ones(16)) * 1000.0 for _ in range(4)]
+    leaked = np.zeros(16)
+    leaked[[0, 3, 12, 15]] = [4.0, 2.5, 1.0, 0.5]
+    return np.array(rows + [leaked])
+
+
+def test_row_functions_equal_the_one_histogram_functions():
+    weights = random_weight_rows()
+    hists = [CountsHistogram.from_vector(w, 300, 4) for w in weights]
+    confusion = ConfusionMatrix.from_lambdas([0.03] * 4)
+    for row, hist in zip(mitigate_weights(weights, confusion), hists):
+        assert row.tolist() == mitigate(hist, confusion).to_vector().tolist()
+    for label in SETTING_LABELS:
+        setting = MeasurementSetting(label)
+        kept, retained = postselect_weights(weights, setting)
+        for row, frac, hist in zip(kept, retained, hists):
+            one, one_frac = postselect(hist, setting)
+            assert row.tolist() == one.to_vector().tolist() and frac == one_frac
+        est, se = expectations(weights, setting)
+        for e, s, hist in zip(est, se, hists):
+            assert (e, s) == expectation(hist, setting)
+
+
+def test_row_sums_run_in_key_order():
+    """Each sum adds a row's nonzero weights one by one in key order, as
+    summing a histogram's entries did."""
+    weights = random_weight_rows()
+    for label in SETTING_LABELS:
+        setting = MeasurementSetting(label)
+        est, se = expectations(weights, setting)
+        kept, retained = postselect_weights(weights, setting)
+        for w, e, s, k, frac in zip(weights, est, se, kept, retained):
+            keys = [(format(i, "04b"), w[i]) for i in np.flatnonzero(w)]
+            num = den = 0.0
+            for key, weight in keys:
+                num += weight * setting.decode(key)
+                den += weight
+            assert e == num / den
+            assert s == float(np.sqrt(max(1.0 - e * e, 0.0) / den))
+            assert frac == sum(k[k != 0].tolist()) / den
+
+
+def test_a_fully_leaked_row_keeps_no_weight():
+    weights = random_weight_rows()
+    zz = MeasurementSetting("ZZ")
+    kept, retained = postselect_weights(weights, zz)
+    assert retained[-1] == 0.0 and retained[:-1].min() > 0.0
+    with pytest.raises(ValueError, match="no weight left"):
+        expectations(kept, zz)
+    expectations(kept[:-1], zz)
+    # a rotated setting cannot see the leakage, and keeps the row whole
+    _, rotated = postselect_weights(weights, MeasurementSetting("XY"))
+    assert rotated.tolist() == [1.0] * len(weights)
+
+
+def test_projection_of_rows_is_each_row_projected():
+    rng = np.random.default_rng(5)
+    quasi = rng.normal(scale=0.3, size=(40, 16)) + 1 / 16
+    rows = project_to_simplex(quasi)
+    for q, p in zip(quasi, rows):
+        assert p.tolist() == project_to_simplex(q).tolist()
