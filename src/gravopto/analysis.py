@@ -8,59 +8,18 @@ overshoots 1 by 2*eps**4; results keep that raw value, unclamped.
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
-TRACE_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
-
-_PERTURBATIVE_GUARD = 0.3
+from .tomography import SETTING_LABELS
 
 
-@dataclass(frozen=True)
-class LogicalState:
-    """Normalized pure state of the two logical modes."""
-
-    amplitudes: tuple
-
-    def __post_init__(self):
-        amps = tuple(complex(a) for a in self.amplitudes)
-        if len(amps) != 4:
-            raise ValueError("a logical state has four amplitudes")
-        norm = math.fsum(abs(a) ** 2 for a in amps)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {math.sqrt(norm)} is not 1")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def vector(self) -> np.ndarray:
-        return np.array(self.amplitudes, dtype=complex)
-
-    def density(self) -> np.ndarray:
-        v = self.vector()
-        return np.outer(v, v.conj())
-
-
-def perturbative_state(epsilon: float) -> LogicalState:
-    """Second-order coupled state, (1 - eps^2/2)|00> + i eps |11>, renormalized."""
-    if abs(epsilon) > _PERTURBATIVE_GUARD:
-        warnings.warn(
-            f"epsilon={epsilon} is outside the perturbative regime (|eps| <= 0.3)",
-            stacklevel=2,
-        )
-    amps = np.array([1.0 - 0.5 * epsilon ** 2, 0.0, 0.0, 1j * epsilon])
-    amps = amps / np.linalg.norm(amps)
-    return LogicalState(tuple(amps))
-
-
-def exact_state(epsilon: float) -> LogicalState:
+def exact_state(epsilon: float) -> np.ndarray:
     """cos(eps)|00> + i sin(eps)|11>, the exact two-level evolution."""
-    return LogicalState((math.cos(epsilon), 0.0, 0.0, 1j * math.sin(epsilon)))
+    return np.array([math.cos(epsilon), 0.0, 0.0, 1j * math.sin(epsilon)])
 
 
 def _as_state_vector(state) -> np.ndarray:
-    if isinstance(state, LogicalState):
-        return state.vector()
     vec = np.asarray(state, dtype=complex).reshape(-1)
     if vec.size != 4:
         raise ValueError("expected a two-mode state")
@@ -105,13 +64,11 @@ def perturbative_traces(epsilon: float) -> dict:
 
 
 def _trace_dict(traces) -> dict:
-    if hasattr(traces, "traces"):
-        traces = traces.traces
-    missing = [lab for lab in TRACE_LABELS if lab not in traces]
+    missing = [lab for lab in SETTING_LABELS if lab not in traces]
     if missing:
         raise ValueError(f"missing traces: {missing}")
     out = {}
-    for lab in TRACE_LABELS:
+    for lab in SETTING_LABELS:
         t = float(traces[lab])
         if abs(t) > 1.0 + 1e-6:
             raise ValueError(f"trace {lab}={t} outside [-1, 1]")
@@ -120,10 +77,8 @@ def _trace_dict(traces) -> dict:
 
 
 def fidelity_from_traces(epsilon: float, traces) -> float:
-    """Overlap with the perturbative target, from five measured correlators.
-
-    Accepts a TomographyResult or any mapping with the five labels.
-    """
+    """Overlap with the perturbative target, from a mapping of the five
+    measured correlators by setting label."""
     t = _trace_dict(traces)
     return 0.25 * (
         1.0
@@ -133,22 +88,8 @@ def fidelity_from_traces(epsilon: float, traces) -> float:
     )
 
 
-def fidelity_exact(target, state) -> float:
-    """<psi|rho|psi>, with |<psi|phi>|^2 for a pure second argument."""
-    psi = _as_state_vector(target)
-    arr = np.asarray(state, dtype=complex) if not isinstance(state, LogicalState) else state.vector()
-    if arr.ndim == 2:
-        if arr.shape != (psi.size, psi.size):
-            raise ValueError("density matrix dimension mismatch")
-        return float(np.real(psi.conj() @ arr @ psi))
-    phi = _as_state_vector(state)
-    return float(abs(np.vdot(psi, phi)) ** 2)
-
-
 def trace_uncertainty(trace: float, lam: float, n_qubits: int = 4) -> float:
     """Linear readout-error propagation for one correlator: n lambda (1 + tr)."""
-    if not 0.0 <= lam < 0.5:
-        raise ValueError(f"readout rate {lam} outside [0, 0.5)")
     if n_qubits < 1:
         raise ValueError("need at least one measured qubit")
     return n_qubits * lam * (1.0 + trace)
@@ -161,7 +102,7 @@ def fidelity_error(epsilon: float, traces, lam: float, n_qubits: int = 4) -> flo
     squared uncertainties of {ZZ, XY, YX, IZ, ZI}.
     """
     t = _trace_dict(traces)
-    d = {lab: trace_uncertainty(t[lab], lam, n_qubits) for lab in TRACE_LABELS}
+    d = {lab: trace_uncertainty(t[lab], lam, n_qubits) for lab in SETTING_LABELS}
     w_off = 4.0 * epsilon ** 2
     w_pop = 1.0 - 4.0 * epsilon ** 2
     total = (

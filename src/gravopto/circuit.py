@@ -156,17 +156,6 @@ def matrix_of(gate: Gate) -> np.ndarray:
     raise ValueError(f"{gate.kind} has no unitary matrix")
 
 
-_DAGGER_KIND = {
-    "x": "x",
-    "h": "h",
-    "s": "sdg",
-    "sdg": "s",
-    "sx": "sxdg",
-    "sxdg": "sx",
-    "cx": "cx",
-}
-
-
 @dataclass(frozen=True)
 class Circuit:
     n_qubits: int
@@ -207,9 +196,6 @@ class Circuit:
         object.__setattr__(circuit, "metadata", metadata)
         return circuit
 
-    def append(self, gate: Gate) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + (gate,), dict(self.metadata))
-
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
         return Circuit(self.n_qubits, self.gates + tuple(gates), dict(self.metadata))
 
@@ -229,33 +215,11 @@ class Circuit:
         """(qubit, cbit) pairs in gate order."""
         return tuple((g.qubits[0], g.cbit) for g in self.gates if g.kind == "measure")
 
-    def without_measurements(self) -> "Circuit":
-        kept = tuple(g for g in self.gates if g.kind != "measure")
-        return Circuit(self.n_qubits, kept, dict(self.metadata))
-
-    def dagger(self) -> "Circuit":
-        """Exact inverse circuit: reversed order, every gate inverted.
-
-        sx/sxdg swap kinds, so dagger(dagger(c)) == c gate for gate.
-        """
-        out = []
-        for g in reversed(self.gates):
-            if g.kind == "measure":
-                raise ValueError("cannot invert a measurement")
-            if g.kind in _DAGGER_KIND:
-                out.append(Gate(_DAGGER_KIND[g.kind], g.qubits))
-            else:
-                out.append(Gate(g.kind, g.qubits, param=-g.param))
-        return Circuit(self.n_qubits, tuple(out), dict(self.metadata))
-
     def gate_counts(self) -> tuple[int, int]:
         """(single-qubit count, cnot count); measurements excluded."""
         single = sum(1 for g in self.gates if g.kind in SINGLE_QUBIT_KINDS)
         two = sum(1 for g in self.gates if g.kind == "cx")
         return single, two
-
-    def unitary(self) -> np.ndarray:
-        return unitary_of(self)
 
 
 def _embedded(gate: Gate, n: int) -> np.ndarray:

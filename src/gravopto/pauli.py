@@ -2,8 +2,8 @@
 
 A PauliString is a tensor product of single-qubit factors I, X, Y, Z carrying
 a global phase restricted to {+1, +i, -1, -i}. The phase is stored as an
-integer power of i, never as a float, so products, equality and commutation
-checks are exact.
+integer power of i, never as a float, so equality and commutation checks are
+exact.
 
 Convention used across the whole package: qubit 0 is the leftmost tensor
 factor, i.e. the most significant bit of a computational-basis index.
@@ -21,34 +21,11 @@ from .errors import CapacityError
 
 PHASE_VALUES = (1, 1j, -1, -1j)
 
-_PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
-_LABEL_PHASES = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
-
 _SINGLE_MATRICES = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-# (left, right) -> (product factor, power of i picked up)
-_SINGLE_PRODUCT = {
-    ("I", "I"): ("I", 0),
-    ("I", "X"): ("X", 0),
-    ("I", "Y"): ("Y", 0),
-    ("I", "Z"): ("Z", 0),
-    ("X", "I"): ("X", 0),
-    ("Y", "I"): ("Y", 0),
-    ("Z", "I"): ("Z", 0),
-    ("X", "X"): ("I", 0),
-    ("Y", "Y"): ("I", 0),
-    ("Z", "Z"): ("I", 0),
-    ("X", "Y"): ("Z", 1),
-    ("Y", "X"): ("Z", 3),
-    ("Y", "Z"): ("X", 1),
-    ("Z", "Y"): ("X", 3),
-    ("Z", "X"): ("Y", 1),
-    ("X", "Z"): ("Y", 3),
 }
 
 
@@ -67,15 +44,6 @@ class PauliString:
             raise ValueError(f"invalid Pauli factors: {sorted(bad)}")
         object.__setattr__(self, "phase_power", self.phase_power % 4)
 
-    @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse text like 'XXYY', '-ZZ' or '+iXYZI'."""
-        body = label.lstrip("+-i")
-        prefix = label[: len(label) - len(body)]
-        if prefix not in _LABEL_PHASES:
-            raise ValueError(f"cannot parse phase prefix {prefix!r}")
-        return cls(body, _LABEL_PHASES[prefix])
-
     @property
     def n_qubits(self) -> int:
         return len(self.factors)
@@ -83,19 +51,6 @@ class PauliString:
     @property
     def phase(self) -> complex:
         return PHASE_VALUES[self.phase_power]
-
-    def multiply(self, other: "PauliString") -> "PauliString":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("size mismatch in Pauli product")
-        power = self.phase_power + other.phase_power
-        out = []
-        for a, b in zip(self.factors, other.factors):
-            factor, extra = _SINGLE_PRODUCT[(a, b)]
-            out.append(factor)
-            power += extra
-        return PauliString("".join(out), power % 4)
-
-    __mul__ = multiply
 
     def commutes(self, other: "PauliString") -> bool:
         """Exact commutation test: count anticommuting factor pairs."""
@@ -116,9 +71,6 @@ class PauliString:
             )
         full = reduce(np.kron, (_SINGLE_MATRICES[f] for f in self.factors))
         return self.phase * full
-
-    def __str__(self) -> str:
-        return _PHASE_LABELS[self.phase_power] + self.factors
 
 
 class PauliSum:

@@ -157,23 +157,15 @@ class _Kernel:
         return out
 
 
-def zero_state(n_qubits: int) -> np.ndarray:
-    psi = np.zeros((2,) * n_qubits, dtype=complex)
-    psi[(0,) * n_qubits] = 1.0
-    return psi
-
-
-def run_ideal(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
-    """Final statevector, flat shape (2**n,). Measurements are skipped."""
-    psi = zero_state(c.n_qubits) if initial is None else np.asarray(initial, dtype=complex)
-    if psi.size != 2 ** c.n_qubits:
-        raise ValueError("initial state has the wrong dimension")
-    psi = psi.reshape(1, -1)
+def run_ideal(c: Circuit) -> np.ndarray:
+    """Final statevector from |0...0>, flat shape (2**n,). Measurements are skipped."""
+    psi = np.zeros((1, 2 ** c.n_qubits), dtype=complex)
+    psi[0, 0] = 1.0
     kernel = _Kernel(c.n_qubits, mixed=False)
     for g in c.gates:
         if g.kind != "measure":
             psi = kernel.apply(psi, g.kind, g.qubits, [g.param])
-    return psi.reshape(-1).copy()
+    return psi.reshape(-1)
 
 
 def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -195,9 +187,9 @@ def _measure_order(c: Circuit) -> list[int]:
     return [q for q, _ in pairs]
 
 
-def born_probabilities(c: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+def born_probabilities(c: Circuit) -> np.ndarray:
     """Exact outcome distribution over the 2**k classical keys."""
-    psi = run_ideal(c, initial).reshape((2,) * c.n_qubits)
+    psi = run_ideal(c).reshape((2,) * c.n_qubits)
     return _marginal(np.abs(psi) ** 2, _measure_order(c))
 
 

@@ -18,8 +18,8 @@ measured in the computational basis, where leaked pairs are identifiable.
 A sweep's settings are the rows of one weights array, 2**4 weights per row
 in key order. ``mitigate_weights``, ``postselect_weights`` and
 ``expectations`` work on such rows, adding a row's weights one after another
-in key order. ``CountsHistogram`` is the one-histogram API: ``mitigate``,
-``postselect``, ``expectation`` and ``estimate_traces`` are the one-row case.
+in key order. ``mitigate`` and ``estimate_traces`` are the one-row case, for
+``CountsHistogram`` input.
 """
 from __future__ import annotations
 
@@ -120,12 +120,6 @@ def postselect_weights(weights: np.ndarray,
     return kept, _totals(kept) / totals
 
 
-def postselect(hist: CountsHistogram, setting: MeasurementSetting) -> tuple[CountsHistogram, float]:
-    """``postselect_weights`` of one histogram."""
-    kept, retained = postselect_weights(hist.to_vector()[None], setting)
-    return CountsHistogram.from_vector(kept[0], hist.shots, hist.n_bits), float(retained[0])
-
-
 class ConfusionMatrix:
     """Column-stochastic map from true outcomes to recorded outcomes."""
 
@@ -144,11 +138,10 @@ class ConfusionMatrix:
 
     @classmethod
     def from_lambdas(cls, lambdas) -> "ConfusionMatrix":
-        """Independent symmetric bit flips, one rate per classical bit."""
+        """Independent symmetric bit flips, one rate per classical bit (each
+        in [0, 0.5), as ``NoiseModel`` checks its readout rate)."""
         dense = np.array([[1.0]])
         for lam in lambdas:
-            if not 0.0 <= lam < 0.5:
-                raise ValueError(f"flip rate {lam} outside [0, 0.5)")
             c = np.array([[1.0 - lam, lam], [lam, 1.0 - lam]])
             dense = np.kron(dense, c)
         return cls(dense)
@@ -246,34 +239,7 @@ def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.n
     return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / den)
 
 
-def expectation(hist: CountsHistogram, setting: MeasurementSetting) -> tuple[float, float]:
-    """``expectations`` of one histogram."""
-    est, se = expectations(hist.to_vector()[None], setting)
-    return float(est[0]), float(se[0])
-
-
-@dataclass(frozen=True)
-class TomographyResult:
-    """Estimated two-mode correlators and their bookkeeping, by setting label."""
-
-    traces: dict
-    errors: dict
-    retained: dict
-    shots: dict
-
-
-def estimate_traces(
-    histograms: dict,
-    retained: dict | None = None,
-) -> TomographyResult:
-    """Turn processed per-setting histograms into correlator estimates."""
-    traces, errors, shots = {}, {}, {}
-    for label, hist in histograms.items():
-        est, se = expectation(hist, MeasurementSetting(label))
-        traces[label] = est
-        errors[label] = se
-        shots[label] = hist.shots
-    kept = {label: 1.0 for label in histograms}
-    if retained:
-        kept.update(retained)
-    return TomographyResult(traces, errors, kept, shots)
+def estimate_traces(histograms: dict) -> dict:
+    """``expectations`` of one histogram per setting: each label's correlator estimate."""
+    return {label: float(expectations(hist.to_vector()[None], MeasurementSetting(label))[0][0])
+            for label, hist in histograms.items()}

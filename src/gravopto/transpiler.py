@@ -21,17 +21,18 @@ All three preserve the unitary up to global phase and never increase any
 gate count, so simplify is idempotent gate for gate. Whether a run is
 replaced depends on its gates alone, so a pass after the first
 re-synthesises only the wires whose gate sequence changed since the
-previous pass. For the same reason ``simplify``, ``transpile`` and
-``transpile_suffix`` take a memo of resyntheses keyed by a run's (kind,
-param) sequence. The compile of a sweep passes one memo to all its calls,
-so a run that recurs across the sweep's points is synthesised once; without
-one, each call keeps its own.
+previous pass. For the same reason ``simplify`` takes a memo of resyntheses
+keyed by a run's (kind, param) sequence. The compile of a sweep passes one
+memo to all its calls, so a run that recurs across the sweep's points is
+synthesised once; without one, each call keeps its own.
 
-``transpile_suffix`` appends 1-qubit gates and measurements to a simplified
-circuit and simplifies again only the tail they can reach: the trailing
-single-qubit run of each wire they touch and every still-floating trailing
-Rz, widened to start on a run boundary. The head is already a fixpoint that
-no pass changes, so the result is ``simplify`` of the whole circuit.
+``place_suffix`` lowers a suffix of 1-qubit gates and measurements and
+places it through a routed circuit's final layout. ``append_placed`` appends
+it to a simplified circuit and simplifies again only the tail it can reach:
+the trailing single-qubit run of each wire it touches and every
+still-floating trailing Rz, widened to start on a run boundary. The head is
+already a fixpoint that no pass changes, so the result is ``simplify`` of
+the whole circuit.
 
 Gates and circuits re-emitted from checked ones are built with
 ``Gate._trusted`` and ``Circuit._trusted``, which skip re-validation.
@@ -546,21 +547,19 @@ def transpile(
     c: Circuit,
     topology: Topology | None = None,
     layout: Layout | Sequence[int] | None = None,
-    memo: dict | None = None,
 ) -> RoutedCircuit:
     """lower -> route (if a topology is given) -> simplify.
 
-    Without a layout the circuit is routed from the hub layout. ``memo`` is
-    ``simplify``'s.
+    Without a layout the circuit is routed from the hub layout.
     """
     lowered = lower_to_basis(c)
     if topology is None:
         ident = tuple(range(c.n_qubits))
-        return RoutedCircuit(simplify(lowered, memo), ident, ident, ident)
+        return RoutedCircuit(simplify(lowered), ident, ident, ident)
     if layout is None:
         layout = hub_layout(topology, c.n_qubits)
     routed = route(lowered, topology, layout)
-    return replace(routed, circuit=simplify(routed.circuit, memo))
+    return replace(routed, circuit=simplify(routed.circuit))
 
 
 def place_suffix(suffix: Circuit, prefix: RoutedCircuit) -> Circuit:
@@ -574,12 +573,6 @@ def place_suffix(suffix: Circuit, prefix: RoutedCircuit) -> Circuit:
         for g in lower_to_basis(suffix).gates
     )
     return Circuit._trusted(prefix.circuit.n_qubits, placed, suffix.metadata)
-
-
-def transpile_suffix(prefix: RoutedCircuit, suffix: Circuit, memo: dict | None = None) -> Circuit:
-    """Append 1-qubit gates and measurements to a ``transpile`` result:
-    ``append_placed`` of its circuit and the ``place_suffix`` of ``suffix``."""
-    return append_placed(prefix.circuit, place_suffix(suffix, prefix), memo)
 
 
 def append_placed(base: Circuit, placed: Circuit, memo: dict | None = None) -> Circuit:

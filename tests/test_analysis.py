@@ -4,77 +4,62 @@ import numpy as np
 import pytest
 
 from gravopto.analysis import (
-    LogicalState,
     concurrence,
     concurrence_theory,
     exact_state,
     exact_traces,
     fidelity_error,
-    fidelity_exact,
     fidelity_from_traces,
-    perturbative_state,
     perturbative_traces,
     trace_uncertainty,
 )
+from gravopto.experiment import ExperimentConfig, prepare_circuits
+from gravopto.simulator import CountsHistogram, born_probabilities
+from gravopto.tomography import estimate_traces
+
+
+def perturbative_state(eps: float) -> np.ndarray:
+    """The fidelity target, (1 - eps^2/2)|00> + i eps |11>, normalized."""
+    amps = np.array([1.0 - 0.5 * eps ** 2, 0.0, 0.0, 1j * eps])
+    return amps / np.linalg.norm(amps)
+
+
+def overlap(a: np.ndarray, b: np.ndarray) -> float:
+    """|<a|b>|^2 of two pure states."""
+    return float(abs(np.vdot(a, b)) ** 2)
 
 
 def test_logical_state_validation():
+    # a two-mode state is four normalized amplitudes
     with pytest.raises(ValueError):
-        LogicalState((1.0, 0.0))
+        concurrence(np.array([1.0, 0.0]))
     with pytest.raises(ValueError):
-        LogicalState((1.0, 1.0, 0.0, 0.0))
-    st = LogicalState((0.0, 1.0, 0.0, 0.0))
-    assert st.vector()[1] == 1.0
-    rho = st.density()
-    assert rho.shape == (4, 4) and rho[1, 1] == 1.0
+        concurrence(np.array([1.0, 1.0, 0.0, 0.0]))
+    assert concurrence(np.array([0.0, 1.0, 0.0, 0.0])) == 0.0
 
 
 def test_exact_state_values():
-    st = exact_state(0.0)
-    assert np.allclose(st.vector(), [1, 0, 0, 0])
+    assert np.allclose(exact_state(0.0), [1, 0, 0, 0])
     st = exact_state(math.pi / 4)
-    assert abs(st.amplitudes[0]) == pytest.approx(1 / math.sqrt(2))
-    assert st.amplitudes[3] == pytest.approx(1j / math.sqrt(2))
-
-
-def test_perturbative_state_is_normalized():
-    for eps in (0.0, 1e-4, 0.05, 0.29):
-        vec = perturbative_state(eps).vector()
-        assert np.linalg.norm(vec) == pytest.approx(1.0)
-        assert vec[1] == 0.0 and vec[2] == 0.0
-
-
-def test_perturbative_amplitude_ratio():
-    eps = 0.1
-    vec = perturbative_state(eps).vector()
-    assert (vec[3] / vec[0]) == pytest.approx(1j * eps / (1 - 0.5 * eps ** 2))
-
-
-def test_perturbative_guard_warns():
-    import warnings
-
-    with pytest.warns(UserWarning):
-        perturbative_state(0.5)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        perturbative_state(0.3)
+    assert st.shape == (4,) and st.dtype == complex
+    assert abs(st[0]) == pytest.approx(1 / math.sqrt(2))
+    assert st[3] == pytest.approx(1j / math.sqrt(2))
 
 
 def test_states_agree_to_fourth_order():
     for eps in (1e-3, 1e-2, 0.05):
-        f = fidelity_exact(perturbative_state(eps), exact_state(eps))
+        f = overlap(perturbative_state(eps), exact_state(eps))
         assert 1.0 - f <= 10.0 * eps ** 4
 
 
 class TestConcurrence:
     def test_product_states_have_none(self):
-        assert concurrence(LogicalState((1, 0, 0, 0))) == pytest.approx(0.0, abs=1e-12)
-        plus = 0.5
-        st = LogicalState((plus, plus, plus, plus))
+        assert concurrence(np.array([1, 0, 0, 0])) == pytest.approx(0.0, abs=1e-12)
+        st = np.full(4, 0.5)
         assert concurrence(st) == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_state_is_maximal(self):
-        st = LogicalState((1 / math.sqrt(2), 0, 0, 1j / math.sqrt(2)))
+        st = np.array([1 / math.sqrt(2), 0, 0, 1j / math.sqrt(2)])
         assert concurrence(st) == pytest.approx(1.0)
 
     def test_matches_closed_form_for_evolution(self):
@@ -129,11 +114,12 @@ class TestFidelityFromTraces:
         assert fidelity_from_traces(0.1, traces) == pytest.approx(0.25)
 
     def test_accepts_tomography_result_shape(self):
-        class Box:
-            traces = exact_traces(0.02)
-
-        assert fidelity_from_traces(0.02, Box()) == pytest.approx(
-            fidelity_from_traces(0.02, exact_traces(0.02))
+        # estimate_traces' dict, from exact histograms of the five settings
+        circuits = prepare_circuits(ExperimentConfig(transpile=False), 0.02)
+        hists = {label: CountsHistogram.from_vector(born_probabilities(circ), 1, 4)
+                 for label, (_, circ) in circuits.items()}
+        assert fidelity_from_traces(0.02, estimate_traces(hists)) == pytest.approx(
+            fidelity_from_traces(0.02, exact_traces(0.02)), abs=1e-12
         )
 
     def test_missing_or_invalid_traces(self):
@@ -150,40 +136,12 @@ class TestFidelityFromTraces:
         assert fidelity_from_traces(0.0, traces) == pytest.approx(1.0)
 
 
-class TestFidelityExact:
-    def test_self_overlap(self):
-        st = exact_state(0.3)
-        assert fidelity_exact(st, st) == pytest.approx(1.0)
-
-    def test_orthogonal(self):
-        a = LogicalState((1, 0, 0, 0))
-        b = LogicalState((0, 0, 0, 1))
-        assert fidelity_exact(a, b) == pytest.approx(0.0)
-
-    def test_symmetry(self):
-        a = exact_state(0.2)
-        b = perturbative_state(0.15)
-        assert fidelity_exact(a, b) == pytest.approx(fidelity_exact(b, a))
-
-    def test_density_matrix_argument(self):
-        st = exact_state(0.25)
-        rho = st.density()
-        assert fidelity_exact(st, rho) == pytest.approx(1.0)
-        mixed = 0.5 * LogicalState((1, 0, 0, 0)).density() + 0.5 * rho
-        want = 0.5 * abs(st.amplitudes[0]) ** 2 + 0.5
-        assert fidelity_exact(st, mixed) == pytest.approx(want)
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(ValueError):
-            fidelity_exact(np.array([1.0, 1.0, 0.0, 0.0]), exact_state(0.1))
-
-
 def test_formula_tracks_true_overlap():
     # the trace formula evaluated on exact correlators stays within O(eps^4)
     # of the true overlap between exact and perturbative states
     for eps in (1e-3, 0.01, 0.05, 0.1):
         from_traces = fidelity_from_traces(eps, exact_traces(eps))
-        direct = fidelity_exact(perturbative_state(eps), exact_state(eps))
+        direct = overlap(perturbative_state(eps), exact_state(eps))
         assert abs(from_traces - direct) <= 20.0 * eps ** 4
 
 
@@ -199,10 +157,7 @@ class TestTraceUncertainty:
         assert trace_uncertainty(-1.0, 0.3) == 0.0
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            trace_uncertainty(0.5, 0.5)
-        with pytest.raises(ValueError):
-            trace_uncertainty(0.5, -0.1)
+        # the rate's range is NoiseModel's to check
         with pytest.raises(ValueError):
             trace_uncertainty(0.5, 0.1, n_qubits=0)
 

@@ -31,17 +31,18 @@ from gravopto.tomography import (
     estimate_traces,
     measurement_circuits,
     mitigate,
-    postselect,
+    postselect_weights,
 )
 from gravopto.transpiler import (
     BASIS_KINDS,
     RoutedCircuit,
     Topology,
+    append_placed,
     hub_layout,
     lower_to_basis,
+    place_suffix,
     route,
     transpile,
-    transpile_suffix,
 )
 
 
@@ -191,8 +192,8 @@ SKELETON_CASES = pytest.mark.parametrize("kwargs", [
 def test_compile_sweep_equals_the_reference_compile(kwargs):
     """Each point as it compiles from scratch, with nothing shared: its
     evolution built, lowered, routed and simplified by ``transpile`` (or
-    built bare without transpiling), each setting appended by
-    ``transpile_suffix`` (or concatenated)."""
+    built bare without transpiling), each setting placed by ``place_suffix``
+    and appended by ``append_placed`` (or concatenated)."""
     eps_values = DEFAULT_EPSILONS + (0.1, -0.3, -1e-7, 0.9, 0.0, -0.0, -0.999)
     cfg = ExperimentConfig(epsilon_values=eps_values, **kwargs)
     topo = resolve_topology(cfg.topology)
@@ -213,8 +214,8 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
         refs = {}
         for setting, suffix in measurement_circuits(Circuit(4)):
             got = circuits[setting.label][1]
-            ref = refs.setdefault(suffix, transpile_suffix(want, suffix) if cfg.transpile
-                                  else want.circuit + suffix)
+            ref = refs.setdefault(suffix, append_placed(want.circuit, place_suffix(suffix, want))
+                                  if cfg.transpile else want.circuit + suffix)
             assert exact_gates(got) == exact_gates(ref), (key, setting.label)
             assert got.metadata == ref.metadata
 
@@ -504,19 +505,20 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
             if cfg.mitigation:
                 hist = mitigate(hist, confusion)
             if label == "ZZ":
-                kept, retained[label] = postselect(hist, circuits[label][0])
+                kept, fraction = postselect_weights(hist.to_vector()[None], circuits[label][0])
+                retained[label] = float(fraction[0])
                 if cfg.postselection:
-                    hist = kept
+                    hist = CountsHistogram.from_vector(kept[0], hist.shots, 4)
             histograms[label] = hist
-        result = estimate_traces(histograms, retained)
+        traces = estimate_traces(histograms)
         single, cnots = circuits["ZZ"][1].gate_counts()
         rows.append({
             "epsilon": eps,
-            "fidelity": fidelity_from_traces(eps, result),
-            "fidelity_err": fidelity_error(eps, result, cfg.readout),
-            "tr_zz": result.traces["ZZ"], "tr_xy": result.traces["XY"],
-            "tr_yx": result.traces["YX"], "tr_iz": result.traces["IZ"],
-            "tr_zi": result.traces["ZI"],
+            "fidelity": fidelity_from_traces(eps, traces),
+            "fidelity_err": fidelity_error(eps, traces, cfg.readout),
+            "tr_zz": traces["ZZ"], "tr_xy": traces["XY"],
+            "tr_yx": traces["YX"], "tr_iz": traces["IZ"],
+            "tr_zi": traces["ZI"],
             "concurrence_theory": concurrence_theory(eps),
             "retained_fraction_zz": retained["ZZ"],
             "single_qubit_gates": single, "cnot_gates": cnots,

@@ -9,7 +9,6 @@ from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
-from gravopto.tomography import MeasurementSetting, postselect
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
@@ -28,7 +27,6 @@ from gravopto.simulator import (
     outcome_distributions,
     run_ideal,
     run_noisy,
-    zero_state,
 )
 
 from test_circuit import random_circuit
@@ -39,9 +37,10 @@ def measured(c: Circuit) -> Circuit:
 
 
 def test_zero_state():
-    psi = zero_state(3)
-    assert psi.shape == (2, 2, 2)
-    assert psi[0, 0, 0] == 1.0 and np.abs(psi).sum() == 1.0
+    # every run starts from |0...0>
+    psi = run_ideal(Circuit(3))
+    assert psi.shape == (8,)
+    assert psi[0] == 1.0 and np.abs(psi).sum() == 1.0
 
 
 def test_run_ideal_matches_unitary():
@@ -64,23 +63,20 @@ def test_run_ideal_matches_unitary_on_wider_registers():
                         + random_circuit(rng, n, 20).gates)
             u = unitary_of(c)
             assert np.abs(run_ideal(c) - u[:, 0]).max() <= 1e-12
-            v = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
-            v /= np.linalg.norm(v)
-            assert np.abs(run_ideal(c, initial=v) - u @ v).max() <= 1e-12
-
-
-def test_run_ideal_initial_state():
-    c = Circuit(1, (x(0),))
-    out = run_ideal(c, initial=np.array([0.0, 1.0]))
-    assert np.allclose(out, [1.0, 0.0])
-    with pytest.raises(ValueError):
-        run_ideal(c, initial=np.zeros(4))
+            # the kernel on a stack of random inputs, one row each
+            v = rng.normal(size=(2, 2 ** n)) + 1j * rng.normal(size=(2, 2 ** n))
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            kernel = simulator._Kernel(n, mixed=False)
+            out = v
+            for g in c.gates:
+                out = kernel.apply(out, g.kind, g.qubits, [g.param])
+            assert np.abs(out - v @ u.T).max() <= 1e-12
 
 
 def test_run_ideal_skips_measurements():
     c = Circuit(2, (h(0), cx(0, 1), measure(0, 0), measure(1, 1)))
     got = run_ideal(c)
-    assert np.allclose(got, unitary_of(c.without_measurements())[:, 0])
+    assert np.allclose(got, unitary_of(Circuit(2, c.gates[:2]))[:, 0])
 
 
 def test_align_global_phase():
@@ -178,7 +174,7 @@ class TestCountsHistogram:
             CountsHistogram({"01": 1}, shots=1, n_bits=3)
 
     def test_keys_made_here_are_not_checked_again(self, monkeypatch):
-        # from_vector formats its keys and postselect filters checked ones
+        # from_vector formats its keys
         want = CountsHistogram({"0101": 3, "1010": 2, "1111": 1}, shots=6, n_bits=4)
 
         def refuse(self):
@@ -187,8 +183,6 @@ class TestCountsHistogram:
         monkeypatch.setattr(CountsHistogram, "__post_init__", refuse)
         got = CountsHistogram.from_vector(want.to_vector(), shots=6, n_bits=4)
         assert (got.entries, got.shots, got.n_bits) == (want.entries, 6, 4)
-        kept, frac = postselect(got, MeasurementSetting("ZZ"))
-        assert kept.entries == {"0101": 3, "1010": 2} and frac == 5 / 6
 
     def test_vector_round_trip(self):
         hist = CountsHistogram({"00": 3, "11": 5}, shots=8, n_bits=2)
@@ -313,7 +307,7 @@ def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     n = c.n_qubits
     rho = np.zeros((2 ** n, 2 ** n), dtype=complex)
     rho[0, 0] = 1.0
-    for g in c.without_measurements().gates:
+    for g in [g for g in c.gates if g.kind != "measure"]:
         u = unitary_of(Circuit(n, (g,)))
         rho = u @ rho @ u.conj().T
         rate = noise.cx_depol if g.kind == "cx" else noise.sq_depol
