@@ -15,8 +15,8 @@ from .errors import ConfigError
 from .experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
-    check_layout,
     compile_sweep,
+    device_layout,
     emit_outputs,
     resolve_topology,
     run_sweep,
@@ -146,7 +146,8 @@ def _cmd_circuit(args) -> int:
         args.epsilon, prepend_ground_prep=not args.no_ground_prep
     )
     if args.transpile:
-        circ = transpile(circ, resolve_topology(args.topology)).circuit
+        topo = resolve_topology(args.topology)
+        circ = transpile(circ, topo, device_layout(topo, circ.n_qubits)).circuit
     elif args.topology:
         raise ConfigError("topology: only used together with --transpile")
     _write(qasm_emit(circ), args.out)
@@ -160,11 +161,10 @@ def _cmd_transpile(args) -> int:
     layout = None
     if args.layout:
         try:
-            qubits = [int(q) for q in args.layout.split(",")]
+            layout = [int(q) for q in args.layout.split(",")]
         except ValueError:
             raise ConfigError(f"layout: {args.layout!r} is not a list of qubit indices") from None
-        layout = check_layout(qubits, circ.n_qubits, topo)
-    circ = transpile(circ, topo, layout).circuit
+    circ = transpile(circ, topo, device_layout(topo, circ.n_qubits, layout)).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)
     summary = f"single_qubit_gates={single} cnot_gates={cnots}\n"

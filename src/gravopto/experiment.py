@@ -40,7 +40,7 @@ from .analysis import (
 from .bosonmap import N_QUBITS
 from .circuit import Circuit, Gate
 from .digitizer import build_evolution_circuit, core_angles
-from .errors import ConfigError
+from .errors import ConfigError, RoutingError
 from .qasm import emit as qasm_emit
 from .simulator import NoiseModel, outcome_distributions, sample_weights
 from .tomography import (
@@ -224,6 +224,30 @@ def check_layout(layout, n_qubits: int, topology: Topology | str | None) -> tupl
     return qubits
 
 
+def device_layout(topology: Topology | None, n_qubits: int, layout=None) -> tuple[int, ...] | None:
+    """The physical qubits a circuit of ``n_qubits`` is routed from: ``layout``
+    after ``check_layout``, else the hub layout; None without a topology.
+    Checked before anything compiles, a device that cannot run the circuit
+    is a ConfigError naming ``topology`` (too few qubits, or too few in the
+    hub's connected component) or ``layout`` (qubits in two components)."""
+    if topology is not None and topology.n < n_qubits:
+        raise ConfigError(f"topology: {topology.n} qubits cannot hold the circuit's {n_qubits}")
+    if layout is not None:
+        layout = check_layout(layout, n_qubits, topology)
+    if topology is None:
+        return None
+    if layout is None:
+        try:
+            return tuple(hub_layout(topology, n_qubits))
+        except RoutingError:
+            raise ConfigError(f"topology: the connected component of its hub qubit "
+                              f"has fewer than {n_qubits} qubits") from None
+    apart = [q for q in layout if topology.shortest_path(layout[0], q) is None]
+    if apart:
+        raise ConfigError(f"layout: qubits {layout[0]} and {apart[0]} are disconnected on the topology")
+    return layout
+
+
 def resolve_topology(name_or_path: str | None) -> Topology | None:
     if name_or_path is None:
         return None
@@ -255,10 +279,7 @@ class _SweepCompiler:
         self.topology = self.layout = None
         if cfg.transpile:
             self.topology = resolve_topology(cfg.topology)
-            if cfg.layout is not None:
-                self.layout = check_layout(cfg.layout, n, self.topology)
-            elif self.topology is not None:
-                self.layout = hub_layout(self.topology, n)
+            self.layout = device_layout(self.topology, n, cfg.layout)
         self.memo: dict = {}
         # the slots are the U1 cores ``core_angles`` binds, found by position
         skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)

@@ -74,63 +74,20 @@ class PauliString:
 
 
 class PauliSum:
-    """A real-coefficient combination of Pauli strings in canonical form.
-
-    Canonical form folds every string phase into its coefficient (only +-1
-    phases can do that; +-i would make a real coefficient imaginary and is
-    rejected), merges repeated strings and drops exact zeros. Terms are kept
-    sorted by factor text so equal sums compare equal.
-    """
+    """A real-coefficient combination of equal-size Pauli strings, kept as
+    the (coefficient, string) pairs given, in order."""
 
     def __init__(self, terms: Iterable[tuple[float, PauliString]], n_qubits: int | None = None):
-        merged: dict[str, float] = {}
-        size = n_qubits
-        for coeff, string in terms:
-            if size is None:
-                size = string.n_qubits
-            elif string.n_qubits != size:
-                raise ValueError("mixed string sizes in PauliSum")
-            if string.phase_power % 2 == 1:
-                raise ValueError("a +-i phase cannot carry a real coefficient")
-            signed = float(coeff) * (1 if string.phase_power == 0 else -1)
-            merged[string.factors] = merged.get(string.factors, 0.0) + signed
-        self._n_qubits = size
-        self._terms = tuple(
-            (c, PauliString(f)) for f, c in sorted(merged.items()) if c != 0.0
-        )
-
-    @property
-    def terms(self) -> tuple[tuple[float, PauliString], ...]:
-        return self._terms
-
-    @property
-    def n_qubits(self) -> int | None:
-        return self._n_qubits
+        self._terms = tuple(terms)
+        self.n_qubits = self._terms[0][1].n_qubits if n_qubits is None else n_qubits
 
     def matrix(self) -> np.ndarray:
-        if self._n_qubits is None:
-            raise ValueError("empty PauliSum with no declared qubit count")
-        if self._n_qubits > MAX_DENSE_QUBITS:
-            raise CapacityError(f"{self._n_qubits} qubits exceeds dense limit")
-        dim = 2 ** self._n_qubits
-        total = np.zeros((dim, dim), dtype=complex)
+        if self.n_qubits > MAX_DENSE_QUBITS:
+            raise CapacityError(f"{self.n_qubits} qubits exceeds dense limit")
+        total = np.zeros((2 ** self.n_qubits,) * 2, dtype=complex)
         for coeff, string in self._terms:
             total += coeff * string.matrix()
         return total
 
     def __iter__(self):
         return iter(self._terms)
-
-    def __len__(self) -> int:
-        return len(self._terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PauliSum):
-            return NotImplemented
-        return self._terms == other._terms
-
-    def __repr__(self) -> str:
-        if not self._terms:
-            return "PauliSum([])"
-        body = " ".join(f"{c:+g}*{s.factors}" for c, s in self._terms)
-        return f"PauliSum({body})"

@@ -21,17 +21,19 @@ qubit, on the outcome distribution.
 
 ``outcome_distributions`` turns a list of measured circuits (a whole sweep's
 tomography settings) into their exact outcome distributions in one pass per
-register: a circuit with gate noise evolves the density matrix of the qubits
-it touches, any other the statevector of its register. Circuits on one
-register walk the tree of their gate structures, the gates' kinds and qubits
-without their angles: each position in it is one kernel call on the stacked
-states of every circuit below it, so the sweep points that compile to the
-same structure share every call, and each point's settings share their
-evolution's calls. Every row gets the arithmetic of its circuit evolved
-alone. ``noisy_probabilities`` is the one-circuit case. Shots are i.i.d., so
-``sample_weights`` draws a whole setting as one multinomial sample, a row of
-counts; ``sample_counts`` makes it a histogram, and ``run_noisy`` does both
-for one circuit. Nothing is kept between calls.
+register. A circuit's register is the qubits its gates and measurements
+touch, so a device's idle qubits, which stay in |0>, are never simulated; a
+circuit with gate noise evolves their density matrix, any other their
+statevector. Circuits on one register walk the tree of their gate
+structures, the gates' kinds and qubits without their angles: each position
+in it is one kernel call on the stacked states of every circuit below it, so
+the sweep points that compile to the same structure share every call, and
+each point's settings share their evolution's calls. Every row gets the
+arithmetic of its circuit evolved alone. ``noisy_probabilities`` is the
+one-circuit case, and ``born_probabilities`` its noiseless one. Shots are
+i.i.d., so ``sample_weights`` draws a whole setting as one multinomial
+sample, a row of counts; ``sample_counts`` makes it a histogram, and
+``run_noisy`` does both for one circuit. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -41,8 +43,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import FIXED_MATRICES, PARAM_KINDS, SINGLE_QUBIT_KINDS, Circuit
-from .errors import ConfigError
+from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PARAM_KINDS, SINGLE_QUBIT_KINDS, Circuit
+from .errors import CapacityError, ConfigError
 
 
 _FIXED_ENTRIES = {
@@ -187,18 +189,6 @@ def _measure_order(c: Circuit) -> list[int]:
     return [q for q, _ in pairs]
 
 
-def born_probabilities(c: Circuit) -> np.ndarray:
-    """Exact outcome distribution over the 2**k classical keys."""
-    psi = run_ideal(c).reshape((2,) * c.n_qubits)
-    return _marginal(np.abs(psi) ** 2, _measure_order(c))
-
-
-def _marginal(p: np.ndarray, measured: list[int]) -> np.ndarray:
-    """Sum a per-qubit-axis distribution down to the measured axes, in order."""
-    rest = [ax for ax in range(p.ndim) if ax not in measured]
-    return np.transpose(p, measured + rest).reshape(2 ** len(measured), -1).sum(axis=1)
-
-
 def apply_readout(probs: np.ndarray, lambdas) -> np.ndarray:
     """Mix a symmetric bit flip with rate lambdas[j] into classical bit j."""
     k = int(round(math.log2(probs.size)))
@@ -282,14 +272,16 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     """Exact outcome distribution over the 2**k classical keys of each
     measured circuit under noise, in order.
 
-    A circuit with a gate that carries an error rate evolves a density matrix
-    over the qubits it touches; any other stays pure, a statevector over its
-    whole register. Circuits on the same such register share one pass over
+    Each circuit evolves over the qubits its gates and measurements touch:
+    a density matrix if one of its gates carries an error rate, else a
+    statevector. Circuits on the same such register share one pass over
     the tree of their gate structures, the gates' kinds and qubits: each
     position in it is applied once to the stacked states of every circuit
     below it, each with its own angle, and equal circuits are computed once.
     Every row sees the arithmetic of its circuit evolved alone. The results
-    are read-only; equal circuits share one array.
+    are read-only; equal circuits share one array. A CapacityError is raised
+    before anything is allocated if a pass's rows times entries exceed
+    4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
     """
     # hashing a circuit hashes every gate, so a circuit object seen before
     # (a point's ZZ, IZ and ZI settings share one) is found by identity
@@ -302,15 +294,18 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
         slots.append(by_id[id(c)])
     distinct = list(index)
     gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
+    measured = [_measure_order(c) for c in distinct]
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
     passes: dict[tuple, list[int]] = {}
-    for i, c in enumerate(distinct):
-        measured = _measure_order(c)
-        if any(rates[g.kind] for g in gates[i]):
-            touched = {q for g in gates[i] for q in g.qubits} | set(measured)
-            passes.setdefault((True, tuple(sorted(touched))), []).append(i)
-        else:
-            passes.setdefault((False, tuple(range(c.n_qubits))), []).append(i)
+    for i in range(len(distinct)):
+        touched = {q for g in gates[i] for q in g.qubits} | set(measured[i])
+        mixed = any(rates[g.kind] for g in gates[i])
+        passes.setdefault((mixed, tuple(sorted(touched))), []).append(i)
+    for (mixed, register), group in passes.items():
+        if len(group) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
+            raise CapacityError(
+                f"{len(group)} circuits on {len(register)} touched qubits exceed the dense "
+                f"limit of 4**{MAX_DENSE_QUBITS} entries per pass")
     done: dict[int, np.ndarray] = {}
     for (mixed, register), group in passes.items():
         m = len(register)
@@ -330,9 +325,11 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     branches.setdefault((g.kind, g.qubits), []).append(r)
                     continue
                 p = states[r].reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(states[r]) ** 2
-                qubits = _measure_order(distinct[i])
-                p = _marginal(p.reshape((2,) * m), [axis[q] for q in qubits])
-                done[i] = apply_readout(p, [noise.readout] * len(qubits))
+                # sum down to the measured axes, in classical-bit order
+                kept = [axis[q] for q in measured[i]]
+                p = np.transpose(p.reshape((2,) * m), kept + [a for a in range(m) if a not in kept])
+                p = p.reshape(2 ** len(kept), -1).sum(axis=1)
+                done[i] = apply_readout(p, [noise.readout] * len(kept))
                 done[i].setflags(write=False)
             for (kind, qubits), rows in branches.items():
                 below = [here[r] for r in rows]
@@ -346,6 +343,12 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
 def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     """``outcome_distributions`` of one circuit."""
     return outcome_distributions([c], noise)[0]
+
+
+def born_probabilities(c: Circuit) -> np.ndarray:
+    """``noisy_probabilities`` without noise: the exact outcome distribution
+    over the 2**k classical keys."""
+    return noisy_probabilities(c, NoiseModel())
 
 
 def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarray:

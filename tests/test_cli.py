@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from gravopto import experiment, simulator, transpiler
 from gravopto.circuit import phase_distance, unitary_of
 from gravopto.cli import _build_parser, main
 from gravopto.digitizer import build_evolution_circuit
@@ -251,6 +252,67 @@ def test_layout_off_the_topology_is_a_config_error(tmp_path, capsys):
     assert rc == 2
     assert "layout" in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "results.csv")
+
+
+# device graphs no 4-qubit circuit can run on, each with the field named:
+# too few qubits, a hub whose component is too small, a layout over two
+# components (``circuit`` takes no layout, so it has only the first two)
+BAD_GRAPHS = {
+    "three-qubits": ({"n": 3, "edges": [[0, 1], [1, 2]]}, None, "topology"),
+    "split-hub": ({"n": 6, "edges": [[0, 1], [1, 2], [3, 4], [4, 5]]}, None, "topology"),
+    "split-layout": ({"n": 8, "edges": [[0, 1], [1, 2], [2, 3], [4, 5], [5, 6], [6, 7]]},
+                     [0, 1, 4, 5], "layout"),
+}
+
+
+@pytest.mark.parametrize("command,graph", [
+    (command, graph) for command in ("sweep", "tomography", "circuit", "transpile")
+    for graph in BAD_GRAPHS if not (command == "circuit" and BAD_GRAPHS[graph][1])
+])
+def test_bad_device_graph_is_a_config_error_before_compiling(command, graph, tmp_path,
+                                                             capsys, monkeypatch):
+    edges, layout, field = BAD_GRAPHS[graph]
+    topo = tmp_path / "topo.json"
+    topo.write_text(json.dumps(edges))
+    out = tmp_path / "out"
+    if command in ("sweep", "tomography"):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"topology": str(topo), "layout": layout}))
+        args = [command, "--config", str(cfg), "--epsilon", "0.01", "--analytic"]
+        args += ["--out-dir", str(out)] if command == "sweep" else []
+    elif command == "circuit":
+        args = ["circuit", "--transpile", "--topology", str(topo)]
+    else:
+        src = tmp_path / "in.qasm"
+        src.write_text(qasm_emit(build_evolution_circuit(0.1)))
+        args = ["transpile", str(src), "--topology", str(topo)]
+        args += ["--layout", ",".join(map(str, layout))] if layout else []
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a circuit was compiled for a device graph that cannot run it")
+
+    for module in (experiment, transpiler):
+        monkeypatch.setattr(module, "lower_to_basis", refuse)
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}:")
+    assert captured.out == ""
+    assert not os.path.exists(out)
+
+
+def test_a_pass_above_the_dense_limit_exits_3_before_allocation(tmp_path, monkeypatch, capsys):
+    topo = tmp_path / "line20.json"
+    topo.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"topology": str(topo), "layout": [0, 6, 12, 19], "cx_depol": 0.01}))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a pass over 20 touched qubits was started")
+
+    monkeypatch.setattr(simulator, "_Kernel", refuse)
+    assert main(["sweep", "--config", str(cfg), "--out-dir", str(tmp_path / "out")]) == 3
+    assert "20 touched qubits" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_tomography_requires_epsilon(capsys):

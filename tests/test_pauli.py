@@ -61,32 +61,8 @@ def test_matrix_convention_qubit_zero_is_leftmost():
 def test_matrix_capacity_guard():
     with pytest.raises(CapacityError):
         PauliString("I" * 13).matrix()
-
-
-def test_sum_canonicalization():
-    a = PauliString("XY")
-    s = PauliSum([(1.0, a), (0.5, a), (2.0, PauliString("ZI"))])
-    assert len(s) == 2
-    coeffs = dict((p.factors, c) for c, p in s)
-    assert coeffs == {"XY": 1.5, "ZI": 2.0}
-
-
-def test_sum_folds_sign_phase():
-    s = PauliSum([(2.0, PauliString("X", phase_power=2))])
-    ((coeff, term),) = tuple(s)
-    assert coeff == -2.0 and term.phase == 1
-
-
-def test_sum_rejects_imaginary_phase():
-    with pytest.raises(ValueError):
-        PauliSum([(1.0, PauliString("X", phase_power=1))])
-
-
-def test_sum_drops_zero_terms():
-    a = PauliString("Z")
-    s = PauliSum([(1.0, a), (-1.0, a)], n_qubits=1)
-    assert len(s) == 0
-    assert np.allclose(s.matrix(), np.zeros((2, 2)))
+    with pytest.raises(CapacityError):
+        PauliSum([(1.0, PauliString("I" * 13))]).matrix()
 
 
 def test_sum_matrix():

@@ -1,4 +1,5 @@
 import itertools
+import json
 from functools import reduce
 
 import numpy as np
@@ -8,11 +9,12 @@ from gravopto import simulator
 from gravopto.bosonmap import PHYSICAL_BITSTRINGS, ground_state_prep
 from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
-from gravopto.errors import ConfigError
+from gravopto.errors import CapacityError, ConfigError
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
     compile_sweep,
+    emit_outputs,
     prepare_circuits,
     run_point,
     run_sweep,
@@ -28,6 +30,7 @@ from gravopto.simulator import (
     run_ideal,
     run_noisy,
 )
+from gravopto.transpiler import TOPOLOGY_PRESETS
 
 from test_circuit import random_circuit
 
@@ -517,3 +520,64 @@ def test_sweep_rows_equal_each_point_run_alone(kwargs):
     alone = [run_point(cfg, eps, int(seed)) for eps, seed in zip(cfg.epsilon_values, seeds)]
     assert run_sweep(cfg, compiled) == alone
     assert run_sweep(cfg) == alone
+
+
+def test_a_pass_above_the_dense_limit_raises_before_allocation(tmp_path, monkeypatch):
+    # a layout spread over a 20-qubit line: the SWAP chains touch every qubit,
+    # so one gate-noise pass would hold 39 density matrices of 4**20 entries
+    line = tmp_path / "line20.json"
+    line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
+    cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), cx_depol=0.01)
+    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    assert all({q for g in c.gates for q in g.qubits} == set(range(20)) for c in circuits)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a pass over 20 touched qubits was allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(CapacityError, match="on 20 touched qubits"):
+        outcome_distributions(circuits, cfg.noise_model())
+
+
+def _spy_on_kernels(monkeypatch) -> list:
+    """The (m, mixed) of every ``_Kernel`` made from here on."""
+    made = []
+    init = simulator._Kernel.__init__
+
+    def spied(kernel, m, mixed):
+        made.append((m, mixed))
+        init(kernel, m, mixed)
+
+    monkeypatch.setattr(simulator._Kernel, "__init__", spied)
+    return made
+
+
+def test_a_seven_qubit_gate_noise_sweep_fits_the_dense_limit(monkeypatch):
+    # the SWAP-routed nairobi-like layout touches all 7 qubits: 39 density
+    # matrices of 4**7 entries, below 4**12
+    registers = _spy_on_kernels(monkeypatch)
+    cfg = ExperimentConfig(topology="nairobi-like", layout=(0, 2, 4, 6), analytic_mode=True,
+                           **NOISE_PRESETS["nairobi-like"])
+    rows = run_sweep(cfg)
+    assert registers == [(7, True)]
+    assert all(0.0 < row["fidelity"] < 1.0 for row in rows)
+
+
+def test_idle_device_qubits_are_not_simulated(tmp_path, monkeypatch):
+    """belem-like's graph with a chain 4-5-...-13 hung on: every circuit
+    touches the 4 qubits it touches on belem-like, so every kernel is over 4
+    qubits and results.csv is byte-identical, with and without gate noise."""
+    n, edges = TOPOLOGY_PRESETS["belem-like"]
+    topo = tmp_path / "belem-chain.json"
+    topo.write_text(json.dumps({"n": 14, "edges": [list(e) for e in edges]
+                                + [[q, q + 1] for q in range(n - 1, 13)]}))
+    registers = _spy_on_kernels(monkeypatch)
+    for preset in ("none", "belem-like"):
+        noise = dict(NOISE_PRESETS[preset], readout=0.0211)
+        csv = {}
+        for topology in ("belem-like", str(topo)):
+            cfg = ExperimentConfig(topology=topology, shots=2000, seed=7, **noise)
+            out = tmp_path / f"{preset}-{len(csv)}"
+            csv[topology] = open(emit_outputs(run_sweep(cfg), cfg, str(out))["csv"], "rb").read()
+        assert csv["belem-like"] == csv[str(topo)]
+    assert registers and {m for m, _ in registers} == {4}
