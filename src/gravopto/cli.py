@@ -82,10 +82,19 @@ def _add_run_flags(p: argparse.ArgumentParser, epsilon_required: bool = False):
     p.add_argument("--seed", type=int)
     p.add_argument("--noise-preset", choices=sorted(NOISE_PRESETS), default=None)
     p.add_argument("--topology", help="preset name or JSON file")
+    p.add_argument("--layout", help="comma-separated physical qubits")
     p.add_argument("--no-mitigation", dest="mitigation", action="store_false")
     p.add_argument("--no-postselect", dest="postselection", action="store_false")
     p.add_argument("--no-transpile", dest="transpile", action="store_false")
     p.add_argument("--analytic", dest="analytic_mode", action="store_true")
+
+
+def _qubits(text: str) -> list[int]:
+    """A --layout value: comma-separated qubit indices."""
+    try:
+        return [int(q) for q in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"layout: {text!r} is not a list of qubit indices") from None
 
 
 def _run_config(args) -> ExperimentConfig:
@@ -99,6 +108,8 @@ def _run_config(args) -> ExperimentConfig:
             data["epsilon_values"] = [float(v) for v in data["epsilon_values"].split(",")]
         except ValueError as exc:
             raise ConfigError(f"epsilon_values: {exc}") from exc
+    if "layout" in data:
+        data["layout"] = _qubits(data["layout"])
     text = "{}"
     if args.config:
         try:
@@ -158,12 +169,7 @@ def _cmd_transpile(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
         circ = qasm_parse(fh.read())
     topo = resolve_topology(args.topology)
-    layout = None
-    if args.layout:
-        try:
-            layout = [int(q) for q in args.layout.split(",")]
-        except ValueError:
-            raise ConfigError(f"layout: {args.layout!r} is not a list of qubit indices") from None
+    layout = _qubits(args.layout) if args.layout else None
     circ = transpile(circ, topo, device_layout(topo, circ.n_qubits, layout)).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)

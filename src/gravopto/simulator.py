@@ -1,29 +1,32 @@
-"""Dense statevector and density-matrix simulation with depolarising and
+"""Dense statevector and Pauli-vector simulation with depolarising and
 readout noise.
 
-States are complex128 arrays over 2**n amplitudes; axis/bit order follows the
-circuit convention (qubit 0 is the leftmost bit of a basis label). Histogram
-keys follow classical-bit order: cbit 0 is the leftmost character.
+Statevectors are complex128 arrays over 2**n amplitudes; axis/bit order
+follows the circuit convention (qubit 0 is the leftmost bit of a basis
+label). A mixed state is its real Pauli vector, v_s = tr(P_s rho) over the
+4**n Pauli strings, one base-4 digit per qubit (I, X, Y, Z = 0, 1, 2, 3).
+Histogram keys follow classical-bit order: cbit 0 is the leftmost character.
 
-Statevectors and density matrices (flat, over m row bits then m column bits)
-share one kernel, which acts on a stack of them, one per row. A one-qubit
-gate on bit axis a is applied elementwise, out_i = u_i0 v_0 + u_i1 v_1 over
-the halves v_0, v_1 of ``states.reshape(rows, 2**a, 2, -1)``, with a 2x2
-matrix per row for Rz, Rx and U1 and one fixed matrix for the other kinds. A
-CNOT is the same basis-state permutation on every row.
+Both share one kernel, which acts on a stack of them, one per row. A
+one-qubit gate is applied elementwise on one axis, out_i = sum_j u_ij v_j
+over the slices v_j of ``states.reshape(rows, d**a, d, -1)``: u is the 2x2
+matrix (d = 2) or the real 4x4 Pauli transfer matrix (d = 4), per row for
+Rz, Rx and U1. A CNOT is a gather of entries, the same on every row.
 
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
 depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
-lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error enters
-as an exact symmetric bit-flip transform, at one rate for every measured
-qubit, on the outcome distribution.
+lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error is a
+symmetric bit flip at one rate for every measured qubit. Pauli strings are
+eigenvectors of both channels: the error scales each string that is not the
+identity on the gate's qubits by 1 - lam, and a flip at rate r scales a
+measured qubit's Z by 1 - 2r. So on Pauli vectors both are scalings.
 
 ``outcome_distributions`` turns a list of measured circuits (a whole sweep's
 tomography settings) into their exact outcome distributions in one pass per
 register. A circuit's register is the qubits its gates and measurements
 touch, so a device's idle qubits, which stay in |0>, are never simulated; a
-circuit with gate noise evolves their density matrix, any other their
+circuit with gate noise evolves their Pauli vector, any other their
 statevector. Circuits on one register walk the tree of their gate
 structures, the gates' kinds and qubits without their angles: each position
 in it is one kernel call on the stacked states of every circuit below it, so
@@ -37,7 +40,6 @@ sample, a row of counts; ``sample_counts`` makes it a histogram, and
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -47,44 +49,64 @@ from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PARAM_KINDS, SINGLE_QUBIT
 from .errors import CapacityError, ConfigError
 
 
-_FIXED_ENTRIES = {
-    kind: [[None if z == 0 else complex(z) for z in row] for row in u]
-    for kind, u in FIXED_MATRICES.items()
+_FIXED_TERMS = {kind: [[(j, complex(z)) for j, z in enumerate(row) if z != 0] for row in u]
+                for kind, u in FIXED_MATRICES.items()}
+# Pauli indices: I, X, Y, Z = 0, 1, 2, 3. For a fixed one-qubit kind U and
+# P = X, Y, Z, U^dag P U is one signed Pauli: (its index, its sign).
+_PAULI_1Q = {
+    "x": ((1, 1), (2, -1), (3, -1)), "sx": ((1, 1), (3, -1), (2, 1)),
+    "sxdg": ((1, 1), (3, 1), (2, -1)), "h": ((3, 1), (2, -1), (1, 1)),
+    "s": ((2, -1), (1, 1), (3, 1)), "sdg": ((2, 1), (1, -1), (3, 1)),
 }
+# CNOT P CNOT for the 16 two-qubit Paulis P, index 4 * control + target: (its index, its sign)
+_CX_PAULI = (
+    (0, 1), (1, 1), (14, 1), (15, 1), (5, 1), (4, 1), (11, 1), (10, -1),
+    (9, 1), (8, 1), (7, -1), (6, 1), (12, 1), (13, 1), (2, 1), (3, 1),
+)
 
 
-def _entries_of(kind: str, params) -> list[list]:
-    """The 2x2 matrix of a one-qubit gate kind, entry by entry: a structural
-    zero is None, any other entry a scalar or, for a parametric kind, one
-    value per angle in ``params``, shaped (rows, 1, 1) to broadcast over the
-    rows of a stack."""
-    if kind in _FIXED_ENTRIES:
-        return _FIXED_ENTRIES[kind]
+def _terms_of(kind: str, params) -> list[list]:
+    """The rows of a one-qubit gate kind's 2x2 matrix, each as the (column,
+    entry) terms of its nonzero entries; a parametric kind's entries hold
+    one value per angle in ``params``, shaped (rows, 1, 1) to broadcast over
+    the rows of a stack."""
+    if kind in _FIXED_TERMS:
+        return _FIXED_TERMS[kind]
     theta = np.asarray(params, dtype=float).reshape(-1, 1, 1)
     if kind == "u1":
-        return [[1.0, None], [None, np.exp(1j * theta)]]
+        return [[(0, 1.0)], [(1, np.exp(1j * theta))]]
     # exp(-i theta/2) = cos(theta/2) - i sin(theta/2), each part as libm gives it
     phase = np.exp(-1j * (theta / 2.0))
     if kind == "rz":
-        return [[phase, None], [None, phase.conj()]]
-    if kind == "rx":
-        c, minus_i_s = phase.real, 1j * phase.imag
-        return [[c, minus_i_s], [minus_i_s, c]]
-    raise ValueError(f"{kind} is not a one-qubit gate")
+        return [[(0, phase)], [(1, phase.conj())]]
+    c, minus_i_s = phase.real, 1j * phase.imag
+    return [[(0, c), (1, minus_i_s)], [(0, minus_i_s), (1, c)]]
 
 
-def _apply_1q(u: list[list], states: np.ndarray, axis: int) -> np.ndarray:
-    """u (``_entries_of``) on one bit axis of every row of a stack of flat
-    states; axis 0 is the leftmost bit. Each output half is u_i0 v_0 + u_i1 v_1
-    with the structural zeros' terms left out, which changes no value but
-    the sign of a zero."""
-    v = states.reshape(len(states), 2 ** axis, 2, -1)
+def _pauli_terms_of(kind: str, params, keep: float) -> list[list]:
+    """``_terms_of`` for the gate's 4x4 Pauli transfer matrix, with its X, Y
+    and Z rows scaled by ``keep``."""
+    if kind in _PAULI_1Q:
+        return [[(0, 1.0)]] + [[(j, keep * sign)] for j, sign in _PAULI_1Q[kind]]
+    theta = np.asarray(params, dtype=float).reshape(-1, 1, 1)
+    c, s = keep * np.cos(theta), keep * np.sin(theta)
+    if kind == "rx":  # turns Y towards Z
+        return [[(0, 1.0)], [(1, keep)], [(2, c), (3, -s)], [(2, s), (3, c)]]
+    # rz, and u1, equal to it up to a global phase, turn X towards Y
+    return [[(0, 1.0)], [(1, c), (2, -s)], [(1, s), (2, c)], [(3, keep)]]
+
+
+def _apply_1q(terms: list[list], states: np.ndarray, axis: int) -> np.ndarray:
+    """A one-qubit gate (``_terms_of``, ``_pauli_terms_of``) on one qubit
+    axis of every row of a stack of flat states, 2 or 4 entries per axis;
+    axis 0 is the leftmost. Structural zeros' terms are left out, which
+    changes no value but the sign of a zero."""
+    v = states.reshape(len(states), len(terms) ** axis, len(terms), -1)
     out = np.empty_like(v)
-    for i in (0, 1):
-        (a, va), *rest = [(uij, v[:, :, j]) for j, uij in enumerate(u[i]) if uij is not None]
-        np.multiply(a, va, out=out[:, :, i])
-        for b, vb in rest:
-            out[:, :, i] += b * vb
+    for i, ((j, a), *rest) in enumerate(terms):
+        np.multiply(a, v[:, :, j], out=out[:, :, i])
+        for j, b in rest:
+            out[:, :, i] += b * v[:, :, j]
     return out.reshape(len(states), -1)
 
 
@@ -94,69 +116,72 @@ def _cx_permutation(n_bits: int, control: int, target: int) -> np.ndarray:
     return idx ^ (((idx >> (n_bits - 1 - control)) & 1) << (n_bits - 1 - target))
 
 
+def _cx_pauli(m: int, control: int, target: int, keep: float) -> tuple[np.ndarray, np.ndarray]:
+    """CNOT and its error on Pauli vectors over m qubits: out = v[:, gather] *
+    factor, a sign of ``_CX_PAULI`` times ``keep`` where the string is not
+    the identity on both qubits."""
+    idx = np.arange(4 ** m)
+    wc, wt = 4 ** (m - 1 - control), 4 ** (m - 1 - target)
+    pair = idx // wc % 4 * 4 + idx // wt % 4
+    image, sign = np.array(_CX_PAULI)[pair].T
+    gather = idx + (image // 4 - pair // 4) * wc + (image % 4 - pair % 4) * wt
+    return gather, sign * np.where(pair > 0, keep, 1.0)
+
+
+def _iz_index(m: int, axes) -> np.ndarray:
+    """Pauli-vector indices of the strings that are I or Z on ``axes`` and I
+    elsewhere, the first of ``axes`` the most significant."""
+    index = np.zeros(1, dtype=np.intp)
+    for a in axes:
+        index = (index[:, None] + [0, 3 * 4 ** (m - 1 - a)]).reshape(-1)
+    return index
+
+
+def _pauli_probabilities(z: np.ndarray, keep: float) -> np.ndarray:
+    """Outcome distributions from rows of measured qubits' I/Z components
+    (``_iz_index``), each qubit's Z scaled by ``keep``: the Walsh transform
+    p_b = 2**-k sum_s (-1)**(b.s) keep**|s| z_s."""
+    p = z.reshape((len(z),) + (2,) * (z.shape[1].bit_length() - 1))
+    for ax in range(1, p.ndim):
+        i, zz = np.take(p, 0, ax), keep * np.take(p, 1, ax)
+        p = np.stack((i + zz, i - zz), axis=ax)
+    return p.reshape(len(z), -1) / z.shape[1]
+
+
 class _Kernel:
     """Gates on stacks of flat states over ``m`` qubits, one state per row:
-    statevectors of 2**m entries, or (``mixed``) density matrices of 4**m
-    entries, the m row bits followed by the m column bits.
+    statevectors of 2**m entries, or (``mixed``) Pauli vectors of 4**m.
 
-    A CNOT's permutation and a depolarising channel's diagonal slices are
-    built once per kernel for each tuple of row axes they act on, and shared
-    by every row.
+    A gate U maps v_s to tr(U^dag P_s U rho). For a CNOT, U^dag P_s U is a
+    signed Pauli string, so the gate is a signed gather; for a one-qubit
+    gate, a real mix of X, Y and Z, so a 4x4 map on one digit. The
+    depolarising error on k qubits then keeps 1 - rate 4**k / (4**k - 1) of
+    every string that is not the identity on them, a scaling folded into
+    the gate. A CNOT's gather, with its factors, is built once per kernel
+    for each pair of axes, and shared by every row.
     """
 
     def __init__(self, m: int, mixed: bool):
         self.m, self.mixed = m, mixed
-        self._perms: dict[tuple, np.ndarray] = {}
-        self._diagonals: dict[tuple, tuple] = {}
+        self._perms: dict[tuple, tuple] = {}
 
     def apply(self, states: np.ndarray, kind: str, axes: tuple[int, ...],
               params=None, rate: float = 0.0) -> np.ndarray:
-        """U state (U^dag) on every row, the gate's qubits at row axes
-        ``axes``; a parametric kind takes one angle per row in ``params``.
-        Then on density matrices the depolarising error at ``rate``. The
-        input stack is left as it was."""
+        """The gate on every row, its qubits at axes ``axes``; a parametric
+        kind takes one angle per row in ``params``. On Pauli vectors, the
+        depolarising error at ``rate`` follows. The input stack is left as
+        it was."""
         if kind == "cx":
-            if axes not in self._perms:
-                perm = _cx_permutation(self.m, *axes)
-                if self.mixed:  # the same permutation of rows and of columns
-                    perm = (perm[:, None] * 2 ** self.m + perm).reshape(-1)
-                self._perms[axes] = perm
-            states = states[:, self._perms[axes]]
-        else:
-            u = _entries_of(kind, params)
-            states = _apply_1q(u, states, axes[0])
-            if self.mixed:
-                u_conj = [[None if z is None else np.conj(z) for z in row] for row in u]
-                states = _apply_1q(u_conj, states, self.m + axes[0])
-        return self._depolarize(states, axes, rate) if rate else states
-
-    def _depolarize(self, rho: np.ndarray, axes: tuple[int, ...], rate: float) -> np.ndarray:
-        """Pauli error at rate on the row qubits, in closed form:
-        rho -> (1 - lam) rho + lam (I/2**k (x) Tr_axes rho), lam = rate 4**k/(4**k - 1)."""
-        k = len(axes)
-        lam = rate * 4 ** k / (4 ** k - 1)
-        if axes not in self._diagonals:
-            # a view with each row and column axis of the gate as its own
-            # length-2 dimension, at odd positions after the stack's rows,
-            # and the rest merged
-            shape, prev = [-1], 0
-            for ax in sorted(axes) + sorted(self.m + a for a in axes):
-                shape += [2 ** (ax - prev), 2]
-                prev = ax + 1
-            shape.append(2 ** (2 * self.m - prev))
-            # one index per diagonal block: equal row and column bits on those axes
-            self._diagonals[axes] = (shape, [
-                (slice(None),) + sum(((slice(None), b) for b in bits + bits), ()) + (slice(None),)
-                for bits in itertools.product((0, 1), repeat=k)
-            ])
-        shape, diagonal = self._diagonals[axes]
-        view = rho.reshape(shape)
-        traced = (lam / 2 ** k) * sum(view[key] for key in diagonal)
-        out = (1.0 - lam) * rho
-        out_view = out.reshape(shape)
-        for key in diagonal:
-            out_view[key] += traced
-        return out
+            if (axes, rate) not in self._perms:
+                self._perms[axes, rate] = (
+                    _cx_pauli(self.m, *axes, 1.0 - 16.0 * rate / 15.0) if self.mixed
+                    else (_cx_permutation(self.m, *axes), None))
+            perm, factor = self._perms[axes, rate]
+            states = states[:, perm]
+            return states if factor is None else np.multiply(states, factor, out=states)
+        terms = (_pauli_terms_of(kind, params, 1.0 - 4.0 * rate / 3.0) if self.mixed
+                 else _terms_of(kind, params))
+        return _apply_1q(terms, states, axes[0])
 
 
 def run_ideal(c: Circuit) -> np.ndarray:
@@ -273,15 +298,16 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     measured circuit under noise, in order.
 
     Each circuit evolves over the qubits its gates and measurements touch:
-    a density matrix if one of its gates carries an error rate, else a
+    a Pauli vector if one of its gates carries an error rate, else a
     statevector. Circuits on the same such register share one pass over
     the tree of their gate structures, the gates' kinds and qubits: each
     position in it is applied once to the stacked states of every circuit
     below it, each with its own angle, and equal circuits are computed once.
     Every row sees the arithmetic of its circuit evolved alone. The results
     are read-only; equal circuits share one array. A CapacityError is raised
-    before anything is allocated if a pass's rows times entries exceed
-    4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
+    before anything is allocated if a pass's rows plus its CNOT tables, one
+    per pair of qubits, times a row's entries exceed 4**MAX_DENSE_QUBITS,
+    the size ``unitary_of`` allows.
     """
     # hashing a circuit hashes every gate, so a circuit object seen before
     # (a point's ZZ, IZ and ZI settings share one) is found by identity
@@ -297,46 +323,58 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     measured = [_measure_order(c) for c in distinct]
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
     passes: dict[tuple, list[int]] = {}
+    wires = [{g.qubits for g in gs} for gs in gates]  # the qubit tuples gates act on
     for i in range(len(distinct)):
-        touched = {q for g in gates[i] for q in g.qubits} | set(measured[i])
+        touched = set(measured[i]).union(*wires[i])
         mixed = any(rates[g.kind] for g in gates[i])
         passes.setdefault((mixed, tuple(sorted(touched))), []).append(i)
     for (mixed, register), group in passes.items():
-        if len(group) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
+        # a CNOT's table per pair of qubits holds as many entries as a row
+        pairs = {w for i in group for w in wires[i] if len(w) == 2}
+        if (len(group) + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
             raise CapacityError(
-                f"{len(group)} circuits on {len(register)} touched qubits exceed the dense "
-                f"limit of 4**{MAX_DENSE_QUBITS} entries per pass")
+                f"{len(group)} circuits and {len(pairs)} CNOT pairs on {len(register)} touched "
+                f"qubits exceed the dense limit of 4**{MAX_DENSE_QUBITS} entries per pass")
     done: dict[int, np.ndarray] = {}
     for (mixed, register), group in passes.items():
         m = len(register)
         kernel = _Kernel(m, mixed)
         axis = {q: a for a, q in enumerate(register)}
-        start = np.zeros((len(group), 4 ** m if mixed else 2 ** m), dtype=complex)
-        start[:, 0] = 1.0
+        start = np.zeros((len(group), (4 if mixed else 2) ** m), float if mixed else complex)
+        start[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
         # walk the tree of the group's gate structures; each edge is one gate
         # position, and row r of a node's stack is the state of circuit here[r]
         todo = [(0, start, group)]
         while todo:
             depth, states, here = todo.pop()
             branches: dict[tuple, list[int]] = {}
+            ends: dict[tuple, list[int]] = {}
             for r, i in enumerate(here):
                 if len(gates[i]) > depth:
                     g = gates[i][depth]
                     branches.setdefault((g.kind, g.qubits), []).append(r)
                     continue
-                p = states[r].reshape(2 ** m, 2 ** m).diagonal().real if mixed else np.abs(states[r]) ** 2
+                if mixed:
+                    ends.setdefault(tuple(measured[i]), []).append(r)
+                    continue
+                p = np.abs(states[r]) ** 2
                 # sum down to the measured axes, in classical-bit order
                 kept = [axis[q] for q in measured[i]]
                 p = np.transpose(p.reshape((2,) * m), kept + [a for a in range(m) if a not in kept])
                 p = p.reshape(2 ** len(kept), -1).sum(axis=1)
                 done[i] = apply_readout(p, [noise.readout] * len(kept))
-                done[i].setflags(write=False)
+            for order, rows in ends.items():
+                z = states[np.ix_(rows, _iz_index(m, [axis[q] for q in order]))]
+                probs = _pauli_probabilities(z, 1.0 - 2.0 * noise.readout)
+                done.update(zip([here[r] for r in rows], probs))
             for (kind, qubits), rows in branches.items():
                 below = [here[r] for r in rows]
                 params = [gates[i][depth].param for i in below] if kind in PARAM_KINDS else None
                 stack = states if len(rows) == len(here) else states[rows]
                 axes = tuple(axis[q] for q in qubits)
                 todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), below))
+    for p in done.values():
+        p.setflags(write=False)
     return [done[i] for i in slots]
 
 

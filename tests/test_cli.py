@@ -66,6 +66,15 @@ def test_run_flags_store_onto_their_fields(tmp_path, capsys):
     }
 
 
+def test_layout_flag_stores_onto_the_layout_field(tmp_path, capsys):
+    run = ["sweep", "--epsilon", "0.01", "--analytic", "--topology", "nairobi-like",
+           "--out-dir", str(tmp_path)]
+    assert main(run + ["--layout", "0,2,4,6"]) == 0
+    assert json.load(open(tmp_path / "report.json"))["config"]["layout"] == [0, 2, 4, 6]
+    capsys.readouterr()
+    assert main(run + ["--layout", "0,x,4,6"]) == 2
+    assert capsys.readouterr().err.startswith("config error: layout: '0,x,4,6'")
+
 @pytest.mark.parametrize("command", ["sweep", "tomography"])
 def test_every_run_flag_is_stored_under_a_config_field(command):
     subparsers = next(a for a in _build_parser()._actions

@@ -19,14 +19,27 @@ def test_module_imports_on_its_own(module):
     """``gravopto/__init__.py`` imports none of its modules, so each must
     import first in a fresh interpreter: a cycle between modules would
     otherwise show only for some import orders."""
-    script = (
+    proc = _fresh(
         f"import gravopto.{module}\n"
         "import gravopto\n"
         "assert gravopto.__version__, 'no version'\n"
     )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_the_cli_imports_neither_scipy_nor_numpy_random():
+    """Start-up cost: the mitigation fallback imports scipy and sampling
+    reaches numpy.random only when they run, never on ``import gravopto.cli``."""
+    proc = _fresh("import sys, gravopto.cli\n"
+                  "print(sorted({'scipy', 'numpy.random'} & set(sys.modules)))\n")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def _fresh(script: str) -> subprocess.CompletedProcess:
+    """``script`` run in a fresh interpreter that imports this gravopto."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(gravopto.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr

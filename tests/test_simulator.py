@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -385,6 +386,61 @@ class TestNoisyProbabilities:
         assert chi2 < 39.3
 
 
+def pauli_transfer(u: np.ndarray) -> np.ndarray:
+    """R[s, t] = tr(P_s u P_t u^dag) / 2**n over the n-qubit Pauli strings,
+    qubit 0 the leftmost base-4 digit."""
+    n = len(u).bit_length() - 1
+    strings = [reduce(np.kron, [PAULIS[d] for d in digits])
+               for digits in itertools.product(range(4), repeat=n)]
+    return np.array([[np.trace(ps @ u @ pt @ u.conj().T).real / 2 ** n for pt in strings]
+                     for ps in strings])
+
+
+def test_pauli_vector_gates_are_the_transfer_matrices_of_their_unitaries():
+    """On Pauli vectors a gate maps basis row t to column t of its transfer
+    matrix: the fixed kinds' tables against FIXED_MATRICES, the rotations,
+    and the CNOT's signed gather on every ordered pair of 2 and 3 qubits."""
+    rng = np.random.default_rng(61)
+    for kind in ("x", "sx", "sxdg", "h", "s", "sdg", "rx", "rz", "u1"):
+        g = Gate(kind, (0,), rng.uniform(-4, 4) if kind in PARAM_KINDS else None)
+        got = simulator._Kernel(1, mixed=True).apply(np.eye(4), kind, (0,), [g.param])
+        assert np.abs(got.T - pauli_transfer(unitary_of(Circuit(1, (g,))))).max() <= 1e-15
+    for n in (2, 3):
+        for pair in itertools.permutations(range(n), 2):
+            got = simulator._Kernel(n, mixed=True).apply(np.eye(4 ** n), "cx", pair)
+            want = pauli_transfer(unitary_of(Circuit(n, (cx(*pair),))))
+            assert np.abs(got.T - want).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_pauli_vectors_match_the_kraus_sum_on_partial_permuted_measurements(n):
+    rng = np.random.default_rng(60 + n)
+    noise = NoiseModel(readout=0.04, sq_depol=0.03, cx_depol=0.07)
+    kinds = ("x", "sx", "sxdg", "h", "s", "sdg", "rx", "rz", "u1", "cx")
+    for k in (1, n - 2, n):
+        gates = tuple(
+            Gate(kind, tuple(int(q) for q in rng.choice(n, 1 + (kind == "cx"), replace=False)),
+                 rng.uniform(-4, 4) if kind in PARAM_KINDS else None)
+            for kind in rng.permutation(kinds * 2)
+        )
+        kept = rng.permutation(n)[:k]
+        c = Circuit(n, gates).extend(measure(int(q), cbit) for cbit, q in enumerate(kept))
+        assert np.abs(noisy_probabilities(c, noise) - kraus_probabilities(c, noise)).max() <= 1e-12
+
+
+def test_readout_on_pauli_vectors_is_the_bit_flip_transform():
+    """Readout scales each measured qubit's Z part by 1 - 2 r, which is
+    apply_readout on the distribution of the same circuit without it."""
+    rng = np.random.default_rng(67)
+    gate_noise = dict(sq_depol=0.02, cx_depol=0.06)
+    for _ in range(5):
+        c = random_circuit(rng, 4, 20).extend((measure(3, 0), measure(1, 1), measure(2, 2)))
+        without = noisy_probabilities(c, NoiseModel(**gate_noise))
+        for r in (0.01, 0.2, 0.49):
+            got = noisy_probabilities(c, NoiseModel(readout=r, **gate_noise))
+            assert np.abs(got - apply_readout(without, [r] * 3)).max() <= 1e-15
+
+
 def _family(rng, n):
     """Measured circuits sharing a random trunk: branches of it, the trunk
     itself, a copy of a branch, and a circuit on fewer touched qubits."""
@@ -581,3 +637,49 @@ def test_idle_device_qubits_are_not_simulated(tmp_path, monkeypatch):
             csv[topology] = open(emit_outputs(run_sweep(cfg), cfg, str(out))["csv"], "rb").read()
         assert csv["belem-like"] == csv[str(topo)]
     assert registers and {m for m, _ in registers} == {4}
+
+
+def test_only_gate_noise_evolves_pauli_vectors(monkeypatch):
+    # readout alone keeps statevector kernels; a gate error rate makes Pauli vectors
+    circuits = _family(np.random.default_rng(73), 4)
+    kernels = _spy_on_kernels(monkeypatch)
+    outcome_distributions(circuits, NoiseModel(readout=0.05))
+    assert kernels and not any(mixed for _, mixed in kernels)
+    kernels.clear()
+    outcome_distributions(circuits, NoiseModel(readout=0.05, sq_depol=0.01))
+    assert kernels and all(mixed for _, mixed in kernels)
+
+
+def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
+    """Readout only at one ε on a 20-qubit line: 3 statevectors of 2**20
+    entries fit 4**12, but the SWAP chains' 37 CNOT pairs each need a
+    permutation of 2**20 entries too, and the pass would not."""
+    line = tmp_path / "line20.json"
+    line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
+    cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), readout=0.02,
+                           epsilon_values=(0.01,))
+    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a pass over 20 touched qubits was allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(CapacityError, match="3 circuits and 37 CNOT pairs on 20 touched qubits"):
+        outcome_distributions(circuits, cfg.noise_model())
+
+
+def test_a_seven_qubit_gate_noise_pass_peaks_below_its_bound():
+    """The nairobi-like [0, 2, 4, 6] gate-noise sweep: one stack of its 39
+    Pauli vectors of 4**7 floats is 5 MiB, and the tree walk keeps a few
+    stacks alive at once. The pass peaks under 30 MiB (about 20 MiB
+    measured; as complex density matrices it peaked at 45 MiB)."""
+    cfg = ExperimentConfig(topology="nairobi-like", layout=(0, 2, 4, 6),
+                           **NOISE_PRESETS["nairobi-like"])
+    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    tracemalloc.start()
+    try:
+        outcome_distributions(circuits, cfg.noise_model())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2 ** 20
