@@ -8,18 +8,19 @@ is its one-point case. What does not depend on epsilon is done once per
 sweep: the topology and layout are resolved, the measurement suffixes built
 and placed, and the evolution's skeleton, its circuit at epsilon = 0, is
 built, lowered and routed once, keeping the positions of its four U1 cores.
-A point binds its core angles there and simplifies; one memo of single-qubit
-resyntheses (see ``transpiler``) serves every ``simplify`` of the sweep and
-is dropped with it. A point's evolution is shared by its five tomography
-settings, which add only basis rotations and measurements, and by its QASM
-export. ``run_sweep`` then makes one ``outcome_distributions`` call for the
-settings of every point, which evolves the points that share a gate
-structure as one stack. The settings' weights, sampled or exact, are the rows
-of one array, which one confusion matrix mitigates and which are
-post-selected and estimated row by row (see ``tomography``); no setting
-makes a histogram. ``run_point`` is the one-point case of the same code. The
-CSV payload is byte-stable for a fixed config; the JSON report additionally
-carries a timestamp.
+A point binds its core angles there and simplifies; its evolution is shared
+by its five tomography settings, which add only basis rotations and
+measurements, and by its QASM export. One memo (see ``transpiler``) serves
+the sweep and goes with it: each distinct single-qubit resynthesis and each
+distinct settings window's simplified tail is made once, a function of its
+gates alone, so a point compiles bit for bit as it does alone. ``run_sweep``
+then makes one ``outcome_distributions`` call for the settings of every
+point, which evolves the points that share a gate structure as one stack.
+The settings' weights, sampled or exact, are the rows of one array, which
+one confusion matrix mitigates and which are post-selected and estimated row
+by row (see ``tomography``); no setting makes a histogram. ``run_point`` is
+the one-point case of the same code. The CSV payload is byte-stable for a
+fixed config; the JSON report additionally carries a timestamp.
 """
 from __future__ import annotations
 
@@ -266,12 +267,12 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
 
 class _SweepCompiler:
     """What the points of a sweep share when they compile, made once: the
-    resolved topology and layout, the measurement suffixes, one memo of
-    single-qubit resyntheses (see ``transpiler.simplify``) and the
-    evolution's skeleton, lowered and routed as ``transpile`` would before
-    it simplifies, with its four core slots. ``evolution`` binds a point's
-    ``core_angles`` there. It lives as long as the sweep's compile, so
-    nothing is kept between sweeps."""
+    resolved topology and layout, the measurement suffixes, the evolution's
+    skeleton, lowered and routed as ``transpile`` would before it
+    simplifies, with its four core slots, and one memo of resyntheses and
+    settings windows' tails (exact: see ``transpiler.simplify``).
+    ``evolution`` binds a point's ``core_angles`` in the skeleton; nothing
+    outlives the sweep's compile."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -323,10 +324,8 @@ class _SweepCompiler:
     def settings(self, evolution: RoutedCircuit) -> dict:
         circuits = {}
         for suffix, settings in self.suffixes.items():
-            if self.cfg.transpile:
-                circ = append_placed(evolution.circuit, suffix, self.memo)
-            else:
-                circ = evolution.circuit + suffix
+            circ = (append_placed(evolution.circuit, suffix, self.memo) if self.cfg.transpile
+                    else evolution.circuit + suffix)
             circuits.update((setting.label, (setting, circ)) for setting in settings)
         return {label: circuits[label] for label in SETTING_LABELS}
 

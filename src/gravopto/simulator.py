@@ -215,16 +215,18 @@ def _measure_order(c: Circuit) -> list[int]:
 
 
 def apply_readout(probs: np.ndarray, lambdas) -> np.ndarray:
-    """Mix a symmetric bit flip with rate lambdas[j] into classical bit j."""
-    k = int(round(math.log2(probs.size)))
+    """Mix a symmetric bit flip with rate lambdas[j] into classical bit j of
+    a distribution over 2**k keys, or of each row of a stack of them."""
+    probs = np.asarray(probs, dtype=float)
+    k = int(round(math.log2(probs.shape[-1])))
     lam = list(lambdas)
     if len(lam) != k:
         raise ValueError("one flip rate per classical bit")
-    p = np.asarray(probs, dtype=float).reshape((2,) * k)
-    for axis, rate in enumerate(lam):
+    p = probs.reshape(probs.shape[:-1] + (2,) * k)
+    for axis, rate in enumerate(lam, start=probs.ndim - 1):
         if rate:
             p = (1.0 - rate) * p + rate * np.flip(p, axis=axis)
-    return p.reshape(-1)
+    return p.reshape(probs.shape)
 
 
 @dataclass(frozen=True)
@@ -309,16 +311,16 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     per pair of qubits, times a row's entries exceed 4**MAX_DENSE_QUBITS,
     the size ``unitary_of`` allows.
     """
-    # hashing a circuit hashes every gate, so a circuit object seen before
-    # (a point's ZZ, IZ and ZI settings share one) is found by identity
-    index: dict[Circuit, int] = {}
+    # a circuit object seen again (a point's ZZ, IZ and ZI) is found by identity, an
+    # equal copy by its gates' fields as plain tuples: a Circuit hashes each Gate in Python
+    index: dict[tuple, int] = {}
     by_id: dict[int, int] = {}
-    slots = []
     for c in circuits:
         if id(c) not in by_id:
-            by_id[id(c)] = index.setdefault(c, len(index))
-        slots.append(by_id[id(c)])
-    distinct = list(index)
+            key = (c.n_qubits, tuple((g.kind, g.qubits, g.param, g.cbit) for g in c.gates))
+            by_id[id(c)] = index.setdefault(key, len(index))
+    slots = [by_id[id(c)] for c in circuits]
+    distinct = list(dict(zip(slots, circuits)).values())  # a circuit per slot, in slot order
     gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
     measured = [_measure_order(c) for c in distinct]
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
@@ -354,18 +356,16 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     g = gates[i][depth]
                     branches.setdefault((g.kind, g.qubits), []).append(r)
                     continue
+                ends.setdefault(tuple(axis[q] for q in measured[i]), []).append(r)
+            for kept, rows in ends.items():
                 if mixed:
-                    ends.setdefault(tuple(measured[i]), []).append(r)
-                    continue
-                p = np.abs(states[r]) ** 2
-                # sum down to the measured axes, in classical-bit order
-                kept = [axis[q] for q in measured[i]]
-                p = np.transpose(p.reshape((2,) * m), kept + [a for a in range(m) if a not in kept])
-                p = p.reshape(2 ** len(kept), -1).sum(axis=1)
-                done[i] = apply_readout(p, [noise.readout] * len(kept))
-            for order, rows in ends.items():
-                z = states[np.ix_(rows, _iz_index(m, [axis[q] for q in order]))]
-                probs = _pauli_probabilities(z, 1.0 - 2.0 * noise.readout)
+                    z = states[np.ix_(rows, _iz_index(m, kept))]
+                    probs = _pauli_probabilities(z, 1.0 - 2.0 * noise.readout)
+                else:  # |psi|**2 summed down to the measured axes, in classical-bit order
+                    p = (np.abs(states[rows]) ** 2).reshape((len(rows),) + (2,) * m)
+                    p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
+                    p = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
+                    probs = apply_readout(p, [noise.readout] * len(kept))
                 done.update(zip([here[r] for r in rows], probs))
             for (kind, qubits), rows in branches.items():
                 below = [here[r] for r in rows]

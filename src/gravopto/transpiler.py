@@ -28,8 +28,8 @@ synthesised once; without one, each call keeps its own.
 
 ``place_suffix`` lowers a suffix of 1-qubit gates and measurements and
 places it through a routed circuit's final layout. ``append_placed`` appends
-it to a simplified circuit and simplifies again only the tail it can reach:
-the trailing single-qubit run of each wire it touches and every
+it to a simplified circuit and simplifies again only the tail it can reach,
+its window: the trailing single-qubit run of each wire it touches and every
 still-floating trailing Rz, widened to start on a run boundary. The head is
 already a fixpoint that no pass changes, so the result is ``simplify`` of
 the whole circuit.
@@ -348,25 +348,25 @@ def _float_rz(gates: list[Gate]) -> list[Gate]:
 
 
 def _cancel_cx_pairs(gates: list[Gate]) -> list[Gate]:
-    gates = list(gates)
-    changed = True
-    while changed:
-        changed = False
-        for i, g in enumerate(gates):
-            if g.kind != "cx":
+    """Cancel each CNOT whose next gate on both its wires is an identical one,
+    cascading, in one forward scan; a cancellation uncovers earlier gates."""
+    out: list[Gate | None] = []
+    last: dict[int, int] = {}  # wire -> index in out, -1 for none
+    for g in gates:
+        if g.kind == "cx":
+            i = last.get(g.qubits[0], -1)
+            if i >= 0 and i == last.get(g.qubits[1], -1) and out[i].qubits == g.qubits:
+                out[i] = None
+                for q in g.qubits:
+                    j = i - 1
+                    while j >= 0 and (out[j] is None or q not in out[j].qubits):
+                        j -= 1
+                    last[q] = j
                 continue
-            touched = set(g.qubits)
-            for j in range(i + 1, len(gates)):
-                other = gates[j]
-                if touched & set(other.qubits):
-                    if other.kind == "cx" and other.qubits == g.qubits:
-                        del gates[j]
-                        del gates[i]
-                        changed = True
-                    break
-            if changed:
-                break
-    return gates
+        for q in g.qubits:
+            last[q] = len(out)
+        out.append(g)
+    return [g for g in out if g is not None]
 
 
 _SX_MATRIX = FIXED_MATRICES["sx"]
@@ -401,6 +401,25 @@ def _synthesize_1q(q: int, u: np.ndarray) -> list[Gate]:
     if not _is_zero_angle(alpha + math.pi):
         gates.append(_rz(q, _wrap(alpha + math.pi)))
     return gates
+
+
+def _candidate_distance(candidate: list[Gate], u: np.ndarray) -> float:
+    """``phase_distance`` from a resynthesis ``candidate``'s product (Rz as
+    diag(1, e^(i angle)), SX, X) to ``u``, in Python complex arithmetic: the
+    drift guard makes no compiled value, so it may round unlike numpy."""
+    (a, b), (c, d) = (1, 0), (0, 1)  # the product's rows
+    for g in candidate:
+        if g.kind == "rz":
+            z = complex(math.cos(g.param), math.sin(g.param))
+            c, d = z * c, z * d
+        elif g.kind == "sx":
+            p, m = 0.5 + 0.5j, 0.5 - 0.5j
+            (a, b), (c, d) = (p * a + m * c, p * b + m * d), (m * a + p * c, m * b + p * d)
+        else:  # x
+            (a, b), (c, d) = (c, d), (a, b)
+    (u00, u01), (u10, u11) = u.tolist()
+    trace = a.conjugate() * u00 + b.conjugate() * u01 + c.conjugate() * u10 + d.conjugate() * u11
+    return max(0.0, 1.0 - abs(trace) / 2)
 
 
 def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list[Gate]:
@@ -441,10 +460,7 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list
         for idx in run:
             u = matrix_of(gates[idx]) @ u
         candidate = _synthesize_1q(q, u)
-        check = np.eye(2, dtype=complex)
-        for g in candidate:
-            check = matrix_of(g) @ check
-        if phase_distance(check, u) > 1e-10:
+        if _candidate_distance(candidate, u) > 1e-10:
             raise RuntimeError("single-qubit resynthesis drifted")
         if len(candidate) < len(run):
             memo[key] = tuple((g.kind, g.param) for g in candidate)
@@ -461,15 +477,6 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list
         if i not in removed:
             out.append(g)
     return out
-
-
-def _wire_sequences(gates: list[Gate]) -> dict[int, list[Gate]]:
-    """The gates on each wire, in order (a CNOT is on both of its wires)."""
-    seqs: dict[int, list[Gate]] = {}
-    for g in gates:
-        for q in g.qubits:
-            seqs.setdefault(q, []).append(g)
-    return seqs
 
 
 # every preset circuit and suffix window converges in two passes; the second
@@ -489,7 +496,8 @@ def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     For the same reason the resynthesis of a run can be remembered by its
     gates' (kind, param) sequence (see ``_resynth_runs``). Callers that
     compile many related circuits pass one ``memo`` to every call; without
-    one, the call keeps its own.
+    one, the call keeps its own. The memo changes only the speed: the
+    result is a function of ``c``'s gates alone.
     """
     memo = {} if memo is None else memo
     gates = list(c.gates)
@@ -497,7 +505,10 @@ def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     seqs = None
     for _ in range(_SIMPLIFY_MAX_PASSES):
         new = _cancel_cx_pairs(_float_rz(gates))
-        new_seqs = _wire_sequences(new)
+        new_seqs: dict[int, list[Gate]] = {}  # the gates on each wire, in order
+        for g in new:
+            for q in g.qubits:
+                new_seqs.setdefault(q, []).append(g)
         if seqs is not None:
             dirty = {q for q in new_seqs.keys() | seqs.keys() if new_seqs.get(q) != seqs.get(q)}
         seqs = new_seqs
@@ -582,7 +593,9 @@ def append_placed(base: Circuit, placed: Circuit, memo: dict | None = None) -> C
     (see ``_suffix_window``), so the prefix compiles once for many suffixes.
     Against ``transpile`` of the whole circuit it is equal as a unitary;
     gate for gate it may differ where summed Rz angles associate
-    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s.
+    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s,
+    and also keeps each simplified tail, keyed by the window's and the
+    suffix's gates: a sweep's points share a few epsilon-free windows.
     """
     wires = {g.qubits[0] for g in placed.gates if g.kind != "measure"}
     if not wires or base.has_measurements:
@@ -590,8 +603,11 @@ def append_placed(base: Circuit, placed: Circuit, memo: dict | None = None) -> C
         # end of the circuit, so measurements after a fixpoint stay one; a
         # measured prefix takes no further gates, which Circuit reports
         return base + placed
+    memo = {} if memo is None else memo
     cut = _suffix_window(base.gates, wires)
-    tail = simplify(Circuit._trusted(base.n_qubits, base.gates[cut:] + placed.gates, {}), memo)
+    window = (base.gates[cut:], placed.gates)
+    if window not in memo:
+        memo[window] = simplify(Circuit._trusted(base.n_qubits, window[0] + window[1], {}), memo).gates
     metadata = dict(base.metadata)
     metadata.update(placed.metadata)
-    return Circuit._trusted(base.n_qubits, base.gates[:cut] + tail.gates, metadata)
+    return Circuit._trusted(base.n_qubits, base.gates[:cut] + memo[window], metadata)

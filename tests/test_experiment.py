@@ -2,12 +2,13 @@ import dataclasses
 import json
 import math
 import os
+import time
 
 import numpy as np
 import pytest
 
 from gravopto import experiment, transpiler
-from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces
+from gravopto.analysis import concurrence_theory, exact_traces, fidelity_error, fidelity_from_traces
 from gravopto.circuit import Circuit, phase_distance, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
@@ -624,3 +625,41 @@ class TestEmitOutputs:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_outputs([], self.small_config(), out_dir=str(tmp_path))
+
+
+RANDOM_GRAPH_EPSILONS = (-0.5, -1e-3, 1e-7, 1e-3, 0.2, 0.7)
+
+
+def test_random_device_graphs_compile_and_run_exactly(tmp_path):
+    """Seeded random connected device graphs of 4 to 8 qubits (a random
+    spanning tree plus extra edges), 60% with a random layout and the rest
+    with the hub layout. On each, a noiseless analytic sweep over both signs
+    of epsilon measures the closed-form traces to within 1e-12, and every
+    point compiles gate for gate as its own ``transpile`` and
+    ``append_placed`` do, nothing shared. The whole set takes at most 4 s
+    (about 0.8 s on a 2-core x86 box)."""
+    from test_transpiler import random_connected_topology
+
+    rng = np.random.default_rng(5)
+    start = time.perf_counter()
+    for trial in range(24):
+        topo = random_connected_topology(rng, int(rng.integers(4, 9)))
+        path = tmp_path / f"graph{trial}.json"
+        path.write_text(json.dumps({"n": topo.n, "edges": sorted(topo.edges)}))
+        layout = tuple(int(q) for q in rng.choice(topo.n, 4, replace=False)) if rng.random() < 0.6 else None
+        cfg = ExperimentConfig(epsilon_values=RANDOM_GRAPH_EPSILONS, analytic_mode=True,
+                               topology=str(path), layout=layout)
+        compiled = compile_sweep(cfg)
+        for row, (evolution, circuits) in zip(run_sweep(cfg, compiled), compiled):
+            eps = row["epsilon"]
+            key = (trial, sorted(topo.edges), layout, eps)
+            for label, want in exact_traces(eps).items():
+                assert abs(row[f"tr_{label.lower()}"] - want) <= 1e-12, (key, label)
+            ref = transpile(build_evolution_circuit(eps, prepend_ground_prep=True), topo,
+                            layout or hub_layout(topo, 4))
+            assert exact_gates(evolution.circuit) == exact_gates(ref.circuit), key
+            assert evolution.full_final_layout == ref.full_final_layout, key
+            for setting, suffix in measurement_circuits(Circuit(4)):
+                want = append_placed(ref.circuit, place_suffix(suffix, ref))
+                assert exact_gates(circuits[setting.label][1]) == exact_gates(want), (key, setting.label)
+    assert time.perf_counter() - start < 4.0

@@ -441,6 +441,33 @@ def test_readout_on_pauli_vectors_is_the_bit_flip_transform():
             assert np.abs(got - apply_readout(without, [r] * 3)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("readout", [0.0, 0.03])
+def test_statevector_rows_read_out_together_equal_one_row_at_a_time(readout):
+    """Pure rows that end with one measured order are read out as a batch;
+    each equals, bit for bit, its own |psi|**2 summed down to its measured
+    qubits in classical-bit order and passed through ``apply_readout``."""
+    rng = np.random.default_rng(97)
+    n = 4
+    orders = ([2, 0, 3], [1, 3], [3, 2, 1, 0])
+    circuits = []
+    for _ in range(6):
+        # an H on every wire, so every row is on the whole register; four
+        # sets of angles per structure, so rows end together
+        base = Circuit(n, tuple(h(q) for q in range(n)) + random_circuit(rng, n, 12).gates)
+        for k in range(4):
+            gates = tuple(Gate(g.kind, g.qubits, rng.uniform(-4, 4)) if g.kind in PARAM_KINDS else g
+                          for g in base.gates)
+            circuits.append(Circuit(n, gates).extend(
+                measure(q, cbit) for cbit, q in enumerate(orders[k % 3])))
+    got = outcome_distributions(circuits, NoiseModel(readout=readout))
+    for c, p in zip(circuits, got):
+        order = [q for q, _ in sorted(c.measurements, key=lambda qc: qc[1])]
+        rest = [q for q in range(n) if q not in order]
+        probs = np.transpose((np.abs(run_ideal(c)) ** 2).reshape((2,) * n), order + rest)
+        want = apply_readout(probs.reshape(2 ** len(order), -1).sum(axis=1), [readout] * len(order))
+        assert np.array_equal(p, want)
+
+
 def _family(rng, n):
     """Measured circuits sharing a random trunk: branches of it, the trunk
     itself, a copy of a branch, and a circuit on fewer touched qubits."""
@@ -479,27 +506,34 @@ def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
         assert together[4] is together[0]
 
 
-def test_each_circuit_object_is_hashed_once(monkeypatch):
+@pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, cx_depol=0.01)],
+                         ids=["statevector", "pauli-vector"])
+def test_equal_circuits_share_one_array_without_hashing(monkeypatch, noise):
     """A circuit object given again (a point's ZZ, IZ and ZI settings) is
-    found by identity; an equal circuit that is another object is hashed,
-    and still computed once."""
+    found by identity, and an equal copy that is another object by its
+    gates' plain fields; neither a Circuit nor a Gate is hashed. Each
+    distinct circuit is computed once, and one that differs in a single
+    angle is not taken for an equal one."""
     rng = np.random.default_rng(47)
     a = measured(random_circuit(rng, 3, 8))
     b = measured(random_circuit(rng, 3, 8))
     b_copy = Circuit(b.n_qubits, b.gates)
-    hashed = []
-    circuit_hash = Circuit.__hash__
+    i = next(i for i, g in enumerate(b.gates) if g.kind in PARAM_KINDS)
+    b_moved = Circuit(b.n_qubits, b.gates[:i] + (Gate(b.gates[i].kind, b.gates[i].qubits,
+                                                      b.gates[i].param + 1e-3),) + b.gates[i + 1:])
 
-    def counted(c):
-        hashed.append(c)
-        return circuit_hash(c)
+    def refuse(obj):
+        raise AssertionError(f"hashed a {type(obj).__name__}")
 
-    monkeypatch.setattr(Circuit, "__hash__", counted)
-    got = outcome_distributions([a, a, b, a, b, b_copy], NoiseModel(readout=0.02))
-    assert len(hashed) == 3
+    monkeypatch.setattr(Circuit, "__hash__", refuse)
+    monkeypatch.setattr(Gate, "__hash__", refuse)
+    circuits = [a, a, b, a, b, b_copy, b_moved]
+    got = outcome_distributions(circuits, noise)
     assert got[0] is got[1] is got[3]
     assert got[2] is got[4] is got[5]
-    assert got[0] is not got[2]
+    assert got[0] is not got[2] and got[6] is not got[2]
+    for c, p in zip(circuits, got):
+        assert np.array_equal(p, noisy_probabilities(c, noise))
 
 
 def _structure_family(rng, n):

@@ -24,7 +24,7 @@ from gravopto.circuit import (
     x,
 )
 from gravopto.digitizer import build_evolution_circuit
-from gravopto import transpiler
+from gravopto import experiment, transpiler
 from gravopto.errors import RoutingError
 from gravopto.experiment import (
     DEFAULT_EPSILONS,
@@ -601,3 +601,113 @@ def test_a_sweep_resynthesises_each_distinct_run_once(monkeypatch):
     compile_sweep(cfg)
     assert first <= 60
     assert len(calls) == 2 * first
+
+
+def test_a_sweep_simplifies_each_distinct_window_once(monkeypatch):
+    """Every point's XY and YX settings append their suffix to the same
+    epsilon-free window of the evolution's tail, so the sweep's memo keeps
+    each (window, suffix) pair's simplified tail: the 13 default belem-like
+    points simplify 13 evolutions and 2 windows, not 13 + 26 circuits. The
+    memo lives for one sweep, so a second sweep simplifies them again."""
+    calls = []
+    original = transpiler.simplify
+
+    def counted(c, memo=None):
+        calls.append(c)
+        return original(c, memo)
+
+    for module in (experiment, transpiler):
+        monkeypatch.setattr(module, "simplify", counted)
+    cfg = ExperimentConfig(topology="belem-like")
+    compile_sweep(cfg)
+    assert len(calls) == 15
+    assert sum(c.has_measurements for c in calls) == 2
+    compile_sweep(cfg)
+    assert len(calls) == 30
+
+
+def _restart_cancel_cx_pairs(gates):
+    """The oracle: cancel the first CNOT whose next gate on either of its
+    wires is an identical CNOT, then start again from the first gate."""
+    gates = list(gates)
+    changed = True
+    while changed:
+        changed = False
+        for i, g in enumerate(gates):
+            if g.kind != "cx":
+                continue
+            for j in range(i + 1, len(gates)):
+                if set(g.qubits) & set(gates[j].qubits):
+                    if gates[j].kind == "cx" and gates[j].qubits == g.qubits:
+                        del gates[j], gates[i]
+                        changed = True
+                    break
+            if changed:
+                break
+    return gates
+
+
+def test_cancel_cx_pairs_equals_the_restart_scan():
+    """On seeded random CNOT-heavy circuits, half of them followed by their
+    own reverse so that cancellations cascade, the one-scan cancellation
+    keeps exactly the gates the restart scan keeps, in the same order."""
+    rng = np.random.default_rng(83)
+    removed = 0
+    for trial in range(1500):
+        n = int(rng.integers(2, 5))
+        gates = []
+        for _ in range(int(rng.integers(0, 14))):
+            roll = rng.random()
+            if roll < 0.7:
+                gates.append(cx(*(int(q) for q in rng.choice(n, 2, replace=False))))
+            elif roll < 0.85:
+                gates.append(sx(int(rng.integers(n))))
+            else:
+                gates.append(rz(int(rng.integers(n)), 0.3))
+        if trial % 2:
+            gates += gates[::-1]
+        want = _restart_cancel_cx_pairs(gates)
+        assert transpiler._cancel_cx_pairs(gates) == want, gates
+        removed += len(gates) - len(want)
+    assert removed > 2500
+
+
+def test_candidate_distance_is_phase_distance():
+    """The drift guard's scalar product of Rz, SX and X gates is the
+    ``phase_distance`` of their ``matrix_of`` product, to rounding."""
+    rng = np.random.default_rng(89)
+    for trial in range(400):
+        candidate = [rz(0, float(rng.uniform(-4, 4))) if kind == "rz" else Gate(kind, (0,))
+                     for kind in rng.choice(["rz", "sx", "x"], int(rng.integers(0, 7)))]
+        product = np.eye(2, dtype=complex)
+        for g in candidate:
+            product = matrix_of(g) @ product
+        if trial % 2:
+            u = product * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        else:
+            u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
+        got = transpiler._candidate_distance(candidate, u)
+        assert abs(got - phase_distance(product, u)) <= 1e-15
+
+
+@pytest.mark.parametrize("error,drifts", [(1e-4, True), (1e-5, False)])
+def test_the_drift_guard_refuses_a_wrong_resynthesis(monkeypatch, error, drifts):
+    """A resynthesis whose last Rz is off by ``error`` rad is 1 - cos(error
+    / 2), about error**2 / 8, from the run: 1.25e-9 is refused and 1.25e-11
+    is let through, so the guard keeps its 1e-10 bound on that distance."""
+    run = Circuit(1, (rz(0, 0.3), sx(0), rz(0, 0.7), sx(0), rz(0, 1.1), sx(0)))
+    want = simplify(run).gates
+    assert len(want) < len(run.gates) and want[-1].kind == "rz"
+    original = transpiler._synthesize_1q
+
+    def off(q, u):
+        gates = original(q, u)
+        return gates[:-1] + [rz(q, gates[-1].param + error)]
+
+    monkeypatch.setattr(transpiler, "_synthesize_1q", off)
+    if drifts:
+        with pytest.raises(RuntimeError, match="resynthesis drifted"):
+            simplify(run)
+    else:
+        got = simplify(run).gates
+        assert got[:-1] == want[:-1] and got[-1].param == want[-1].param + error
