@@ -229,10 +229,8 @@ def device_layout(topology: Topology | None, n_qubits: int, layout=None) -> tupl
     """The physical qubits a circuit of ``n_qubits`` is routed from: ``layout``
     after ``check_layout``, else the hub layout; None without a topology.
     Checked before anything compiles, a device that cannot run the circuit
-    is a ConfigError naming ``topology`` (too few qubits, or too few in the
-    hub's connected component) or ``layout`` (qubits in two components)."""
-    if topology is not None and topology.n < n_qubits:
-        raise ConfigError(f"topology: {topology.n} qubits cannot hold the circuit's {n_qubits}")
+    is a ConfigError naming ``topology`` (too few qubits in the hub's
+    connected component) or ``layout`` (qubits in two components)."""
     if layout is not None:
         layout = check_layout(layout, n_qubits, topology)
     if topology is None:
@@ -270,9 +268,11 @@ class _SweepCompiler:
     resolved topology and layout, the measurement suffixes, the evolution's
     skeleton, lowered and routed as ``transpile`` would before it
     simplifies, with its four core slots, and one memo of resyntheses and
-    settings windows' tails (exact: see ``transpiler.simplify``).
-    ``evolution`` binds a point's ``core_angles`` in the skeleton; nothing
-    outlives the sweep's compile."""
+    settings windows' tails (exact: see ``transpiler.simplify``). The slots
+    are the skeleton's only 0.0 angles: at epsilon = 0 its U1 cores are
+    +-0.0 and all else is +-pi/2, and a U1 lowers and routes to an Rz of its
+    angle. ``evolution`` binds a point's ``core_angles`` in the skeleton;
+    nothing outlives the sweep's compile."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -282,27 +282,16 @@ class _SweepCompiler:
             self.topology = resolve_topology(cfg.topology)
             self.layout = device_layout(self.topology, n, cfg.layout)
         self.memo: dict = {}
-        # the slots are the U1 cores ``core_angles`` binds, found by position
         skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)
-        slots = [i for i, g in enumerate(skeleton.gates) if g.kind == "u1"]
         if cfg.transpile:
-            # lowering is gate-local and makes one Rz of a U1 whatever its
-            # angle: lowered in pieces that each end on a slot, every gate is
-            # lowered once and each slot's Rz ends its piece
-            gates, ends = (), []
-            for start, end in zip([0] + [i + 1 for i in slots], slots + [len(skeleton.gates)]):
-                gates += lower_to_basis(Circuit._trusted(n, skeleton.gates[start:end + 1], {})).gates
-                ends.append(len(gates) - 1)
-            skeleton, slots = Circuit._trusted(n, gates, {}), ends[:-1]
+            skeleton = lower_to_basis(skeleton)
         ident = tuple(range(n))
         self.skeleton = RoutedCircuit(skeleton, ident, ident, ident)
         if self.topology is not None:
-            # routing emits every gate but a CNOT once and in order
             self.skeleton = route(skeleton, self.topology, self.layout)
-            singles = [i for i, g in enumerate(self.skeleton.circuit.gates) if g.kind != "cx"]
-            slots = [singles[sum(g.kind != "cx" for g in skeleton.gates[:i])] for i in slots]
-        assert len(slots) == 4
-        self.slots = slots
+        self.slots = [i for i, g in enumerate(self.skeleton.circuit.gates)
+                      if g.kind in ("u1", "rz") and g.param == 0.0]
+        assert len(self.slots) == 4
         # each distinct suffix with its settings (ZZ, IZ and ZI share one),
         # placed once: every point keeps the skeleton's final layout
         suffixes: dict[Circuit, list] = {}

@@ -30,10 +30,11 @@ circuit with gate noise evolves their Pauli vector, any other their
 statevector. Circuits on one register walk the tree of their gate
 structures, the gates' kinds and qubits without their angles: each position
 in it is one kernel call on the stacked states of every circuit below it, so
-the sweep points that compile to the same structure share every call, and
-each point's settings share their evolution's calls. Every row gets the
-arithmetic of its circuit evolved alone. ``noisy_probabilities`` is the
-one-circuit case, and ``born_probabilities`` its noiseless one. Shots are
+the sweep points that compile to the same structure share every call,
+each point's settings share their evolution's calls, and equal copies are
+rows of the same stacks. Every row gets the arithmetic of its circuit
+evolved alone. ``noisy_probabilities`` is the one-circuit case, and
+``born_probabilities`` its noiseless one. Shots are
 i.i.d., so ``sample_weights`` draws a whole setting as one multinomial
 sample, a row of counts; ``sample_counts`` makes it a histogram, and
 ``run_noisy`` does both for one circuit. Nothing is kept between calls.
@@ -262,15 +263,6 @@ class CountsHistogram:
             if len(key) != self.n_bits or set(key) - {"0", "1"}:
                 raise ValueError(f"malformed outcome key {key!r}")
 
-    @classmethod
-    def _trusted(cls, entries: dict, shots: int, n_bits: int) -> "CountsHistogram":
-        """A histogram of keys formatted or checked already, built without ``__post_init__``."""
-        hist = object.__new__(cls)
-        object.__setattr__(hist, "entries", entries)
-        object.__setattr__(hist, "shots", shots)
-        object.__setattr__(hist, "n_bits", n_bits)
-        return hist
-
     def total(self) -> float:
         return float(sum(self.entries.values()))
 
@@ -292,7 +284,7 @@ class CountsHistogram:
             format(idx, key): int(w) if float(w).is_integer() else float(w)
             for idx, w in zip(nonzero.tolist(), vec[nonzero].tolist())
         }
-        return cls._trusted(entries, shots, n_bits)
+        return cls(entries, shots, n_bits)
 
 
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
@@ -304,23 +296,17 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     statevector. Circuits on the same such register share one pass over
     the tree of their gate structures, the gates' kinds and qubits: each
     position in it is applied once to the stacked states of every circuit
-    below it, each with its own angle, and equal circuits are computed once.
-    Every row sees the arithmetic of its circuit evolved alone. The results
-    are read-only; equal circuits share one array. A CapacityError is raised
-    before anything is allocated if a pass's rows plus its CNOT tables, one
-    per pair of qubits, times a row's entries exceed 4**MAX_DENSE_QUBITS,
-    the size ``unitary_of`` allows.
+    below it, each with its own angle, so equal copies are rows of the same
+    stacks. Every row sees the arithmetic of its circuit evolved alone. The
+    results are read-only; a circuit object given again shares one array. A
+    CapacityError is raised before anything is allocated if a pass's rows
+    plus its CNOT tables, one per pair of qubits, times a row's entries
+    exceed 4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
     """
-    # a circuit object seen again (a point's ZZ, IZ and ZI) is found by identity, an
-    # equal copy by its gates' fields as plain tuples: a Circuit hashes each Gate in Python
-    index: dict[tuple, int] = {}
-    by_id: dict[int, int] = {}
-    for c in circuits:
-        if id(c) not in by_id:
-            key = (c.n_qubits, tuple((g.kind, g.qubits, g.param, g.cbit) for g in c.gates))
-            by_id[id(c)] = index.setdefault(key, len(index))
-    slots = [by_id[id(c)] for c in circuits]
-    distinct = list(dict(zip(slots, circuits)).values())  # a circuit per slot, in slot order
+    # a circuit object given again (a point's ZZ, IZ and ZI) is computed once;
+    # ``circuits`` keeps every object alive, so no id is reused
+    distinct = list({id(c): c for c in circuits}.values())
+    slot_of = {id(c): i for i, c in enumerate(distinct)}
     gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
     measured = [_measure_order(c) for c in distinct]
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
@@ -375,7 +361,7 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                 todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), below))
     for p in done.values():
         p.setflags(write=False)
-    return [done[i] for i in slots]
+    return [done[slot_of[id(c)]] for c in circuits]
 
 
 def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:

@@ -19,12 +19,11 @@ Simplification iterates three deterministic passes to a fixpoint:
 
 All three preserve the unitary up to global phase and never increase any
 gate count, so simplify is idempotent gate for gate. Whether a run is
-replaced depends on its gates alone, so a pass after the first
-re-synthesises only the wires whose gate sequence changed since the
-previous pass. For the same reason ``simplify`` takes a memo of resyntheses
-keyed by a run's (kind, param) sequence. The compile of a sweep passes one
-memo to all its calls, so a run that recurs across the sweep's points is
-synthesised once; without one, each call keeps its own.
+replaced depends on its gates alone, so ``simplify`` takes a memo of
+resyntheses keyed by a run's (kind, param) sequence; a run one pass kept is
+a hit on the next. The compile of a sweep passes one memo to all its calls,
+so a run that recurs across the sweep's points is synthesised once; without
+one, each call keeps its own.
 
 ``place_suffix`` lowers a suffix of 1-qubit gates and measurements and
 places it through a routed circuit's final layout. ``append_placed`` appends
@@ -164,8 +163,6 @@ def hub_layout(topo: Topology, n_logical: int = 4) -> Layout:
     Ties on degree break toward the lowest physical index, so the layout is
     deterministic for a given topology.
     """
-    if n_logical > topo.n:
-        raise ValueError("more logical qubits than the topology holds")
     hub = max(range(topo.n), key=lambda q: (topo.degree(q), -q))
     order = [hub]
     seen = {hub}
@@ -422,9 +419,8 @@ def _candidate_distance(candidate: list[Gate], u: np.ndarray) -> float:
     return max(0.0, 1.0 - abs(trace) / 2)
 
 
-def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list[Gate]:
-    """Shrink maximal single-qubit runs (on ``wires``, or on every wire when
-    None) to canonical form when that is shorter.
+def _resynth_runs(gates: list[Gate], memo: dict) -> list[Gate]:
+    """Shrink maximal single-qubit runs to canonical form when that is shorter.
 
     ``memo`` maps a run's (kind, param) sequence to its replacement's, or to
     None when the run is kept. Whether and how a run is replaced depends on
@@ -447,7 +443,7 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list
     removed: set[int] = set()
     for run in runs:
         q = gates[run[0]].qubits[0]
-        if len(run) < 2 or (wires is not None and q not in wires):
+        if len(run) < 2:
             continue
         key = tuple((gates[idx].kind, gates[idx].param) for idx in run)
         if key in memo:
@@ -479,40 +475,24 @@ def _resynth_runs(gates: list[Gate], wires: set[int] | None, memo: dict) -> list
     return out
 
 
-# every preset circuit and suffix window converges in two passes; the second
-# re-synthesises only the wires the first changed (about two per evolution
-# circuit, none in a suffix window)
+# every preset circuit and suffix window converges in two passes
 _SIMPLIFY_MAX_PASSES = 60
 
 
 def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     """Deterministic peephole cleanup; idempotent, count-nonincreasing.
 
-    Whether a run is replaced depends on its gates alone, so a pass after
-    the first re-synthesises only the wires whose gate sequence (after rz
-    floating and CNOT cancellation) differs from the previous pass's; the
-    runs on every other wire were examined and kept already.
-
-    For the same reason the resynthesis of a run can be remembered by its
-    gates' (kind, param) sequence (see ``_resynth_runs``). Callers that
-    compile many related circuits pass one ``memo`` to every call; without
-    one, the call keeps its own. The memo changes only the speed: the
-    result is a function of ``c``'s gates alone.
+    Whether a run is replaced depends on its gates alone, so its resynthesis
+    is remembered by its gates' (kind, param) sequence (see
+    ``_resynth_runs``), and a run one pass kept costs the next pass one
+    lookup. Callers that compile many related circuits pass one ``memo`` to
+    every call; without one, the call keeps its own. The memo changes only
+    the speed: the result is a function of ``c``'s gates alone.
     """
     memo = {} if memo is None else memo
     gates = list(c.gates)
-    dirty = None  # every wire
-    seqs = None
     for _ in range(_SIMPLIFY_MAX_PASSES):
-        new = _cancel_cx_pairs(_float_rz(gates))
-        new_seqs: dict[int, list[Gate]] = {}  # the gates on each wire, in order
-        for g in new:
-            for q in g.qubits:
-                new_seqs.setdefault(q, []).append(g)
-        if seqs is not None:
-            dirty = {q for q in new_seqs.keys() | seqs.keys() if new_seqs.get(q) != seqs.get(q)}
-        seqs = new_seqs
-        new = _resynth_runs(new, dirty, memo)
+        new = _resynth_runs(_cancel_cx_pairs(_float_rz(gates)), memo)
         if new == gates:
             break
         gates = new
@@ -561,14 +541,12 @@ def transpile(
 ) -> RoutedCircuit:
     """lower -> route (if a topology is given) -> simplify.
 
-    Without a layout the circuit is routed from the hub layout.
+    Without a layout the circuit is routed from the identity, as by ``route``.
     """
     lowered = lower_to_basis(c)
     if topology is None:
         ident = tuple(range(c.n_qubits))
         return RoutedCircuit(simplify(lowered), ident, ident, ident)
-    if layout is None:
-        layout = hub_layout(topology, c.n_qubits)
     routed = route(lowered, topology, layout)
     return replace(routed, circuit=simplify(routed.circuit))
 

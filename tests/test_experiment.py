@@ -9,7 +9,7 @@ import pytest
 
 from gravopto import experiment, transpiler
 from gravopto.analysis import concurrence_theory, exact_traces, fidelity_error, fidelity_from_traces
-from gravopto.circuit import Circuit, phase_distance, unitary_of
+from gravopto.circuit import Circuit, phase_distance, u1, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
@@ -18,6 +18,7 @@ from gravopto.experiment import (
     RESULT_COLUMNS,
     ExperimentConfig,
     compile_sweep,
+    device_layout,
     emit_outputs,
     prepare_circuits,
     resolve_topology,
@@ -201,7 +202,7 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
     for eps, (evolution, circuits) in zip(eps_values, compile_sweep(cfg)):
         base = build_evolution_circuit(eps, prepend_ground_prep=True)
         if cfg.transpile:
-            want = transpile(base, topo, cfg.layout)
+            want = transpile(base, topo, device_layout(topo, 4, cfg.layout))
         else:
             want = RoutedCircuit(base, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
         key = (kwargs, eps.hex())
@@ -309,6 +310,22 @@ def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
     assert all(a[i].kind == "rz" for i in differ)
 
 
+@pytest.mark.parametrize("transpile", [True, False])
+def test_a_zero_angle_besides_the_cores_is_refused(monkeypatch, transpile):
+    """The sweep finds its four core slots as the skeleton's only zero
+    angles; an extra U1(0) in the skeleton is not taken for a core."""
+    build = experiment.build_evolution_circuit
+
+    def with_extra(epsilon, prepend_ground_prep=False):
+        circ = build(epsilon, prepend_ground_prep)
+        return Circuit(circ.n_qubits, circ.gates + (u1(2, 0.0),), circ.metadata)
+
+    monkeypatch.setattr(experiment, "build_evolution_circuit", with_extra)
+    with pytest.raises(AssertionError):
+        compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like",
+                                       transpile=transpile))
+
+
 class TestPrepareCircuits:
     def test_five_settings(self):
         cfg = ExperimentConfig(transpile=False)
@@ -329,7 +346,7 @@ class TestPrepareCircuits:
             circuits = prepare_circuits(cfg, eps)
             base = build_evolution_circuit(eps, prepend_ground_prep=True)
             for setting, full in measurement_circuits(base):
-                want = transpile(full, topo, layout).circuit
+                want = transpile(full, topo, device_layout(topo, 4, layout)).circuit
                 assert circuits[setting.label][1].gates == want.gates, (eps, setting.label)
             assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
 
@@ -558,7 +575,7 @@ def test_a_sweep_builds_no_histogram(analytic, monkeypatch):
         raise AssertionError("the sweep built a histogram")
 
     monkeypatch.setattr(CountsHistogram, "from_vector", staticmethod(refuse))
-    monkeypatch.setattr(CountsHistogram, "_trusted", staticmethod(refuse))
+    monkeypatch.setattr(CountsHistogram, "__post_init__", refuse)
     cfg = ExperimentConfig.with_preset("belem-like", topology="belem-like", shots=500,
                                        analytic_mode=analytic)
     assert len(run_sweep(cfg)) == len(cfg.epsilon_values)
