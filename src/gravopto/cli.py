@@ -192,7 +192,7 @@ def _cmd_calibrate(args) -> int:
         "n_bits": args.n_bits,
         "readout": rate,
         "shots": args.shots,
-        "matrix": [[float(v) for v in row] for row in confusion.matrix()],
+        "matrix": confusion.tolist(),
     }
     _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     return 0

@@ -291,7 +291,8 @@ class _SweepCompiler:
             self.skeleton = route(skeleton, self.topology, self.layout)
         self.slots = [i for i, g in enumerate(self.skeleton.circuit.gates)
                       if g.kind in ("u1", "rz") and g.param == 0.0]
-        assert len(self.slots) == 4
+        if len(self.slots) != 4:
+            raise RuntimeError(f"the skeleton has {len(self.slots)} zero angles, not 4 core slots")
         # each distinct suffix with its settings (ZZ, IZ and ZI share one),
         # placed once: every point keeps the skeleton's final layout
         suffixes: dict[Circuit, list] = {}

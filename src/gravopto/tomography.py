@@ -17,9 +17,10 @@ measured in the computational basis, where leaked pairs are identifiable.
 
 A sweep's settings are the rows of one weights array, 2**4 weights per row
 in key order. ``mitigate_weights``, ``postselect_weights`` and
-``expectations`` work on such rows, adding a row's weights one after another
-in key order. ``mitigate`` and ``estimate_traces`` are the one-row case, for
-``CountsHistogram`` input.
+``expectations`` work on such rows. The last two add a row's weights one
+after another in key order; ``mitigate_weights`` takes each row's total with
+``np.sum``, which can differ from that in the last bit. ``mitigate`` and
+``estimate_traces`` are the one-row case, for ``CountsHistogram`` input.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ import numpy as np
 from .bosonmap import N_QUBITS, SUBSPACE_INDICES
 from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
 from .errors import CapacityError
-from .simulator import CountsHistogram, NoiseModel, run_noisy
+from .simulator import CountsHistogram, NoiseModel, sample_weights
 
 SETTING_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
 
@@ -120,71 +121,33 @@ def postselect_weights(weights: np.ndarray,
     return kept, _totals(kept) / totals
 
 
-class ConfusionMatrix:
-    """Column-stochastic map from true outcomes to recorded outcomes."""
-
-    def __init__(self, dense: np.ndarray):
-        dense = np.asarray(dense, dtype=float)
-        if dense.ndim != 2 or dense.shape[0] != dense.shape[1]:
-            raise ValueError("confusion matrix must be square")
-        n = int(round(np.log2(dense.shape[0])))
-        if 2 ** n != dense.shape[0]:
-            raise ValueError("dimension must be a power of two")
-        if not np.allclose(dense.sum(axis=0), 1.0, atol=1e-9):
-            raise ValueError("columns must sum to one")
-        self._dense = dense
-        self._inverse = None
-        self.n_bits = n
-
-    @classmethod
-    def from_lambdas(cls, lambdas) -> "ConfusionMatrix":
-        """Independent symmetric bit flips, one rate per classical bit (each
-        in [0, 0.5), as ``NoiseModel`` checks its readout rate)."""
-        dense = np.array([[1.0]])
-        for lam in lambdas:
-            c = np.array([[1.0 - lam, lam], [lam, 1.0 - lam]])
-            dense = np.kron(dense, c)
-        return cls(dense)
-
-    def matrix(self) -> np.ndarray:
-        return self._dense.copy()
-
-    def inverse(self) -> np.ndarray:
-        """The inverse, computed on first use; read-only."""
-        if self._inverse is None:
-            self._inverse = np.linalg.inv(self._dense)
-            self._inverse.setflags(write=False)
-        return self._inverse
-
-
 def calibrate_confusion(
     n_bits: int,
     noise: NoiseModel,
     shots: int | None = None,
     seed: int | None = None,
-) -> ConfusionMatrix:
-    """Readout confusion of ``n_bits`` measured qubits, analytic from the
-    model (default) or sampled.
+) -> np.ndarray:
+    """Readout confusion of ``n_bits`` measured qubits: the 2**n x 2**n
+    matrix whose column j is the recorded distribution of basis state j.
 
-    The sampled variant prepares each of the 2**n basis states with X gates,
-    measures, and stacks the observed distributions as columns.
+    The exact matrix (default) is the Kronecker product of one symmetric bit
+    flip at ``noise.readout`` per qubit; gate rates do not enter. With
+    ``shots``, column j is instead ``sample_weights`` of the exact column j
+    divided by ``shots``, each column drawn with its own seed from ``seed``.
     """
     if n_bits > MAX_DENSE_QUBITS:
         raise CapacityError(f"n_bits: {n_bits} exceeds the dense limit")
-    if shots is None:
-        return ConfusionMatrix.from_lambdas([noise.readout] * n_bits)
-    if shots < 1:
+    if shots is not None and shots < 1:
         raise ValueError("empirical calibration needs at least one shot")
-    column_seeds = np.random.SeedSequence(seed).generate_state(2 ** n_bits)
-    dense = np.zeros((2 ** n_bits, 2 ** n_bits))
-    for state in range(2 ** n_bits):
-        bits = format(state, f"0{n_bits}b")
-        gates = [Gate("x", (j,)) for j, b in enumerate(bits) if b == "1"]
-        gates += [measure(j, j) for j in range(n_bits)]
-        circ = Circuit(n_bits, tuple(gates))
-        hist = run_noisy(circ, shots, noise, seed=int(column_seeds[state]))
-        dense[:, state] = hist.to_vector() / shots
-    return ConfusionMatrix(dense)
+    r = noise.readout
+    dense = np.array([[1.0]])
+    for _ in range(n_bits):
+        dense = np.kron(dense, np.array([[1.0 - r, r], [r, 1.0 - r]]))
+    if shots is not None:
+        # each column is read before its own sample overwrites it
+        for j, column_seed in enumerate(np.random.SeedSequence(seed).generate_state(2 ** n_bits)):
+            dense[:, j] = sample_weights(dense[:, j], shots, int(column_seed)) / shots
+    return dense
 
 
 def project_to_simplex(quasi: np.ndarray) -> np.ndarray:
@@ -202,26 +165,26 @@ def project_to_simplex(quasi: np.ndarray) -> np.ndarray:
     return np.maximum(quasi - theta, 0.0)
 
 
-def mitigate_weights(weights: np.ndarray, confusion: ConfusionMatrix) -> np.ndarray:
+def mitigate_weights(weights: np.ndarray, confusion: np.ndarray) -> np.ndarray:
     """Invert readout confusion and take the nearest distribution, row by row.
 
-    The quasi-distribution ``confusion.inverse() @ p`` can have negative
+    The quasi-distribution ``inv(confusion) @ p`` can have negative
     entries; its Euclidean projection onto the simplex is the closest
     distribution (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)). Each
     result is rescaled to its row's total weight.
     """
-    if weights.shape[-1] != 2 ** confusion.n_bits:
+    if weights.shape[-1] != len(confusion):
         raise ValueError("histogram and confusion matrix disagree on width")
     totals = [w.sum() for w in weights]
     if min(totals) <= 0:
         raise ValueError("empty histogram")
-    inverse = confusion.inverse()
+    inverse = np.linalg.inv(confusion)
     # one matrix-vector product per row: a stacked product can round otherwise
     probs = project_to_simplex(np.array([inverse @ (w / t) for w, t in zip(weights, totals)]))
     return np.array([p / p.sum() * t for p, t in zip(probs, totals)])
 
 
-def mitigate(hist: CountsHistogram, confusion: ConfusionMatrix) -> CountsHistogram:
+def mitigate(hist: CountsHistogram, confusion: np.ndarray) -> CountsHistogram:
     """``mitigate_weights`` of one histogram."""
     probs = mitigate_weights(hist.to_vector()[None], confusion)[0]
     return CountsHistogram.from_vector(probs, hist.shots, hist.n_bits)

@@ -13,7 +13,6 @@ from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS, ExperimentConfig
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
-from gravopto.tomography import ConfusionMatrix
 from gravopto.transpiler import Topology, transpile
 
 
@@ -482,9 +481,11 @@ class TestCalibrateCommand:
         assert captured.out == ""
 
     def test_dense_limit_exits_3_before_allocation(self, monkeypatch, capsys):
-        def refuse(lambdas):
+        def refuse(*args):
             pytest.fail("a 2**40-dimensional confusion matrix was requested")
 
-        monkeypatch.setattr(ConfusionMatrix, "from_lambdas", refuse)
-        assert main(["calibrate", "--n-bits", "40"]) == 3
-        assert "n_bits" in capsys.readouterr().err
+        # the matrix is a Kronecker product of one 2x2 flip per bit, sampled or not
+        monkeypatch.setattr(np, "kron", refuse)
+        for shots in ("0", "5"):
+            assert main(["calibrate", "--n-bits", "40", "--shots", shots]) == 3
+            assert "n_bits" in capsys.readouterr().err

@@ -321,7 +321,7 @@ def test_a_zero_angle_besides_the_cores_is_refused(monkeypatch, transpile):
         return Circuit(circ.n_qubits, circ.gates + (u1(2, 0.0),), circ.metadata)
 
     monkeypatch.setattr(experiment, "build_evolution_circuit", with_extra)
-    with pytest.raises(AssertionError):
+    with pytest.raises(RuntimeError, match="has 5 zero angles"):
         compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like",
                                        transpile=transpile))
 

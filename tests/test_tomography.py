@@ -6,7 +6,8 @@ import sys
 import numpy as np
 import pytest
 
-from gravopto.circuit import Circuit, h, measure, sdg
+from gravopto import simulator
+from gravopto.circuit import Circuit, Gate, h, measure, sdg
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError
 from gravopto.simulator import (
@@ -19,7 +20,6 @@ from gravopto.simulator import (
 )
 from gravopto.tomography import (
     SETTING_LABELS,
-    ConfusionMatrix,
     MeasurementSetting,
     calibrate_confusion,
     estimate_traces,
@@ -165,63 +165,69 @@ class TestPostselect:
             postselect_weights(weights, MeasurementSetting("ZZ"))
 
 
+def exact_confusion(lam: float, n_bits: int) -> np.ndarray:
+    return calibrate_confusion(n_bits, NoiseModel(readout=lam))
+
+
+def circuit_per_column_calibration(n_bits, noise, shots, seed):
+    """The calibration as first written: each basis state prepared with X
+    gates, measured through ``run_noisy`` with its column's seed."""
+    column_seeds = np.random.SeedSequence(seed).generate_state(2 ** n_bits)
+    dense = np.zeros((2 ** n_bits, 2 ** n_bits))
+    for state in range(2 ** n_bits):
+        bits = format(state, f"0{n_bits}b")
+        gates = [Gate("x", (j,)) for j, b in enumerate(bits) if b == "1"]
+        gates += [measure(j, j) for j in range(n_bits)]
+        hist = run_noisy(Circuit(n_bits, tuple(gates)), shots, noise, seed=int(column_seeds[state]))
+        dense[:, state] = hist.to_vector() / shots
+    return dense
+
+
 class TestConfusionMatrix:
-    def test_from_lambdas_single_bit(self):
-        cm = ConfusionMatrix.from_lambdas([0.1])
-        assert np.allclose(cm.matrix(), [[0.9, 0.1], [0.1, 0.9]])
+    """The matrix ``calibrate_confusion`` returns."""
 
-    def test_from_lambdas_product_structure(self):
-        a, b = 0.03, 0.08
-        cm = ConfusionMatrix.from_lambdas([a, b])
-        m = cm.matrix()
-        assert m[0, 0] == pytest.approx((1 - a) * (1 - b))
-        assert m[int("10", 2), 0] == pytest.approx(a * (1 - b))
-        assert m[int("01", 2), 0] == pytest.approx((1 - a) * b)
-        assert np.allclose(m.sum(axis=0), 1.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.eye(3))
-        with pytest.raises(ValueError):
-            ConfusionMatrix(np.array([[0.5, 0.0], [0.1, 1.0]]))
+    def test_single_bit(self):
+        assert np.allclose(exact_confusion(0.1, 1), [[0.9, 0.1], [0.1, 0.9]])
 
     def test_inverse(self):
-        cm = ConfusionMatrix.from_lambdas([0.05, 0.1, 0.02])
-        assert np.allclose(cm.inverse() @ cm.matrix(), np.eye(8), atol=1e-12)
+        cm = exact_confusion(0.05, 3)
+        assert np.allclose(np.linalg.inv(cm) @ cm, np.eye(8), atol=1e-12)
 
-    def test_inverse_is_computed_once_and_read_only(self, monkeypatch):
-        cm = ConfusionMatrix.from_lambdas([0.05, 0.1])
-        first = cm.inverse()
-        monkeypatch.setattr(np.linalg, "inv", lambda a: pytest.fail("inverted twice"))
-        assert cm.inverse() is first
-        with pytest.raises(ValueError):
-            first[0, 0] = 1.0
+    @pytest.mark.parametrize("lam", [0.0, 0.0211, 0.1, 0.37, 0.4999])
+    def test_columns_are_the_readout_of_each_basis_state(self, lam):
+        # column j is the recorded distribution of basis state j, byte for
+        # byte as the simulator's readout channel computes it
+        for n_bits in range(1, 9):
+            eye = np.eye(2 ** n_bits)
+            want = apply_readout(eye, [lam] * n_bits)
+            assert exact_confusion(lam, n_bits).tobytes() == want.T.copy().tobytes()
 
 
 class TestCalibrateConfusion:
     def test_analytic_default(self):
-        nm = NoiseModel(readout=0.04)
-        cm = calibrate_confusion(4, nm)
-        assert np.array_equal(cm.matrix(), ConfusionMatrix.from_lambdas([0.04] * 4).matrix())
+        cm = calibrate_confusion(4, NoiseModel(readout=0.04))
+        single = np.array([[0.96, 0.04], [0.04, 0.96]])
+        want = np.kron(np.kron(np.kron(single, single), single), single)
+        assert isinstance(cm, np.ndarray) and np.array_equal(cm, want)
 
     def test_zero_shots_rejected(self):
         with pytest.raises(ValueError):
             calibrate_confusion(2, NoiseModel(readout=0.1), shots=0)
 
     def test_dense_limit_checked_before_allocation(self, monkeypatch):
-        def refuse(lambdas):
+        def refuse(*args):
             pytest.fail("a 2**40-dimensional confusion matrix was requested")
 
-        monkeypatch.setattr(ConfusionMatrix, "from_lambdas", refuse)
-        with pytest.raises(CapacityError, match="n_bits"):
-            calibrate_confusion(40, NoiseModel(readout=0.01))
+        # the matrix is a Kronecker product of one 2x2 flip per bit, sampled or not
+        monkeypatch.setattr(np, "kron", refuse)
+        for shots in (None, 5):
+            with pytest.raises(CapacityError, match="n_bits"):
+                calibrate_confusion(40, NoiseModel(readout=0.01), shots=shots)
 
     def test_empirical_approaches_analytic(self):
         nm = NoiseModel(readout=0.06)
-        got = calibrate_confusion(2, nm, shots=20_000, seed=15).matrix()
-        want = calibrate_confusion(2, nm).matrix()
+        got = calibrate_confusion(2, nm, shots=20_000, seed=15)
+        want = calibrate_confusion(2, nm)
         assert np.abs(got - want).max() <= 0.01
         assert np.allclose(got.sum(axis=0), 1.0)
 
@@ -229,18 +235,45 @@ class TestCalibrateConfusion:
         nm = NoiseModel(readout=0.06)
         a = calibrate_confusion(2, nm, shots=500, seed=3)
         b = calibrate_confusion(2, nm, shots=500, seed=3)
-        assert np.array_equal(a.matrix(), b.matrix())
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.0211, 0.1, 0.4999])
+    def test_sampled_equals_a_circuit_per_column(self, lam):
+        noise = NoiseModel(readout=lam)
+        for n_bits in range(1, 6):
+            for shots, seed in ((1, 0), (7, 3), (1000, 11), (100_003, 1000 + n_bits)):
+                got = calibrate_confusion(n_bits, noise, shots=shots, seed=seed)
+                want = circuit_per_column_calibration(n_bits, noise, shots, seed)
+                assert np.array_equal(got, want), (n_bits, shots, seed)
+
+    def test_gate_rates_do_not_enter(self):
+        # the calibration is the readout channel's alone, sampled or not
+        plain = NoiseModel(readout=0.02)
+        gated = NoiseModel(readout=0.02, sq_depol=0.05, cx_depol=0.1)
+        for shots in (None, 400):
+            assert np.array_equal(calibrate_confusion(3, gated, shots=shots, seed=4),
+                                  calibrate_confusion(3, plain, shots=shots, seed=4))
+
+    def test_sampled_calibration_simulates_no_circuit(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            pytest.fail("a calibration circuit was simulated")
+
+        monkeypatch.setattr(simulator, "run_noisy", refuse)
+        monkeypatch.setattr(simulator, "outcome_distributions", refuse)
+        cm = calibrate_confusion(6, NoiseModel(readout=0.03), shots=100, seed=2)
+        assert cm.shape == (64, 64)
+        assert np.abs(cm.sum(axis=0) - 1.0).max() <= 1e-12
 
 
 class TestMitigate:
     def test_identity_matrix_is_noop(self):
         hist = CountsHistogram({"00": 7, "11": 3}, shots=10, n_bits=2)
-        out = mitigate(hist, ConfusionMatrix.from_lambdas([0.0] * 2))
+        out = mitigate(hist, exact_confusion(0.0, 2))
         assert out.entries == {"00": 7, "11": 3}
 
     def test_exact_recovery_of_transformed_distribution(self):
         lam = 0.08
-        cm = ConfusionMatrix.from_lambdas([lam] * 4)
+        cm = exact_confusion(lam, 4)
         truth = np.zeros(16)
         truth[int("0101", 2)] = 0.7
         truth[int("1010", 2)] = 0.3
@@ -253,9 +286,9 @@ class TestMitigate:
     def test_constrained_fallback_stays_a_distribution(self):
         # a histogram concentrated on a flipped outcome drives the plain
         # inverse negative, so the simplex projection has work to do
-        cm = ConfusionMatrix.from_lambdas([0.2, 0.2])
+        cm = exact_confusion(0.2, 2)
         hist = CountsHistogram({"01": 90, "10": 10}, shots=100, n_bits=2)
-        quasi = cm.inverse() @ (hist.to_vector() / 100.0)
+        quasi = np.linalg.inv(cm) @ (hist.to_vector() / 100.0)
         assert quasi.min() < -1e-10
         out = mitigate(hist, cm)
         vec = out.to_vector()
@@ -321,14 +354,14 @@ class TestMitigate:
     def test_width_mismatch(self):
         hist = CountsHistogram({"01": 1}, shots=1, n_bits=2)
         with pytest.raises(ValueError):
-            mitigate(hist, ConfusionMatrix.from_lambdas([0.0] * 3))
+            mitigate(hist, exact_confusion(0.0, 3))
 
     def test_round_trip_through_sampling(self):
         lam = 0.04
         base = build_evolution_circuit(0.3, prepend_ground_prep=True)
         circ = base.extend([measure(q, q) for q in range(4)])
         hist = run_noisy(circ, 100_000, NoiseModel(readout=lam), seed=33)
-        out = mitigate(hist, ConfusionMatrix.from_lambdas([lam] * 4))
+        out = mitigate(hist, exact_confusion(lam, 4))
         ideal = born_probabilities(circ)
         sampled = out.to_vector() / out.total()
         assert np.abs(sampled - ideal).sum() <= 0.02
@@ -384,7 +417,7 @@ def test_row_functions_equal_the_one_histogram_functions():
     ``mitigate_weights`` and ``expectations``, bit for bit."""
     weights = random_weight_rows()
     hists = [CountsHistogram.from_vector(w, 300, 4) for w in weights]
-    confusion = ConfusionMatrix.from_lambdas([0.03] * 4)
+    confusion = exact_confusion(0.03, 4)
     for row, hist in zip(mitigate_weights(weights, confusion), hists):
         assert row.tolist() == mitigate(hist, confusion).to_vector().tolist()
     for label in SETTING_LABELS:
