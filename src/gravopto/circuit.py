@@ -44,6 +44,13 @@ FIXED_MATRICES = {
     "s": np.array([[1, 0], [0, 1j]], dtype=complex),
     "sdg": np.array([[1, 0], [0, -1j]], dtype=complex),
 }
+# Pauli indices: I, X, Y, Z = 0, 1, 2, 3. For a fixed one-qubit kind U and
+# P = X, Y, Z, U^dag P U is one signed Pauli: (its index, its sign).
+PAULI_1Q = {
+    "x": ((1, 1), (2, -1), (3, -1)), "sx": ((1, 1), (3, -1), (2, 1)),
+    "sxdg": ((1, 1), (3, 1), (2, -1)), "h": ((3, 1), (2, -1), (1, 1)),
+    "s": ((2, -1), (1, 1), (3, 1)), "sdg": ((2, 1), (1, -1), (3, 1)),
+}
 
 
 @dataclass(frozen=True)

@@ -170,6 +170,8 @@ def _cmd_transpile(args) -> int:
         circ = qasm_parse(fh.read())
     topo = resolve_topology(args.topology)
     layout = _qubits(args.layout) if args.layout else None
+    if layout is None and topo is not None and circ.n_qubits == topo.n:
+        layout = list(range(topo.n))  # as wide as the device: placed, as a sweep's export is
     circ = transpile(circ, topo, device_layout(topo, circ.n_qubits, layout)).circuit
     single, cnots = circ.gate_counts()
     _write(qasm_emit(circ), args.out)
@@ -188,13 +190,15 @@ def _cmd_calibrate(args) -> int:
     confusion = calibrate_confusion(
         args.n_bits, noise, shots=args.shots or None, seed=args.seed
     )
-    payload = {
-        "n_bits": args.n_bits,
-        "readout": rate,
-        "shots": args.shots,
-        "matrix": confusion.tolist(),
-    }
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    # one matrix row per line, not an indented dump's line per entry, and
+    # each distinct entry's repr, most of a 10-bit matrix's cost, made once
+    cells: dict = {}
+    rows = ",\n".join(
+        "    [" + ", ".join([cells.get(v) or cells.setdefault(v, repr(v)) for v in row]) + "]"
+        for row in confusion.tolist())
+    rest = json.dumps({"n_bits": args.n_bits, "readout": rate, "shots": args.shots},
+                      indent=2, sort_keys=True)
+    _write('{\n  "matrix": [\n' + rows + "\n  ]," + rest[1:] + "\n", args.out)
     return 0
 
 

@@ -4,23 +4,23 @@ A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row.
 
 ``compile_sweep`` is the one way a point compiles, and ``prepare_circuits``
-is its one-point case. What does not depend on epsilon is done once per
-sweep: the topology and layout are resolved, the measurement suffixes built
-and placed, and the evolution's skeleton, its circuit at epsilon = 0, is
-built, lowered and routed once, keeping the positions of its four U1 cores.
-A point binds its core angles there and simplifies; its evolution is shared
-by its five tomography settings, which add only basis rotations and
-measurements, and by its QASM export. One memo (see ``transpiler``) serves
-the sweep and goes with it: each distinct single-qubit resynthesis and each
-distinct settings window's simplified tail is made once, a function of its
-gates alone, so a point compiles bit for bit as it does alone. ``run_sweep``
-then makes one ``outcome_distributions`` call for the settings of every
-point, which evolves the points that share a gate structure as one stack.
-The settings' weights, sampled or exact, are the rows of one array, which
-one confusion matrix mitigates and which are post-selected and estimated row
-by row (see ``tomography``); no setting makes a histogram. ``run_point`` is
-the one-point case of the same code. The CSV payload is byte-stable for a
-fixed config; the JSON report additionally carries a timestamp.
+is its one-point case. Every point is one circuit: a Clifford skeleton and
+four core rotations whose angles depend on epsilon. So a sweep simplifies a
+template of each circuit a point runs, with generic core angles, and
+``simplify`` keeps each core an Rz of its own with k quarter turns merged in
+(see ``transpiler``). A point writes ``turned(core angle, k)`` there: gate
+for gate its own ``transpile``, in one structure for every epsilon. So does
+epsilon = 0, as the experiment at zero coupling, with Rz(0) cores where its
+own ``transpile`` would cancel every gate but two.
+
+``run_sweep`` then makes one ``outcome_distributions`` call for the settings
+of every point, which evolves the points that share a gate structure as one
+stack. The settings' weights, sampled or exact, are the rows of one array,
+which one confusion matrix mitigates and which are post-selected and
+estimated row by row (see ``tomography``); no setting makes a histogram.
+``run_point`` is the one-point case of the same code. The CSV payload is
+byte-stable for a fixed config; the JSON report additionally carries a
+timestamp.
 """
 from __future__ import annotations
 
@@ -57,12 +57,13 @@ from .transpiler import (
     TOPOLOGY_PRESETS,
     RoutedCircuit,
     Topology,
-    append_placed,
     hub_layout,
     lower_to_basis,
     place_suffix,
+    quarter_turns,
     route,
     simplify,
+    turned,
 )
 
 RESULT_COLUMNS = (
@@ -263,74 +264,89 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
         ) from exc
 
 
+# generic core angles: no quarter turns, nor two a whole number of them apart
+_SLOT_MARKERS = (0.1, 0.2, 0.3, 0.4)
+
+
+def _bind(template: tuple, cores, metadata: dict) -> Circuit:
+    """A template's circuit with ``cores[j]`` at each of its slots (i, j, k)
+    as ``turned(cores[j], k)``: what ``simplify`` makes of that core."""
+    circuit, slots = template
+    gates = list(circuit.gates)
+    for i, j, k in slots:
+        gates[i] = Gate._trusted(gates[i].kind, gates[i].qubits, turned(cores[j], k))
+    return Circuit._trusted(circuit.n_qubits, tuple(gates), metadata)
+
+
 class _SweepCompiler:
-    """What the points of a sweep share when they compile, made once: the
-    resolved topology and layout, the measurement suffixes, the evolution's
-    skeleton, lowered and routed as ``transpile`` would before it
-    simplifies, with its four core slots, and one memo of resyntheses and
-    settings windows' tails (exact: see ``transpiler.simplify``). The slots
-    are the skeleton's only 0.0 angles: at epsilon = 0 its U1 cores are
-    +-0.0 and all else is +-pi/2, and a U1 lowers and routes to an Rz of its
-    angle. ``evolution`` binds a point's ``core_angles`` in the skeleton;
-    nothing outlives the sweep's compile."""
+    """What the points of a sweep share, made once: the resolved topology and
+    layout, the evolution's skeleton (its circuit at epsilon = 0, lowered
+    and routed, whose only 0.0 angles are its four core slots) and the
+    templates, simplified through one memo when the sweep transpiles."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
-        n = N_QUBITS
-        self.topology = self.layout = None
-        if cfg.transpile:
-            self.topology = resolve_topology(cfg.topology)
-            self.layout = device_layout(self.topology, n, cfg.layout)
-        self.memo: dict = {}
+        self.topology = resolve_topology(cfg.topology) if cfg.transpile else None
+        self.layout = device_layout(self.topology, N_QUBITS, cfg.layout) if cfg.transpile else None
         skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)
-        if cfg.transpile:
-            skeleton = lower_to_basis(skeleton)
-        ident = tuple(range(n))
-        self.skeleton = RoutedCircuit(skeleton, ident, ident, ident)
-        if self.topology is not None:
-            self.skeleton = route(skeleton, self.topology, self.layout)
+        skeleton = lower_to_basis(skeleton) if cfg.transpile else skeleton
+        ident = tuple(range(N_QUBITS))
+        self.skeleton = (RoutedCircuit(skeleton, ident, ident, ident) if self.topology is None
+                         else route(skeleton, self.topology, self.layout))
         self.slots = [i for i, g in enumerate(self.skeleton.circuit.gates)
                       if g.kind in ("u1", "rz") and g.param == 0.0]
         if len(self.slots) != 4:
             raise RuntimeError(f"the skeleton has {len(self.slots)} zero angles, not 4 core slots")
-        # each distinct suffix with its settings (ZZ, IZ and ZI share one),
-        # placed once: every point keeps the skeleton's final layout
+        marked = _bind((self.skeleton.circuit, [(i, j, 0) for j, i in enumerate(self.slots)]),
+                       _SLOT_MARKERS, {})
+        memo: dict = {}
+        self.evolution = self._template(marked.gates, memo)
+        # each distinct suffix (ZZ, IZ and ZI share one), placed once after
+        # the evolution's template: simplified again, that is its transpile
         suffixes: dict[Circuit, list] = {}
-        for setting, suffix in measurement_circuits(Circuit(n)):
+        for setting, suffix in measurement_circuits(Circuit(N_QUBITS)):
             suffixes.setdefault(suffix, []).append(setting)
-        self.suffixes = {place_suffix(suffix, self.skeleton) if cfg.transpile else suffix: settings
-                         for suffix, settings in suffixes.items()}
+        self.settings = []
+        for suffix, settings in suffixes.items():
+            placed = place_suffix(suffix, self.skeleton) if cfg.transpile else suffix
+            gates = self.evolution[0].gates + placed.gates
+            if any(g.kind != "measure" for g in placed.gates):
+                template = self._template(gates, memo)
+            else:  # measurements keep a fixpoint one: a pass stops at them as at the end
+                template = (Circuit._trusted(marked.n_qubits, gates, {}), self.evolution[1])
+            self.settings.append((template, suffix.metadata, settings))
 
-    def evolution(self, epsilon: float) -> RoutedCircuit:
-        gates = list(self.skeleton.circuit.gates)
-        for i, angle in zip(self.slots, core_angles(epsilon)):
-            gates[i] = Gate._trusted(gates[i].kind, gates[i].qubits, angle)
-        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates),
-                                   {"epsilon": float(epsilon)})
+    def _template(self, gates: tuple, memo: dict) -> tuple:
+        """The circuit of ``gates``, simplified when the sweep transpiles, and
+        each core slot in it as (gate index, core index, quarter turns k)."""
+        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates), {})
         if self.cfg.transpile:
-            circuit = simplify(circuit, self.memo)
-        return replace(self.skeleton, circuit=circuit)
+            circuit = simplify(circuit, memo)
+        rotations = [(i, g.param) for i, g in enumerate(circuit.gates)
+                     if g.kind in ("u1", "rz") and quarter_turns(g.param) is None]
+        slots = [(i, j, quarter_turns(angle - marker)) for i, angle in rotations
+                 for j, marker in enumerate(_SLOT_MARKERS) if quarter_turns(angle - marker) is not None]
+        if len(rotations) != 4 or sorted(j for _, j, _ in slots) != [0, 1, 2, 3]:
+            raise RuntimeError(f"a template has {len(rotations)} non-Clifford angles, not 4 slots")
+        return circuit, slots
 
-    def settings(self, evolution: RoutedCircuit) -> dict:
+    def point(self, epsilon: float) -> tuple[RoutedCircuit, dict]:
+        """``compile_sweep``'s item for one epsilon."""
+        cores, metadata = core_angles(epsilon), {"epsilon": float(epsilon)}
         circuits = {}
-        for suffix, settings in self.suffixes.items():
-            circ = (append_placed(evolution.circuit, suffix, self.memo) if self.cfg.transpile
-                    else evolution.circuit + suffix)
+        for template, suffix_metadata, settings in self.settings:
+            circ = _bind(template, cores, {**metadata, **suffix_metadata})
             circuits.update((setting.label, (setting, circ)) for setting in settings)
-        return {label: circuits[label] for label in SETTING_LABELS}
+        return (replace(self.skeleton, circuit=_bind(self.evolution, cores, metadata)),
+                {label: circuits[label] for label in SETTING_LABELS})
 
 
 def compile_sweep(cfg: ExperimentConfig) -> list[tuple[RoutedCircuit, dict]]:
     """Each point's ``(evolution, settings)``, in input order: its evolution
-    circuit (with ground-state prep) as it runs, and its ``prepare_circuits``.
-    A point compiles gate for gate as it does in a one-point sweep; what does
-    not depend on epsilon is made once for the sweep (see ``_SweepCompiler``)."""
+    circuit (with ground-state prep) as it runs, and its ``prepare_circuits``,
+    bound into the sweep's templates (see ``_SweepCompiler``)."""
     compiler = _SweepCompiler(cfg)
-    points = []
-    for eps in cfg.epsilon_values:
-        evolution = compiler.evolution(eps)
-        points.append((evolution, compiler.settings(evolution)))
-    return points
+    return [compiler.point(eps) for eps in cfg.epsilon_values]
 
 
 def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:

@@ -46,19 +46,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PARAM_KINDS, SINGLE_QUBIT_KINDS, Circuit
+from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PARAM_KINDS, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit
 from .errors import CapacityError, ConfigError
 
 
 _FIXED_TERMS = {kind: [[(j, complex(z)) for j, z in enumerate(row) if z != 0] for row in u]
                 for kind, u in FIXED_MATRICES.items()}
-# Pauli indices: I, X, Y, Z = 0, 1, 2, 3. For a fixed one-qubit kind U and
-# P = X, Y, Z, U^dag P U is one signed Pauli: (its index, its sign).
-_PAULI_1Q = {
-    "x": ((1, 1), (2, -1), (3, -1)), "sx": ((1, 1), (3, -1), (2, 1)),
-    "sxdg": ((1, 1), (3, 1), (2, -1)), "h": ((3, 1), (2, -1), (1, 1)),
-    "s": ((2, -1), (1, 1), (3, 1)), "sdg": ((2, 1), (1, -1), (3, 1)),
-}
 # CNOT P CNOT for the 16 two-qubit Paulis P, index 4 * control + target: (its index, its sign)
 _CX_PAULI = (
     (0, 1), (1, 1), (14, 1), (15, 1), (5, 1), (4, 1), (11, 1), (10, -1),
@@ -87,8 +80,8 @@ def _terms_of(kind: str, params) -> list[list]:
 def _pauli_terms_of(kind: str, params, keep: float) -> list[list]:
     """``_terms_of`` for the gate's 4x4 Pauli transfer matrix, with its X, Y
     and Z rows scaled by ``keep``."""
-    if kind in _PAULI_1Q:
-        return [[(0, 1.0)]] + [[(j, keep * sign)] for j, sign in _PAULI_1Q[kind]]
+    if kind in PAULI_1Q:
+        return [[(0, 1.0)]] + [[(j, keep * sign)] for j, sign in PAULI_1Q[kind]]
     theta = np.asarray(params, dtype=float).reshape(-1, 1, 1)
     c, s = keep * np.cos(theta), keep * np.sin(theta)
     if kind == "rx":  # turns Y towards Z

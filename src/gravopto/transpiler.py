@@ -9,35 +9,37 @@ logical-to-physical permutation is reported instead.
 
 Simplification iterates three deterministic passes to a fixpoint:
 
-  1. rz floating: an Rz slides over any CNOT acting on its qubit as control,
-     accumulating with later Rz gates on the same wire; zero rotations
-     (|angle| < 1e-12 after wrapping to (-pi, pi]) are dropped.
+  1. rz floating: an Rz slides over any CNOT acting on its qubit as control
+     and merges with later Rz gates on its wire. Quarter turns (within 1e-12
+     of k * pi / 2) are counted apart: their sum is exactly 0 (dropped),
+     pi / 2, pi or -pi / 2, and another angle a merged with k of them is
+     ``turned(a, k)``.
   2. adjacent identical CNOT pairs cancel.
-  3. every maximal run of >= 2 single-qubit gates on one wire is resynthesised
-     into a canonical form (at most Rz SX Rz SX Rz) when that is strictly
-     shorter; this subsumes SX^4 -> identity and SX SX -> X.
+  3. a maximal run of >= 2 single-qubit gates on one wire is replaced by its
+     canonical form when that is strictly shorter. Quarter turns only: one
+     of the 24 single-qubit Cliffords, looked up by its action on X and Z
+     (signed Paulis, as in ``PAULI_1Q``), as its shortest word over SX, X and
+     quarter-turn Rz. One other rotation, an Rz: kept as a gate of its own,
+     the quarter turns that commute with it merged in, each Clifford part
+     beside it a shortest word. So a sweep's core slot compiles to
+     ``turned(slot, k)``, whatever its size or sign. More rotations: the
+     Euler form Rz SX Rz SX Rz. A replacement is checked against its run in
+     a distance linear in the angle error.
 
 All three preserve the unitary up to global phase and never increase any
-gate count, so simplify is idempotent gate for gate. Whether a run is
-replaced depends on its gates alone, so ``simplify`` takes a memo of
-resyntheses keyed by a run's (kind, param) sequence; a run one pass kept is
-a hit on the next. The compile of a sweep passes one memo to all its calls,
-so a run that recurs across the sweep's points is synthesised once; without
-one, each call keeps its own.
-
+gate count, so simplify is idempotent gate for gate. A run's replacement
+depends on its gates alone, so ``simplify`` takes a memo of them, and on an
+angle only through whether it is a quarter turn, so a sweep compiles
+templates with generic core angles and binds each point's (``experiment``).
 ``place_suffix`` lowers a suffix of 1-qubit gates and measurements and
-places it through a routed circuit's final layout. ``append_placed`` appends
-it to a simplified circuit and simplifies again only the tail it can reach,
-its window: the trailing single-qubit run of each wire it touches and every
-still-floating trailing Rz, widened to start on a run boundary. The head is
-already a fixpoint that no pass changes, so the result is ``simplify`` of
-the whole circuit.
+places it through a routed circuit's final layout.
 
 Gates and circuits re-emitted from checked ones are built with
 ``Gate._trusted`` and ``Circuit._trusted``, which skip re-validation.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -46,7 +48,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .circuit import FIXED_MATRICES, SINGLE_QUBIT_KINDS, Circuit, Gate, matrix_of, phase_distance
+from .circuit import PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate, matrix_of
 from .errors import RoutingError
 
 BASIS_KINDS = ("x", "sx", "rz", "cx", "measure")
@@ -181,6 +183,31 @@ def hub_layout(topo: Topology, n_logical: int = 4) -> Layout:
     return Layout(tuple(order[:n_logical]))
 
 
+def _wrap(angle: float) -> float:
+    return math.remainder(angle, _TWO_PI)
+
+
+_HALF_PI = math.pi / 2
+# k quarter turns, k mod 4, as the one angle every compiled Rz of them has
+_QUARTER_TURNS = (0.0, _HALF_PI, math.pi, -_HALF_PI)
+_TURNS_OF = {angle: k for k, angle in enumerate(_QUARTER_TURNS)} | {-math.pi: 2}
+
+
+def quarter_turns(angle: float) -> int | None:
+    """k in 0..3 when ``angle`` is within 1e-12 of k * pi / 2 modulo 2 pi,
+    else None."""
+    if angle in _TURNS_OF:  # every compiled quarter turn
+        return _TURNS_OF[angle]
+    angle = _wrap(angle)
+    k = round(angle / _HALF_PI)
+    return k % 4 if abs(angle - k * _HALF_PI) < _ANGLE_TOL else None
+
+
+def turned(angle: float, k: int) -> float:
+    """A wrapped ``angle`` plus k quarter turns, wrapped."""
+    return angle if k % 4 == 0 else _wrap(angle + _QUARTER_TURNS[k % 4])
+
+
 # ---------------------------------------------------------------------------
 # lowering
 #
@@ -197,19 +224,11 @@ def _rz(q: int, angle: float) -> Gate:
 
 def _lower_rx(gate: Gate) -> list[Gate]:
     q = gate.qubits[0]
-    theta = math.remainder(gate.param, _TWO_PI)
-    for target, kinds in (
-        (0.0, ()),
-        (math.pi / 2, ("sx",)),
-        (math.pi, ("x",)),
-        (-math.pi, ("x",)),
-        (-math.pi / 2, ("sx", "x")),
-    ):
-        if abs(theta - target) < _ANGLE_TOL:
-            return [_fixed(kind, q) for kind in kinds]
-    half = math.pi / 2
-    return [_rz(q, half), _fixed("sx", q), _rz(q, gate.param + math.pi), _fixed("sx", q),
-            _rz(q, half)]
+    k = quarter_turns(gate.param)
+    if k is not None:
+        return [_fixed(kind, q) for kind in ((), ("sx",), ("x",), ("sx", "x"))[k]]
+    return [_rz(q, _HALF_PI), _fixed("sx", q), _rz(q, gate.param + math.pi), _fixed("sx", q),
+            _rz(q, _HALF_PI)]
 
 
 def lower_to_basis(c: Circuit) -> Circuit:
@@ -299,45 +318,42 @@ def route(c: Circuit, topo: Topology, layout: Layout | Sequence[int] | None = No
 # ---------------------------------------------------------------------------
 # simplification
 
-def _wrap(angle: float) -> float:
-    return math.remainder(angle, _TWO_PI)
-
-
-def _is_zero_angle(angle: float) -> bool:
-    return abs(_wrap(angle)) < _ANGLE_TOL
-
-
 def _float_rz(gates: list[Gate]) -> list[Gate]:
-    """Slide Rz gates over CNOT controls and merge them along each wire."""
+    """Slide Rz gates over CNOT controls and merge them along each wire,
+    counting quarter turns apart from other angles."""
     out: list[Gate] = []
-    pending: dict[int, tuple[float, Gate | None]] = {}  # wire -> (angle, lone Rz)
+    pending: dict[int, list] = {}  # wire -> [other angles' sum, quarter turns, lone Rz]
 
     def flush(q: int):
-        total, lone = pending.pop(q)
-        angle = _wrap(total)
-        if abs(angle) >= _ANGLE_TOL:
-            # a lone Rz whose angle is already in range goes out as it came
-            out.append(lone if lone is not None and lone.param == angle else _rz(q, angle))
+        rotation, turns, lone = pending.pop(q)
+        k = quarter_turns(rotation)
+        if k is None:
+            angle = turned(_wrap(rotation), turns)
+        elif (turns + k) % 4:
+            angle = _QUARTER_TURNS[(turns + k) % 4]
+        else:
+            return
+        # a lone Rz whose angle is already in that form goes out as it came
+        out.append(lone if lone is not None and lone.param == angle else _rz(q, angle))
 
     for g in gates:
         if g.kind == "rz":
-            q = g.qubits[0]
-            pending[q] = (pending[q][0] + g.param, None) if q in pending else (g.param, g)
+            entry = pending.setdefault(g.qubits[0], [0.0, 0, g])
+            entry[2] = g if entry[2] is g else None  # g, if it is the only Rz
+            k = quarter_turns(g.param)
+            if k is None:
+                entry[0] += g.param
+            else:
+                entry[1] += k
             continue
         if g.kind == "cx":
             if g.qubits[1] in pending:
                 flush(g.qubits[1])
             out.append(g)
             continue
-        if g.kind == "measure":
-            # measures are a suffix; park every floating rotation before it
-            for q in sorted(pending):
-                flush(q)
-            out.append(g)
-            continue
-        for q in g.qubits:
-            if q in pending:
-                flush(q)
+        # measures are a suffix; park every floating rotation before the first
+        for q in sorted(pending) if g.kind == "measure" else [q for q in g.qubits if q in pending]:
+            flush(q)
         out.append(g)
     for q in sorted(pending):
         flush(q)
@@ -366,129 +382,149 @@ def _cancel_cx_pairs(gates: list[Gate]) -> list[Gate]:
     return [g for g in out if g is not None]
 
 
-_SX_MATRIX = FIXED_MATRICES["sx"]
-_SX3_MATRIX = _SX_MATRIX @ _SX_MATRIX @ _SX_MATRIX
+# a one-qubit Clifford gate U as U^dag P U for P = X, Y, Z (as ``PAULI_1Q``);
+# an Rz (or U1) of k quarter turns is S^k up to phase
+_RZ_MAPS = (((1, 1), (2, 1), (3, 1)), PAULI_1Q["s"], ((1, -1), (2, -1), (3, 1)), PAULI_1Q["sdg"])
 
 
-def _synthesize_1q(q: int, u: np.ndarray) -> list[Gate]:
-    """Canonical basis-gate realisation of a 2x2 unitary, up to phase."""
+def _pauli_map(kind: str, param: float | None) -> tuple | None:
+    """A gate's Clifford map; None for a rotation that is no quarter-turn Rz."""
+    if kind in PAULI_1Q:
+        return PAULI_1Q[kind]
+    k = quarter_turns(param) if kind in ("rz", "u1") else None
+    return None if k is None else _RZ_MAPS[k]
+
+
+def _clifford_key(run) -> tuple:
+    """A run of Clifford (kind, param) gates as its images of X and Z."""
+    maps = [_pauli_map(*g) for g in reversed(run)]
+    key = []
+    for index in (1, 3):
+        sign = 1
+        for m in maps:
+            index, flip = m[index - 1]
+            sign *= flip
+        key.append((index, sign))
+    return tuple(key)
+
+
+def _clifford_tables() -> tuple[dict, dict, dict]:
+    """By ``_clifford_key``, over words of SX, X and quarter-turn Rz, first
+    found in order of length: an element's shortest word; for a part before
+    a kept Rz, the shortest word w and k for w then k quarter turns; for a
+    part after it, k and w."""
+    letters = (("sx", None), ("x", None), ("rz", _HALF_PI), ("rz", -_HALF_PI), ("rz", math.pi))
+    shortest: dict = {}
+    for length in range(4):
+        for word in itertools.product(letters, repeat=length):
+            shortest.setdefault(_clifford_key(word), word)
+    before, after = {}, {}
+    for word in shortest.values():
+        for k in (0, 1, 3, 2):
+            turn = (("rz", _QUARTER_TURNS[k]),) if k else ()
+            before.setdefault(_clifford_key(word + turn), (word, k))
+            after.setdefault(_clifford_key(turn + word), (k, word))
+    return shortest, before, after
+
+
+_SHORTEST, _BEFORE, _AFTER = _clifford_tables()
+
+
+def _product(run) -> tuple:
+    """The 2x2 product of (kind, param) gates as rows of Python complex
+    numbers, an Rz as diag(1, e^(i angle))."""
+    (a, b), (c, d) = (1, 0), (0, 1)
+    for kind, param in run:
+        if kind == "rz":
+            z = complex(math.cos(param), math.sin(param))
+            c, d = z * c, z * d
+        else:
+            (m, n), (o, p) = matrix_of(Gate._trusted(kind, (0,), param)).tolist()
+            (a, b), (c, d) = (m * a + n * c, m * b + n * d), (o * a + p * c, o * b + p * d)
+    return (a, b), (c, d)
+
+
+def _candidate_distance(candidate, u) -> float:
+    """The Frobenius norm of ``_product(candidate)`` minus 2x2 ``u`` at the
+    phase that minimises it, entry by entry: linear in an angle error."""
+    p = [z for row in _product(candidate) for z in row]
+    v = [complex(z) for row in u for z in row]
+    overlap = sum(x.conjugate() * y for x, y in zip(p, v))
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return math.sqrt(sum(abs(x * phase - y) ** 2 for x, y in zip(p, v)))
+
+
+def _synthesize_1q(u: np.ndarray) -> tuple:
+    """The Euler form Rz SX Rz SX Rz of a 2x2 unitary, up to phase, as
+    (kind, param) pairs; a zero outer Rz is left out."""
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
     v = u / np.sqrt(det)
-    if abs(v[0, 1]) < _ANGLE_TOL and abs(v[1, 0]) < _ANGLE_TOL:
-        angle = 2.0 * np.angle(v[1, 1])
-        return [] if _is_zero_angle(angle) else [_rz(q, _wrap(angle))]
-    if abs(v[0, 0]) < _ANGLE_TOL and abs(v[1, 1]) < _ANGLE_TOL:
-        angle = np.angle(v[0, 1] / v[1, 0])
-        gates = [] if _is_zero_angle(angle) else [_rz(q, _wrap(angle))]
-        gates.append(_fixed("x", q))
-        return gates
-    if phase_distance(u, _SX_MATRIX) < _ANGLE_TOL:
-        return [_fixed("sx", q)]
-    if phase_distance(u, _SX3_MATRIX) < _ANGLE_TOL:
-        return [_fixed("sx", q), _fixed("x", q)]
     beta = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    alpha_plus = 2.0 * np.angle(v[1, 1])
-    alpha_minus = 2.0 * np.angle(v[1, 0])
-    alpha = 0.5 * (alpha_plus + alpha_minus)
-    gamma = 0.5 * (alpha_plus - alpha_minus)
-    gates = []
-    if not _is_zero_angle(gamma):
-        gates.append(_rz(q, _wrap(gamma)))
-    gates.extend([_fixed("sx", q), _rz(q, _wrap(beta + math.pi)), _fixed("sx", q)])
-    if not _is_zero_angle(alpha + math.pi):
-        gates.append(_rz(q, _wrap(alpha + math.pi)))
-    return gates
+    alpha_plus, alpha_minus = 2.0 * np.angle(v[1, 1]), 2.0 * np.angle(v[1, 0])
+    alpha, gamma = 0.5 * (alpha_plus + alpha_minus), 0.5 * (alpha_plus - alpha_minus)
+    gates = [] if quarter_turns(gamma) == 0 else [("rz", _wrap(gamma))]
+    gates += [("sx", None), ("rz", _wrap(beta + math.pi)), ("sx", None)]
+    if quarter_turns(alpha + math.pi) != 0:
+        gates.append(("rz", _wrap(alpha + math.pi)))
+    return tuple(gates)
 
 
-def _candidate_distance(candidate: list[Gate], u: np.ndarray) -> float:
-    """``phase_distance`` from a resynthesis ``candidate``'s product (Rz as
-    diag(1, e^(i angle)), SX, X) to ``u``, in Python complex arithmetic: the
-    drift guard makes no compiled value, so it may round unlike numpy."""
-    (a, b), (c, d) = (1, 0), (0, 1)  # the product's rows
-    for g in candidate:
-        if g.kind == "rz":
-            z = complex(math.cos(g.param), math.sin(g.param))
-            c, d = z * c, z * d
-        elif g.kind == "sx":
-            p, m = 0.5 + 0.5j, 0.5 - 0.5j
-            (a, b), (c, d) = (p * a + m * c, p * b + m * d), (m * a + p * c, m * b + p * d)
-        else:  # x
-            (a, b), (c, d) = (c, d), (a, b)
-    (u00, u01), (u10, u11) = u.tolist()
-    trace = a.conjugate() * u00 + b.conjugate() * u01 + c.conjugate() * u10 + d.conjugate() * u11
-    return max(0.0, 1.0 - abs(trace) / 2)
+def _resynthesis(run: tuple) -> tuple | None:
+    """The canonical form of a single-qubit run of (kind, param) gates (see
+    the module docstring) when it is shorter, else None."""
+    rotations = [i for i, g in enumerate(run) if _pauli_map(*g) is None]
+    if not rotations:
+        candidate = _SHORTEST[_clifford_key(run)]
+    elif len(rotations) == 1 and run[rotations[0]][0] in ("rz", "u1"):
+        i = rotations[0]
+        head, k_head = _BEFORE[_clifford_key(run[:i])]
+        k_tail, tail = _AFTER[_clifford_key(run[i + 1:])]
+        candidate = head + (("rz", turned(_wrap(run[i][1]), k_head + k_tail)),) + tail
+    else:
+        candidate = _synthesize_1q(np.array(_product(run)))
+    if len(candidate) >= len(run):
+        return None
+    # 1e-10 holds one Rz to about 1.4e-10 rad
+    if _candidate_distance(candidate, _product(run)) > 1e-10:
+        raise RuntimeError("single-qubit resynthesis drifted")
+    return candidate
 
 
 def _resynth_runs(gates: list[Gate], memo: dict) -> list[Gate]:
-    """Shrink maximal single-qubit runs to canonical form when that is shorter.
-
-    ``memo`` maps a run's (kind, param) sequence to its replacement's, or to
-    None when the run is kept. Whether and how a run is replaced depends on
-    those pairs alone, not on its wire, so a hit re-labels the stored
-    replacement onto the run's wire, and the synthesis and its drift guard
-    run once per distinct run.
-    """
+    """Replace maximal single-qubit runs by their ``_resynthesis``, which
+    ``memo`` keeps by the run's (kind, param) sequence, whatever its wire."""
     runs: list[list[int]] = []
     open_runs: dict[int, list[int]] = {}
     for i, g in enumerate(gates):
         if g.kind in SINGLE_QUBIT_KINDS:
             open_runs.setdefault(g.qubits[0], []).append(i)
         else:
-            for q in g.qubits:
-                if q in open_runs:
-                    runs.append(open_runs.pop(q))
+            runs.extend(open_runs.pop(q) for q in g.qubits if q in open_runs)
     runs.extend(open_runs.values())
-
-    inserts: dict[int, list[Gate]] = {}
-    removed: set[int] = set()
+    replaced: dict[int, list[Gate]] = {}  # gate index -> what stands in its place
     for run in runs:
-        q = gates[run[0]].qubits[0]
         if len(run) < 2:
             continue
-        key = tuple((gates[idx].kind, gates[idx].param) for idx in run)
-        if key in memo:
-            found = memo[key]
-            if found is not None:
-                inserts[run[0]] = [Gate._trusted(kind, (q,), param) for kind, param in found]
-                removed.update(run)
-            continue
-        u = np.eye(2, dtype=complex)
-        for idx in run:
-            u = matrix_of(gates[idx]) @ u
-        candidate = _synthesize_1q(q, u)
-        if _candidate_distance(candidate, u) > 1e-10:
-            raise RuntimeError("single-qubit resynthesis drifted")
-        if len(candidate) < len(run):
-            memo[key] = tuple((g.kind, g.param) for g in candidate)
-            inserts[run[0]] = candidate
-            removed.update(run)
-        else:
-            memo[key] = None
-    if not inserts:
+        key = tuple((gates[i].kind, gates[i].param) for i in run)
+        if key not in memo:
+            memo[key] = _resynthesis(key)
+        if memo[key] is not None:
+            q = gates[run[0]].qubits[0]
+            replaced.update(dict.fromkeys(run, []))
+            replaced[run[0]] = [Gate._trusted(kind, (q,), param) for kind, param in memo[key]]
+    if not replaced:
         return gates
-    out: list[Gate] = []
-    for i, g in enumerate(gates):
-        if i in inserts:
-            out.extend(inserts[i])
-        if i not in removed:
-            out.append(g)
-    return out
+    return [h for i, g in enumerate(gates) for h in replaced.get(i, (g,))]
 
 
-# every preset circuit and suffix window converges in two passes
+# every preset template converges in two passes
 _SIMPLIFY_MAX_PASSES = 60
 
 
 def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     """Deterministic peephole cleanup; idempotent, count-nonincreasing.
-
-    Whether a run is replaced depends on its gates alone, so its resynthesis
-    is remembered by its gates' (kind, param) sequence (see
-    ``_resynth_runs``), and a run one pass kept costs the next pass one
-    lookup. Callers that compile many related circuits pass one ``memo`` to
-    every call; without one, the call keeps its own. The memo changes only
-    the speed: the result is a function of ``c``'s gates alone.
-    """
+    Calls on related circuits may share a ``memo`` of resyntheses (see
+    ``_resynth_runs``); it changes only the speed, not the result."""
     memo = {} if memo is None else memo
     gates = list(c.gates)
     for _ in range(_SIMPLIFY_MAX_PASSES):
@@ -499,39 +535,6 @@ def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
     else:
         raise RuntimeError(f"simplify did not converge in {_SIMPLIFY_MAX_PASSES} passes")
     return Circuit._trusted(c.n_qubits, tuple(gates), dict(c.metadata))
-
-
-def _suffix_window(gates: Sequence[Gate], wires: set[int]) -> int:
-    """Start of the shortest tail of a ``simplify`` fixpoint that appending
-    1-qubit gates on ``wires`` (and measurements) can change.
-
-    The tail holds the trailing single-qubit run of every wire in ``wires``
-    and every trailing Rz (the last gate on its wire: it is still floating,
-    and a measurement may reorder it), and it cuts through no run. Every
-    pass then leaves the head as it is, so ``simplify(head + tail + suffix)
-    == head + simplify(tail + suffix)``.
-    """
-    run_start: list[int] = []      # gate index -> first index of its run
-    open_run: dict[int, int] = {}  # wire -> first index of its trailing run
-    last_kind: dict[int, str] = {}
-    for i, g in enumerate(gates):
-        if g.kind in SINGLE_QUBIT_KINDS:
-            run_start.append(open_run.setdefault(g.qubits[0], i))
-        else:
-            run_start.append(i)
-            for q in g.qubits:
-                open_run.pop(q, None)
-        for q in g.qubits:
-            last_kind[q] = g.kind
-    start = len(gates)
-    for q, first in open_run.items():
-        if q in wires or last_kind[q] == "rz":
-            start = min(start, first)
-    i = len(gates) - 1
-    while i >= start:
-        start = min(start, run_start[i])
-        i -= 1
-    return start
 
 
 def transpile(
@@ -562,30 +565,3 @@ def place_suffix(suffix: Circuit, prefix: RoutedCircuit) -> Circuit:
         for g in lower_to_basis(suffix).gates
     )
     return Circuit._trusted(prefix.circuit.n_qubits, placed, suffix.metadata)
-
-
-def append_placed(base: Circuit, placed: Circuit, memo: dict | None = None) -> Circuit:
-    """``simplify(base + placed)`` gate for gate, for a ``simplify`` output
-    ``base`` (as ``transpile`` returns it) and a ``place_suffix`` result, but
-    only the tail of ``base`` that the suffix can reach is simplified again
-    (see ``_suffix_window``), so the prefix compiles once for many suffixes.
-    Against ``transpile`` of the whole circuit it is equal as a unitary;
-    gate for gate it may differ where summed Rz angles associate
-    differently (Rz(pi) against Rz(-pi), say). ``memo`` is ``simplify``'s,
-    and also keeps each simplified tail, keyed by the window's and the
-    suffix's gates: a sweep's points share a few epsilon-free windows.
-    """
-    wires = {g.qubits[0] for g in placed.gates if g.kind != "measure"}
-    if not wires or base.has_measurements:
-        # every pass ends a run or a float at a measurement as it does at the
-        # end of the circuit, so measurements after a fixpoint stay one; a
-        # measured prefix takes no further gates, which Circuit reports
-        return base + placed
-    memo = {} if memo is None else memo
-    cut = _suffix_window(base.gates, wires)
-    window = (base.gates[cut:], placed.gates)
-    if window not in memo:
-        memo[window] = simplify(Circuit._trusted(base.n_qubits, window[0] + window[1], {}), memo).gates
-    metadata = dict(base.metadata)
-    metadata.update(placed.metadata)
-    return Circuit._trusted(base.n_qubits, base.gates[:cut] + memo[window], metadata)

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -13,6 +14,8 @@ from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS, ExperimentConfig
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
+from gravopto.simulator import NoiseModel
+from gravopto.tomography import calibrate_confusion
 from gravopto.transpiler import Topology, transpile
 
 
@@ -109,6 +112,26 @@ def test_sweep_export_qasm_is_the_transpiled_evolution(tmp_path, capsys):
         evolution = build_evolution_circuit(eps, prepend_ground_prep=True)
         want = qasm_emit(transpile(evolution, topo, layout).circuit)
         assert (tmp_path / f"circuit_{i:02d}.qasm").read_bytes() == want.encode("utf-8")
+
+
+def test_a_routed_export_transpiles_back_unchanged(tmp_path, capsys):
+    """A SWAP-routed sweep's QASM export is placed on all 7 device qubits.
+    ``transpile`` takes a circuit as wide as the device as already placed
+    (it routes it from the identity), so each point reads back with the
+    CNOT count of its row, and no SWAP. Placed again by the hub layout it
+    would take 138 CNOTs instead of 81."""
+    rc = main(["sweep", "--analytic", "--topology", "nairobi-like", "--layout", "0,2,4,6",
+               "--export-qasm", "--out-dir", str(tmp_path)])
+    assert rc == 0
+    rows = list(csv.DictReader(open(tmp_path / "results.csv")))
+    assert len(rows) == 13
+    capsys.readouterr()
+    for i, row in enumerate(rows):
+        path = tmp_path / f"circuit_{i:02d}.qasm"
+        assert main(["transpile", str(path), "--topology", "nairobi-like"]) == 0
+        captured = capsys.readouterr()
+        assert f"cnot_gates={row['cnot_gates']}" in captured.err
+        assert qasm_parse(captured.out).gate_counts()[1] == int(row["cnot_gates"]) == 81
 
 
 def test_sweep_rejects_unknown_config_field(tmp_path, capsys):
@@ -469,6 +492,19 @@ class TestCalibrateCommand:
         assert rc == 0
         payload = json.loads(dest.read_text())
         assert len(payload["matrix"]) == 2
+
+    def test_dense_matrix_is_written_one_row_per_line(self, tmp_path, capsys):
+        """At 10 bits the exact matrix goes out as 2**10 row lines plus 7 (the
+        braces, the matrix's brackets and the three other fields), and reads
+        back as the matrix itself, entry for entry."""
+        dest = tmp_path / "cal10.json"
+        assert main(["calibrate", "--n-bits", "10", "--shots", "0", "--out", str(dest)]) == 0
+        text = dest.read_text()
+        assert len(text.splitlines()) <= 2 ** 10 + 7
+        payload = json.loads(text)
+        want = calibrate_confusion(10, NoiseModel(readout=0.0211))
+        assert payload["matrix"] == want.tolist()
+        assert (payload["n_bits"], payload["readout"], payload["shots"]) == (10, 0.0211, 0)
 
     @pytest.mark.parametrize(
         "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots"),

@@ -9,7 +9,7 @@ import pytest
 
 from gravopto import experiment, transpiler
 from gravopto.analysis import concurrence_theory, exact_traces, fidelity_error, fidelity_from_traces
-from gravopto.circuit import Circuit, phase_distance, u1, unitary_of
+from gravopto.circuit import Circuit, Gate, phase_distance, u1, unitary_of
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
@@ -39,10 +39,8 @@ from gravopto.transpiler import (
     BASIS_KINDS,
     RoutedCircuit,
     Topology,
-    append_placed,
     hub_layout,
     lower_to_basis,
-    place_suffix,
     route,
     transpile,
 )
@@ -193,10 +191,11 @@ SKELETON_CASES = pytest.mark.parametrize("kwargs", [
 @SKELETON_CASES
 def test_compile_sweep_equals_the_reference_compile(kwargs):
     """Each point as it compiles from scratch, with nothing shared: its
-    evolution built, lowered, routed and simplified by ``transpile`` (or
-    built bare without transpiling), each setting placed by ``place_suffix``
-    and appended by ``append_placed`` (or concatenated)."""
-    eps_values = DEFAULT_EPSILONS + (0.1, -0.3, -1e-7, 0.9, 0.0, -0.0, -0.999)
+    evolution, and each setting's whole circuit, built, lowered, routed and
+    simplified by ``transpile`` (or built bare without transpiling).
+    Epsilon = 0 is left out: it keeps the sweep's structure, which its own
+    transpile does not (``test_epsilon_zero_keeps_the_sweep_structure``)."""
+    eps_values = DEFAULT_EPSILONS + (0.1, -0.3, -1e-7, 0.9, -0.999)
     cfg = ExperimentConfig(epsilon_values=eps_values, **kwargs)
     topo = resolve_topology(cfg.topology)
     for eps, (evolution, circuits) in zip(eps_values, compile_sweep(cfg)):
@@ -214,12 +213,14 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
         assert evolution.full_final_layout == want.full_final_layout, key
         # ZZ, IZ and ZI share one suffix and one circuit, made for ZZ
         refs = {}
-        for setting, suffix in measurement_circuits(Circuit(4)):
+        for (setting, suffix), (_, full) in zip(measurement_circuits(Circuit(4)),
+                                                 measurement_circuits(base)):
             got = circuits[setting.label][1]
-            ref = refs.setdefault(suffix, append_placed(want.circuit, place_suffix(suffix, want))
-                                  if cfg.transpile else want.circuit + suffix)
+            ref = refs.setdefault(suffix, transpile(full, topo, device_layout(topo, 4, cfg.layout))
+                                  .circuit if cfg.transpile else want.circuit + suffix)
             assert exact_gates(got) == exact_gates(ref), (key, setting.label)
-            assert got.metadata == ref.metadata
+            assert got.n_qubits == ref.n_qubits
+            assert got.metadata == {"epsilon": eps, "setting": ref.metadata["setting"]}
 
 
 @SKELETON_CASES
@@ -324,6 +325,123 @@ def test_a_zero_angle_besides_the_cores_is_refused(monkeypatch, transpile):
     with pytest.raises(RuntimeError, match="has 5 zero angles"):
         compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like",
                                        transpile=transpile))
+
+
+def test_a_template_without_one_angle_per_core_slot_is_refused(monkeypatch):
+    """A point binds its cores only where the template has each slot once.
+    A ``simplify`` that turned one core into a quarter turn (3 angles left
+    that are not quarter turns), or into an angle that names no core (4
+    such angles, one slot missing), is refused."""
+    simplify = experiment.simplify
+
+    def rewritten(angle):
+        def wrong(circuit, memo=None):
+            gates = list(simplify(circuit, memo).gates)
+            i = next(i for i, g in enumerate(gates) if g.kind == "rz" and abs(g.param) < 1)
+            gates[i] = Gate("rz", gates[i].qubits, angle)
+            return Circuit(circuit.n_qubits, tuple(gates))
+        return wrong
+
+    for angle, found in ((math.pi / 2, 3), (-1.0, 4), (1.7, 4)):
+        monkeypatch.setattr(experiment, "simplify", rewritten(angle))
+        with pytest.raises(RuntimeError, match=f"has {found} non-Clifford angles, not 4 slots"):
+            compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like"))
+
+
+BINDING_CASES = pytest.mark.parametrize("kwargs", [
+    dict(topology="belem-like"),
+    dict(topology="nairobi-like"),
+    dict(topology="nairobi-like", layout=(0, 2, 4, 6)),
+    dict(transpile=False),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-transpile"])
+
+# the default grid, its negatives, and 25 magnitudes over [1e-7, 0.9] of
+# either sign
+BINDING_EPSILONS = (DEFAULT_EPSILONS + tuple(-e for e in DEFAULT_EPSILONS)
+                    + tuple(sign * float(e) for e in np.geomspace(1e-7, 0.9, 25) for sign in (1, -1)))
+
+
+def structure(circ):
+    return [(g.kind, g.qubits, g.cbit) for g in circ.gates]
+
+
+@BINDING_CASES
+def test_a_bound_point_equals_its_own_transpile(kwargs):
+    """Each point binds its core angles into the sweep's templates. Its
+    evolution and each setting's circuit have the gates of that circuit's
+    own ``transpile`` (or of the bare circuit), kind and qubits, with every
+    angle within 1e-12 rad. Every compiled setting has exactly four
+    rotations that are not within 1e-9 of a quarter turn, its core slots,
+    and every other Rz angle is exactly k * pi / 2 after wrapping."""
+    cfg = ExperimentConfig(epsilon_values=BINDING_EPSILONS, **kwargs)
+    topo = resolve_topology(cfg.topology)
+    layout = device_layout(topo, 4, cfg.layout)
+    quarter_turns = [math.remainder(k * (math.pi / 2), 2 * math.pi) for k in range(-2, 3)]
+    for eps, (evolution, circuits) in zip(cfg.epsilon_values, compile_sweep(cfg)):
+        base = build_evolution_circuit(eps, prepend_ground_prep=True)
+        pairs = [(evolution.circuit, base)] + [(circuits[setting.label][1], full)
+                                               for setting, full in measurement_circuits(base)]
+        for got, logical in pairs:
+            want = transpile(logical, topo, layout).circuit if cfg.transpile else logical
+            assert got.n_qubits == want.n_qubits
+            assert structure(got) == structure(want), eps
+            for a, b in zip(got.gates, want.gates):
+                if a.param is not None:
+                    assert abs(math.remainder(a.param - b.param, 2 * math.pi)) <= 1e-12, eps
+        for _, circ in circuits.values():
+            angles = [g.param for g in circ.gates if g.kind in ("rz", "u1")]
+            cores = [a for a in angles if abs(math.remainder(a, math.pi / 2)) > 1e-9]
+            assert len(cores) == 4, eps
+            assert all(a in quarter_turns for a in angles if a not in cores), eps
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(topology="belem-like"),
+    dict(topology="nairobi-like"),
+    dict(topology="nairobi-like", layout=(0, 2, 4, 6)),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246"])
+def test_every_epsilon_compiles_to_one_structure(kwargs):
+    """Every default-grid epsilon and its negative compile to the same gate
+    kinds and qubits, in every setting. (Reading the core angles back with
+    np.angle, the parent compiled 30 singles at 0 < epsilon <= 1.21e-5 and
+    every epsilon < 0, and 28 above.)"""
+    cfg = ExperimentConfig(epsilon_values=DEFAULT_EPSILONS + tuple(-e for e in DEFAULT_EPSILONS),
+                           **kwargs)
+    (_, first), *rest = compile_sweep(cfg)
+    for eps, (_, circuits) in zip(cfg.epsilon_values[1:], rest):
+        for label, (_, circ) in circuits.items():
+            assert structure(circ) == structure(first[label][1]), (eps, label)
+
+
+@pytest.mark.parametrize("preset", ["belem-like", "nairobi-like"])
+def test_the_analytic_fidelity_is_even_in_epsilon(preset):
+    """With its preset's noise and topology, the analytic fidelity at each
+    default-grid epsilon and at its negative agree within 1e-12: the
+    compiled circuits are one structure whose core angles change sign. (At
+    the parent they differed by up to 3.27e-4.)"""
+    grid = DEFAULT_EPSILONS + tuple(-e for e in DEFAULT_EPSILONS)
+    cfg = ExperimentConfig.with_preset(preset, topology=preset, analytic_mode=True,
+                                       epsilon_values=grid)
+    rows = run_sweep(cfg)
+    n = len(DEFAULT_EPSILONS)
+    for pos, neg in zip(rows[:n], rows[n:]):
+        assert abs(pos["fidelity"] - neg["fidelity"]) <= 1e-12, pos["epsilon"]
+
+
+def test_epsilon_zero_keeps_the_sweep_structure():
+    """Epsilon = 0 binds zero core angles into the same templates: 24 CNOTs
+    and the gates of epsilon = 1e-7, though its own ``transpile`` drops the
+    cores and cancels every CNOT."""
+    cfg = ExperimentConfig(topology="belem-like", epsilon_values=(0.0, -0.0, 1e-7))
+    (zero, at_zero), (_, at_minus_zero), (small, at_small) = compile_sweep(cfg)
+    assert structure(zero.circuit) == structure(small.circuit)
+    for label, (_, circ) in at_small.items():
+        assert structure(at_zero[label][1]) == structure(at_minus_zero[label][1]) == structure(circ)
+        assert at_zero[label][1].gate_counts() == circ.gate_counts()
+        assert circ.gate_counts()[1] == 24
+    alone = transpile(build_evolution_circuit(0.0, prepend_ground_prep=True),
+                      Topology.preset("belem-like"), hub_layout(Topology.preset("belem-like")))
+    assert alone.circuit.gate_counts() == (2, 0)
 
 
 class TestPrepareCircuits:
@@ -652,9 +770,9 @@ def test_random_device_graphs_compile_and_run_exactly(tmp_path):
     spanning tree plus extra edges), 60% with a random layout and the rest
     with the hub layout. On each, a noiseless analytic sweep over both signs
     of epsilon measures the closed-form traces to within 1e-12, and every
-    point compiles gate for gate as its own ``transpile`` and
-    ``append_placed`` do, nothing shared. The whole set takes at most 4 s
-    (about 0.8 s on a 2-core x86 box)."""
+    point compiles gate for gate as its own ``transpile`` does, the
+    evolution and each setting's whole circuit, nothing shared. The whole
+    set takes at most 4 s (about 1.3 s on a 2-core x86 box)."""
     from test_transpiler import random_connected_topology
 
     rng = np.random.default_rng(5)
@@ -676,7 +794,9 @@ def test_random_device_graphs_compile_and_run_exactly(tmp_path):
                             layout or hub_layout(topo, 4))
             assert exact_gates(evolution.circuit) == exact_gates(ref.circuit), key
             assert evolution.full_final_layout == ref.full_final_layout, key
-            for setting, suffix in measurement_circuits(Circuit(4)):
-                want = append_placed(ref.circuit, place_suffix(suffix, ref))
+            for setting, full in measurement_circuits(build_evolution_circuit(eps, prepend_ground_prep=True)):
+                if setting.label in ("IZ", "ZI"):  # the ZZ circuit
+                    continue
+                want = transpile(full, topo, layout or hub_layout(topo, 4)).circuit
                 assert exact_gates(circuits[setting.label][1]) == exact_gates(want), (key, setting.label)
     assert time.perf_counter() - start < 4.0
