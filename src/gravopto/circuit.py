@@ -75,6 +75,8 @@ class Gate:
             if self.param is None:
                 raise ValueError(f"{self.kind} needs an angle")
             object.__setattr__(self, "param", float(self.param))
+            if not math.isfinite(self.param):
+                raise ValueError(f"{self.kind} angle {self.param} is not finite")
         elif self.param is not None:
             raise ValueError(f"{self.kind} takes no parameter")
         if self.kind == "measure":

@@ -167,7 +167,10 @@ def _cmd_circuit(args) -> int:
 
 def _cmd_transpile(args) -> int:
     with open(args.input, "r", encoding="utf-8") as fh:
-        circ = qasm_parse(fh.read())
+        try:  # text that is not UTF-8 or not the QASM subset; a missing file is an OSError
+            circ = qasm_parse(fh.read())
+        except ValueError as exc:
+            raise ConfigError(f"input: {exc}") from exc
     topo = resolve_topology(args.topology)
     layout = _qubits(args.layout) if args.layout else None
     if layout is None and topo is not None and circ.n_qubits == topo.n:

@@ -17,10 +17,9 @@ own ``transpile`` would cancel every gate but two.
 of every point, which evolves the points that share a gate structure as one
 stack. The settings' weights, sampled or exact, are the rows of one array,
 which one confusion matrix mitigates and which are post-selected and
-estimated row by row (see ``tomography``); no setting makes a histogram.
-``run_point`` is the one-point case of the same code. The CSV payload is
-byte-stable for a fixed config; the JSON report additionally carries a
-timestamp.
+estimated row by row (see ``tomography``). ``run_point`` is the one-point
+case of the same code. The CSV payload is byte-stable for a fixed config;
+the JSON report additionally carries a timestamp.
 """
 from __future__ import annotations
 

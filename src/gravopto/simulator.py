@@ -5,7 +5,8 @@ Statevectors are complex128 arrays over 2**n amplitudes; axis/bit order
 follows the circuit convention (qubit 0 is the leftmost bit of a basis
 label). A mixed state is its real Pauli vector, v_s = tr(P_s rho) over the
 4**n Pauli strings, one base-4 digit per qubit (I, X, Y, Z = 0, 1, 2, 3).
-Histogram keys follow classical-bit order: cbit 0 is the leftmost character.
+An outcome distribution is indexed by classical bits: cbit 0 is the most
+significant bit of an entry's index.
 
 Both share one kernel, which acts on a stack of them, one per row. A
 one-qubit gate is applied elementwise on one axis, out_i = sum_j u_ij v_j
@@ -33,16 +34,14 @@ in it is one kernel call on the stacked states of every circuit below it, so
 the sweep points that compile to the same structure share every call,
 each point's settings share their evolution's calls, and equal copies are
 rows of the same stacks. Every row gets the arithmetic of its circuit
-evolved alone. ``noisy_probabilities`` is the one-circuit case, and
-``born_probabilities`` its noiseless one. Shots are
-i.i.d., so ``sample_weights`` draws a whole setting as one multinomial
-sample, a row of counts; ``sample_counts`` makes it a histogram, and
-``run_noisy`` does both for one circuit. Nothing is kept between calls.
+evolved alone, and one circuit is a list of one. Shots are i.i.d., so
+``sample_weights`` draws a whole setting as one multinomial sample, a row
+of counts. Nothing is kept between calls.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,14 +188,6 @@ def run_ideal(c: Circuit) -> np.ndarray:
     return psi.reshape(-1)
 
 
-def align_global_phase(state: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """Rotate state's global phase so its overlap with reference is real > 0."""
-    ip = np.vdot(reference, state)
-    if abs(ip) < 1e-12:
-        return state
-    return state * (ip.conjugate() / abs(ip))
-
-
 def _measure_order(c: Circuit) -> list[int]:
     """Measured qubits sorted by classical bit; cbits must be 0..k-1."""
     pairs = sorted(c.measurements, key=lambda qc: qc[1])
@@ -237,47 +228,6 @@ class NoiseModel:
             rate = getattr(self, name)
             if not 0.0 <= rate < high:
                 raise ConfigError(f"{name}: {rate} outside [0, {high:g})")
-
-
-@dataclass(frozen=True)
-class CountsHistogram:
-    """Outcome weights keyed by classical bitstring.
-
-    Weights are integer counts straight after sampling; readout mitigation
-    turns them into real quasi-weights, so values are not forced to int.
-    """
-
-    entries: dict = field(default_factory=dict)
-    shots: int = 0
-    n_bits: int = 0
-
-    def __post_init__(self):
-        for key in self.entries:
-            if len(key) != self.n_bits or set(key) - {"0", "1"}:
-                raise ValueError(f"malformed outcome key {key!r}")
-
-    def total(self) -> float:
-        return float(sum(self.entries.values()))
-
-    def __getitem__(self, key: str):
-        return self.entries.get(key, 0)
-
-    def to_vector(self) -> np.ndarray:
-        vec = np.zeros(2 ** self.n_bits)
-        for key, w in self.entries.items():
-            vec[int(key, 2)] = w
-        return vec
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, shots: int, n_bits: int) -> "CountsHistogram":
-        vec = np.asarray(vec).reshape(-1)
-        nonzero = np.flatnonzero(vec)
-        key = f"0{n_bits}b"
-        entries = {
-            format(idx, key): int(w) if float(w).is_integer() else float(w)
-            for idx, w in zip(nonzero.tolist(), vec[nonzero].tolist())
-        }
-        return cls(entries, shots, n_bits)
 
 
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
@@ -357,17 +307,6 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     return [done[slot_of[id(c)]] for c in circuits]
 
 
-def noisy_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
-    """``outcome_distributions`` of one circuit."""
-    return outcome_distributions([c], noise)[0]
-
-
-def born_probabilities(c: Circuit) -> np.ndarray:
-    """``noisy_probabilities`` without noise: the exact outcome distribution
-    over the 2**k classical keys."""
-    return noisy_probabilities(c, NoiseModel())
-
-
 def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarray:
     """One multinomial draw of ``shots`` outcomes from ``probs``, a float count per key.
 
@@ -379,21 +318,3 @@ def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarra
     rng = np.random.Generator(np.random.Philox(seed))
     p = np.clip(probs, 0.0, None)
     return rng.multinomial(shots, p / p.sum()).astype(float)
-
-
-def sample_counts(probs: np.ndarray, shots: int, seed: int | None) -> CountsHistogram:
-    """``sample_weights`` as a histogram."""
-    counts = sample_weights(probs, shots, seed)
-    return CountsHistogram.from_vector(counts, shots, probs.size.bit_length() - 1)
-
-
-def run_noisy(
-    c: Circuit,
-    shots: int,
-    noise: NoiseModel | None = None,
-    seed: int | None = None,
-) -> CountsHistogram:
-    """Sample a measured circuit's histogram from ``noisy_probabilities``
-    (noiseless without ``noise``) with ``sample_counts``."""
-    noise = noise or NoiseModel()
-    return sample_counts(noisy_probabilities(c, noise), shots, seed)

@@ -19,8 +19,8 @@ A sweep's settings are the rows of one weights array, 2**4 weights per row
 in key order. ``mitigate_weights``, ``postselect_weights`` and
 ``expectations`` work on such rows. The last two add a row's weights one
 after another in key order; ``mitigate_weights`` takes each row's total with
-``np.sum``, which can differ from that in the last bit. ``mitigate`` and
-``estimate_traces`` are the one-row case, for ``CountsHistogram`` input.
+``np.sum``, which can differ from that in the last bit. One setting's
+weights are a one-row array.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .bosonmap import N_QUBITS, SUBSPACE_INDICES
 from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
 from .errors import CapacityError
-from .simulator import CountsHistogram, NoiseModel, sample_weights
+from .simulator import NoiseModel, sample_weights
 
 SETTING_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
 
@@ -111,7 +111,7 @@ def postselect_weights(weights: np.ndarray,
     """
     totals = _totals(weights)
     if not (totals > 0).all():
-        raise ValueError("empty histogram")
+        raise ValueError("a row has no weight")
     if not setting.z_type:
         return weights, np.ones(len(weights))
     if weights.shape[-1] != 2 ** N_QUBITS:
@@ -174,20 +174,14 @@ def mitigate_weights(weights: np.ndarray, confusion: np.ndarray) -> np.ndarray:
     result is rescaled to its row's total weight.
     """
     if weights.shape[-1] != len(confusion):
-        raise ValueError("histogram and confusion matrix disagree on width")
+        raise ValueError("weights and confusion matrix disagree on width")
     totals = [w.sum() for w in weights]
     if min(totals) <= 0:
-        raise ValueError("empty histogram")
+        raise ValueError("a row has no weight")
     inverse = np.linalg.inv(confusion)
     # one matrix-vector product per row: a stacked product can round otherwise
     probs = project_to_simplex(np.array([inverse @ (w / t) for w, t in zip(weights, totals)]))
     return np.array([p / p.sum() * t for p, t in zip(probs, totals)])
-
-
-def mitigate(hist: CountsHistogram, confusion: np.ndarray) -> CountsHistogram:
-    """``mitigate_weights`` of one histogram."""
-    probs = mitigate_weights(hist.to_vector()[None], confusion)[0]
-    return CountsHistogram.from_vector(probs, hist.shots, hist.n_bits)
 
 
 def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
@@ -200,9 +194,3 @@ def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.n
         raise ValueError("no weight left to average")
     est = _totals(weights * decoded) / den
     return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / den)
-
-
-def estimate_traces(histograms: dict) -> dict:
-    """``expectations`` of one histogram per setting: each label's correlator estimate."""
-    return {label: float(expectations(hist.to_vector()[None], MeasurementSetting(label))[0][0])
-            for label, hist in histograms.items()}

@@ -33,16 +33,11 @@ from gravopto.experiment import (
 )
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
-from gravopto.simulator import (
-    CountsHistogram,
-    NoiseModel,
-    align_global_phase,
-    born_probabilities,
-    run_ideal,
-    run_noisy,
-)
-from gravopto.tomography import calibrate_confusion, estimate_traces, mitigate
+from gravopto.simulator import NoiseModel, outcome_distributions, run_ideal, sample_weights
+from gravopto.tomography import calibrate_confusion, expectations, mitigate_weights
 from gravopto.transpiler import Topology, hub_layout, lower_to_basis, route, simplify
+
+from test_circuit import linear_distance
 
 
 def coupling_matrix() -> np.ndarray:
@@ -56,7 +51,9 @@ def test_criterion_01_circuit_matches_dense_exponential():
     for eps in (1e-7, 1e-4, 1e-2, 0.1, 0.5):
         got = unitary_of(build_evolution_circuit(eps))
         want = expm(1j * eps * m)
-        assert phase_distance(got, want) <= 1e-10, f"epsilon={eps}"
+        assert linear_distance(got, want) <= 1e-10, f"epsilon={eps}"
+    # the distance sees the smallest coupling: the identity is 2e-7 away
+    assert linear_distance(np.eye(16), expm(1j * 1e-7 * m)) > 1e-10
     assert time.perf_counter() - start < 1.0
 
 
@@ -80,7 +77,8 @@ def test_criterion_03_closed_form_state_and_leakage():
     target = np.zeros(16, dtype=complex)
     target[int("0101", 2)] = math.cos(0.1)
     target[int("1010", 2)] = 1j * math.sin(0.1)
-    aligned = align_global_phase(psi, target)
+    overlap = np.vdot(psi, target)
+    aligned = psi * (overlap / abs(overlap))
     assert np.abs(aligned - target).max() <= 1e-10
     outside = [i for i in range(16) if i not in SUBSPACE_INDICES]
     assert np.sum(np.abs(psi[outside]) ** 2) <= 1e-10
@@ -169,22 +167,18 @@ def test_criterion_09_readout_error_bars():
     cfg = ExperimentConfig(epsilon_values=(eps,), shots=shots)
     circuits = prepare_circuits(cfg, eps)
     seeds = np.random.SeedSequence(0).generate_state(5)
-    hists = {
-        label: run_noisy(circ, shots, noise, seed=int(seeds[i]))
-        for i, (label, (_, circ)) in enumerate(circuits.items())
-    }
-    formula = fidelity_error(eps, estimate_traces(hists), 0.0211)
-    vectors = {label: h.to_vector() for label, h in hists.items()}
+    settings = [setting for setting, _ in circuits.values()]
+    distributions = outcome_distributions([circ for _, circ in circuits.values()], noise)
+    counts = [sample_weights(p, shots, int(seed)) for p, seed in zip(distributions, seeds)]
+    traces = {s.label: float(expectations(w[None], s)[0][0]) for s, w in zip(settings, counts)}
+    formula = fidelity_error(eps, traces, 0.0211)
+    # redraw index, setting, key: each redraw takes one row per setting
     rng = np.random.default_rng(1000)
-    samples = []
-    for _ in range(200):
-        redraw = {
-            label: CountsHistogram.from_vector(
-                rng.multinomial(shots, vec / vec.sum()).astype(float), shots, 4,
-            )
-            for label, vec in vectors.items()
-        }
-        samples.append(fidelity_from_traces(eps, estimate_traces(redraw)))
+    redraws = np.array([[rng.multinomial(shots, w / w.sum()) for w in counts]
+                        for _ in range(200)], dtype=float)
+    estimates = [expectations(redraws[:, i], s)[0] for i, s in enumerate(settings)]
+    samples = [fidelity_from_traces(eps, {s.label: float(e[k]) for s, e in zip(settings, estimates)})
+               for k in range(len(redraws))]
     bootstrap = float(np.std(samples))
     ratio = formula / bootstrap
     assert 1.0 / 3.0 <= ratio <= 3.0, f"formula {formula:.4f} bootstrap {bootstrap:.4f}"
@@ -193,11 +187,11 @@ def test_criterion_09_readout_error_bars():
 def test_criterion_10_mitigation_inverts_readout():
     base = build_evolution_circuit(0.3, prepend_ground_prep=True)
     circ = base.extend(measure(q, q) for q in range(4))
-    ideal = born_probabilities(circ)
+    ideal, = outcome_distributions([circ], NoiseModel())
     noise = NoiseModel(readout=0.03)
-    hist = run_noisy(circ, 1_000_000, noise, seed=5)
-    fixed = mitigate(hist, calibrate_confusion(4, noise))
-    l1 = float(np.abs(fixed.to_vector() / fixed.total() - ideal).sum())
+    counts = sample_weights(outcome_distributions([circ], noise)[0], 1_000_000, 5)
+    fixed, = mitigate_weights(counts[None], calibrate_confusion(4, noise))
+    l1 = float(np.abs(fixed / fixed.sum() - ideal).sum())
     assert l1 <= 0.01
 
 
@@ -207,7 +201,7 @@ def test_criterion_11_round_trips_and_byte_stability(tmp_path):
         simplify(lower_to_basis(build_evolution_circuit(0.1))),
     ):
         again = qasm_parse(qasm_emit(circ))
-        assert phase_distance(unitary_of(again), unitary_of(circ)) <= 1e-10
+        assert linear_distance(unitary_of(again), unitary_of(circ)) <= 1e-10
 
     cfg = ExperimentConfig.with_preset(
         "belem-like", epsilon_values=(1e-3, 5e-3, 1e-2), shots=500,

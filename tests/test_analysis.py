@@ -14,8 +14,8 @@ from gravopto.analysis import (
     trace_uncertainty,
 )
 from gravopto.experiment import ExperimentConfig, prepare_circuits
-from gravopto.simulator import CountsHistogram, born_probabilities
-from gravopto.tomography import estimate_traces
+from gravopto.simulator import NoiseModel, outcome_distributions
+from gravopto.tomography import expectations
 
 
 def perturbative_state(eps: float) -> np.ndarray:
@@ -114,11 +114,12 @@ class TestFidelityFromTraces:
         assert fidelity_from_traces(0.1, traces) == pytest.approx(0.25)
 
     def test_accepts_tomography_result_shape(self):
-        # estimate_traces' dict, from exact histograms of the five settings
+        # a dict of each setting's estimate, from its exact distribution
         circuits = prepare_circuits(ExperimentConfig(transpile=False), 0.02)
-        hists = {label: CountsHistogram.from_vector(born_probabilities(circ), 1, 4)
-                 for label, (_, circ) in circuits.items()}
-        assert fidelity_from_traces(0.02, estimate_traces(hists)) == pytest.approx(
+        traces = {label: float(expectations(outcome_distributions([circ], NoiseModel())[0][None],
+                                            setting)[0][0])
+                  for label, (setting, circ) in circuits.items()}
+        assert fidelity_from_traces(0.02, traces) == pytest.approx(
             fidelity_from_traces(0.02, exact_traces(0.02)), abs=1e-12
         )
 

@@ -26,6 +26,14 @@ from gravopto.errors import CapacityError
 PARAMLESS = ("x", "sx", "sxdg", "h", "s", "sdg")
 
 
+def linear_distance(a, b):
+    """The Frobenius norm of a - b after the phase that minimises it, entry
+    by entry: linear in an angle error, unlike ``phase_distance``."""
+    overlap = np.vdot(b, a)
+    phase = overlap / abs(overlap) if overlap else 1.0
+    return float(np.sqrt(np.sum(np.abs(a - phase * b) ** 2)))
+
+
 def random_circuit(rng, n, depth, with_params=True):
     gates = []
     for _ in range(depth):
@@ -56,6 +64,15 @@ def test_gate_validation():
         Gate("x", (0,), cbit=0)
     with pytest.raises(ValueError):
         Gate("measure", (0,))
+
+
+@pytest.mark.parametrize("kind", ["rz", "rx", "u1"])
+@pytest.mark.parametrize("angle", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_angle_is_refused(kind, angle):
+    with pytest.raises(ValueError, match=f"^{kind} angle .* is not finite$"):
+        Gate(kind, (0,), angle)
+    # compilers re-emit checked gates unchecked
+    assert math.isnan(Gate._trusted(kind, (0,), math.nan).param)
 
 
 def test_matrix_identities():

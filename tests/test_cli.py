@@ -457,6 +457,16 @@ class TestTranspileCommand:
         assert rc == 3
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("statement", [b"rz(nan) q[0]", b"rz(inf) q[0]", b"rx(-inf) q[0]",
+                                           b"u1(nan) q[0]", b"ccx q[0],q[1],q[2]", b"rz(\xff) q[0]"])
+    def test_a_file_it_cannot_parse_is_a_config_error(self, statement, tmp_path, capsys):
+        src = tmp_path / "bad.qasm"
+        src.write_bytes(b"OPENQASM 2.0;\nqreg q[3];\n" + statement + b";\nsx q[0];\n")
+        assert main(["transpile", str(src)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("config error: input:")
+        assert captured.out == ""
+
 
 class TestCalibrateCommand:
     def test_analytic_matrix(self, capsys):

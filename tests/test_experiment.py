@@ -26,13 +26,13 @@ from gravopto.experiment import (
     run_sweep,
 )
 from gravopto.qasm import parse as qasm_parse
-from gravopto.simulator import CountsHistogram, outcome_distributions, sample_counts
+from gravopto.simulator import outcome_distributions, sample_weights
 from gravopto.tomography import (
     SETTING_LABELS,
     calibrate_confusion,
-    estimate_traces,
+    expectations,
     measurement_circuits,
-    mitigate,
+    mitigate_weights,
     postselect_weights,
 )
 from gravopto.transpiler import (
@@ -444,6 +444,43 @@ def test_epsilon_zero_keeps_the_sweep_structure():
     assert alone.circuit.gate_counts() == (2, 0)
 
 
+@pytest.mark.parametrize("preset,kwargs", [
+    ("belem-like", dict(topology="belem-like")),
+    ("nairobi-like", dict(topology="nairobi-like")),
+    ("nairobi-like", dict(topology="nairobi-like", layout=(0, 2, 4, 6))),
+], ids=["belem-like", "nairobi-like", "nairobi-like-0246"])
+def test_every_trace_is_a_trigonometric_polynomial_in_epsilon(preset, kwargs):
+    """Each core slot turns by epsilon/2 and every other gate and noise step
+    is linear and independent of epsilon. So without mitigation or
+    post-selection each analytic trace is a trigonometric polynomial of
+    degree 4 in epsilon/2, nine coefficients: a fit at 11 nodes in
+    [-0.9, 0.9] predicts +-1e-7, 0, the default grid and seeded points
+    within 1e-12. XY and YX are odd in epsilon, and ZZ, IZ and ZI even,
+    within 1e-12."""
+    nodes = tuple(float(e) for e in np.linspace(-0.9, 0.9, 11))
+    away = DEFAULT_EPSILONS + tuple(float(e) for e in np.random.default_rng(29).uniform(-0.9, 0.9, 8))
+    probes = (1e-7, -1e-7, 0.0) + away
+    mirrored = tuple(-e for e in away)
+    cfg = ExperimentConfig.with_preset(preset, analytic_mode=True, mitigation=False,
+                                       postselection=False,
+                                       epsilon_values=nodes + probes + mirrored, **kwargs)
+    rows = run_sweep(cfg)
+
+    def basis(eps):
+        turns = np.array(eps)[:, None] / 2 * np.arange(1, 5)
+        return np.hstack([np.ones((len(eps), 1)), np.cos(turns), np.sin(turns)])
+
+    n = len(nodes)
+    for label in SETTING_LABELS:
+        trace = np.array([row[f"tr_{label.lower()}"] for row in rows])
+        coefficients, *_ = np.linalg.lstsq(basis(nodes), trace[:n], rcond=None)
+        fitted = basis(probes) @ coefficients
+        assert np.abs(fitted - trace[n:n + len(probes)]).max() <= 1e-12, label
+        sign = -1.0 if label in ("XY", "YX") else 1.0
+        at_away = trace[n + 3:n + len(probes)]
+        assert np.abs(trace[n + len(probes):] - sign * at_away).max() <= 1e-12, label
+
+
 class TestPrepareCircuits:
     def test_five_settings(self):
         cfg = ExperimentConfig(transpile=False)
@@ -623,8 +660,8 @@ class TestRunSweep:
 
 def reference_rows(cfg: ExperimentConfig) -> list[dict]:
     """Each point's row as the sweep made it setting by setting: one
-    histogram per setting, sampled with the setting's seed or exact,
-    mitigated, post-selected and estimated on its own."""
+    one-row weights array per setting, sampled with the setting's seed or
+    exact, mitigated, post-selected and estimated on its own."""
     noise = cfg.noise_model()
     confusion = calibrate_confusion(4, noise)
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
@@ -632,21 +669,21 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
     for eps, seed, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compile_sweep(cfg)):
         setting_seeds = np.random.SeedSequence(int(seed)).generate_state(5)
         distributions = outcome_distributions([circuits[lab][1] for lab in SETTING_LABELS], noise)
-        histograms, retained = {}, {}
+        traces, retained = {}, {}
         for label, probs, setting_seed in zip(SETTING_LABELS, distributions, setting_seeds):
+            setting = circuits[label][0]
             if cfg.analytic_mode:
-                hist = CountsHistogram.from_vector(probs * cfg.shots, cfg.shots, 4)
+                row = probs[None] * cfg.shots
             else:
-                hist = sample_counts(probs, cfg.shots, int(setting_seed))
+                row = sample_weights(probs, cfg.shots, int(setting_seed))[None]
             if cfg.mitigation:
-                hist = mitigate(hist, confusion)
+                row = mitigate_weights(row, confusion)
             if label == "ZZ":
-                kept, fraction = postselect_weights(hist.to_vector()[None], circuits[label][0])
+                kept, fraction = postselect_weights(row, setting)
                 retained[label] = float(fraction[0])
                 if cfg.postselection:
-                    hist = CountsHistogram.from_vector(kept[0], hist.shots, 4)
-            histograms[label] = hist
-        traces = estimate_traces(histograms)
+                    row = kept
+            traces[label] = float(expectations(row, setting)[0][0])
         single, cnots = circuits["ZZ"][1].gate_counts()
         rows.append({
             "epsilon": eps,
@@ -679,26 +716,12 @@ def exact_row(row: dict) -> dict:
 @pytest.mark.parametrize("seed", [11, 12])
 def test_sweep_rows_equal_the_per_setting_reference(preset, kwargs, mitigation, postselection, seed):
     """A sweep's weights array gives each point the row its settings give
-    one histogram at a time, float for float."""
+    one at a time, float for float."""
     cfg = ExperimentConfig.with_preset(preset, mitigation=mitigation,
                                        postselection=postselection, seed=seed, **kwargs)
     got = run_sweep(cfg)
     want = reference_rows(cfg)
     assert [exact_row(row) for row in got] == [exact_row(row) for row in want]
-
-
-@pytest.mark.parametrize("analytic", [False, True], ids=["sampled", "analytic"])
-def test_a_sweep_builds_no_histogram(analytic, monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("the sweep built a histogram")
-
-    monkeypatch.setattr(CountsHistogram, "from_vector", staticmethod(refuse))
-    monkeypatch.setattr(CountsHistogram, "__post_init__", refuse)
-    cfg = ExperimentConfig.with_preset("belem-like", topology="belem-like", shots=500,
-                                       analytic_mode=analytic)
-    assert len(run_sweep(cfg)) == len(cfg.epsilon_values)
-    with pytest.raises(AssertionError):
-        sample_counts(np.full(16, 1 / 16), 10, 0)
 
 
 class TestEmitOutputs:

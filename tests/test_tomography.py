@@ -11,21 +11,18 @@ from gravopto.circuit import Circuit, Gate, h, measure, sdg
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError
 from gravopto.simulator import (
-    CountsHistogram,
     NoiseModel,
     apply_readout,
-    born_probabilities,
+    outcome_distributions,
     run_ideal,
-    run_noisy,
+    sample_weights,
 )
 from gravopto.tomography import (
     SETTING_LABELS,
     MeasurementSetting,
     calibrate_confusion,
-    estimate_traces,
     expectations,
     measurement_circuits,
-    mitigate,
     mitigate_weights,
     postselect_weights,
     project_to_simplex,
@@ -49,14 +46,12 @@ def setting_operator(label: str) -> np.ndarray:
     return np.kron(PAIR_OPS[label[0]], PAIR_OPS[label[1]])
 
 
-def analytic_histogram(circ: Circuit) -> CountsHistogram:
-    probs = born_probabilities(circ)
-    return CountsHistogram.from_vector(probs, shots=1, n_bits=4)
-
-
 def weights_row(entries: dict, n_bits: int = 4) -> np.ndarray:
     """A one-row weights array from outcome keys and their weights."""
-    return CountsHistogram(entries, 0, n_bits).to_vector()[None]
+    row = np.zeros((1, 2 ** n_bits))
+    for key, weight in entries.items():
+        row[0, int(key, 2)] = weight
+    return row
 
 
 def test_setting_validation():
@@ -130,7 +125,7 @@ def test_decoded_settings_match_dense_operators():
         psi = run_ideal(base)
         for setting, circ in measurement_circuits(base):
             want = np.vdot(psi, setting_operator(setting.label) @ psi).real
-            est, _ = expectations(born_probabilities(circ)[None], setting)
+            est, _ = expectations(outcome_distributions([circ], NoiseModel())[0][None], setting)
             assert abs(est[0] - want) <= 1e-9, (eps, setting.label)
 
 
@@ -171,15 +166,15 @@ def exact_confusion(lam: float, n_bits: int) -> np.ndarray:
 
 def circuit_per_column_calibration(n_bits, noise, shots, seed):
     """The calibration as first written: each basis state prepared with X
-    gates, measured through ``run_noisy`` with its column's seed."""
+    gates, its outcome distribution sampled with its column's seed."""
     column_seeds = np.random.SeedSequence(seed).generate_state(2 ** n_bits)
     dense = np.zeros((2 ** n_bits, 2 ** n_bits))
     for state in range(2 ** n_bits):
         bits = format(state, f"0{n_bits}b")
         gates = [Gate("x", (j,)) for j, b in enumerate(bits) if b == "1"]
         gates += [measure(j, j) for j in range(n_bits)]
-        hist = run_noisy(Circuit(n_bits, tuple(gates)), shots, noise, seed=int(column_seeds[state]))
-        dense[:, state] = hist.to_vector() / shots
+        probs, = outcome_distributions([Circuit(n_bits, tuple(gates))], noise)
+        dense[:, state] = sample_weights(probs, shots, int(column_seeds[state])) / shots
     return dense
 
 
@@ -258,7 +253,6 @@ class TestCalibrateConfusion:
         def refuse(*args, **kwargs):
             pytest.fail("a calibration circuit was simulated")
 
-        monkeypatch.setattr(simulator, "run_noisy", refuse)
         monkeypatch.setattr(simulator, "outcome_distributions", refuse)
         cm = calibrate_confusion(6, NoiseModel(readout=0.03), shots=100, seed=2)
         assert cm.shape == (64, 64)
@@ -267,9 +261,8 @@ class TestCalibrateConfusion:
 
 class TestMitigate:
     def test_identity_matrix_is_noop(self):
-        hist = CountsHistogram({"00": 7, "11": 3}, shots=10, n_bits=2)
-        out = mitigate(hist, exact_confusion(0.0, 2))
-        assert out.entries == {"00": 7, "11": 3}
+        out = mitigate_weights(weights_row({"00": 7, "11": 3}, 2), exact_confusion(0.0, 2))
+        assert out.tolist() == [[7.0, 0.0, 0.0, 3.0]]
 
     def test_exact_recovery_of_transformed_distribution(self):
         lam = 0.08
@@ -278,22 +271,20 @@ class TestMitigate:
         truth[int("0101", 2)] = 0.7
         truth[int("1010", 2)] = 0.3
         noisy = apply_readout(truth, [lam] * 4)
-        hist = CountsHistogram.from_vector(noisy * 10_000, shots=10_000, n_bits=4)
-        out = mitigate(hist, cm)
-        recovered = out.to_vector() / out.total()
+        out = mitigate_weights(noisy[None] * 10_000, cm)[0]
+        recovered = out / out.sum()
         assert np.abs(recovered - truth).max() <= 1e-9
 
     def test_constrained_fallback_stays_a_distribution(self):
-        # a histogram concentrated on a flipped outcome drives the plain
+        # weight concentrated on a flipped outcome drives the plain
         # inverse negative, so the simplex projection has work to do
         cm = exact_confusion(0.2, 2)
-        hist = CountsHistogram({"01": 90, "10": 10}, shots=100, n_bits=2)
-        quasi = np.linalg.inv(cm) @ (hist.to_vector() / 100.0)
+        weights = weights_row({"01": 90, "10": 10}, 2)
+        quasi = np.linalg.inv(cm) @ (weights[0] / 100.0)
         assert quasi.min() < -1e-10
-        out = mitigate(hist, cm)
-        vec = out.to_vector()
-        assert vec.min() >= 0.0
-        assert vec.sum() == pytest.approx(hist.total())
+        out = mitigate_weights(weights, cm)[0]
+        assert out.min() >= 0.0
+        assert out.sum() == pytest.approx(100.0)
 
     def test_projection_meets_kkt_conditions(self):
         # p is the Euclidean projection of q onto the simplex iff p is a
@@ -352,18 +343,17 @@ class TestMitigate:
         assert scipy == []
 
     def test_width_mismatch(self):
-        hist = CountsHistogram({"01": 1}, shots=1, n_bits=2)
         with pytest.raises(ValueError):
-            mitigate(hist, exact_confusion(0.0, 3))
+            mitigate_weights(weights_row({"01": 1}, 2), exact_confusion(0.0, 3))
 
     def test_round_trip_through_sampling(self):
         lam = 0.04
         base = build_evolution_circuit(0.3, prepend_ground_prep=True)
         circ = base.extend([measure(q, q) for q in range(4)])
-        hist = run_noisy(circ, 100_000, NoiseModel(readout=lam), seed=33)
-        out = mitigate(hist, exact_confusion(lam, 4))
-        ideal = born_probabilities(circ)
-        sampled = out.to_vector() / out.total()
+        counts = sample_weights(outcome_distributions([circ], NoiseModel(readout=lam))[0], 100_000, 33)
+        out = mitigate_weights(counts[None], exact_confusion(lam, 4))[0]
+        ideal, = outcome_distributions([circ], NoiseModel())
+        sampled = out / out.sum()
         assert np.abs(sampled - ideal).sum() <= 0.02
 
 
@@ -387,12 +377,13 @@ class TestExpectation:
 
 
 def test_estimate_traces_collects_everything():
+    # each setting's exact distribution, one row, gives its correlator
     eps = 0.25
     base = build_evolution_circuit(eps, prepend_ground_prep=True)
-    hists = {}
-    for setting, circ in measurement_circuits(base):
-        hists[setting.label] = analytic_histogram(circ)
-    traces = estimate_traces(hists)
+    pairs = measurement_circuits(base)
+    distributions = outcome_distributions([circ for _, circ in pairs], NoiseModel())
+    traces = {setting.label: float(expectations(p[None], setting)[0][0])
+              for (setting, _), p in zip(pairs, distributions)}
     assert list(traces) == list(SETTING_LABELS)
     assert traces["ZZ"] == pytest.approx(1.0, abs=1e-9)
     assert traces["XY"] == pytest.approx(np.sin(2 * eps), abs=1e-9)
@@ -412,23 +403,8 @@ def random_weight_rows() -> np.ndarray:
     return np.array(rows + [leaked])
 
 
-def test_row_functions_equal_the_one_histogram_functions():
-    """``mitigate`` and ``estimate_traces`` are the one-row case of
-    ``mitigate_weights`` and ``expectations``, bit for bit."""
-    weights = random_weight_rows()
-    hists = [CountsHistogram.from_vector(w, 300, 4) for w in weights]
-    confusion = exact_confusion(0.03, 4)
-    for row, hist in zip(mitigate_weights(weights, confusion), hists):
-        assert row.tolist() == mitigate(hist, confusion).to_vector().tolist()
-    for label in SETTING_LABELS:
-        est, _ = expectations(weights, MeasurementSetting(label))
-        for e, hist in zip(est, hists):
-            assert estimate_traces({label: hist}) == {label: e}
-
-
 def test_row_sums_run_in_key_order():
-    """Each sum adds a row's nonzero weights one by one in key order, as
-    summing a histogram's entries did."""
+    """Each sum adds a row's nonzero weights one by one in key order."""
     weights = random_weight_rows()
     for label in SETTING_LABELS:
         setting = MeasurementSetting(label)

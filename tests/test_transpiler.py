@@ -46,7 +46,7 @@ from gravopto.transpiler import (
     transpile,
 )
 
-from test_circuit import random_circuit
+from test_circuit import linear_distance, random_circuit
 
 
 def random_connected_topology(rng, n):
@@ -725,14 +725,6 @@ def test_the_drift_guard_refuses_a_wrong_resynthesis(monkeypatch, error, drifts)
     else:
         got = simplify(run).gates
         assert got[:-1] == want[:-1] and got[-1].param == want[-1].param + error
-
-
-def linear_distance(a, b):
-    """The Frobenius norm of a - b after the phase that minimises it, entry
-    by entry: linear in an angle error, unlike ``phase_distance``."""
-    overlap = np.vdot(b, a)
-    phase = overlap / abs(overlap) if overlap else 1.0
-    return float(np.sqrt(np.sum(np.abs(a - phase * b) ** 2)))
 
 
 EDGE_ANGLES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e-13, -1e-13, 1e-7, -1e-7)
