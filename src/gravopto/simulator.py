@@ -30,13 +30,14 @@ touch, so a device's idle qubits, which stay in |0>, are never simulated; a
 circuit with gate noise evolves their Pauli vector, any other their
 statevector. Circuits on one register walk the tree of their gate
 structures, the gates' kinds and qubits without their angles: each position
-in it is one kernel call on the stacked states of every circuit below it, so
-the sweep points that compile to the same structure share every call,
-each point's settings share their evolution's calls, and equal copies are
-rows of the same stacks. Every row gets the arithmetic of its circuit
-evolved alone, and one circuit is a list of one. Shots are i.i.d., so
-``sample_weights`` draws a whole setting as one multinomial sample, a row
-of counts. Nothing is kept between calls.
+in it is one kernel call on a stack of the distinct states below it, so the
+sweep points that compile to the same structure share every call. Circuits
+share a row while their gates and their angles' bits agree (0.0 and -0.0
+part): the points up to the first angle they differ in, a point's settings
+over their evolution, and equal copies throughout. Every row gets the
+arithmetic of its circuit evolved alone; one circuit is a list of one. Shots
+are i.i.d., so ``sample_weights`` draws a whole setting as one multinomial
+sample, a row of counts. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -238,55 +239,56 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     a Pauli vector if one of its gates carries an error rate, else a
     statevector. Circuits on the same such register share one pass over
     the tree of their gate structures, the gates' kinds and qubits: each
-    position in it is applied once to the stacked states of every circuit
-    below it, each with its own angle, so equal copies are rows of the same
-    stacks. Every row sees the arithmetic of its circuit evolved alone. The
-    results are read-only; a circuit object given again shares one array. A
-    CapacityError is raised before anything is allocated if a pass's rows
-    plus its CNOT tables, one per pair of qubits, times a row's entries
-    exceed 4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
+    position in it is applied once to a stack of the distinct states below
+    it. Circuits share a row while their gates and their angles' bits
+    agree, and every row sees the arithmetic of its circuit evolved alone.
+    The results are read-only; a circuit object given again shares one
+    array. A CapacityError is raised before anything is allocated if a
+    pass's circuits plus its CNOT tables, one per pair of qubits, times a
+    row's entries exceed 4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
     """
     # a circuit object given again (a point's ZZ, IZ and ZI) is computed once;
     # ``circuits`` keeps every object alive, so no id is reused
-    distinct = list({id(c): c for c in circuits}.values())
-    slot_of = {id(c): i for i, c in enumerate(distinct)}
-    gates = [[g for g in c.gates if g.kind != "measure"] for c in distinct]
-    measured = [_measure_order(c) for c in distinct]
+    distinct = {id(c): c for c in circuits}
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
-    passes: dict[tuple, list[int]] = {}
-    wires = [{g.qubits for g in gs} for gs in gates]  # the qubit tuples gates act on
-    for i in range(len(distinct)):
-        touched = set(measured[i]).union(*wires[i])
-        mixed = any(rates[g.kind] for g in gates[i])
-        passes.setdefault((mixed, tuple(sorted(touched))), []).append(i)
+    members: dict[tuple, list] = {}  # the circuits of each structure, classical bits included
+    for c in distinct.values():
+        members.setdefault(tuple([(g.kind, g.qubits, g.cbit) for g in c.gates]), []).append(c)
+    passes: dict[tuple, list[tuple]] = {}
+    for same in members.values():
+        # position by position, the gates of its circuits, measurements left out
+        columns = [col for col in zip(*(c.gates for c in same)) if col[0].kind != "measure"]
+        seq = [(col[0].kind, col[0].qubits) for col in columns]
+        measured = _measure_order(same[0])
+        key = (any(rates[k] for k, _ in seq), tuple(sorted(set(measured).union(*(q for _, q in seq)))))
+        passes.setdefault(key, []).append((seq, columns, measured, same))
     for (mixed, register), group in passes.items():
         # a CNOT's table per pair of qubits holds as many entries as a row
-        pairs = {w for i in group for w in wires[i] if len(w) == 2}
-        if (len(group) + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
+        pairs = {qubits for seq, *_ in group for _, qubits in seq if len(qubits) == 2}
+        n = sum(len(same) for *_, same in group)
+        if (n + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
             raise CapacityError(
-                f"{len(group)} circuits and {len(pairs)} CNOT pairs on {len(register)} touched "
+                f"{n} circuits and {len(pairs)} CNOT pairs on {len(register)} touched "
                 f"qubits exceed the dense limit of 4**{MAX_DENSE_QUBITS} entries per pass")
     done: dict[int, np.ndarray] = {}
     for (mixed, register), group in passes.items():
         m = len(register)
         kernel = _Kernel(m, mixed)
         axis = {q: a for a, q in enumerate(register)}
-        start = np.zeros((len(group), (4 if mixed else 2) ** m), float if mixed else complex)
+        start = np.zeros((1, (4 if mixed else 2) ** m), float if mixed else complex)
         start[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
-        # walk the tree of the group's gate structures; each edge is one gate
-        # position, and row r of a node's stack is the state of circuit here[r]
-        todo = [(0, start, group)]
+        # walk the tree of the group's structures, an edge per gate position; a node holds
+        # its distinct states and, per structure below it, the row of each of its circuits
+        todo = [(0, start, [((seq, columns, tuple(axis[q] for q in measured), same), [0] * len(same))
+                            for seq, columns, measured, same in group])]
         while todo:
-            depth, states, here = todo.pop()
-            branches: dict[tuple, list[int]] = {}
-            ends: dict[tuple, list[int]] = {}
-            for r, i in enumerate(here):
-                if len(gates[i]) > depth:
-                    g = gates[i][depth]
-                    branches.setdefault((g.kind, g.qubits), []).append(r)
+            depth, states, below = todo.pop()
+            branches: dict[tuple, list[tuple]] = {}
+            for structure, rows in below:
+                seq, _, kept, same = structure
+                if len(seq) > depth:
+                    branches.setdefault(seq[depth], []).append((structure, rows))
                     continue
-                ends.setdefault(tuple(axis[q] for q in measured[i]), []).append(r)
-            for kept, rows in ends.items():
                 if mixed:
                     z = states[np.ix_(rows, _iz_index(m, kept))]
                     probs = _pauli_probabilities(z, 1.0 - 2.0 * noise.readout)
@@ -295,16 +297,24 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
                     p = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
                     probs = apply_readout(p, [noise.readout] * len(kept))
-                done.update(zip([here[r] for r in rows], probs))
-            for (kind, qubits), rows in branches.items():
-                below = [here[r] for r in rows]
-                params = [gates[i][depth].param for i in below] if kind in PARAM_KINDS else None
-                stack = states if len(rows) == len(here) else states[rows]
-                axes = tuple(axis[q] for q in qubits)
-                todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), below))
+                done.update(zip(map(id, same), probs))
+            for (kind, qubits), subs in branches.items():
+                axes, param = tuple(axis[q] for q in qubits), kind in PARAM_KINDS
+                angles = {g.param for (_, cols, *_), _ in subs for g in cols[depth]} if param else {None}
+                if len(angles) == 1 and angles != {0.0} and len(subs) == len(below):
+                    # one angle, not a zero (== ignores its sign), and every row goes on: reuse the stack
+                    stack, moved, params = states, subs, [*angles] * len(states)
+                else:  # a row per distinct (row, angle's bits); float.hex tells -0.0 from 0.0
+                    new, moved = {}, []
+                    for structure, rows in subs:
+                        bits = [g.param.hex() if param else None for g in structure[1][depth]]
+                        moved.append((structure, [new.setdefault(k, len(new)) for k in zip(rows, bits)]))
+                    src, params = [r for r, _ in new], [b and float.fromhex(b) for _, b in new]
+                    stack = states if src == list(range(len(states))) else states[src]
+                todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), moved))
     for p in done.values():
         p.setflags(write=False)
-    return [done[slot_of[id(c)]] for c in circuits]
+    return [done[id(c)] for c in circuits]
 
 
 def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarray:
@@ -316,5 +326,5 @@ def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarra
     if shots < 1:
         raise ValueError("shots must be positive")
     rng = np.random.Generator(np.random.Philox(seed))
-    p = np.clip(probs, 0.0, None)
+    p = np.maximum(probs, 0.0)
     return rng.multinomial(shots, p / p.sum()).astype(float)

@@ -11,7 +11,6 @@ from gravopto.circuit import (
     matrix_of,
     measure,
     phase_distance,
-    rx,
     rz,
     s,
     sdg,

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import os
 import time
 
 import numpy as np

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gravopto.circuit import Circuit, cx, h, measure, phase_distance, rz, rx, s, sx, u1, unitary_of
+from gravopto.circuit import Circuit, cx, h, measure, phase_distance, rz, unitary_of
 from gravopto.qasm import emit, parse
 
 from test_circuit import random_circuit

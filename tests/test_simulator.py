@@ -8,7 +8,7 @@ import pytest
 
 from gravopto import simulator
 from gravopto.bosonmap import SUBSPACE_INDICES, ground_state_prep
-from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, rz, s, sx, unitary_of, x
+from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, unitary_of, x
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError, ConfigError
 from gravopto.experiment import (
@@ -435,9 +435,10 @@ def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
         for c, got in zip(circuits, together):
             assert np.array_equal(got, outcome_distributions([c], noise)[0])
             assert not got.flags.writeable
-        # the object given again is computed once; the equal copy is a row of its own
+        # the object given again is computed once; the equal copy shares every
+        # row and gets only its own output array
         assert together[-1] is together[0]
-        assert np.array_equal(together[4], together[0])
+        assert together[4] is not together[0] and np.array_equal(together[4], together[0])
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, cx_depol=0.01)],
@@ -468,6 +469,41 @@ def test_equal_circuits_share_one_array_without_hashing(monkeypatch, noise):
     assert got[0] is not got[2] and got[6] is not got[2]
     for c, p in zip(circuits, got):
         assert np.array_equal(p, outcome_distributions([c], noise)[0])
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, sq_depol=0.01)],
+                         ids=["statevector", "pauli-vector"])
+def test_rows_merge_by_angle_bits_not_by_equality(monkeypatch, noise):
+    """rz(0.0) and rz(-0.0) are equal angles with different bits, so the two
+    circuits part into rows of their own there; each gets the bytes of its
+    own one-circuit run."""
+    rest = random_circuit(np.random.default_rng(53), 3, 8).gates
+    circuits = [measured(Circuit(3, (h(0), Gate("rz", (0,), angle)) + rest)) for angle in (0.0, -0.0)]
+    rows = []
+    apply = simulator._Kernel.apply
+
+    def counted(kernel, states, *args):
+        rows.append(len(states))
+        return apply(kernel, states, *args)
+
+    monkeypatch.setattr(simulator._Kernel, "apply", counted)
+    got = outcome_distributions(circuits, noise)
+    assert rows == [1] + [2] * (len(rest) + 1)
+    for c, p in zip(circuits, got):
+        assert p.tobytes() == outcome_distributions([c], noise)[0].tobytes()
+
+
+def test_a_sweep_over_both_zeros_keeps_each_points_bytes():
+    # at epsilon 0.0 and -0.0 the core slots' angles are equal with different bits
+    cfg = ExperimentConfig(analytic_mode=True, epsilon_values=(0.0, -0.0), topology="belem-like",
+                           **NOISE_PRESETS["belem-like"])
+    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    zero, minus_zero = circuits[0], circuits[len(circuits) // 2]
+    assert any(a.param.hex() != b.param.hex() for a, b in zip(zero.gates, minus_zero.gates)
+               if a.kind in PARAM_KINDS)
+    noise = cfg.noise_model()
+    for c, p in zip(circuits, outcome_distributions(circuits, noise)):
+        assert p.tobytes() == outcome_distributions([c], noise)[0].tobytes()
 
 
 def _structure_family(rng, n):
@@ -507,19 +543,19 @@ def test_stacked_angles_equal_each_circuit_alone_and_the_kraus_sum(noise):
             assert np.abs(got - kraus_probabilities(c, noise)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kwargs,bound", [
+@pytest.mark.parametrize("kwargs,bound,row_bound", [
     # gate noise: one density-matrix pass
-    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 160),
+    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 160, 891),
     # readout only, SWAP-routed: one statevector pass
-    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 260),
+    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 260, 1570),
 ], ids=["belem-like", "nairobi-like-swap"])
-def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound):
+def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound, row_bound):
     cfg = ExperimentConfig(shots=50, **kwargs)
     applied = []
     apply = simulator._Kernel.apply
 
     def counted(kernel, states, kind, axes, *args):
-        applied.append((kind, axes))
+        applied.append(len(states))
         return apply(kernel, states, kind, axes, *args)
 
     monkeypatch.setattr(simulator._Kernel, "apply", counted)
@@ -530,6 +566,13 @@ def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound)
     # one application per node of the tree of the distinct circuits' structures
     prefixes = {tuple(seq[:d]) for seq in structures for d in range(1, len(seq) + 1)}
     assert len(applied) == len(prefixes) <= bound
+    # each application takes one row per distinct state: every gate before the
+    # first core slot, where the points' angles part, acts on a single row
+    exact = [[(g.kind, g.qubits, None if g.param is None else g.param.hex()) for g in c.gates]
+             for c in circuits]
+    shared = next(d for d, gates in enumerate(zip(*exact)) if len(set(gates)) > 1)
+    assert shared > 0 and applied[:shared] == [1] * shared
+    assert sum(applied) <= row_bound
 
 
 @pytest.mark.parametrize("kwargs", [
