@@ -50,4 +50,4 @@ def ground_state_prep() -> Circuit:
     second qubit, 2m + 1, of every mode m.
     """
     gates = [x(2 * m + 1) for m in range(N_QUBITS // 2)]
-    return Circuit(N_QUBITS, tuple(gates), {"segment": "ground-prep"})
+    return Circuit(N_QUBITS, tuple(gates))

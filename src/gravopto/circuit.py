@@ -13,14 +13,15 @@ Gate definitions (exact, testable):
     CNOT(control, target)
     Measure(qubit, cbit)
 
-Circuits are immutable values. Gates apply in list order; the circuit unitary
-is the reverse-order matrix product. Qubit 0 is the leftmost tensor factor.
+Circuits are immutable values: a register width and a gate tuple, nothing
+more. Gates apply in list order; the circuit unitary is the reverse-order
+matrix product. Qubit 0 is the leftmost tensor factor.
 Measure gates may only appear as a trailing suffix.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
@@ -169,7 +170,6 @@ def matrix_of(gate: Gate) -> np.ndarray:
 class Circuit:
     n_qubits: int
     gates: tuple[Gate, ...] = ()
-    metadata: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self):
         if self.n_qubits < 1:
@@ -196,24 +196,21 @@ class Circuit:
                 raise ValueError("unitary gate after measurement")
 
     @classmethod
-    def _trusted(cls, n_qubits: int, gates: tuple[Gate, ...], metadata: dict) -> "Circuit":
+    def _trusted(cls, n_qubits: int, gates: tuple[Gate, ...]) -> "Circuit":
         """A circuit of gates already known to fit a valid ``n_qubits`` register,
         built without ``__post_init__``; for compilers re-emitting checked gates."""
         circuit = object.__new__(cls)
         object.__setattr__(circuit, "n_qubits", n_qubits)
         object.__setattr__(circuit, "gates", gates)
-        object.__setattr__(circuit, "metadata", metadata)
         return circuit
 
     def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates), dict(self.metadata))
+        return Circuit(self.n_qubits, self.gates + tuple(gates))
 
     def __add__(self, other: "Circuit") -> "Circuit":
         if self.n_qubits != other.n_qubits:
             raise ValueError("cannot concatenate circuits of different widths")
-        meta = dict(self.metadata)
-        meta.update(other.metadata)
-        return Circuit(self.n_qubits, self.gates + other.gates, meta)
+        return Circuit(self.n_qubits, self.gates + other.gates)
 
     @property
     def has_measurements(self) -> bool:
@@ -266,12 +263,3 @@ def unitary_of(c: Circuit) -> np.ndarray:
         total = _embedded(g, c.n_qubits) @ total
     return total
 
-
-def phase_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Global-phase-invariant distance d(A, B) = 1 - |tr(A^dag B)| / dim."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("phase_distance needs two equal square matrices")
-    dim = a.shape[0]
-    return max(0.0, 1.0 - abs(np.trace(a.conj().T @ b)) / dim)

@@ -47,7 +47,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--export-qasm", action="store_true",
                        help="also write per-point circuits")
 
-    tomo = sub.add_parser("tomography", help="single-epsilon run with full detail",
+    tomo = sub.add_parser("tomography", help="single-epsilon run; prints its result row "
+                          "(the CSV's columns) as JSON",
                           argument_default=argparse.SUPPRESS)
     _add_run_flags(tomo, epsilon_required=True)
 
@@ -166,11 +167,11 @@ def _cmd_circuit(args) -> int:
 
 
 def _cmd_transpile(args) -> int:
-    with open(args.input, "r", encoding="utf-8") as fh:
-        try:  # text that is not UTF-8 or not the QASM subset; a missing file is an OSError
+    try:  # a file that cannot be read, is not UTF-8 or is not the QASM subset
+        with open(args.input, "r", encoding="utf-8") as fh:
             circ = qasm_parse(fh.read())
-        except ValueError as exc:
-            raise ConfigError(f"input: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"input: {exc}") from exc
     topo = resolve_topology(args.topology)
     layout = _qubits(args.layout) if args.layout else None
     if layout is None and topo is not None and circ.n_qubits == topo.n:

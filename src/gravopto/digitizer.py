@@ -16,8 +16,8 @@ the core must generate exp(i a X) or exp(i a Y), and with which sign, depends
 only on the number of fan steps modulo 4. The Y-type core is the
 Rx(pi/2) U1 Rx(-pi/2) sandwich; the X-type core is a bare Rx.
 
-Everything here is phase-equivalent to the target exponential; global phase
-is quotiented out by the project-wide distance metric.
+Everything here equals the target exponential up to a global phase, which
+no measured distribution can see.
 """
 from __future__ import annotations
 
@@ -90,19 +90,6 @@ def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
     return Circuit(n, tuple(opening + fan_in + core_gates + fan_out + closing))
 
 
-def decompose_term(index: int, epsilon: float) -> Circuit:
-    """Circuit for the index-th factor of exp(i eps M), index in 1..4."""
-    if index not in (1, 2, 3, 4):
-        raise ValueError(f"term index must be 1..4, got {index}")
-    _check_epsilon(epsilon)
-    circ = compile_pauli_exponential(_TERMS[index - 1], epsilon / 4.0)
-    return Circuit(
-        circ.n_qubits,
-        circ.gates,
-        {"segment": f"pauli-term-{index}", "epsilon": float(epsilon)},
-    )
-
-
 def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -> Circuit:
     """Full coupling unitary exp(i eps M), optionally after ground-state prep."""
     _check_epsilon(epsilon)
@@ -110,7 +97,7 @@ def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -
     for term in _TERMS:
         gates += compile_pauli_exponential(term, epsilon / 4.0).gates
     # the assembled gates are checked once, not once per partial sum
-    return Circuit(4, gates, {"epsilon": float(epsilon)})
+    return Circuit(4, gates)
 
 
 def core_angles(epsilon: float) -> tuple[float, ...]:

@@ -256,7 +256,7 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
         raise ConfigError(f"topology: {name_or_path!r} is neither a preset nor a file")
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
-            return Topology.from_json(fh.read(), name=os.path.basename(name_or_path))
+            return Topology.from_json(fh.read())
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"topology: {name_or_path!r} is not a topology file ({type(exc).__name__}: {exc})"
@@ -267,14 +267,14 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
 _SLOT_MARKERS = (0.1, 0.2, 0.3, 0.4)
 
 
-def _bind(template: tuple, cores, metadata: dict) -> Circuit:
+def _bind(template: tuple, cores) -> Circuit:
     """A template's circuit with ``cores[j]`` at each of its slots (i, j, k)
     as ``turned(cores[j], k)``: what ``simplify`` makes of that core."""
     circuit, slots = template
     gates = list(circuit.gates)
     for i, j, k in slots:
         gates[i] = Gate._trusted(gates[i].kind, gates[i].qubits, turned(cores[j], k))
-    return Circuit._trusted(circuit.n_qubits, tuple(gates), metadata)
+    return Circuit._trusted(circuit.n_qubits, tuple(gates))
 
 
 class _SweepCompiler:
@@ -297,7 +297,7 @@ class _SweepCompiler:
         if len(self.slots) != 4:
             raise RuntimeError(f"the skeleton has {len(self.slots)} zero angles, not 4 core slots")
         marked = _bind((self.skeleton.circuit, [(i, j, 0) for j, i in enumerate(self.slots)]),
-                       _SLOT_MARKERS, {})
+                       _SLOT_MARKERS)
         memo: dict = {}
         self.evolution = self._template(marked.gates, memo)
         # each distinct suffix (ZZ, IZ and ZI share one), placed once after
@@ -312,13 +312,13 @@ class _SweepCompiler:
             if any(g.kind != "measure" for g in placed.gates):
                 template = self._template(gates, memo)
             else:  # measurements keep a fixpoint one: a pass stops at them as at the end
-                template = (Circuit._trusted(marked.n_qubits, gates, {}), self.evolution[1])
-            self.settings.append((template, suffix.metadata, settings))
+                template = (Circuit._trusted(marked.n_qubits, gates), self.evolution[1])
+            self.settings.append((template, settings))
 
     def _template(self, gates: tuple, memo: dict) -> tuple:
         """The circuit of ``gates``, simplified when the sweep transpiles, and
         each core slot in it as (gate index, core index, quarter turns k)."""
-        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates), {})
+        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates))
         if self.cfg.transpile:
             circuit = simplify(circuit, memo)
         rotations = [(i, g.param) for i, g in enumerate(circuit.gates)
@@ -331,12 +331,12 @@ class _SweepCompiler:
 
     def point(self, epsilon: float) -> tuple[RoutedCircuit, dict]:
         """``compile_sweep``'s item for one epsilon."""
-        cores, metadata = core_angles(epsilon), {"epsilon": float(epsilon)}
+        cores = core_angles(epsilon)
         circuits = {}
-        for template, suffix_metadata, settings in self.settings:
-            circ = _bind(template, cores, {**metadata, **suffix_metadata})
+        for template, settings in self.settings:
+            circ = _bind(template, cores)
             circuits.update((setting.label, (setting, circ)) for setting in settings)
-        return (replace(self.skeleton, circuit=_bind(self.evolution, cores, metadata)),
+        return (replace(self.skeleton, circuit=_bind(self.evolution, cores)),
                 {label: circuits[label] for label in SETTING_LABELS})
 
 

@@ -2,19 +2,17 @@
 
 Angles are printed with 17 significant digits so a parameterised gate
 round-trips to the identical float. The parser accepts the emitted subset
-plus simple multiples of pi (pi/2, -3*pi/4, ...).
+plus simple multiples of pi (pi/2, -3*pi/4, ...); ``Gate`` checks each gate
+statement's kind, arity and angle, and its refusal quotes the statement.
 """
 from __future__ import annotations
 
 import math
 import re
 
-from .circuit import Circuit, Gate
+from .circuit import PARAM_KINDS, Circuit, Gate
 
 _HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
-
-_PLAIN_GATES = ("x", "sx", "sxdg", "h", "s", "sdg")
-_PARAM_GATES = ("rx", "rz", "u1")
 
 _GATE_RE = re.compile(
     r"^(?P<name>[a-z0-9]+)\s*(?:\((?P<param>[^)]*)\))?\s*(?P<args>.*)$"
@@ -59,7 +57,7 @@ def emit(circuit: Circuit) -> str:
             lines.append(f"measure q[{g.qubits[0]}] -> c[{g.cbit}];")
         elif g.kind == "cx":
             lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.kind in _PARAM_GATES:
+        elif g.kind in PARAM_KINDS:
             lines.append(f"{g.kind}({_format_angle(g.param)}) q[{g.qubits[0]}];")
         else:
             lines.append(f"{g.kind} q[{g.qubits[0]}];")
@@ -96,7 +94,6 @@ def parse(text: str) -> Circuit:
         m = _GATE_RE.match(stmt)
         if not m:
             raise ValueError(f"cannot parse statement {stmt!r}")
-        name = m.group("name")
         args = [a.strip() for a in m.group("args").split(",") if a.strip()]
         qubits = []
         for arg in args:
@@ -104,20 +101,12 @@ def parse(text: str) -> Circuit:
             if not qm:
                 raise ValueError(f"bad qubit argument {arg!r} in {stmt!r}")
             qubits.append(int(qm.group(1)))
-        if name == "cx":
-            if len(qubits) != 2:
-                raise ValueError(f"cx needs two qubits in {stmt!r}")
-            gates.append(Gate("cx", tuple(qubits)))
-        elif name in _PLAIN_GATES:
-            if m.group("param") is not None or len(qubits) != 1:
-                raise ValueError(f"malformed {name} statement {stmt!r}")
-            gates.append(Gate(name, tuple(qubits)))
-        elif name in _PARAM_GATES:
-            if m.group("param") is None or len(qubits) != 1:
-                raise ValueError(f"malformed {name} statement {stmt!r}")
-            gates.append(Gate(name, tuple(qubits), param=_parse_angle(m.group("param"))))
-        else:
-            raise ValueError(f"unsupported gate {name!r}")
+        param = m.group("param")
+        try:
+            gates.append(Gate(m.group("name"), tuple(qubits),
+                              None if param is None else _parse_angle(param)))
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {stmt!r}") from None
     if n_qubits is None:
         raise ValueError("missing qreg declaration")
     return Circuit(n_qubits, tuple(gates))

@@ -90,9 +90,7 @@ def measurement_circuits(base: Circuit) -> list[tuple[MeasurementSetting, Circui
     for label in SETTING_LABELS:
         setting = MeasurementSetting(label)
         gates = setting.rotation_gates() + [measure(q, q) for q in range(N_QUBITS)]
-        meta = dict(base.metadata)
-        meta["setting"] = label
-        out.append((setting, Circuit(N_QUBITS, base.gates + tuple(gates), meta)))
+        out.append((setting, Circuit(N_QUBITS, base.gates + tuple(gates))))
     return out
 
 

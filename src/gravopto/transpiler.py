@@ -68,7 +68,6 @@ class Topology:
 
     n: int
     edges: frozenset = field(default_factory=frozenset)
-    name: str = ""
     # each qubit's neighbours, ascending, so a BFS step scans no edge set
     _adjacency: tuple = field(init=False, repr=False, compare=False)
 
@@ -100,13 +99,13 @@ class Topology:
                 f"unknown topology preset {name!r}; have {sorted(TOPOLOGY_PRESETS)}"
             )
         n, edges = TOPOLOGY_PRESETS[name]
-        return cls(n, frozenset(edges), name)
+        return cls(n, frozenset(edges))
 
     @classmethod
-    def from_json(cls, text: str, name: str = "") -> "Topology":
+    def from_json(cls, text: str) -> "Topology":
         """``{"n": 5, "edges": [[0, 1], ...]}``, every number an integer."""
         data = json.loads(text)
-        return cls(data["n"], frozenset(tuple(e) for e in data["edges"]), name)
+        return cls(data["n"], frozenset(tuple(e) for e in data["edges"]))
 
     def neighbors(self, q: int) -> list[int]:
         return list(self._adjacency[q])
@@ -252,7 +251,7 @@ def lower_to_basis(c: Circuit) -> Circuit:
             out.extend(_lower_rx(g))
         else:
             raise ValueError(f"no lowering rule for {g.kind}")
-    return Circuit._trusted(c.n_qubits, tuple(out), dict(c.metadata))
+    return Circuit._trusted(c.n_qubits, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +305,7 @@ def route(c: Circuit, topo: Topology, layout: Layout | Sequence[int] | None = No
             out.append(Gate._trusted("cx", (a, b)))
         else:
             out.append(Gate._trusted(g.kind, (l2p[g.qubits[0]],), g.param, g.cbit))
-    routed = Circuit._trusted(topo.n, tuple(out), dict(c.metadata))
+    routed = Circuit._trusted(topo.n, tuple(out))
     return RoutedCircuit(
         circuit=routed,
         initial_layout=l2p_logical,
@@ -534,7 +533,7 @@ def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
         gates = new
     else:
         raise RuntimeError(f"simplify did not converge in {_SIMPLIFY_MAX_PASSES} passes")
-    return Circuit._trusted(c.n_qubits, tuple(gates), dict(c.metadata))
+    return Circuit._trusted(c.n_qubits, tuple(gates))
 
 
 def transpile(
@@ -564,4 +563,4 @@ def place_suffix(suffix: Circuit, prefix: RoutedCircuit) -> Circuit:
         Gate._trusted(g.kind, (l2p[g.qubits[0]],), g.param, g.cbit)
         for g in lower_to_basis(suffix).gates
     )
-    return Circuit._trusted(prefix.circuit.n_qubits, placed, suffix.metadata)
+    return Circuit._trusted(prefix.circuit.n_qubits, placed)

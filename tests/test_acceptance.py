@@ -21,9 +21,9 @@ from gravopto.analysis import (
     perturbative_traces,
     trace_uncertainty,
 )
-from gravopto.bosonmap import SUBSPACE_INDICES, mapped_hamiltonian
-from gravopto.circuit import Circuit, measure, phase_distance, unitary_of
-from gravopto.digitizer import build_evolution_circuit, decompose_term
+from gravopto.bosonmap import INTERACTION_FACTORS, SUBSPACE_INDICES, mapped_hamiltonian
+from gravopto.circuit import Circuit, measure, unitary_of
+from gravopto.digitizer import build_evolution_circuit, compile_pauli_exponential
 from gravopto.experiment import (
     ExperimentConfig,
     emit_outputs,
@@ -31,6 +31,7 @@ from gravopto.experiment import (
     run_point,
     run_sweep,
 )
+from gravopto.pauli import PauliString
 from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
 from gravopto.simulator import NoiseModel, outcome_distributions, run_ideal, sample_weights
@@ -67,8 +68,9 @@ def test_criterion_02_terms_commute_and_order_is_free():
     for perm in itertools.permutations((1, 2, 3, 4)):
         circ = Circuit(4)
         for index in perm:
-            circ = circ + decompose_term(index, 0.3)
-        assert phase_distance(unitary_of(circ), ref) <= 1e-10, f"order {perm}"
+            term = PauliString(INTERACTION_FACTORS[index - 1])
+            circ = circ + compile_pauli_exponential(term, 0.3 / 4)
+        assert linear_distance(unitary_of(circ), ref) <= 1e-10, f"order {perm}"
     assert time.perf_counter() - start < 1.0
 
 

@@ -10,7 +10,6 @@ from gravopto.circuit import (
     h,
     matrix_of,
     measure,
-    phase_distance,
     rz,
     s,
     sdg,
@@ -27,7 +26,8 @@ PARAMLESS = ("x", "sx", "sxdg", "h", "s", "sdg")
 
 def linear_distance(a, b):
     """The Frobenius norm of a - b after the phase that minimises it, entry
-    by entry: linear in an angle error, unlike ``phase_distance``."""
+    by entry: linear in an angle error, unlike 1 - |tr(a^dag b)| / dim. For
+    unitaries of dimension d its square is 2d (1 - |tr(a^dag b)| / d)."""
     overlap = np.vdot(b, a)
     phase = overlap / abs(overlap) if overlap else 1.0
     return float(np.sqrt(np.sum(np.abs(a - phase * b) ** 2)))
@@ -83,12 +83,12 @@ def test_matrix_identities():
     composed = (matrix_of(rz(0, math.pi / 2))
                 @ matrix_of(sx(0))
                 @ matrix_of(rz(0, math.pi / 2)))
-    assert phase_distance(composed, matrix_of(h(0))) < 1e-12
+    assert linear_distance(composed, matrix_of(h(0))) < 1e-12
 
 
 def test_rz_u1_differ_only_by_phase():
     lam = 0.7341
-    assert phase_distance(matrix_of(rz(0, lam)), matrix_of(u1(0, lam))) < 1e-12
+    assert linear_distance(matrix_of(rz(0, lam)), matrix_of(u1(0, lam))) < 1e-12
     assert not np.allclose(matrix_of(rz(0, lam)), matrix_of(u1(0, lam)))
 
 
@@ -161,26 +161,23 @@ def test_unitary_capacity_guard():
 
 
 class TestPhaseDistance:
+    """``linear_distance``, the tests' global-phase-invariant distance."""
+
     def test_zero_for_equal_and_phased(self):
         rng = np.random.default_rng(5)
         for _ in range(30):
             c = random_circuit(rng, 2, 8)
             u = unitary_of(c)
-            assert phase_distance(u, u) < 1e-14
+            assert linear_distance(u, u) < 1e-14
             phi = rng.uniform(0, 2 * math.pi)
-            assert phase_distance(u, np.exp(1j * phi) * u) < 1e-12
+            assert linear_distance(u, np.exp(1j * phi) * u) < 1e-12
 
     def test_positive_for_distinct(self):
         u = np.eye(2, dtype=complex)
         v = matrix_of(x(0))
-        assert phase_distance(u, v) == pytest.approx(1.0)
+        # orthogonal: the square is 2d times 1 - |tr(u^dag v)| / d = 1
+        assert linear_distance(u, v) == pytest.approx(2.0)
 
     def test_shape_check(self):
         with pytest.raises(ValueError):
-            phase_distance(np.eye(2), np.eye(4))
-
-
-def test_metadata_does_not_affect_equality():
-    a = Circuit(1, (h(0),), metadata={"tag": 1})
-    b = Circuit(1, (h(0),))
-    assert a == b
+            linear_distance(np.eye(2), np.eye(4))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gravopto import experiment, simulator, transpiler
-from gravopto.circuit import phase_distance, unitary_of
+from gravopto.circuit import unitary_of
 from gravopto.cli import _build_parser, main
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS, ExperimentConfig
@@ -17,6 +17,8 @@ from gravopto.qasm import parse as qasm_parse
 from gravopto.simulator import NoiseModel
 from gravopto.tomography import calibrate_confusion
 from gravopto.transpiler import Topology, transpile
+
+from test_circuit import linear_distance
 
 
 def test_sweep_writes_outputs(tmp_path, capsys):
@@ -363,13 +365,13 @@ class TestCircuitCommand:
         assert main(["circuit", "--epsilon", "0.05"]) == 0
         circ = qasm_parse(capsys.readouterr().out)
         want = unitary_of(build_evolution_circuit(0.05, prepend_ground_prep=True))
-        assert phase_distance(unitary_of(circ), want) <= 1e-10
+        assert linear_distance(unitary_of(circ), want) <= 1e-10
 
     def test_no_ground_prep(self, capsys):
         assert main(["circuit", "--epsilon", "0.05", "--no-ground-prep"]) == 0
         circ = qasm_parse(capsys.readouterr().out)
         want = unitary_of(build_evolution_circuit(0.05))
-        assert phase_distance(unitary_of(circ), want) <= 1e-10
+        assert linear_distance(unitary_of(circ), want) <= 1e-10
 
     def test_transpiled_onto_preset(self, capsys):
         rc = main([
@@ -416,7 +418,7 @@ class TestTranspileCommand:
         assert "cnot_gates=24" in captured.err
         circ = qasm_parse(captured.out)
         want = unitary_of(build_evolution_circuit(0.1, prepend_ground_prep=True))
-        assert phase_distance(unitary_of(circ), want) <= 1e-10
+        assert linear_distance(unitary_of(circ), want) <= 1e-10
 
     def test_out_file_puts_summary_on_stdout(self, tmp_path, capsys):
         src = self.write_input(tmp_path)
@@ -452,13 +454,17 @@ class TestTranspileCommand:
         src = self.write_input(tmp_path)
         assert main(["transpile", str(src), "--layout", "0,1,2,3"]) == 2
 
-    def test_missing_input_exits_3(self, tmp_path, capsys):
-        rc = main(["transpile", str(tmp_path / "nope.qasm")])
-        assert rc == 3
-        assert capsys.readouterr().err.startswith("error:")
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        # bad input, as a missing --config is: a missing file, then a directory
+        for path in (tmp_path / "nope.qasm", tmp_path):
+            assert main(["transpile", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("config error: input: [Errno")
+            assert captured.out == ""
 
     @pytest.mark.parametrize("statement", [b"rz(nan) q[0]", b"rz(inf) q[0]", b"rx(-inf) q[0]",
-                                           b"u1(nan) q[0]", b"ccx q[0],q[1],q[2]", b"rz(\xff) q[0]"])
+                                           b"u1(nan) q[0]", b"ccx q[0],q[1],q[2]", b"rz(\xff) q[0]",
+                                           b"cx q[0]"])
     def test_a_file_it_cannot_parse_is_a_config_error(self, statement, tmp_path, capsys):
         src = tmp_path / "bad.qasm"
         src.write_bytes(b"OPENQASM 2.0;\nqreg q[3];\n" + statement + b";\nsx q[0];\n")
@@ -466,6 +472,8 @@ class TestTranspileCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("config error: input:")
         assert captured.out == ""
+        if statement.isascii():  # text that decodes: the refusal quotes its statement
+            assert repr(statement.decode()) in captured.err
 
 
 class TestCalibrateCommand:

@@ -5,16 +5,17 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from gravopto.bosonmap import SUBSPACE_INDICES, mapped_hamiltonian
-from gravopto.circuit import phase_distance, u1, unitary_of
+from gravopto.bosonmap import INTERACTION_FACTORS, SUBSPACE_INDICES, mapped_hamiltonian
+from gravopto.circuit import u1, unitary_of
 from gravopto.digitizer import (
     build_evolution_circuit,
     compile_pauli_exponential,
     core_angles,
-    decompose_term,
 )
 from gravopto.pauli import PauliString
 from gravopto.simulator import run_ideal
+
+from test_circuit import linear_distance
 
 
 def exact_exponential(string: PauliString, angle: float) -> np.ndarray:
@@ -24,6 +25,11 @@ def exact_exponential(string: PauliString, angle: float) -> np.ndarray:
 def coupling_generator() -> np.ndarray:
     # exp(i eps M) with M = -H/g, so the matrix below is H at g = -1
     return mapped_hamiltonian(-1.0).matrix()
+
+
+def term_circuit(index: int, epsilon: float):
+    """The index-th factor (1..4) of exp(i eps M), as the evolution builds it."""
+    return compile_pauli_exponential(PauliString(INTERACTION_FACTORS[index - 1]), epsilon / 4)
 
 
 def random_nontrivial_string(rng, n):
@@ -41,7 +47,7 @@ class TestPauliExponential:
             string = random_nontrivial_string(rng, n)
             angle = float(rng.uniform(-2.0, 2.0))
             circ = compile_pauli_exponential(string, angle)
-            d = phase_distance(unitary_of(circ), exact_exponential(string, angle))
+            d = linear_distance(unitary_of(circ), exact_exponential(string, angle))
             assert d <= 1e-12, f"{string} at {angle}: d = {d}"
 
     def test_closed_form_cos_sin(self):
@@ -50,12 +56,12 @@ class TestPauliExponential:
         t = 0.31
         want = math.cos(t) * np.eye(16) + 1j * math.sin(t) * string.matrix()
         got = unitary_of(compile_pauli_exponential(string, t))
-        assert phase_distance(got, want) <= 1e-12
+        assert linear_distance(got, want) <= 1e-12
 
     def test_single_z_is_one_gate(self):
         circ = compile_pauli_exponential(PauliString("IZI"), 0.4)
         assert len(circ.gates) == 1 and circ.gates[0].kind == "u1"
-        d = phase_distance(unitary_of(circ), exact_exponential(PauliString("IZI"), 0.4))
+        d = linear_distance(unitary_of(circ), exact_exponential(PauliString("IZI"), 0.4))
         assert d <= 1e-12
 
     def test_minus_phase_folds_into_angle(self):
@@ -85,14 +91,14 @@ def test_term_circuits_match_their_exponentials():
     eps = 0.37
     factors = ("XXXX", "XXYY", "YYXX", "YYYY")
     for index, label in enumerate(factors, start=1):
-        circ = decompose_term(index, eps)
+        circ = term_circuit(index, eps)
         want = exact_exponential(PauliString(label), eps / 4.0)
-        assert phase_distance(unitary_of(circ), want) <= 1e-12
+        assert linear_distance(unitary_of(circ), want) <= 1e-12
 
 
 def test_first_term_gate_sequence():
     # the all-X factor needs no collars: pure fan, core, mirror fan
-    circ = decompose_term(1, 0.4)
+    circ = term_circuit(1, 0.4)
     kinds = [g.kind for g in circ.gates]
     assert kinds == [
         "cx", "sdg", "cx", "sdg", "cx", "sdg",
@@ -107,35 +113,28 @@ def test_first_term_gate_sequence():
     assert core[2].param == pytest.approx(math.pi / 2)
 
 
-def test_term_index_validation():
-    with pytest.raises(ValueError):
-        decompose_term(0, 0.1)
-    with pytest.raises(ValueError):
-        decompose_term(5, 0.1)
-
-
 def test_epsilon_guard():
     with pytest.raises(ValueError):
         build_evolution_circuit(1.0)
     with pytest.raises(ValueError):
-        decompose_term(1, -1.5)
+        build_evolution_circuit(-1.5)
 
 
 @pytest.mark.parametrize("eps", [1e-7, 1e-4, 1e-2, 0.1, 0.5])
 def test_evolution_matches_generator_exponential(eps):
     want = expm(1j * eps * coupling_generator())
     got = unitary_of(build_evolution_circuit(eps))
-    assert phase_distance(got, want) <= 1e-10
+    assert linear_distance(got, want) <= 1e-10
 
 
 def test_term_order_is_irrelevant():
     eps = 0.25
     reference = unitary_of(build_evolution_circuit(eps))
     for perm in itertools.permutations((1, 2, 3, 4)):
-        total = decompose_term(perm[0], eps)
+        total = term_circuit(perm[0], eps)
         for index in perm[1:]:
-            total = total + decompose_term(index, eps)
-        assert phase_distance(unitary_of(total), reference) <= 1e-10
+            total = total + term_circuit(index, eps)
+        assert linear_distance(unitary_of(total), reference) <= 1e-10
 
 
 def test_evolved_ground_state_and_leakage():

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gravopto.circuit import Circuit, cx, h, measure, phase_distance, rz, unitary_of
+from gravopto.circuit import Circuit, cx, h, measure, rz, unitary_of
 from gravopto.qasm import emit, parse
 
-from test_circuit import random_circuit
+from test_circuit import linear_distance, random_circuit
 
 
 def test_emit_shape():
@@ -47,7 +47,7 @@ def test_round_trip_unitary():
     rng = np.random.default_rng(97)
     for _ in range(20):
         c = random_circuit(rng, 3, 12)
-        d = phase_distance(unitary_of(parse(emit(c))), unitary_of(c))
+        d = linear_distance(unitary_of(parse(emit(c))), unitary_of(c))
         assert d <= 1e-10
 
 
@@ -105,6 +105,11 @@ def test_parse_lenient_preamble(text):
         "OPENQASM 2.0; qreg q[1]; rz(nonsense) q[0];",
         "OPENQASM 2.0; qreg q[1]; h q[x];",
         "OPENQASM 2.0; qreg q[2]; cx q[0];",
+        "OPENQASM 2.0; qreg q[2]; h(0.1) q[0];",
+        "OPENQASM 2.0; qreg q[2]; rz q[0];",
+        "OPENQASM 2.0; qreg q[2]; cx q[0],q[0];",
+        "OPENQASM 2.0; qreg q[2]; x q[0],q[1];",
+        "OPENQASM 2.0; qreg q[2]; measure q[0];",
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -104,7 +104,6 @@ def test_measurement_circuits_structure():
     pairs = measurement_circuits(base)
     assert [s.label for s, _ in pairs] == list(SETTING_LABELS)
     for setting, circ in pairs:
-        assert circ.metadata["setting"] == setting.label
         assert circ.measurements == tuple((q, q) for q in range(4))
         assert circ.gates[: len(base.gates)] == base.gates
 

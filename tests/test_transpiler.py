@@ -13,7 +13,6 @@ from gravopto.circuit import (
     h,
     matrix_of,
     measure,
-    phase_distance,
     rx,
     rz,
     s,
@@ -84,7 +83,7 @@ def assert_routed_equivalent(original, routed):
     s_fin = placement_matrix(list(routed.full_final_layout), n)
     lhs = unitary_of(routed.circuit) @ s_init
     rhs = s_fin @ unitary_of(embedded)
-    assert phase_distance(lhs, rhs) <= 1e-10
+    assert linear_distance(lhs, rhs) <= 1e-10
 
 
 class TestTopology:
@@ -123,11 +122,11 @@ class TestTopology:
     def test_json_round_trip(self, tmp_path):
         t = Topology.preset("nairobi-like")
         text = json.dumps({"n": t.n, "edges": sorted(list(e) for e in t.edges)})
-        back = Topology.from_json(text)
-        assert back.n == t.n and back.edges == t.edges
+        # a preset is its graph: the same graph read from a file equals it
+        assert Topology.from_json(text) == t
         path = tmp_path / "topo.json"
         path.write_text(text)
-        assert resolve_topology(str(path)).edges == t.edges
+        assert resolve_topology(str(path)) == t
 
     def test_neighbors_sorted(self):
         t = Topology.preset("nairobi-like")
@@ -175,7 +174,7 @@ class TestLowering:
         rng = np.random.default_rng(17)
         for _ in range(60):
             c = random_circuit(rng, int(rng.integers(1, 4)), 12)
-            d = phase_distance(unitary_of(lower_to_basis(c)), unitary_of(c))
+            d = linear_distance(unitary_of(lower_to_basis(c)), unitary_of(c))
             assert d <= 1e-10
 
     def test_keeps_measurements(self):
@@ -199,7 +198,7 @@ class TestLowering:
     def test_rx_lowering_shapes(self, angle, kinds):
         low = lower_to_basis(Circuit(1, (rx(0, angle),)))
         assert [g.kind for g in low.gates] == kinds
-        d = phase_distance(unitary_of(low), unitary_of(Circuit(1, (rx(0, angle),))))
+        d = linear_distance(unitary_of(low), unitary_of(Circuit(1, (rx(0, angle),))))
         assert d <= 1e-12
 
     def test_diagonal_gates_become_single_rz(self):
@@ -297,7 +296,7 @@ class TestSimplify:
         rng = np.random.default_rng(53)
         for _ in range(60):
             c = basis_random_circuit(rng, int(rng.integers(1, 4)), int(rng.integers(1, 25)))
-            d = phase_distance(unitary_of(simplify(c)), unitary_of(c))
+            d = linear_distance(unitary_of(simplify(c)), unitary_of(c))
             assert d <= 1e-10
 
     def test_idempotent(self):
@@ -398,7 +397,7 @@ class TestSimplify:
         out = simplify(c)
         assert len(out.gates) < len(c.gates)
         assert all(g.param in (math.pi / 2, math.pi, -math.pi / 2) for g in out.gates if g.kind == "rz")
-        assert phase_distance(unitary_of(out), unitary_of(c)) <= 1e-15
+        assert linear_distance(unitary_of(out), unitary_of(c)) <= 1e-15
 
     def test_measured_circuit_keeps_suffix_rule(self):
         c = Circuit(2, (rz(0, 0.3), h(1), measure(1, 0), measure(0, 1)))
@@ -414,7 +413,7 @@ class TestFullPipeline:
         result = transpile(c)
         assert result.circuit.n_qubits == 4
         assert result.initial_layout == (0, 1, 2, 3)
-        d = phase_distance(unitary_of(result.circuit), unitary_of(c))
+        d = linear_distance(unitary_of(result.circuit), unitary_of(c))
         assert d <= 1e-10
 
     def test_suffix_places_gates_and_refuses_cnots(self):
@@ -440,7 +439,7 @@ class TestFullPipeline:
         lowered = lower_to_basis(c)
         routed = route(lowered, topo, hub_layout(topo))
         simplified = simplify(routed.circuit)
-        d = phase_distance(unitary_of(simplified), unitary_of(routed.circuit))
+        d = linear_distance(unitary_of(simplified), unitary_of(routed.circuit))
         assert d <= 1e-10
         assert_routed_equivalent(lowered, routed)
 
@@ -555,7 +554,7 @@ class TestSuffixWindow:
                 full = transpile(base + suffix, topo, layout).circuit
                 assert got.gates == full.gates, (eps, suffix.gates)
                 if trial < 2:
-                    d = phase_distance(stacked_unitary(got), stacked_unitary(joined))
+                    d = linear_distance(stacked_unitary(got), stacked_unitary(joined))
                     assert d <= 1e-10, (eps, suffix.gates)
                     assert got.measurements == full.measurements
 
@@ -680,12 +679,11 @@ def test_cancel_cx_pairs_equals_the_restart_scan():
     assert removed > 2500
 
 
-def test_candidate_distance_is_phase_distance():
+def test_candidate_distance_is_linear_distance():
     """The drift guard's distance, from the scalar product of Rz, SX and X
-    gates to a 2x2 unitary, is ``phase_distance`` of their ``matrix_of``
-    product in linear form: its square is 4 * phase_distance, to rounding,
-    and on equal matrices up to phase it reads the rounding itself, not
-    its square root."""
+    gates to a 2x2 unitary, is ``linear_distance`` of their ``matrix_of``
+    product, to rounding, and on equal matrices up to phase it reads the
+    rounding itself."""
     rng = np.random.default_rng(89)
     for trial in range(400):
         candidate = [("rz", float(rng.uniform(-4, 4))) if kind == "rz" else (str(kind), None)
@@ -698,8 +696,8 @@ def test_candidate_distance_is_phase_distance():
             assert transpiler._candidate_distance(candidate, u) <= 1e-14
         else:
             u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-            got = transpiler._candidate_distance(candidate, u)
-            assert abs(got ** 2 / 4 - phase_distance(product, u)) <= 1e-15
+        got = transpiler._candidate_distance(candidate, u)
+        assert abs(got - linear_distance(product, u)) <= 1e-15
 
 
 @pytest.mark.parametrize("error,drifts", [(1e-9, True), (1e-11, False)])
