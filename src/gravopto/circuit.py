@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
 
 import numpy as np
 
@@ -203,14 +202,6 @@ class Circuit:
         object.__setattr__(circuit, "n_qubits", n_qubits)
         object.__setattr__(circuit, "gates", gates)
         return circuit
-
-    def extend(self, gates: Iterable[Gate]) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates + tuple(gates))
-
-    def __add__(self, other: "Circuit") -> "Circuit":
-        if self.n_qubits != other.n_qubits:
-            raise ValueError("cannot concatenate circuits of different widths")
-        return Circuit(self.n_qubits, self.gates + other.gates)
 
     @property
     def has_measurements(self) -> bool:

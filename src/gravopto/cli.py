@@ -15,6 +15,7 @@ from .errors import ConfigError
 from .experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
+    checked,
     compile_sweep,
     device_layout,
     emit_outputs,
@@ -187,8 +188,9 @@ def _cmd_transpile(args) -> int:
 def _cmd_calibrate(args) -> int:
     if args.n_bits < 1:
         raise ConfigError(f"n_bits: {args.n_bits} is not >= 1")
-    if args.shots < 0:
-        raise ConfigError(f"shots: {args.shots} is negative")
+    if args.shots:  # 0 asks for the analytic matrix
+        checked("shots", args.shots)
+    checked("seed", args.seed)
     rate = args.readout if args.readout is not None else NOISE_PRESETS[args.noise_preset]["readout"]
     noise = NoiseModel(readout=rate)
     confusion = calibrate_confusion(

@@ -121,7 +121,8 @@ def _epsilons(values) -> tuple:
 # a layout is checked against its topology by ``check_layout``.
 FIELD_RULES = {
     "epsilon_values": (_epsilons, "a non-empty list of numbers, each of absolute value < 1"),
-    "shots": (_kept_if(lambda v: _is_integer(v) and v >= 1), "an integer >= 1"),
+    "shots": (_kept_if(lambda v: _is_integer(v) and 1 <= v < 2**63),  # what numpy multinomials draw
+              "an integer from 1 to 2**63 - 1"),
     "readout": (_NUMBER, "a number"),
     "sq_depol": (_NUMBER, "a number"),
     "cx_depol": (_NUMBER, "a number"),
@@ -135,6 +136,15 @@ FIELD_RULES = {
     "out_dir": (_PATH, "a directory path"),
     "export_qasm": (_FLAG, "true or false"),
 }
+
+
+def checked(name: str, value):
+    """``value`` as config field ``name`` stores it, by its ``FIELD_RULES`` row."""
+    rule, what = FIELD_RULES[name]
+    try:
+        return rule(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name}: {value!r} is not {what}") from None
 
 
 @dataclass(frozen=True)
@@ -157,34 +167,12 @@ class ExperimentConfig:
     export_qasm: bool = False
 
     def __post_init__(self):
-        for name, (rule, what) in FIELD_RULES.items():
-            value = getattr(self, name)
-            try:
-                object.__setattr__(self, name, rule(value))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{name}: {value!r} is not {what}") from None
+        for name in FIELD_RULES:
+            object.__setattr__(self, name, checked(name, getattr(self, name)))
         self.noise_model()  # checks the rates' ranges
         if self.layout is not None:
             layout = check_layout(self.layout, N_QUBITS, self.topology)
             object.__setattr__(self, "layout", layout)
-
-    @classmethod
-    def with_preset(cls, preset: str, **kwargs) -> "ExperimentConfig":
-        if preset not in NOISE_PRESETS:
-            raise ConfigError(
-                f"noise preset: unknown {preset!r}; have {sorted(NOISE_PRESETS)}"
-            )
-        merged = dict(NOISE_PRESETS[preset])
-        merged.update(kwargs)
-        return cls(**merged)
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
-        return cls(**data)
 
     @classmethod
     def from_json(cls, text: str, overrides: dict | None = None) -> "ExperimentConfig":
@@ -194,7 +182,11 @@ class ExperimentConfig:
             raise ConfigError(f"config: invalid JSON ({exc})") from exc
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be an object")
-        return cls.from_json_dict({**data, **(overrides or {})})
+        data.update(overrides or {})
+        unknown = set(data) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ConfigError(f"{sorted(unknown)[0]}: unknown config field")
+        return cls(**data)
 
     def to_json_dict(self) -> dict:
         out = {}
@@ -241,7 +233,8 @@ def device_layout(topology: Topology | None, n_qubits: int, layout=None) -> tupl
         except RoutingError:
             raise ConfigError(f"topology: the connected component of its hub qubit "
                               f"has fewer than {n_qubits} qubits") from None
-    apart = [q for q in layout if topology.shortest_path(layout[0], q) is None]
+    reached = topology.reach(layout[0])
+    apart = [q for q in layout if q not in reached]
     if apart:
         raise ConfigError(f"layout: qubits {layout[0]} and {apart[0]} are disconnected on the topology")
     return layout
@@ -428,12 +421,6 @@ def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
     return table
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def emit_outputs(
     table: list[dict],
     cfg: ExperimentConfig,
@@ -459,7 +446,7 @@ def emit_outputs(
         writer = csv.writer(fh)
         writer.writerow(RESULT_COLUMNS)
         for row in table:
-            writer.writerow([_format_cell(row[col]) for col in RESULT_COLUMNS])
+            writer.writerow([row[col] for col in RESULT_COLUMNS])  # csv writes a float as its repr
     paths["csv"] = csv_path
 
     when = timestamp or datetime.now(timezone.utc).isoformat()

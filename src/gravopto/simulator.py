@@ -200,18 +200,16 @@ def _measure_order(c: Circuit) -> list[int]:
     return [q for q, _ in pairs]
 
 
-def apply_readout(probs: np.ndarray, lambdas) -> np.ndarray:
-    """Mix a symmetric bit flip with rate lambdas[j] into classical bit j of
-    a distribution over 2**k keys, or of each row of a stack of them."""
+def apply_readout(probs: np.ndarray, rate: float) -> np.ndarray:
+    """Mix a symmetric bit flip at ``rate`` into every classical bit of a
+    distribution over 2**k keys, or of each row of a stack of them."""
     probs = np.asarray(probs, dtype=float)
+    if not rate:
+        return probs
     k = int(round(math.log2(probs.shape[-1])))
-    lam = list(lambdas)
-    if len(lam) != k:
-        raise ValueError("one flip rate per classical bit")
     p = probs.reshape(probs.shape[:-1] + (2,) * k)
-    for axis, rate in enumerate(lam, start=probs.ndim - 1):
-        if rate:
-            p = (1.0 - rate) * p + rate * np.flip(p, axis=axis)
+    for axis in range(probs.ndim - 1, p.ndim):
+        p = (1.0 - rate) * p + rate * np.flip(p, axis=axis)
     return p.reshape(probs.shape)
 
 
@@ -296,7 +294,7 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     p = (np.abs(states[rows]) ** 2).reshape((len(rows),) + (2,) * m)
                     p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
                     p = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
-                    probs = apply_readout(p, [noise.readout] * len(kept))
+                    probs = apply_readout(p, noise.readout)
                 done.update(zip(map(id, same), probs))
             for (kind, qubits), subs in branches.items():
                 axes, param = tuple(axis[q] for q in qubits), kind in PARAM_KINDS

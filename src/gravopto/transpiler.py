@@ -3,9 +3,10 @@
 Lowering rewrites each gate locally (diagonal gates become a single Rz; H is
 the 3-gate Rz-SX-Rz form; a generic Rx uses the 5-gate Rz-SX-Rz-SX-Rz form).
 
-Routing walks a SWAP (3 CNOTs) along a BFS shortest path whenever a CNOT
-spans non-adjacent physical qubits. No swap-back is appended; the final
-logical-to-physical permutation is reported instead.
+Routing walks a SWAP (3 CNOTs) along a shortest path of ``Topology.reach``,
+the one BFS (``hub_layout`` and ``device_layout`` read it too), whenever a
+CNOT spans non-adjacent physical qubits. No swap-back is appended; the
+final logical-to-physical permutation is reported instead.
 
 Simplification iterates three deterministic passes to a fixpoint:
 
@@ -107,36 +108,27 @@ class Topology:
         data = json.loads(text)
         return cls(data["n"], frozenset(tuple(e) for e in data["edges"]))
 
-    def neighbors(self, q: int) -> list[int]:
-        return list(self._adjacency[q])
-
-    def adjacent(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.edges
-
-    def degree(self, q: int) -> int:
-        return len(self.neighbors(q))
+    def reach(self, start: int) -> dict[int, int]:
+        """Every qubit connected to ``start``, mapped to its BFS parent (``start``
+        to itself), in visit order; neighbours are visited in ascending order."""
+        parent = {start: start}
+        queue = [start]
+        for node in queue:
+            for nb in self._adjacency[node]:
+                if nb not in parent:
+                    parent[nb] = node
+                    queue.append(nb)
+        return parent
 
     def shortest_path(self, start: int, goal: int) -> list[int] | None:
-        """BFS path (deterministic: neighbours visited in ascending order)."""
-        if start == goal:
-            return [start]
-        parent = {start: start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for nb in self._adjacency[node]:
-                    if nb in parent:
-                        continue
-                    parent[nb] = node
-                    if nb == goal:
-                        path = [goal]
-                        while path[-1] != start:
-                            path.append(parent[path[-1]])
-                        return path[::-1]
-                    nxt.append(nb)
-            frontier = nxt
-        return None
+        """The BFS path from ``reach(start)``; None when ``goal`` is apart."""
+        parent = self.reach(start)
+        if goal not in parent:
+            return None
+        path = [goal]
+        while path[-1] != start:
+            path.append(parent[path[-1]])
+        return path[::-1]
 
 
 @dataclass(frozen=True)
@@ -151,32 +143,19 @@ class Layout:
             raise ValueError("layout is not injective")
         object.__setattr__(self, "logical_to_physical", l2p)
 
-    def __len__(self) -> int:
-        return len(self.logical_to_physical)
-
     def __iter__(self):
         return iter(self.logical_to_physical)
 
 
 def hub_layout(topo: Topology, n_logical: int = 4) -> Layout:
-    """Put logical 0 on the highest-degree physical qubit, the rest BFS-out.
+    """Put logical 0 on the highest-degree physical qubit and the rest on the
+    next qubits that ``reach`` visits from it.
 
     Ties on degree break toward the lowest physical index, so the layout is
     deterministic for a given topology.
     """
-    hub = max(range(topo.n), key=lambda q: (topo.degree(q), -q))
-    order = [hub]
-    seen = {hub}
-    frontier = [hub]
-    while frontier and len(order) < n_logical:
-        nxt = []
-        for node in frontier:
-            for nb in topo.neighbors(node):
-                if nb not in seen:
-                    seen.add(nb)
-                    order.append(nb)
-                    nxt.append(nb)
-        frontier = nxt
+    hub = max(range(topo.n), key=lambda q: (len(topo._adjacency[q]), -q))
+    order = list(topo.reach(hub))
     if len(order) < n_logical:
         raise RoutingError("topology is disconnected under the requested size")
     return Layout(tuple(order[:n_logical]))

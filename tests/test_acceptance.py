@@ -25,6 +25,7 @@ from gravopto.bosonmap import INTERACTION_FACTORS, SUBSPACE_INDICES, mapped_hami
 from gravopto.circuit import Circuit, measure, unitary_of
 from gravopto.digitizer import build_evolution_circuit, compile_pauli_exponential
 from gravopto.experiment import (
+    NOISE_PRESETS,
     ExperimentConfig,
     emit_outputs,
     prepare_circuits,
@@ -69,7 +70,7 @@ def test_criterion_02_terms_commute_and_order_is_free():
         circ = Circuit(4)
         for index in perm:
             term = PauliString(INTERACTION_FACTORS[index - 1])
-            circ = circ + compile_pauli_exponential(term, 0.3 / 4)
+            circ = Circuit(4, circ.gates + compile_pauli_exponential(term, 0.3 / 4).gates)
         assert linear_distance(unitary_of(circ), ref) <= 1e-10, f"order {perm}"
     assert time.perf_counter() - start < 1.0
 
@@ -135,11 +136,11 @@ def test_criterion_07_million_shot_ideal_tomography():
 
 def test_criterion_08_noisy_sweep_mitigation_and_postselection_win():
     start = time.perf_counter()
-    on = ExperimentConfig.with_preset(
-        "belem-like", shots=10_000, topology="belem-like", seed=11,
+    on = ExperimentConfig(
+        **NOISE_PRESETS["belem-like"], shots=10_000, topology="belem-like", seed=11,
     )
-    off = ExperimentConfig.with_preset(
-        "belem-like", shots=10_000, topology="belem-like", seed=11,
+    off = ExperimentConfig(
+        **NOISE_PRESETS["belem-like"], shots=10_000, topology="belem-like", seed=11,
         mitigation=False, postselection=False,
     )
     table_on = run_sweep(on)
@@ -188,7 +189,7 @@ def test_criterion_09_readout_error_bars():
 
 def test_criterion_10_mitigation_inverts_readout():
     base = build_evolution_circuit(0.3, prepend_ground_prep=True)
-    circ = base.extend(measure(q, q) for q in range(4))
+    circ = Circuit(4, base.gates + tuple(measure(q, q) for q in range(4)))
     ideal, = outcome_distributions([circ], NoiseModel())
     noise = NoiseModel(readout=0.03)
     counts = sample_weights(outcome_distributions([circ], noise)[0], 1_000_000, 5)
@@ -205,8 +206,8 @@ def test_criterion_11_round_trips_and_byte_stability(tmp_path):
         again = qasm_parse(qasm_emit(circ))
         assert linear_distance(unitary_of(again), unitary_of(circ)) <= 1e-10
 
-    cfg = ExperimentConfig.with_preset(
-        "belem-like", epsilon_values=(1e-3, 5e-3, 1e-2), shots=500,
+    cfg = ExperimentConfig(
+        **NOISE_PRESETS["belem-like"], epsilon_values=(1e-3, 5e-3, 1e-2), shots=500,
         topology="belem-like", seed=7,
     )
     first = emit_outputs(run_sweep(cfg), cfg, out_dir=str(tmp_path / "a"), timestamp="fixed")

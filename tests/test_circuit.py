@@ -141,20 +141,6 @@ def test_gate_counts():
     assert c.gate_counts() == (3, 2)
 
 
-def test_concatenation():
-    a = Circuit(2, (h(0),))
-    b = Circuit(2, (cx(0, 1),))
-    assert (a + b).gates == (h(0), cx(0, 1))
-    with pytest.raises(ValueError):
-        a + Circuit(3)
-
-
-def test_extend_preserves_immutability():
-    a = Circuit(1, (h(0),))
-    b = a.extend([x(0)])
-    assert len(a.gates) == 1 and len(b.gates) == 2
-
-
 def test_unitary_capacity_guard():
     with pytest.raises(CapacityError):
         unitary_of(Circuit(13, (x(0),)))

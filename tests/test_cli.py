@@ -217,6 +217,22 @@ def test_negative_seed_is_a_config_error(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "results.csv")
 
 
+@pytest.mark.parametrize("command", [["sweep"], ["tomography", "--epsilon", "0.01"]])
+def test_more_shots_than_the_multinomial_draws_is_a_config_error(command, tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--shots", "100000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error: shots: 100000000000000000000 is not ")
+    assert captured.out == "" and os.listdir(tmp_path) == []
+
+
+def test_the_largest_shot_count_is_drawn(capsys):
+    assert main(["calibrate", "--n-bits", "1", "--shots", str(2**63 - 1), "--seed", "3"]) == 0
+    matrix = np.array(json.loads(capsys.readouterr().out)["matrix"])
+    assert abs(matrix.sum(axis=0) - 1).max() <= 1e-12
+
+
 def test_postselection_keeping_nothing_is_a_config_error(tmp_path, capsys):
     # at this seed the one mitigated shot of ZZ has no weight in the physical
     # subspace; Philox draws it alike on every platform
@@ -360,6 +376,15 @@ def test_missing_subcommand_exits_2():
     assert excinfo.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["sweep", "tomography", "calibrate"])
+def test_an_unknown_noise_preset_exits_2(command, capsys):
+    # the command line is the one place a preset's rates are merged
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--noise-preset", "sycamore-like"])
+    assert excinfo.value.code == 2
+    assert "'sycamore-like'" in capsys.readouterr().err
+
+
 class TestCircuitCommand:
     def test_stdout_round_trip(self, capsys):
         assert main(["circuit", "--epsilon", "0.05"]) == 0
@@ -386,7 +411,7 @@ class TestCircuitCommand:
         topo = Topology.preset("belem-like")
         for g in circ.gates:
             if g.kind == "cx":
-                assert topo.adjacent(*g.qubits)
+                assert tuple(sorted(g.qubits)) in topo.edges
 
     def test_topology_needs_transpile(self, capsys):
         rc = main(["circuit", "--topology", "belem-like"])
@@ -439,7 +464,7 @@ class TestTranspileCommand:
         topo = Topology.preset("belem-like")
         for g in circ.gates:
             if g.kind == "cx":
-                assert topo.adjacent(*g.qubits)
+                assert tuple(sorted(g.qubits)) in topo.edges
 
     @pytest.mark.parametrize("layout", ["0,1,1,2", "0,1,2,9", "0,1,2", "a,b,c,d", "1,0.9,2,3"])
     def test_bad_layout_is_a_config_error(self, layout, tmp_path, capsys):
@@ -526,12 +551,15 @@ class TestCalibrateCommand:
 
     @pytest.mark.parametrize(
         "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots"),
-                        (["--readout", "0.7"], "readout"), (["--readout", "-0.1"], "readout")]
+                        (["--readout", "0.7"], "readout"), (["--readout", "-0.1"], "readout"),
+                        # the seed and a sampled shot count by the config's rules
+                        (["--shots", "10", "--seed", "-1"], "seed"), (["--seed", "-1"], "seed"),
+                        (["--shots", str(2**63)], "shots")]
     )
     def test_bad_input_is_a_config_error(self, flags, field, capsys):
         assert main(["calibrate", *flags]) == 2
         captured = capsys.readouterr()
-        assert field in captured.err
+        assert captured.err.startswith(f"config error: {field}: ")
         assert captured.out == ""
 
     def test_dense_limit_exits_3_before_allocation(self, monkeypatch, capsys):

@@ -28,8 +28,9 @@ def test_module_imports_on_its_own(module):
 
 
 def test_the_cli_imports_neither_scipy_nor_numpy_random():
-    """Start-up cost: the mitigation fallback imports scipy and sampling
-    reaches numpy.random only when they run, never on ``import gravopto.cli``."""
+    """Start-up cost: gravopto imports no scipy at all, and sampling and
+    seeding reach numpy.random only when they run, never on
+    ``import gravopto.cli``."""
     proc = _fresh("import sys, gravopto.cli\n"
                   "print(sorted({'scipy', 'numpy.random'} & set(sys.modules)))\n")
     assert proc.returncode == 0, proc.stderr

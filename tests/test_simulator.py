@@ -33,7 +33,7 @@ from test_circuit import random_circuit
 
 
 def measured(c: Circuit) -> Circuit:
-    return c.extend(measure(q, q) for q in range(c.n_qubits))
+    return Circuit(c.n_qubits, c.gates + tuple(measure(q, q) for q in range(c.n_qubits)))
 
 
 def test_zero_state():
@@ -108,14 +108,14 @@ class TestBornProbabilities:
 class TestApplyReadout:
     def test_single_bit(self):
         lam = 0.07
-        out = apply_readout(np.array([1.0, 0.0]), [lam])
+        out = apply_readout(np.array([1.0, 0.0]), lam)
         assert np.allclose(out, [1 - lam, lam])
 
     def test_four_bit_diagonal_weight(self):
         lam = 0.02
         probs = np.zeros(16)
         probs[0] = 1.0
-        out = apply_readout(probs, [lam] * 4)
+        out = apply_readout(probs, lam)
         assert out[0] == pytest.approx((1 - lam) ** 4)
         assert out[-1] == pytest.approx(lam ** 4)
         assert out.sum() == pytest.approx(1.0)
@@ -123,16 +123,8 @@ class TestApplyReadout:
     def test_zero_rate_is_identity(self):
         p = np.linspace(0.0, 1.0, 8)
         p /= p.sum()
-        assert np.allclose(apply_readout(p, [0.0] * 3), p)
+        assert np.allclose(apply_readout(p, 0.0), p)
 
-    def test_rate_count_mismatch(self):
-        with pytest.raises(ValueError):
-            apply_readout(np.ones(4) / 4, [0.1])
-
-    def test_per_bit_rates(self):
-        out = apply_readout(np.array([1.0, 0.0, 0.0, 0.0]), [0.5 - 1e-9, 0.0])
-        assert out[int("00", 2)] == pytest.approx(0.5)
-        assert out[int("10", 2)] == pytest.approx(0.5)
 
 
 class TestNoiseModel:
@@ -149,10 +141,10 @@ class TestNoiseModel:
 
     def test_per_qubit_readout(self):
         # the one rate flips every measured qubit, whichever qubits they are
-        c = Circuit(3, (x(0), h(1))).extend((measure(2, 0), measure(0, 1)))
+        c = Circuit(3, (x(0), h(1), measure(2, 0), measure(0, 1)))
         got, = outcome_distributions([c], NoiseModel(readout=0.05))
         clean, = outcome_distributions([c], NoiseModel())
-        assert np.array_equal(got, apply_readout(clean, [0.05, 0.05]))
+        assert np.array_equal(got, apply_readout(clean, 0.05))
 
 
 class TestRunNoisy:
@@ -205,7 +197,7 @@ class TestRunNoisy:
         c = measured(Circuit(2, (h(0),)))
         shots = 200_000
         counts = sample_weights(outcome_distributions([c], NoiseModel(readout=lam))[0], shots, 4)
-        want = apply_readout(outcome_distributions([c], NoiseModel())[0], [lam, lam])
+        want = apply_readout(outcome_distributions([c], NoiseModel())[0], lam)
         got = counts / shots
         assert np.abs(got - want).max() <= 4 * (0.25 / shots) ** 0.5
 
@@ -258,7 +250,7 @@ def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     diag = rho.diagonal().real.reshape((2,) * n)
     rest = [q for q in range(n) if q not in qubits]
     probs = np.transpose(diag, qubits + rest).reshape(2 ** len(qubits), -1).sum(axis=1)
-    return apply_readout(probs, [noise.readout] * len(qubits))
+    return apply_readout(probs, noise.readout)
 
 
 class TestNoisyProbabilities:
@@ -266,7 +258,7 @@ class TestNoisyProbabilities:
         rng = np.random.default_rng(23)
         for _ in range(5):
             c = random_circuit(rng, 3, 12)
-            c = c.extend((measure(2, 0), measure(0, 1)))
+            c = Circuit(3, c.gates + (measure(2, 0), measure(0, 1)))
             noise = NoiseModel(readout=0.07, sq_depol=0.04, cx_depol=0.09)
             want = kraus_probabilities(c, noise)
             got, = outcome_distributions([c], noise)
@@ -286,8 +278,8 @@ class TestNoisyProbabilities:
         padded = Circuit(6, tuple(
             type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param) for g in bare.gates
         ))
-        bare = bare.extend(measure(q, q) for q in range(3))
-        padded = padded.extend(measure(2 * q, q) for q in range(3))
+        bare = Circuit(3, bare.gates + tuple(measure(q, q) for q in range(3)))
+        padded = Circuit(6, padded.gates + tuple(measure(2 * q, q) for q in range(3)))
         got, = outcome_distributions([padded], noise)
         want, = outcome_distributions([bare], noise)
         assert np.abs(got - want).max() <= 1e-14
@@ -295,7 +287,7 @@ class TestNoisyProbabilities:
     def test_without_gate_noise_it_is_the_pure_state_distribution(self):
         c = measured(build_evolution_circuit(0.1, prepend_ground_prep=True))
         noise = NoiseModel(readout=0.03)
-        want = apply_readout(outcome_distributions([c], NoiseModel())[0], [0.03] * 4)
+        want = apply_readout(outcome_distributions([c], NoiseModel())[0], 0.03)
         assert np.array_equal(outcome_distributions([c], noise)[0], want)
 
     def test_result_is_read_only(self):
@@ -304,7 +296,7 @@ class TestNoisyProbabilities:
             probs[0] = 1.0
 
     def test_sampler_chi_square_on_routed_xy_setting(self):
-        cfg = ExperimentConfig.with_preset("belem-like", topology="belem-like")
+        cfg = ExperimentConfig(**NOISE_PRESETS["belem-like"], topology="belem-like")
         _, circ = prepare_circuits(cfg, 1e-2)["XY"]
         noise = cfg.noise_model()
         shots = 200_000
@@ -355,7 +347,7 @@ def test_pauli_vectors_match_the_kraus_sum_on_partial_permuted_measurements(n):
             for kind in rng.permutation(kinds * 2)
         )
         kept = rng.permutation(n)[:k]
-        c = Circuit(n, gates).extend(measure(int(q), cbit) for cbit, q in enumerate(kept))
+        c = Circuit(n, gates + tuple(measure(int(q), cbit) for cbit, q in enumerate(kept)))
         got, = outcome_distributions([c], noise)
         assert np.abs(got - kraus_probabilities(c, noise)).max() <= 1e-12
 
@@ -366,11 +358,11 @@ def test_readout_on_pauli_vectors_is_the_bit_flip_transform():
     rng = np.random.default_rng(67)
     gate_noise = dict(sq_depol=0.02, cx_depol=0.06)
     for _ in range(5):
-        c = random_circuit(rng, 4, 20).extend((measure(3, 0), measure(1, 1), measure(2, 2)))
+        c = Circuit(4, random_circuit(rng, 4, 20).gates + (measure(3, 0), measure(1, 1), measure(2, 2)))
         without, = outcome_distributions([c], NoiseModel(**gate_noise))
         for r in (0.01, 0.2, 0.49):
             got, = outcome_distributions([c], NoiseModel(readout=r, **gate_noise))
-            assert np.abs(got - apply_readout(without, [r] * 3)).max() <= 1e-15
+            assert np.abs(got - apply_readout(without, r)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("readout", [0.0, 0.03])
@@ -389,14 +381,14 @@ def test_statevector_rows_read_out_together_equal_one_row_at_a_time(readout):
         for k in range(4):
             gates = tuple(Gate(g.kind, g.qubits, rng.uniform(-4, 4)) if g.kind in PARAM_KINDS else g
                           for g in base.gates)
-            circuits.append(Circuit(n, gates).extend(
-                measure(q, cbit) for cbit, q in enumerate(orders[k % 3])))
+            circuits.append(Circuit(n, gates + tuple(
+                measure(q, cbit) for cbit, q in enumerate(orders[k % 3]))))
     got = outcome_distributions(circuits, NoiseModel(readout=readout))
     for c, p in zip(circuits, got):
         order = [q for q, _ in sorted(c.measurements, key=lambda qc: qc[1])]
         rest = [q for q in range(n) if q not in order]
         probs = np.transpose((np.abs(run_ideal(c)) ** 2).reshape((2,) * n), order + rest)
-        want = apply_readout(probs.reshape(2 ** len(order), -1).sum(axis=1), [readout] * len(order))
+        want = apply_readout(probs.reshape(2 ** len(order), -1).sum(axis=1), readout)
         assert np.array_equal(p, want)
 
 
@@ -404,7 +396,7 @@ def _family(rng, n):
     """Measured circuits sharing a random trunk: branches of it, the trunk
     itself, a copy of a branch, and a circuit on fewer touched qubits."""
     trunk = random_circuit(rng, n, 10)
-    out = [trunk.extend(random_circuit(rng, n, int(rng.integers(1, 6))).gates)
+    out = [Circuit(n, trunk.gates + random_circuit(rng, n, int(rng.integers(1, 6))).gates)
            for _ in range(3)]
     out += [trunk, out[0]]
     out = [measured(c) for c in out]
@@ -413,7 +405,7 @@ def _family(rng, n):
         type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param)
         for g in random_circuit(rng, 2, 8).gates
     ))
-    out.append(narrow.extend((measure(2, 0), measure(0, 1))))
+    out.append(Circuit(n, narrow.gates + (measure(2, 0), measure(0, 1))))
     # a different register width
     out.append(measured(random_circuit(rng, n - 1, 6)))
     return out

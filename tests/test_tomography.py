@@ -110,7 +110,7 @@ def test_measurement_circuits_structure():
 
 def test_measurement_circuits_rejects_bad_base():
     base = build_evolution_circuit(0.1, prepend_ground_prep=True)
-    already = base.extend([measure(q, q) for q in range(4)])
+    already = Circuit(4, base.gates + tuple(measure(q, q) for q in range(4)))
     with pytest.raises(ValueError):
         measurement_circuits(already)
     with pytest.raises(ValueError):
@@ -193,7 +193,7 @@ class TestConfusionMatrix:
         # byte as the simulator's readout channel computes it
         for n_bits in range(1, 9):
             eye = np.eye(2 ** n_bits)
-            want = apply_readout(eye, [lam] * n_bits)
+            want = apply_readout(eye, lam)
             assert exact_confusion(lam, n_bits).tobytes() == want.T.copy().tobytes()
 
 
@@ -269,7 +269,7 @@ class TestMitigate:
         truth = np.zeros(16)
         truth[int("0101", 2)] = 0.7
         truth[int("1010", 2)] = 0.3
-        noisy = apply_readout(truth, [lam] * 4)
+        noisy = apply_readout(truth, lam)
         out = mitigate_weights(noisy[None] * 10_000, cm)[0]
         recovered = out / out.sum()
         assert np.abs(recovered - truth).max() <= 1e-9
@@ -348,7 +348,7 @@ class TestMitigate:
     def test_round_trip_through_sampling(self):
         lam = 0.04
         base = build_evolution_circuit(0.3, prepend_ground_prep=True)
-        circ = base.extend([measure(q, q) for q in range(4)])
+        circ = Circuit(4, base.gates + tuple(measure(q, q) for q in range(4)))
         counts = sample_weights(outcome_distributions([circ], NoiseModel(readout=lam))[0], 100_000, 33)
         out = mitigate_weights(counts[None], exact_confusion(lam, 4))[0]
         ideal, = outcome_distributions([circ], NoiseModel())

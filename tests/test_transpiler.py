@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -129,10 +130,12 @@ class TestTopology:
         assert resolve_topology(str(path)) == t
 
     def test_neighbors_sorted(self):
+        # ``reach`` visits each qubit's neighbours in ascending order, level by level
         t = Topology.preset("nairobi-like")
-        assert t.neighbors(5) == [3, 4, 6]
-        assert t.neighbors(1) == [0, 2, 3]
-        assert t.degree(0) == 1
+        assert list(t.reach(5).items()) == [(5, 5), (3, 5), (4, 5), (6, 5), (1, 3), (0, 1), (2, 1)]
+        assert list(t.reach(1)) == [1, 0, 2, 3, 5, 4, 6]
+        assert t.reach(0)[1] == 0
+        assert Topology(3, frozenset({(0, 1)})).reach(2) == {2: 2}
 
     def test_shortest_path(self):
         t = Topology.preset("belem-like")
@@ -152,6 +155,88 @@ def test_hub_layout_presets():
     assert tuple(hub_layout(Topology.preset("belem-like"))) == (1, 0, 2, 3)
     # degree tie between qubits 1 and 5 breaks toward the lower index
     assert tuple(hub_layout(Topology.preset("nairobi-like"))) == (1, 0, 2, 3)
+
+
+def oracle_neighbours(topo: Topology) -> list[list[int]]:
+    """Each qubit's neighbours, ascending, read from the edge set alone."""
+    return [sorted({b if a == q else a for a, b in topo.edges if q in (a, b)}) for q in range(topo.n)]
+
+
+def frontier_shortest_path(topo: Topology, start: int, goal: int) -> list[int] | None:
+    """The oracle for ``Topology.shortest_path``: the frontier BFS it ran
+    before ``Topology.reach``, stopping at the goal."""
+    if start == goal:
+        return [start]
+    neighbours = oracle_neighbours(topo)
+    parent = {start: start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for node in frontier:
+            for nb in neighbours[node]:
+                if nb in parent:
+                    continue
+                parent[nb] = node
+                if nb == goal:
+                    path = [goal]
+                    while path[-1] != start:
+                        path.append(parent[path[-1]])
+                    return path[::-1]
+                nxt.append(nb)
+        frontier = nxt
+    return None
+
+
+def frontier_hub_layout(topo: Topology, n_logical: int) -> Layout:
+    """The oracle for ``hub_layout``: its frontier BFS from the hub before
+    ``Topology.reach``, stopping once it has ``n_logical`` qubits."""
+    neighbours = oracle_neighbours(topo)
+    hub = max(range(topo.n), key=lambda q: (len(neighbours[q]), -q))
+    order = [hub]
+    seen = {hub}
+    frontier = [hub]
+    while frontier and len(order) < n_logical:
+        nxt = []
+        for node in frontier:
+            for nb in neighbours[node]:
+                if nb not in seen:
+                    seen.add(nb)
+                    order.append(nb)
+                    nxt.append(nb)
+        frontier = nxt
+    if len(order) < n_logical:
+        raise RoutingError("topology is disconnected under the requested size")
+    return Layout(tuple(order[:n_logical]))
+
+
+def test_reach_gives_the_frontier_bfs_paths_and_hub_layouts():
+    """On 600 seeded random graphs of 1 to 12 qubits, connected or not,
+    ``shortest_path`` for every ordered pair of qubits and ``hub_layout``
+    for every size from 0 to n + 1 equal the frontier BFS oracles', a
+    RoutingError where the oracle raises one. Bound: 20 s (about 0.8 s on
+    a 2-core x86 box)."""
+    start = time.perf_counter()
+    rng = np.random.default_rng(83)
+    split = 0
+    for _ in range(600):
+        n = int(rng.integers(1, 13))
+        p = rng.uniform(0.0, 0.6)
+        edges = frozenset((a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p)
+        topo = Topology(n, edges)
+        split += len(topo.reach(0)) < n
+        for a in range(n):
+            for b in range(n):
+                assert topo.shortest_path(a, b) == frontier_shortest_path(topo, a, b), (edges, a, b)
+        for k in range(n + 2):
+            try:
+                want = frontier_hub_layout(topo, k)
+            except RoutingError:
+                with pytest.raises(RoutingError):
+                    hub_layout(topo, k)
+            else:
+                assert hub_layout(topo, k) == want, (edges, k)
+    assert 100 <= split <= 500  # both kinds of graph are well represented
+    assert time.perf_counter() - start < 20.0
 
 
 def test_hub_layout_needs_enough_connected_qubits():
@@ -221,7 +306,7 @@ class TestRouting:
             routed = route(c, topo)
             for g in routed.circuit.gates:
                 if g.kind == "cx":
-                    assert topo.adjacent(*g.qubits)
+                    assert tuple(sorted(g.qubits)) in topo.edges
 
     def test_permutation_equivalence(self):
         rng = np.random.default_rng(41)
@@ -419,7 +504,7 @@ class TestFullPipeline:
     def test_suffix_places_gates_and_refuses_cnots(self):
         prefix = transpile(build_evolution_circuit(0.1), Topology.preset("belem-like"))
         tail = Circuit(4, (h(2), measure(2, 0)))
-        out = simplify(prefix.circuit + place_suffix(tail, prefix))
+        out = simplify(Circuit(5, prefix.circuit.gates + place_suffix(tail, prefix).gates))
         assert out.measurements == ((prefix.final_layout[2], 0),)
         with pytest.raises(ValueError, match="routing"):
             place_suffix(Circuit(4, (cx(0, 1),)), prefix)
@@ -452,7 +537,7 @@ class TestFullPipeline:
             assert all(g.kind in BASIS_KINDS for g in result.circuit.gates)
             for g in result.circuit.gates:
                 if g.kind == "cx":
-                    assert topo.adjacent(*g.qubits)
+                    assert tuple(sorted(g.qubits)) in topo.edges
 
 
 SUFFIX_EDGE_ANGLES = (math.pi, -math.pi, 0.0, 1e-13)
@@ -527,9 +612,9 @@ def test_stacked_unitary_is_unitary_of():
 
 class TestSuffixWindow:
     """A sweep's settings templates are its compiled evolution with each
-    placed suffix appended, simplified again: the suffix reaches only a
-    window of the evolution's tail, and the result must be the whole
-    circuit's ``transpile`` exactly."""
+    placed suffix appended, simplified again: ``place_suffix`` places the
+    suffix through the final layout, and simplifying the joined circuit
+    gives the whole circuit's ``transpile`` exactly."""
 
     @pytest.mark.parametrize(
         "topology,layout",
@@ -549,9 +634,9 @@ class TestSuffixWindow:
                     for g in lower_to_basis(suffix).gates
                 )
                 assert place_suffix(suffix, prefix).gates == placed
-                joined = prefix.circuit + Circuit(prefix.circuit.n_qubits, placed)
+                joined = Circuit(prefix.circuit.n_qubits, prefix.circuit.gates + placed)
                 got = simplify(joined)
-                full = transpile(base + suffix, topo, layout).circuit
+                full = transpile(Circuit(4, base.gates + suffix.gates), topo, layout).circuit
                 assert got.gates == full.gates, (eps, suffix.gates)
                 if trial < 2:
                     d = linear_distance(stacked_unitary(got), stacked_unitary(joined))
@@ -566,15 +651,15 @@ class TestSuffixWindow:
                             if trailing_run(prefix.circuit, wire))
         suffix = Circuit(4, tuple(undo_on(prefix.circuit, run, logical)))
         kept = tuple(g for i, g in enumerate(prefix.circuit.gates) if i not in run)
-        assert simplify(prefix.circuit + place_suffix(suffix, prefix)).gates == kept
+        assert simplify(Circuit(5, prefix.circuit.gates + place_suffix(suffix, prefix).gates)).gates == kept
 
 
 def test_resynthesis_count_guard(monkeypatch):
     """Preparing the 13 default belem-like points one by one re-synthesises
-    at most 260 single-qubit runs (117 with one-point templates). Before
-    suffix windows and dirty-wire passes it took 520: every simplify
-    re-synthesised every run twice, and the two rotated settings
-    re-simplified the whole prefix."""
+    at most 260 single-qubit runs. Each point is a one-point sweep whose
+    templates share one memo, so it makes 117: 9 distinct runs a point. An
+    earlier compile took 520: every simplify re-synthesised every run
+    twice, and the two rotated settings re-simplified the whole prefix."""
     calls = []
     original = transpiler._resynthesis
 
