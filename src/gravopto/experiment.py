@@ -16,10 +16,10 @@ own ``transpile`` would cancel every gate but two.
 ``run_sweep`` then makes one ``outcome_distributions`` call for the settings
 of every point, which evolves the points that share a gate structure as one
 stack. The settings' weights, sampled or exact, are the rows of one array,
-which one confusion matrix mitigates and which are post-selected and
-estimated row by row (see ``tomography``). ``run_point`` is the one-point
-case of the same code. The CSV payload is byte-stable for a fixed config;
-the JSON report additionally carries a timestamp.
+which is mitigated, post-selected and estimated row by row (see
+``tomography``). ``run_point`` is the one-point case of the same code. The
+CSV payload is byte-stable for a fixed config; the JSON report additionally
+carries a timestamp.
 """
 from __future__ import annotations
 
@@ -46,7 +46,6 @@ from .simulator import NoiseModel, outcome_distributions, sample_weights
 from .tomography import (
     SETTING_LABELS,
     MeasurementSetting,
-    calibrate_confusion,
     expectations,
     measurement_circuits,
     mitigate_weights,
@@ -375,9 +374,8 @@ def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
 
     One ``outcome_distributions`` call evolves every point's settings, whose
     weights, sampled with a seed per setting or exact, are the rows of one
-    array; one confusion matrix serves all: every setting measures all
-    N_QUBITS qubits, each flipped at the one readout rate. Each result row
-    depends only on its own point.
+    array; mitigation undoes the one readout rate on every measured bit.
+    Each result row depends only on its own point.
     """
     noise = cfg.noise_model()
     distributions = outcome_distributions(
@@ -390,7 +388,7 @@ def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
                  for s in np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))]
         weights = np.array([sample_weights(p, cfg.shots, s) for p, s in zip(distributions, seeds)])
     if cfg.mitigation:
-        weights = mitigate_weights(weights, calibrate_confusion(N_QUBITS, noise))
+        weights = mitigate_weights(weights, noise.readout)
     rows = dict(zip(SETTING_LABELS, weights.reshape(len(points), len(SETTING_LABELS), -1).swapaxes(0, 1)))
     # the sweep post-selects the correlation setting; the population settings
     # keep their leakage, which decodes to zero weight

@@ -17,11 +17,12 @@ Rz, Rx and U1. A CNOT is a gather of entries, the same on every row.
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
 depolarising channel rho -> (1 - lam) rho + lam (I/d (x) Tr_gate rho) with
-lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Readout error is a
-symmetric bit flip at one rate for every measured qubit. Pauli strings are
-eigenvectors of both channels: the error scales each string that is not the
-identity on the gate's qubits by 1 - lam, and a flip at rate r scales a
-measured qubit's Z by 1 - 2r. So on Pauli vectors both are scalings.
+lam = p d^2 / (d^2 - 1) (Nielsen & Chuang, section 8.3). Pauli strings are
+its eigenvectors: it scales each string that is not the identity on the
+gate's qubits by 1 - lam, so on Pauli vectors it is a scaling. Readout error
+is a symmetric bit flip at one rate for every measured qubit, mixed into the
+finished distribution by ``apply_readout``; at -r / (1 - 2r) that routine
+undoes a flip at r, which is how ``tomography`` mitigates it.
 
 ``outcome_distributions`` turns a list of measured circuits (a whole sweep's
 tomography settings) into their exact outcome distributions in one pass per
@@ -131,13 +132,12 @@ def _iz_index(m: int, axes) -> np.ndarray:
     return index
 
 
-def _pauli_probabilities(z: np.ndarray, keep: float) -> np.ndarray:
+def _pauli_probabilities(z: np.ndarray) -> np.ndarray:
     """Outcome distributions from rows of measured qubits' I/Z components
-    (``_iz_index``), each qubit's Z scaled by ``keep``: the Walsh transform
-    p_b = 2**-k sum_s (-1)**(b.s) keep**|s| z_s."""
+    (``_iz_index``): the Walsh transform p_b = 2**-k sum_s (-1)**(b.s) z_s."""
     p = z.reshape((len(z),) + (2,) * (z.shape[1].bit_length() - 1))
     for ax in range(1, p.ndim):
-        i, zz = np.take(p, 0, ax), keep * np.take(p, 1, ax)
+        i, zz = np.take(p, 0, ax), np.take(p, 1, ax)
         p = np.stack((i + zz, i - zz), axis=ax)
     return p.reshape(len(z), -1) / z.shape[1]
 
@@ -202,7 +202,9 @@ def _measure_order(c: Circuit) -> list[int]:
 
 def apply_readout(probs: np.ndarray, rate: float) -> np.ndarray:
     """Mix a symmetric bit flip at ``rate`` into every classical bit of a
-    distribution over 2**k keys, or of each row of a stack of them."""
+    distribution over 2**k keys, or of each row of a stack of them. Per bit
+    that is [[1 - r, r], [r, 1 - r]]; at r' = -r / (1 - 2r) it is that
+    matrix's inverse, [[1 - r, -r], [-r, 1 - r]] / (1 - 2r)."""
     probs = np.asarray(probs, dtype=float)
     if not rate:
         return probs
@@ -288,14 +290,12 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     branches.setdefault(seq[depth], []).append((structure, rows))
                     continue
                 if mixed:
-                    z = states[np.ix_(rows, _iz_index(m, kept))]
-                    probs = _pauli_probabilities(z, 1.0 - 2.0 * noise.readout)
+                    probs = _pauli_probabilities(states[np.ix_(rows, _iz_index(m, kept))])
                 else:  # |psi|**2 summed down to the measured axes, in classical-bit order
                     p = (np.abs(states[rows]) ** 2).reshape((len(rows),) + (2,) * m)
                     p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
-                    p = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
-                    probs = apply_readout(p, noise.readout)
-                done.update(zip(map(id, same), probs))
+                    probs = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
+                done.update(zip(map(id, same), apply_readout(probs, noise.readout)))
             for (kind, qubits), subs in branches.items():
                 axes, param = tuple(axis[q] for q in qubits), kind in PARAM_KINDS
                 angles = {g.param for (_, cols, *_), _ in subs for g in cols[depth]} if param else {None}

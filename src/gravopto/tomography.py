@@ -16,11 +16,11 @@ parity, (-1)**(sum of the two bits). Post-selection applies only to settings
 measured in the computational basis, where leaked pairs are identifiable.
 
 A sweep's settings are the rows of one weights array, 2**4 weights per row
-in key order. ``mitigate_weights``, ``postselect_weights`` and
-``expectations`` work on such rows. The last two add a row's weights one
-after another in key order; ``mitigate_weights`` takes each row's total with
-``np.sum``, which can differ from that in the last bit. One setting's
-weights are a one-row array.
+in key order; one setting's weights are a one-row array. ``mitigate_weights``
+undoes the readout flip on every row without building a matrix, and takes
+each row's total with ``np.sum``; ``postselect_weights`` and ``expectations``
+add a row's weights one after another in key order, which can differ from
+that in the last bit.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from .bosonmap import N_QUBITS, SUBSPACE_INDICES
 from .circuit import MAX_DENSE_QUBITS, Circuit, Gate, h, measure, sdg
 from .errors import CapacityError
-from .simulator import NoiseModel, sample_weights
+from .simulator import NoiseModel, apply_readout, sample_weights
 
 SETTING_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
 
@@ -163,23 +163,23 @@ def project_to_simplex(quasi: np.ndarray) -> np.ndarray:
     return np.maximum(quasi - theta, 0.0)
 
 
-def mitigate_weights(weights: np.ndarray, confusion: np.ndarray) -> np.ndarray:
-    """Invert readout confusion and take the nearest distribution, row by row.
+def mitigate_weights(weights: np.ndarray, readout: float) -> np.ndarray:
+    """Undo a symmetric bit flip at ``readout`` on every measured bit and
+    take the nearest distribution, row by row.
 
-    The quasi-distribution ``inv(confusion) @ p`` can have negative
-    entries; its Euclidean projection onto the simplex is the closest
-    distribution (Smolin, Gambetta and Smith, PRL 108, 070502 (2012)). Each
-    result is rescaled to its row's total weight.
+    The inverse of the tensored flip at r is the tensored flip at
+    -r / (1 - 2r) (Bravyi, Sheldon, Kandala, McKay and Gambetta, PRA 103,
+    042605 (2021)), so ``apply_readout`` at that rate gives each row's
+    quasi-distribution. It can have negative entries; its Euclidean
+    projection onto the simplex is the closest distribution (Smolin,
+    Gambetta and Smith, PRL 108, 070502 (2012)). Each result is rescaled to
+    its row's total weight.
     """
-    if weights.shape[-1] != len(confusion):
-        raise ValueError("weights and confusion matrix disagree on width")
-    totals = [w.sum() for w in weights]
-    if min(totals) <= 0:
+    totals = weights.sum(axis=-1, keepdims=True)
+    if not (totals > 0).all():
         raise ValueError("a row has no weight")
-    inverse = np.linalg.inv(confusion)
-    # one matrix-vector product per row: a stacked product can round otherwise
-    probs = project_to_simplex(np.array([inverse @ (w / t) for w, t in zip(weights, totals)]))
-    return np.array([p / p.sum() * t for p, t in zip(probs, totals)])
+    probs = project_to_simplex(apply_readout(weights / totals, -readout / (1.0 - 2.0 * readout)))
+    return probs / probs.sum(axis=-1, keepdims=True) * totals
 
 
 def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:

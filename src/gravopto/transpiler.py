@@ -23,9 +23,9 @@ Simplification iterates three deterministic passes to a fixpoint:
      quarter-turn Rz. One other rotation, an Rz: kept as a gate of its own,
      the quarter turns that commute with it merged in, each Clifford part
      beside it a shortest word. So a sweep's core slot compiles to
-     ``turned(slot, k)``, whatever its size or sign. More rotations: the
-     Euler form Rz SX Rz SX Rz. A replacement is checked against its run in
-     a distance linear in the angle error.
+     ``turned(slot, k)``, whatever its size or sign. Any other run, such as
+     one with two or more other rotations, is left as it is. A replacement
+     is checked against its run in a distance linear in the angle error.
 
 All three preserve the unitary up to global phase and never increase any
 gate count, so simplify is idempotent gate for gate. A run's replacement
@@ -46,8 +46,6 @@ import math
 from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Sequence
-
-import numpy as np
 
 from .circuit import PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate, matrix_of
 from .errors import RoutingError
@@ -432,21 +430,6 @@ def _candidate_distance(candidate, u) -> float:
     return math.sqrt(sum(abs(x * phase - y) ** 2 for x, y in zip(p, v)))
 
 
-def _synthesize_1q(u: np.ndarray) -> tuple:
-    """The Euler form Rz SX Rz SX Rz of a 2x2 unitary, up to phase, as
-    (kind, param) pairs; a zero outer Rz is left out."""
-    det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
-    v = u / np.sqrt(det)
-    beta = 2.0 * math.atan2(abs(v[1, 0]), abs(v[0, 0]))
-    alpha_plus, alpha_minus = 2.0 * np.angle(v[1, 1]), 2.0 * np.angle(v[1, 0])
-    alpha, gamma = 0.5 * (alpha_plus + alpha_minus), 0.5 * (alpha_plus - alpha_minus)
-    gates = [] if quarter_turns(gamma) == 0 else [("rz", _wrap(gamma))]
-    gates += [("sx", None), ("rz", _wrap(beta + math.pi)), ("sx", None)]
-    if quarter_turns(alpha + math.pi) != 0:
-        gates.append(("rz", _wrap(alpha + math.pi)))
-    return tuple(gates)
-
-
 def _resynthesis(run: tuple) -> tuple | None:
     """The canonical form of a single-qubit run of (kind, param) gates (see
     the module docstring) when it is shorter, else None."""
@@ -459,7 +442,7 @@ def _resynthesis(run: tuple) -> tuple | None:
         k_tail, tail = _AFTER[_clifford_key(run[i + 1:])]
         candidate = head + (("rz", turned(_wrap(run[i][1]), k_head + k_tail)),) + tail
     else:
-        candidate = _synthesize_1q(np.array(_product(run)))
+        return None
     if len(candidate) >= len(run):
         return None
     # 1e-10 holds one Rz to about 1.4e-10 rad

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from gravopto import experiment, transpiler
+from gravopto import experiment, tomography, transpiler
 from gravopto.analysis import concurrence_theory, exact_traces, fidelity_error, fidelity_from_traces
 from gravopto.circuit import Circuit, Gate, u1, unitary_of
 from gravopto.digitizer import build_evolution_circuit
@@ -28,7 +28,6 @@ from gravopto.qasm import parse as qasm_parse
 from gravopto.simulator import outcome_distributions, sample_weights
 from gravopto.tomography import (
     SETTING_LABELS,
-    calibrate_confusion,
     expectations,
     measurement_circuits,
     mitigate_weights,
@@ -556,26 +555,18 @@ class TestRunPoint:
         assert row["cnot_gates"] == 24
         assert row["single_qubit_gates"] > 40
 
-    def test_one_confusion_matrix_per_measured_register(self, monkeypatch):
-        # every setting of every point measures the same four-qubit register at
-        # the one readout rate, so one matrix serves a whole sweep
-        calls = []
-        calibrate = experiment.calibrate_confusion
+    def test_a_mitigated_sweep_builds_and_inverts_no_matrix(self, monkeypatch):
+        # mitigation undoes the one readout rate bit by bit (``apply_readout``
+        # at -r / (1 - 2r)), so no confusion matrix is built or inverted
+        def refuse(*args, **kwargs):
+            pytest.fail("a mitigated sweep built or inverted a confusion matrix")
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return calibrate(*args, **kwargs)
-
-        monkeypatch.setattr(experiment, "calibrate_confusion", counted)
+        monkeypatch.setattr(tomography, "calibrate_confusion", refuse)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
         cfg = ExperimentConfig(shots=100, readout=0.02, topology="belem-like")
-        run_point(cfg, 0.01, seed=0)
-        assert len(calls) == 1 and calls[0][0] == 4
-        calls.clear()
-        run_sweep(cfg)
-        assert len(calls) == 1 and calls[0][0] == 4
-        calls.clear()
-        run_sweep(dataclasses.replace(cfg, mitigation=False))
-        assert calls == []
+        mitigated = run_point(cfg, 0.01, seed=0)
+        assert run_sweep(cfg)
+        assert mitigated != run_point(dataclasses.replace(cfg, mitigation=False), 0.01, seed=0)
 
     def test_sampling_is_seeded(self):
         cfg = ExperimentConfig(shots=400, readout=0.02, transpile=False)
@@ -660,7 +651,6 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
     one-row weights array per setting, sampled with the setting's seed or
     exact, mitigated, post-selected and estimated on its own."""
     noise = cfg.noise_model()
-    confusion = calibrate_confusion(4, noise)
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
     rows = []
     for eps, seed, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compile_sweep(cfg)):
@@ -674,7 +664,7 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
             else:
                 row = sample_weights(probs, cfg.shots, int(setting_seed))[None]
             if cfg.mitigation:
-                row = mitigate_weights(row, confusion)
+                row = mitigate_weights(row, cfg.readout)
             if label == "ZZ":
                 kept, fraction = postselect_weights(row, setting)
                 retained[label] = float(fraction[0])

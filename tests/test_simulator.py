@@ -353,8 +353,9 @@ def test_pauli_vectors_match_the_kraus_sum_on_partial_permuted_measurements(n):
 
 
 def test_readout_on_pauli_vectors_is_the_bit_flip_transform():
-    """Readout scales each measured qubit's Z part by 1 - 2 r, which is
-    apply_readout on the distribution of the same circuit without it."""
+    """Readout on Pauli-vector rows is apply_readout on the distribution of
+    the same circuit without it, byte for byte: the rows' Walsh transform
+    has no readout of its own."""
     rng = np.random.default_rng(67)
     gate_noise = dict(sq_depol=0.02, cx_depol=0.06)
     for _ in range(5):
@@ -362,7 +363,7 @@ def test_readout_on_pauli_vectors_is_the_bit_flip_transform():
         without, = outcome_distributions([c], NoiseModel(**gate_noise))
         for r in (0.01, 0.2, 0.49):
             got, = outcome_distributions([c], NoiseModel(readout=r, **gate_noise))
-            assert np.abs(got - apply_readout(without, r)).max() <= 1e-15
+            assert np.array_equal(got, apply_readout(without, r))
 
 
 @pytest.mark.parametrize("readout", [0.0, 0.03])

@@ -466,8 +466,8 @@ class TestSimplify:
 
     def test_small_rotations_survive(self):
         """Rotations of 1e-7 rad are not quarter turns: a run with two of
-        them has no shorter Euler form, and one with one keeps it as a gate
-        of its own. Neither comes out a bare SX."""
+        them is left as it is, and one with one keeps it as a gate of its
+        own. Neither comes out a bare SX."""
         two = Circuit(1, (rz(0, 1e-7), sx(0), rz(0, 1e-7)))
         assert simplify(two).gates == two.gates
         one = Circuit(1, (x(0), sx(0), rz(0, 1e-7), sx(0), sx(0)))
@@ -787,27 +787,33 @@ def test_candidate_distance_is_linear_distance():
 
 @pytest.mark.parametrize("error,drifts", [(1e-9, True), (1e-11, False)])
 def test_the_drift_guard_refuses_a_wrong_resynthesis(monkeypatch, error, drifts):
-    """A resynthesis whose last Rz is off by ``error`` rad is error / sqrt(2)
+    """A resynthesis whose kept Rz is off by ``error`` rad is error / sqrt(2)
     from the run in the guard's linear distance: 7.1e-10 is refused and
     7.1e-12 is let through, so the guard's 1e-10 bound holds a resynthesis
     to about 1.4e-10 rad. (Under the quadratic distance the same bound let
     3e-5 rad through, and the test used errors of 1e-4 and 1e-5 rad.)"""
-    run = Circuit(1, (rz(0, 0.3), sx(0), rz(0, 0.7), sx(0), rz(0, 1.1), sx(0)))
-    want = simplify(run).gates
-    assert len(want) < len(run.gates) and want[-1].kind == "rz"
-    original = transpiler._synthesize_1q
+    run = (("sx", None), ("rz", 0.7), ("sx", None), ("sx", None), ("x", None))
+    assert transpiler._resynthesis(run) == (("sx", None), ("rz", 0.7))
+    original = transpiler.turned
 
-    def off(u):
-        gates = original(u)
-        return gates[:-1] + (("rz", gates[-1][1] + error),)
+    def off(angle, k):
+        return original(angle, k) + error
 
-    monkeypatch.setattr(transpiler, "_synthesize_1q", off)
+    # the one-rotation path keeps its Rz at ``turned(angle, k)``
+    monkeypatch.setattr(transpiler, "turned", off)
     if drifts:
         with pytest.raises(RuntimeError, match="resynthesis drifted"):
-            simplify(run)
+            transpiler._resynthesis(run)
     else:
-        got = simplify(run).gates
-        assert got[:-1] == want[:-1] and got[-1].param == want[-1].param + error
+        assert transpiler._resynthesis(run) == (("sx", None), ("rz", 0.7 + error))
+
+
+def test_a_run_of_several_rotations_is_left_as_it_is():
+    """Only a run of quarter turns, or of quarter turns and one other Rz, has
+    a canonical form; three other rotations keep their six gates."""
+    run = Circuit(1, (rz(0, 0.3), sx(0), rz(0, 0.7), sx(0), rz(0, 1.1), sx(0)))
+    assert transpiler._resynthesis(tuple((g.kind, g.param) for g in run.gates)) is None
+    assert simplify(run).gate_counts() == (6, 0)
 
 
 EDGE_ANGLES = (0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 1e-13, -1e-13, 1e-7, -1e-7)
