@@ -1,4 +1,4 @@
-"""Reference states, fidelity, concurrence and error propagation.
+"""Fidelity from the measured correlators, its error bar, and concurrence.
 
 The register of interest is the logical two-mode space {|00>, |01>, |10>,
 |11>} (matter mode first). The fidelity target is the second-order
@@ -9,58 +9,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .tomography import SETTING_LABELS
 
 
-def exact_state(epsilon: float) -> np.ndarray:
-    """cos(eps)|00> + i sin(eps)|11>, the exact two-level evolution."""
-    return np.array([math.cos(epsilon), 0.0, 0.0, 1j * math.sin(epsilon)])
-
-
-def _as_state_vector(state) -> np.ndarray:
-    vec = np.asarray(state, dtype=complex).reshape(-1)
-    if vec.size != 4:
-        raise ValueError("expected a two-mode state")
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
-        raise ValueError("state is not normalized")
-    return vec
-
-
-def concurrence(state) -> float:
-    """sqrt(2 (1 - tr rho_m^2)) for a pure two-mode state."""
-    psi = _as_state_vector(state).reshape(2, 2)
-    rho_m = psi @ psi.conj().T
-    purity = float(np.real(np.trace(rho_m @ rho_m)))
-    return math.sqrt(max(2.0 * (1.0 - purity), 0.0))
-
-
 def concurrence_theory(epsilon: float) -> float:
-    """Closed form for the exactly evolved state."""
+    """|sin 2 eps|, the concurrence of cos(eps)|00> + i sin(eps)|11>."""
     return abs(math.sin(2.0 * epsilon))
-
-
-def exact_traces(epsilon: float) -> dict:
-    """Correlators of exact_state(epsilon)."""
-    return {
-        "ZZ": 1.0,
-        "XY": math.sin(2.0 * epsilon),
-        "YX": math.sin(2.0 * epsilon),
-        "IZ": math.cos(2.0 * epsilon),
-        "ZI": math.cos(2.0 * epsilon),
-    }
-
-
-def perturbative_traces(epsilon: float) -> dict:
-    """Second-order predictions: 2 eps off-diagonals, 1 - 2 eps^2 populations."""
-    return {
-        "ZZ": 1.0,
-        "XY": 2.0 * epsilon,
-        "YX": 2.0 * epsilon,
-        "IZ": 1.0 - 2.0 * epsilon ** 2,
-        "ZI": 1.0 - 2.0 * epsilon ** 2,
-    }
 
 
 def _trace_dict(traces) -> dict:

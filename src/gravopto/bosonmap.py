@@ -15,7 +15,6 @@ and the physical subspace is spanned by bitstrings 0101, 0110, 1001, 1010
 from __future__ import annotations
 
 from .circuit import Circuit, x
-from .pauli import PauliString, PauliSum
 
 # two modes, one qubit pair each
 N_QUBITS = 4
@@ -33,14 +32,6 @@ SUBSPACE_INDICES = tuple(int(bits, 2) for bits in PHYSICAL_BITSTRINGS)
 # Pauli factors of the mapped interaction, in the order the evolution
 # circuit realises them.
 INTERACTION_FACTORS = ("XXXX", "XXYY", "YYXX", "YYYY")
-
-
-def mapped_hamiltonian(g: float) -> PauliSum:
-    """Qubit image of -g (b + b^dag)(a + a^dag) under the dual-rail encoding."""
-    coeff = -g / 4.0
-    return PauliSum(
-        [(coeff, PauliString(f)) for f in INTERACTION_FACTORS], n_qubits=N_QUBITS
-    )
 
 
 def ground_state_prep() -> Circuit:

@@ -1,4 +1,4 @@
-"""Gate-level circuit container and dense evaluator.
+"""Gate-level circuit container and the gates' matrices.
 
 Gate definitions (exact, testable):
 
@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 
 import numpy as np
 
-from .errors import CapacityError
-
+# the dense limit: 4**12 entries in a simulator pass or a calibration matrix
 MAX_DENSE_QUBITS = 12
 
 GATE_KINDS = ("x", "sx", "sxdg", "h", "s", "sdg", "rx", "rz", "u1", "cx", "measure")
@@ -217,40 +215,4 @@ class Circuit:
         single = sum(1 for g in self.gates if g.kind in SINGLE_QUBIT_KINDS)
         two = sum(1 for g in self.gates if g.kind == "cx")
         return single, two
-
-
-def _embedded(gate: Gate, n: int) -> np.ndarray:
-    eye = np.eye(2, dtype=complex)
-    if gate.kind == "cx":
-        c, t = gate.qubits
-        p0 = np.array([[1, 0], [0, 0]], dtype=complex)
-        p1 = np.array([[0, 0], [0, 1]], dtype=complex)
-        xm = FIXED_MATRICES["x"]
-        hold = [eye] * n
-        hold[c] = p0
-        term0 = reduce(np.kron, hold)
-        hold = [eye] * n
-        hold[c] = p1
-        hold[t] = xm
-        term1 = reduce(np.kron, hold)
-        return term0 + term1
-    hold = [eye] * n
-    hold[gate.qubits[0]] = matrix_of(gate)
-    return reduce(np.kron, hold)
-
-
-def unitary_of(c: Circuit) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit.
-
-    Composition convention: for gates [g1, g2, ...] applied in order the
-    result is ... @ U(g2) @ U(g1).
-    """
-    if c.has_measurements:
-        raise ValueError("circuit with measurements has no unitary")
-    if c.n_qubits > MAX_DENSE_QUBITS:
-        raise CapacityError(f"{c.n_qubits} qubits exceeds the dense limit")
-    total = np.eye(2 ** c.n_qubits, dtype=complex)
-    for g in c.gates:
-        total = _embedded(g, c.n_qubits) @ total
-    return total
 

@@ -3,7 +3,8 @@
 The coupling unitary exp(i eps M) with
 M = (XXXX + XXYY + YYXX + YYYY) / 4 factors exactly into its four term
 exponentials because the terms commute pairwise; no product-formula error
-is introduced and term order is irrelevant.
+is introduced and term order is irrelevant. A term is its factor string,
+one of I, X, Y, Z per qubit (qubit 0 leftmost), with coefficient +1.
 
 Each term exponential is built as a conjugation ladder around a single-qubit
 rotation on the pivot (lowest-index support qubit):
@@ -25,47 +26,40 @@ import math
 
 from .bosonmap import INTERACTION_FACTORS, ground_state_prep
 from .circuit import Circuit, Gate, cx, h, rx, s, sdg, u1
-from .pauli import PauliString
 
 _HALF_PI = math.pi / 2.0
-_TERMS = tuple(PauliString(factors) for factors in INTERACTION_FACTORS)
 
 
-def _core_angle(string: PauliString, angle: float) -> float:
-    """2a for the core of exp(i * angle * string)'s ladder, with a -1 string
-    phase folded into the angle and the sign set by the fan steps modulo 4."""
-    theta = float(angle) if string.phase_power == 0 else -float(angle)
-    sign = 1.0 if (sum(f != "I" for f in string.factors) - 1) % 4 in (0, 3) else -1.0
-    return float(2.0 * sign * theta)
+def _core_angle(factors: str, angle: float) -> float:
+    """2a for the core of exp(i * angle * factors)'s ladder, its sign set by
+    the fan steps modulo 4."""
+    sign = 1.0 if (sum(f != "I" for f in factors) - 1) % 4 in (0, 3) else -1.0
+    return 2.0 * sign * float(angle)
 
 
-def compile_pauli_exponential(string: PauliString, angle: float) -> Circuit:
-    """Circuit phase-equivalent to exp(i * angle * string).
+def compile_pauli_exponential(factors: str, angle: float) -> Circuit:
+    """Circuit phase-equivalent to exp(i * angle * P), P the Pauli string
+    ``factors``, e.g. "XXYY"."""
+    support = [q for q, f in enumerate(factors) if f != "I"]
+    if not support or set(factors) - set("IXYZ"):
+        raise ValueError(f"{factors!r} is not a Pauli string other than the identity")
+    n = len(factors)
+    core = _core_angle(factors, angle)
 
-    The string phase must be +-1; a -1 phase is folded into the angle.
-    """
-    if string.phase_power % 2 == 1:
-        raise ValueError("cannot exponentiate a string with +-i phase")
-    support = [q for q, f in enumerate(string.factors) if f != "I"]
-    if not support:
-        raise ValueError("identity string has no nontrivial exponential")
-    n = string.n_qubits
-    core = _core_angle(string, angle)
-
-    if len(support) == 1 and string.factors[support[0]] == "Z":
+    if len(support) == 1 and factors[support[0]] == "Z":
         # diagonal case: exp(i t Z) = U1(-2t) up to phase, 2t the core angle
         return Circuit(n, (u1(support[0], -core),))
 
     opening: list[Gate] = []
     closing: list[Gate] = []
     for q in sorted(support, reverse=True):
-        f = string.factors[q]
+        f = factors[q]
         if f == "Y":
             opening.append(sdg(q))
         elif f == "Z":
             opening.append(h(q))
     for q in sorted(support):
-        f = string.factors[q]
+        f = factors[q]
         if f == "Y":
             closing.append(s(q))
         elif f == "Z":
@@ -94,8 +88,8 @@ def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -
     """Full coupling unitary exp(i eps M), optionally after ground-state prep."""
     _check_epsilon(epsilon)
     gates = ground_state_prep().gates if prepend_ground_prep else ()
-    for term in _TERMS:
-        gates += compile_pauli_exponential(term, epsilon / 4.0).gates
+    for factors in INTERACTION_FACTORS:
+        gates += compile_pauli_exponential(factors, epsilon / 4.0).gates
     # the assembled gates are checked once, not once per partial sum
     return Circuit(4, gates)
 
@@ -104,7 +98,7 @@ def core_angles(epsilon: float) -> tuple[float, ...]:
     """The angles of ``build_evolution_circuit(epsilon)``'s four U1 gates, in
     order: its Y-type cores, and the only gates whose angle depends on epsilon."""
     _check_epsilon(epsilon)
-    return tuple(_core_angle(term, epsilon / 4.0) for term in _TERMS)
+    return tuple(_core_angle(factors, epsilon / 4.0) for factors in INTERACTION_FACTORS)
 
 
 def _check_epsilon(epsilon: float):

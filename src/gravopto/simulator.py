@@ -42,7 +42,6 @@ sample, a row of counts. Nothing is kept between calls.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -178,17 +177,6 @@ class _Kernel:
         return _apply_1q(terms, states, axes[0])
 
 
-def run_ideal(c: Circuit) -> np.ndarray:
-    """Final statevector from |0...0>, flat shape (2**n,). Measurements are skipped."""
-    psi = np.zeros((1, 2 ** c.n_qubits), dtype=complex)
-    psi[0, 0] = 1.0
-    kernel = _Kernel(c.n_qubits, mixed=False)
-    for g in c.gates:
-        if g.kind != "measure":
-            psi = kernel.apply(psi, g.kind, g.qubits, [g.param])
-    return psi.reshape(-1)
-
-
 def _measure_order(c: Circuit) -> list[int]:
     """Measured qubits sorted by classical bit; cbits must be 0..k-1."""
     pairs = sorted(c.measurements, key=lambda qc: qc[1])
@@ -206,9 +194,12 @@ def apply_readout(probs: np.ndarray, rate: float) -> np.ndarray:
     that is [[1 - r, r], [r, 1 - r]]; at r' = -r / (1 - 2r) it is that
     matrix's inverse, [[1 - r, -r], [-r, 1 - r]] / (1 - 2r)."""
     probs = np.asarray(probs, dtype=float)
+    width = probs.shape[-1]
+    if width < 1 or width & (width - 1):
+        raise ValueError(f"a distribution over {width} keys is not over 2**k keys")
     if not rate:
         return probs
-    k = int(round(math.log2(probs.shape[-1])))
+    k = width.bit_length() - 1
     p = probs.reshape(probs.shape[:-1] + (2,) * k)
     for axis in range(probs.ndim - 1, p.ndim):
         p = (1.0 - rate) * p + rate * np.flip(p, axis=axis)
@@ -245,7 +236,7 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     The results are read-only; a circuit object given again shares one
     array. A CapacityError is raised before anything is allocated if a
     pass's circuits plus its CNOT tables, one per pair of qubits, times a
-    row's entries exceed 4**MAX_DENSE_QUBITS, the size ``unitary_of`` allows.
+    row's entries exceed 4**MAX_DENSE_QUBITS, the dense limit.
     """
     # a circuit object given again (a point's ZZ, IZ and ZI) is computed once;
     # ``circuits`` keeps every object alive, so no id is reused

@@ -3,19 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from gravopto.analysis import (
-    concurrence,
-    concurrence_theory,
-    exact_state,
-    exact_traces,
-    fidelity_error,
-    fidelity_from_traces,
-    perturbative_traces,
-    trace_uncertainty,
-)
+from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces, trace_uncertainty
 from gravopto.experiment import ExperimentConfig, prepare_circuits
 from gravopto.simulator import NoiseModel, outcome_distributions
 from gravopto.tomography import expectations
+
+from oracles import concurrence, exact_state, exact_traces, perturbative_traces
 
 
 def perturbative_state(eps: float) -> np.ndarray:

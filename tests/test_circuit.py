@@ -16,10 +16,11 @@ from gravopto.circuit import (
     sx,
     sxdg,
     u1,
-    unitary_of,
     x,
 )
 from gravopto.errors import CapacityError
+
+from oracles import unitary_of
 
 PARAMLESS = ("x", "sx", "sxdg", "h", "s", "sdg")
 

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from gravopto import experiment, simulator, transpiler
-from gravopto.circuit import unitary_of
 from gravopto.cli import _build_parser, main
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.experiment import RESULT_COLUMNS, ExperimentConfig
@@ -18,6 +17,7 @@ from gravopto.simulator import NoiseModel
 from gravopto.tomography import calibrate_confusion
 from gravopto.transpiler import Topology, transpile
 
+from oracles import unitary_of
 from test_circuit import linear_distance
 
 

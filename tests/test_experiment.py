@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from gravopto import experiment, tomography, transpiler
-from gravopto.analysis import concurrence_theory, exact_traces, fidelity_error, fidelity_from_traces
-from gravopto.circuit import Circuit, Gate, u1, unitary_of
+from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces
+from gravopto.circuit import Circuit, Gate, u1
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
@@ -43,6 +43,7 @@ from gravopto.transpiler import (
     transpile,
 )
 
+from oracles import exact_traces, unitary_of
 from test_circuit import linear_distance
 
 

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gravopto.circuit import Circuit, cx, h, measure, rz, unitary_of
+from gravopto.circuit import Circuit, cx, h, measure, rz
 from gravopto.qasm import emit, parse
 
+from oracles import unitary_of
 from test_circuit import linear_distance, random_circuit
 
 

@@ -1,14 +1,13 @@
 import itertools
 import json
 import tracemalloc
-from functools import reduce
 
 import numpy as np
 import pytest
 
 from gravopto import simulator
 from gravopto.bosonmap import SUBSPACE_INDICES, ground_state_prep
-from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, unitary_of, x
+from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, x
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError, ConfigError
 from gravopto.experiment import (
@@ -24,11 +23,11 @@ from gravopto.simulator import (
     NoiseModel,
     apply_readout,
     outcome_distributions,
-    run_ideal,
     sample_weights,
 )
 from gravopto.transpiler import TOPOLOGY_PRESETS
 
+from oracles import pauli_matrix, run_ideal, unitary_of
 from test_circuit import random_circuit
 
 
@@ -219,14 +218,6 @@ class TestRunNoisy:
         assert abs(freq - want) <= 4 * sigma
 
 
-PAULIS = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
-
 def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
     """Full density matrix; after each gate, every non-identity Pauli on its
     qubits as an explicit Kraus term, each with weight rate / (4**k - 1)."""
@@ -240,10 +231,10 @@ def kraus_probabilities(c: Circuit, noise: NoiseModel) -> np.ndarray:
         terms = list(itertools.product(range(4), repeat=len(g.qubits)))[1:]
         mixed = np.zeros_like(rho)
         for term in terms:
-            ops = [PAULIS[0]] * n
+            factors = ["I"] * n
             for q, idx in zip(g.qubits, term):
-                ops[q] = PAULIS[idx]
-            pauli = reduce(np.kron, ops)
+                factors[q] = "IXYZ"[idx]
+            pauli = pauli_matrix("".join(factors))
             mixed += pauli @ rho @ pauli.conj().T
         rho = (1 - rate) * rho + rate / len(terms) * mixed
     qubits = [q for q, _ in sorted(c.measurements, key=lambda qc: qc[1])]
@@ -313,8 +304,7 @@ def pauli_transfer(u: np.ndarray) -> np.ndarray:
     """R[s, t] = tr(P_s u P_t u^dag) / 2**n over the n-qubit Pauli strings,
     qubit 0 the leftmost base-4 digit."""
     n = len(u).bit_length() - 1
-    strings = [reduce(np.kron, [PAULIS[d] for d in digits])
-               for digits in itertools.product(range(4), repeat=n)]
+    strings = [pauli_matrix("".join(f)) for f in itertools.product("IXYZ", repeat=n)]
     return np.array([[np.trace(ps @ u @ pt @ u.conj().T).real / 2 ** n for pt in strings]
                      for ps in strings])
 

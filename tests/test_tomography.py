@@ -14,7 +14,6 @@ from gravopto.simulator import (
     NoiseModel,
     apply_readout,
     outcome_distributions,
-    run_ideal,
     sample_weights,
 )
 from gravopto.tomography import (
@@ -28,22 +27,14 @@ from gravopto.tomography import (
     project_to_simplex,
 )
 
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
+from oracles import pauli_matrix, run_ideal
 
-# dense image of one logical factor on a dual-rail qubit pair
-PAIR_OPS = {
-    "I": np.kron(I2, I2),
-    "Z": np.kron(Z, I2),
-    "X": np.kron(X, X),
-    "Y": np.kron(Y, X),
-}
+# the Pauli string of one logical factor on a dual-rail qubit pair
+PAIR_FACTORS = {"I": "II", "Z": "ZI", "X": "XX", "Y": "YX"}
 
 
 def setting_operator(label: str) -> np.ndarray:
-    return np.kron(PAIR_OPS[label[0]], PAIR_OPS[label[1]])
+    return pauli_matrix(PAIR_FACTORS[label[0]] + PAIR_FACTORS[label[1]])
 
 
 def weights_row(entries: dict, n_bits: int = 4) -> np.ndarray:
@@ -354,9 +345,12 @@ class TestMitigate:
         assert negative > 0
         assert scipy == []
 
-    def test_a_width_that_is_no_power_of_two_is_refused(self):
-        with pytest.raises(ValueError):
-            mitigate_weights(np.array([[1.0, 2.0, 3.0]]), 0.1)
+    @pytest.mark.parametrize("width", [3, 6])
+    @pytest.mark.parametrize("rate", [0.0, 0.1])
+    def test_a_width_that_is_no_power_of_two_is_refused(self, rate, width):
+        # at rate 0 too, where the flip itself is the identity
+        with pytest.raises(ValueError, match=f"over {width} keys"):
+            mitigate_weights(np.arange(1.0, width + 1.0)[None], rate)
 
     def test_round_trip_through_sampling(self):
         lam = 0.04

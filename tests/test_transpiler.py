@@ -21,7 +21,6 @@ from gravopto.circuit import (
     sx,
     sxdg,
     u1,
-    unitary_of,
     x,
 )
 from gravopto.digitizer import build_evolution_circuit
@@ -46,6 +45,7 @@ from gravopto.transpiler import (
     transpile,
 )
 
+from oracles import unitary_of
 from test_circuit import linear_distance, random_circuit
 
 
