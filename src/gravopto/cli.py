@@ -122,12 +122,13 @@ def _run_config(args) -> ExperimentConfig:
     return ExperimentConfig.from_json(text, overrides=data)
 
 
-def _write(text: str, dest: str):
+def _write(chunks, dest: str):
+    """Write each piece of text in ``chunks`` as it comes, to file ``dest`` or - for stdout."""
     if dest == "-":
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     with open(dest, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        fh.writelines(chunks)
 
 
 def _cmd_sweep(args) -> int:
@@ -135,8 +136,7 @@ def _cmd_sweep(args) -> int:
     # one compile serves the settings and the QASM export of every point
     compiled = compile_sweep(cfg)
     table = run_sweep(cfg, compiled)
-    evolutions = [evolution for evolution, _ in compiled]
-    paths = emit_outputs(table, cfg, evolutions=evolutions)
+    paths = emit_outputs(table, cfg, compiled=compiled)
     mean_f = sum(r["fidelity"] for r in table) / len(table)
     print(f"wrote {paths['csv']} and {paths['json']}")
     print(f"{len(table)} points, mean fidelity {mean_f:.4f}")
@@ -163,7 +163,7 @@ def _cmd_circuit(args) -> int:
         circ = transpile(circ, topo, device_layout(topo, circ.n_qubits)).circuit
     elif args.topology:
         raise ConfigError("topology: only used together with --transpile")
-    _write(qasm_emit(circ), args.out)
+    _write([qasm_emit(circ)], args.out)
     return 0
 
 
@@ -179,7 +179,7 @@ def _cmd_transpile(args) -> int:
         layout = list(range(topo.n))  # as wide as the device: placed, as a sweep's export is
     circ = transpile(circ, topo, device_layout(topo, circ.n_qubits, layout)).circuit
     single, cnots = circ.gate_counts()
-    _write(qasm_emit(circ), args.out)
+    _write([qasm_emit(circ)], args.out)
     summary = f"single_qubit_gates={single} cnot_gates={cnots}\n"
     (sys.stderr if args.out == "-" else sys.stdout).write(summary)
     return 0
@@ -196,15 +196,16 @@ def _cmd_calibrate(args) -> int:
     confusion = calibrate_confusion(
         args.n_bits, noise, shots=args.shots or None, seed=args.seed
     )
-    # one matrix row per line, not an indented dump's line per entry, and
-    # each distinct entry's repr, most of a 10-bit matrix's cost, made once
+    # one matrix row per line, written as it is made; each distinct entry's
+    # repr, most of a 10-bit matrix's cost, made once
     cells: dict = {}
-    rows = ",\n".join(
-        "    [" + ", ".join([cells.get(v) or cells.setdefault(v, repr(v)) for v in row]) + "]"
-        for row in confusion.tolist())
+    rows = ((",\n    [" if n else "    [")
+            + ", ".join([cells.get(v) or cells.setdefault(v, repr(v)) for v in row.tolist()]) + "]"
+            for n, row in enumerate(confusion))
     rest = json.dumps({"n_bits": args.n_bits, "readout": rate, "shots": args.shots},
                       indent=2, sort_keys=True)
-    _write('{\n  "matrix": [\n' + rows + "\n  ]," + rest[1:] + "\n", args.out)
+    head, tail = '{\n  "matrix": [\n', "\n  ]," + rest[1:] + "\n"
+    _write((text for part in ([head], rows, [tail]) for text in part), args.out)
     return 0
 
 

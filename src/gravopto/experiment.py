@@ -8,18 +8,20 @@ is its one-point case. Every point is one circuit: a Clifford skeleton and
 four core rotations whose angles depend on epsilon. So a sweep simplifies a
 template of each circuit a point runs, with generic core angles, and
 ``simplify`` keeps each core an Rz of its own with k quarter turns merged in
-(see ``transpiler``). A point writes ``turned(core angle, k)`` there: gate
-for gate its own ``transpile``, in one structure for every epsilon. So does
-epsilon = 0, as the experiment at zero coupling, with Rz(0) cores where its
-own ``transpile`` would cancel every gate but two.
+(see ``transpiler``). A point's angle there is ``turned(core angle, k)``:
+gate for gate its own ``transpile``, in one structure for every epsilon. So
+does epsilon = 0, as the experiment at zero coupling, with Rz(0) cores where
+its own ``transpile`` would cancel every gate but two. A compiled sweep keeps
+each slot's angles as a *lane*, one per point, and binds a point only when
+asked, as ``prepare_circuits`` and the QASM export do.
 
-``run_sweep`` then makes one ``outcome_distributions`` call for the settings
-of every point, which evolves the points that share a gate structure as one
-stack. The settings' weights, sampled or exact, are the rows of one array,
-which is mitigated, post-selected and estimated row by row (see
-``tomography``). ``run_point`` is the one-point case of the same code. The
-CSV payload is byte-stable for a fixed config; the JSON report additionally
-carries a timestamp.
+``run_sweep`` then makes one ``outcome_distributions`` call on the three
+settings templates with their lanes, which evolves every point as a row of
+one stack. The settings' weights, sampled or exact, are the rows of one
+(points x settings) array, which is mitigated, post-selected and estimated
+row by row (see ``tomography``). ``run_point`` is the one-point case of the
+same code. The CSV payload is byte-stable for a fixed config; the JSON
+report additionally carries a timestamp.
 """
 from __future__ import annotations
 
@@ -269,11 +271,12 @@ def _bind(template: tuple, cores) -> Circuit:
     return Circuit._trusted(circuit.n_qubits, tuple(gates))
 
 
-class _SweepCompiler:
+class CompiledSweep:
     """What the points of a sweep share, made once: the resolved topology and
     layout, the evolution's skeleton (its circuit at epsilon = 0, lowered
     and routed, whose only 0.0 angles are its four core slots) and the
-    templates, simplified through one memo when the sweep transpiles."""
+    templates, simplified through one memo when the sweep transpiles; and
+    each point's core angles, which ``sweep[p]`` binds into them."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
@@ -306,6 +309,8 @@ class _SweepCompiler:
             else:  # measurements keep a fixpoint one: a pass stops at them as at the end
                 template = (Circuit._trusted(marked.n_qubits, gates), self.evolution[1])
             self.settings.append((template, settings))
+        self.gate_counts = self.settings[0][0][0].gate_counts()  # ZZ's template: every point's
+        self.cores = [core_angles(eps) for eps in cfg.epsilon_values]
 
     def _template(self, gates: tuple, memo: dict) -> tuple:
         """The circuit of ``gates``, simplified when the sweep transpiles, and
@@ -321,23 +326,30 @@ class _SweepCompiler:
             raise RuntimeError(f"a template has {len(rotations)} non-Clifford angles, not 4 slots")
         return circuit, slots
 
-    def point(self, epsilon: float) -> tuple[RoutedCircuit, dict]:
-        """``compile_sweep``'s item for one epsilon."""
-        cores = core_angles(epsilon)
+    def __len__(self) -> int:
+        return len(self.cores)
+
+    def __getitem__(self, p: int) -> tuple[RoutedCircuit, dict]:
         circuits = {}
         for template, settings in self.settings:
-            circ = _bind(template, cores)
+            circ = _bind(template, self.cores[p])
             circuits.update((setting.label, (setting, circ)) for setting in settings)
-        return (replace(self.skeleton, circuit=_bind(self.evolution, cores)),
+        return (replace(self.skeleton, circuit=_bind(self.evolution, self.cores[p])),
                 {label: circuits[label] for label in SETTING_LABELS})
 
+    def distributions(self, noise: NoiseModel) -> np.ndarray:
+        """(points, settings, 2**4): the templates in one call, each core slot a lane."""
+        laned = [(circuit, {i: [turned(cores[j], k) for cores in self.cores] for i, j, k in slots})
+                 for (circuit, slots), _ in self.settings]
+        got = {s.label: p for (_, settings), p in zip(self.settings, outcome_distributions(laned, noise))
+               for s in settings}
+        return np.stack([got[label] for label in SETTING_LABELS], axis=1)
 
-def compile_sweep(cfg: ExperimentConfig) -> list[tuple[RoutedCircuit, dict]]:
-    """Each point's ``(evolution, settings)``, in input order: its evolution
-    circuit (with ground-state prep) as it runs, and its ``prepare_circuits``,
-    bound into the sweep's templates (see ``_SweepCompiler``)."""
-    compiler = _SweepCompiler(cfg)
-    return [compiler.point(eps) for eps in cfg.epsilon_values]
+
+def compile_sweep(cfg: ExperimentConfig) -> CompiledSweep:
+    """The sweep's templates and its points' core angles; item p is point p's
+    ``(evolution, settings)``: its evolution as it runs, and its ``prepare_circuits``."""
+    return CompiledSweep(cfg)
 
 
 def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
@@ -351,59 +363,52 @@ def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
 
 def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
     """One sweep row; self-contained and deterministic for (cfg, eps, seed)."""
-    return _rows(cfg, [(epsilon, seed, prepare_circuits(cfg, epsilon))])[0]
+    cfg = replace(cfg, epsilon_values=(epsilon,))
+    return _rows(cfg, compile_sweep(cfg), [seed])[0]
 
 
-def run_sweep(cfg: ExperimentConfig,
-              compiled: list[tuple[RoutedCircuit, dict]] | None = None) -> list[dict]:
+def run_sweep(cfg: ExperimentConfig, compiled: CompiledSweep | None = None) -> list[dict]:
     """One row per epsilon, in input order. ``compiled`` is the sweep's
     ``compile_sweep``, made here when not given."""
     if compiled is None:
         compiled = compile_sweep(cfg)
-    point_seeds = np.random.SeedSequence(cfg.seed).generate_state(
-        len(cfg.epsilon_values)
-    )
-    return _rows(cfg, [
-        (eps, int(s), circuits)
-        for eps, s, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compiled)
-    ])
+    point_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
+    return _rows(cfg, compiled, [int(s) for s in point_seeds])
 
 
-def _rows(cfg: ExperimentConfig, points: list[tuple]) -> list[dict]:
-    """The result row of each (epsilon, seed, ``prepare_circuits``) point.
+def _rows(cfg: ExperimentConfig, compiled: CompiledSweep, point_seeds: list[int]) -> list[dict]:
+    """The result row of each point of ``compiled``, the sweep of ``cfg``.
 
-    One ``outcome_distributions`` call evolves every point's settings, whose
-    weights, sampled with a seed per setting or exact, are the rows of one
-    array; mitigation undoes the one readout rate on every measured bit.
-    Each result row depends only on its own point.
+    Every point's settings are rows of one weights array, point by point:
+    their distributions, sampled with a seed per setting or exact.
+    Mitigation undoes the one readout rate on every measured bit. Each
+    result row depends only on its own point.
     """
     noise = cfg.noise_model()
-    distributions = outcome_distributions(
-        [circuits[label][1] for _, _, circuits in points for label in SETTING_LABELS], noise
-    )
+    flat = compiled.distributions(noise).reshape(-1, 2 ** N_QUBITS)
     if cfg.analytic_mode:
-        weights = np.array(distributions) * cfg.shots
+        weights = flat * cfg.shots
     else:
-        seeds = [int(s) for _, seed, _ in points
+        seeds = [int(s) for seed in point_seeds
                  for s in np.random.SeedSequence(seed).generate_state(len(SETTING_LABELS))]
-        weights = np.array([sample_weights(p, cfg.shots, s) for p, s in zip(distributions, seeds)])
+        weights = sample_weights(flat, cfg.shots, seeds)
     if cfg.mitigation:
         weights = mitigate_weights(weights, noise.readout)
-    rows = dict(zip(SETTING_LABELS, weights.reshape(len(points), len(SETTING_LABELS), -1).swapaxes(0, 1)))
+    rows = {label: weights[s::len(SETTING_LABELS)] for s, label in enumerate(SETTING_LABELS)}
     # the sweep post-selects the correlation setting; the population settings
     # keep their leakage, which decodes to zero weight
     kept, retained = postselect_weights(rows["ZZ"], MeasurementSetting("ZZ"))
     if cfg.postselection:
-        empty = [eps for (eps, _, _), frac in zip(points, retained) if not frac > 0]
+        empty = [eps for eps, frac in zip(cfg.epsilon_values, retained) if not frac > 0]
         if empty:
             raise ConfigError(f"shots: {cfg.shots} is too few: post-selection keeps no weight of "
                               f"setting ZZ at epsilon {empty[0]!r}; use more shots or --no-postselect")
         rows["ZZ"] = kept
     estimates = {label: expectations(w, MeasurementSetting(label))[0] for label, w in rows.items()}
     table = []
-    for n, (epsilon, seed, circuits) in enumerate(points):
+    single, cnots = compiled.gate_counts
+    for n, (epsilon, seed) in enumerate(zip(cfg.epsilon_values, point_seeds)):
         traces = {label: float(est[n]) for label, est in estimates.items()}
-        single, cnots = circuits["ZZ"][1].gate_counts()
         table.append({
             "epsilon": float(epsilon),
             "fidelity": float(fidelity_from_traces(epsilon, traces)),
@@ -424,14 +429,15 @@ def emit_outputs(
     cfg: ExperimentConfig,
     out_dir: str | None = None,
     timestamp: str | None = None,
-    evolutions: list[RoutedCircuit] | None = None,
+    compiled: CompiledSweep | None = None,
 ) -> dict:
     """Write results.csv and report.json (and QASM exports when asked).
 
     Returns the paths written. The CSV holds exactly RESULT_COLUMNS and is
     byte-stable for a fixed config; the timestamp lives only in the JSON.
-    The QASM export writes the sweep's ``evolutions`` (the first items of
-    ``compile_sweep``), made here when not given.
+    The QASM export binds each point's evolution into the template of the
+    sweep's ``compiled`` (its ``compile_sweep``, made here when not given),
+    one file at a time.
     """
     if not table:
         raise ValueError("nothing to write")
@@ -462,13 +468,13 @@ def emit_outputs(
     paths["json"] = json_path
 
     if cfg.export_qasm:
-        if evolutions is None:
-            evolutions = [evolution for evolution, _ in compile_sweep(cfg)]
+        if compiled is None:
+            compiled = compile_sweep(cfg)
         qasm_paths = []
-        for i, evolution in enumerate(evolutions):
+        for i in range(len(compiled)):
             path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(qasm_emit(evolution.circuit))
+                fh.write(qasm_emit(_bind(compiled.evolution, compiled.cores[i])))
             qasm_paths.append(path)
         paths["qasm"] = qasm_paths
     return paths

@@ -24,20 +24,20 @@ is a symmetric bit flip at one rate for every measured qubit, mixed into the
 finished distribution by ``apply_readout``; at -r / (1 - 2r) that routine
 undoes a flip at r, which is how ``tomography`` mitigates it.
 
-``outcome_distributions`` turns a list of measured circuits (a whole sweep's
-tomography settings) into their exact outcome distributions in one pass per
-register. A circuit's register is the qubits its gates and measurements
-touch, so a device's idle qubits, which stay in |0>, are never simulated; a
-circuit with gate noise evolves their Pauli vector, any other their
-statevector. Circuits on one register walk the tree of their gate
-structures, the gates' kinds and qubits without their angles: each position
-in it is one kernel call on a stack of the distinct states below it, so the
-sweep points that compile to the same structure share every call. Circuits
-share a row while their gates and their angles' bits agree (0.0 and -0.0
-part): the points up to the first angle they differ in, a point's settings
-over their evolution, and equal copies throughout. Every row gets the
-arithmetic of its circuit evolved alone; one circuit is a list of one. Shots
-are i.i.d., so ``sample_weights`` draws a whole setting as one multinomial
+``outcome_distributions`` turns measured circuits and templates (a sweep's
+tomography settings, with one *lane* of angles per point at their core
+slots) into exact outcome distributions in one pass per register. A
+circuit's register is the qubits its gates and measurements touch, so a
+device's idle qubits, which stay in |0>, are never simulated; a circuit with
+gate noise evolves their Pauli vector, any other their statevector. Items on
+one register walk the tree of their gate structures, the gates' kinds and
+qubits without their angles: each position in it is one kernel call on a
+stack of the distinct states below it, so every lane shares every call.
+Lanes share a row while their gates and their angles' bits agree (0.0 and
+-0.0 part): the points up to the first angle they differ in, a point's
+settings over their evolution, and equal copies throughout. Every row gets
+the arithmetic of its circuit evolved alone; a circuit is one lane. Shots
+are i.i.d., so ``sample_weights`` draws a setting as one multinomial
 sample, a row of counts. Nothing is kept between calls.
 """
 from __future__ import annotations
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PARAM_KINDS, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit
+from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit
 from .errors import CapacityError, ConfigError
 
 
@@ -150,31 +150,36 @@ class _Kernel:
     gate, a real mix of X, Y and Z, so a 4x4 map on one digit. The
     depolarising error on k qubits then keeps 1 - rate 4**k / (4**k - 1) of
     every string that is not the identity on them, a scaling folded into
-    the gate. A CNOT's gather, with its factors, is built once per kernel
-    for each pair of axes, and shared by every row.
+    the gate. A CNOT's gather with its factors, and a one-qubit gate's terms
+    for one angle on every row, are built once per kernel and shared.
     """
 
     def __init__(self, m: int, mixed: bool):
         self.m, self.mixed = m, mixed
-        self._perms: dict[tuple, tuple] = {}
+        self._made: dict[tuple, object] = {}
 
     def apply(self, states: np.ndarray, kind: str, axes: tuple[int, ...],
               params=None, rate: float = 0.0) -> np.ndarray:
         """The gate on every row, its qubits at axes ``axes``; a parametric
-        kind takes one angle per row in ``params``. On Pauli vectors, the
-        depolarising error at ``rate`` follows. The input stack is left as
-        it was."""
-        if kind == "cx":
-            if (axes, rate) not in self._perms:
-                self._perms[axes, rate] = (
-                    _cx_pauli(self.m, *axes, 1.0 - 16.0 * rate / 15.0) if self.mixed
-                    else (_cx_permutation(self.m, *axes), None))
-            perm, factor = self._perms[axes, rate]
-            states = states[:, perm]
-            return states if factor is None else np.multiply(states, factor, out=states)
-        terms = (_pauli_terms_of(kind, params, 1.0 - 4.0 * rate / 3.0) if self.mixed
-                 else _terms_of(kind, params))
-        return _apply_1q(terms, states, axes[0])
+        kind takes in ``params`` one angle for every row, or a list of one
+        per row. On Pauli vectors, the depolarising error at ``rate``
+        follows. The input stack is left as it was."""
+        if kind != "cx" and isinstance(params, list):  # an angle per row: terms of their own
+            return _apply_1q(self._terms(kind, params, rate), states, axes[0])
+        key = (kind, axes if kind == "cx" else params if params is None else params.hex(), rate)
+        if key not in self._made:
+            self._made[key] = self._terms(kind, params, rate) if kind != "cx" else (
+                _cx_pauli(self.m, *axes, 1.0 - 16.0 * rate / 15.0) if self.mixed
+                else (_cx_permutation(self.m, *axes), None))
+        if kind != "cx":
+            return _apply_1q(self._made[key], states, axes[0])
+        perm, factor = self._made[key]
+        states = states[:, perm]
+        return states if factor is None else np.multiply(states, factor, out=states)
+
+    def _terms(self, kind: str, params, rate: float) -> list[list]:
+        return (_pauli_terms_of(kind, params, 1.0 - 4.0 * rate / 3.0) if self.mixed
+                else _terms_of(kind, params))
 
 
 def _measure_order(c: Circuit) -> list[int]:
@@ -224,39 +229,43 @@ class NoiseModel:
 
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     """Exact outcome distribution over the 2**k classical keys of each
-    measured circuit under noise, in order.
+    measured circuit under noise, in order; a template, a circuit and
+    ``{gate index: one angle per lane}``, gets row l of a (lanes, 2**k)
+    array for the circuit with each laned gate at its angle l.
 
-    Each circuit evolves over the qubits its gates and measurements touch:
-    a Pauli vector if one of its gates carries an error rate, else a
-    statevector. Circuits on the same such register share one pass over
-    the tree of their gate structures, the gates' kinds and qubits: each
+    Each item evolves over the qubits its gates and measurements touch: a
+    Pauli vector if one of its gates carries an error rate, else a
+    statevector. Items on the same such register share one pass over the
+    tree of their gate structures, the gates' kinds and qubits: each
     position in it is applied once to a stack of the distinct states below
-    it. Circuits share a row while their gates and their angles' bits
-    agree, and every row sees the arithmetic of its circuit evolved alone.
-    The results are read-only; a circuit object given again shares one
-    array. A CapacityError is raised before anything is allocated if a
-    pass's circuits plus its CNOT tables, one per pair of qubits, times a
-    row's entries exceed 4**MAX_DENSE_QUBITS, the dense limit.
+    it. Lanes share a row while their gates and their angles' bits agree,
+    and every row sees the arithmetic of its circuit evolved alone. The
+    results are read-only; an item given again shares one array. A
+    CapacityError is raised before anything is allocated if a pass's lanes
+    plus its CNOT tables, one per pair of qubits, times a row's entries
+    exceed 4**MAX_DENSE_QUBITS, the dense limit.
     """
-    # a circuit object given again (a point's ZZ, IZ and ZI) is computed once;
-    # ``circuits`` keeps every object alive, so no id is reused
-    distinct = {id(c): c for c in circuits}
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
-    members: dict[tuple, list] = {}  # the circuits of each structure, classical bits included
-    for c in distinct.values():
-        members.setdefault(tuple([(g.kind, g.qubits, g.cbit) for g in c.gates]), []).append(c)
     passes: dict[tuple, list[tuple]] = {}
-    for same in members.values():
-        # position by position, the gates of its circuits, measurements left out
-        columns = [col for col in zip(*(c.gates for c in same)) if col[0].kind != "measure"]
-        seq = [(col[0].kind, col[0].qubits) for col in columns]
-        measured = _measure_order(same[0])
-        key = (any(rates[k] for k, _ in seq), tuple(sorted(set(measured).union(*(q for _, q in seq)))))
-        passes.setdefault(key, []).append((seq, columns, measured, same))
+    # an item given again is computed once; ``circuits`` keeps it alive, so no id is reused
+    for key, item in {id(c): c for c in circuits}.items():
+        circuit, lanes = item if isinstance(item, tuple) else (item, {})
+        n = len(next(iter(lanes.values()), [None]))
+        gates = [(i, g) for i, g in enumerate(circuit.gates) if g.kind != "measure"]
+        seq = [(g.kind, g.qubits) for _, g in gates]
+        # each position's angle bits (float.hex tells -0.0 from 0.0), one per lane where it has lanes
+        bits = [[a.hex() for a in lanes[i]] if i in lanes
+                else g.param if g.param is None else g.param.hex() for i, g in gates]
+        measured = _measure_order(circuit)
+        register = tuple(sorted(set(measured).union(*(q for _, q in seq))))
+        kept = tuple(register.index(q) for q in measured)
+        out = slice(None) if circuit is not item else 0  # a template's every row, a circuit's one
+        passes.setdefault((any(rates[k] for k, _ in seq), register), []).append(
+            ((seq, bits, kept, key, out), n))
     for (mixed, register), group in passes.items():
         # a CNOT's table per pair of qubits holds as many entries as a row
-        pairs = {qubits for seq, *_ in group for _, qubits in seq if len(qubits) == 2}
-        n = sum(len(same) for *_, same in group)
+        pairs = {qubits for (seq, *_), _ in group for _, qubits in seq if len(qubits) == 2}
+        n = sum(lanes for _, lanes in group)
         if (n + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
             raise CapacityError(
                 f"{n} circuits and {len(pairs)} CNOT pairs on {len(register)} touched "
@@ -269,16 +278,15 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
         start = np.zeros((1, (4 if mixed else 2) ** m), float if mixed else complex)
         start[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
         # walk the tree of the group's structures, an edge per gate position; a node holds
-        # its distinct states and, per structure below it, the row of each of its circuits
-        todo = [(0, start, [((seq, columns, tuple(axis[q] for q in measured), same), [0] * len(same))
-                            for seq, columns, measured, same in group])]
+        # its distinct states and, per item below it, the row of each of its lanes
+        todo = [(0, start, [(item, [0] * lanes) for item, lanes in group])]
         while todo:
             depth, states, below = todo.pop()
             branches: dict[tuple, list[tuple]] = {}
-            for structure, rows in below:
-                seq, _, kept, same = structure
+            for item, rows in below:
+                seq, _, kept, key, out = item
                 if len(seq) > depth:
-                    branches.setdefault(seq[depth], []).append((structure, rows))
+                    branches.setdefault(seq[depth], []).append((item, rows))
                     continue
                 if mixed:
                     probs = _pauli_probabilities(states[np.ix_(rows, _iz_index(m, kept))])
@@ -286,34 +294,39 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
                     p = (np.abs(states[rows]) ** 2).reshape((len(rows),) + (2,) * m)
                     p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
                     probs = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
-                done.update(zip(map(id, same), apply_readout(probs, noise.readout)))
+                done[key] = apply_readout(probs, noise.readout)[out]
             for (kind, qubits), subs in branches.items():
-                axes, param = tuple(axis[q] for q in qubits), kind in PARAM_KINDS
-                angles = {g.param for (_, cols, *_), _ in subs for g in cols[depth]} if param else {None}
-                if len(angles) == 1 and angles != {0.0} and len(subs) == len(below):
-                    # one angle, not a zero (== ignores its sign), and every row goes on: reuse the stack
-                    stack, moved, params = states, subs, [*angles] * len(states)
-                else:  # a row per distinct (row, angle's bits); float.hex tells -0.0 from 0.0
+                at = [item[1][depth] for item, _ in subs]
+                if len(subs) == len(below) and at.count(at[0]) == len(at) and not isinstance(at[0], list):
+                    # one angle on every lane, and every row goes on: reuse the stack
+                    stack, moved, b = states, subs, at[0]
+                else:  # a row per distinct (row, angle's bits); unequal lanes are a ValueError
                     new, moved = {}, []
-                    for structure, rows in subs:
-                        bits = [g.param.hex() if param else None for g in structure[1][depth]]
-                        moved.append((structure, [new.setdefault(k, len(new)) for k in zip(rows, bits)]))
-                    src, params = [r for r, _ in new], [b and float.fromhex(b) for _, b in new]
-                    stack = states if src == list(range(len(states))) else states[src]
-                todo.append((depth + 1, kernel.apply(stack, kind, axes, params, rates[kind]), moved))
+                    for (item, rows), a in zip(subs, at):
+                        keys = zip(rows, a if isinstance(a, list) else [a] * len(rows), strict=True)
+                        moved.append((item, [new.setdefault(k, len(new)) for k in keys]))
+                    src, b = zip(*new)
+                    stack = states if src == tuple(range(len(states))) else states[list(src)]
+                    # the angle bits here: one for every row (built once per kernel), or a row's each
+                    b = b[0] if b.count(b[0]) == len(b) else b
+                params = [*map(float.fromhex, b)] if isinstance(b, tuple) else b and float.fromhex(b)
+                todo.append((depth + 1, kernel.apply(stack, kind, tuple(axis[q] for q in qubits),
+                                                     params, rates[kind]), moved))
     for p in done.values():
         p.setflags(write=False)
     return [done[id(c)] for c in circuits]
 
 
-def sample_weights(probs: np.ndarray, shots: int, seed: int | None) -> np.ndarray:
-    """One multinomial draw of ``shots`` outcomes from ``probs``, a float count per key.
-
-    The Philox counter generator keeps results reproducible for a fixed
-    (probs, shots, seed) regardless of platform.
+def sample_weights(probs: np.ndarray, shots: int, seeds) -> np.ndarray:
+    """One multinomial draw of ``shots`` outcomes from each row of ``probs``,
+    a float count per key, with its seed in ``seeds``; a distribution alone
+    takes one seed. The Philox counter generator keeps each row reproducible
+    for a fixed (row, shots, seed) regardless of platform.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
-    rng = np.random.Generator(np.random.Philox(seed))
     p = np.maximum(probs, 0.0)
-    return rng.multinomial(shots, p / p.sum()).astype(float)
+    p = p / p.sum(axis=-1, keepdims=True)
+    rows, seeds = (p[None], [seeds]) if p.ndim == 1 else (p, seeds)
+    return np.array([np.random.Generator(np.random.Philox(seed)).multinomial(shots, row)
+                     for row, seed in zip(rows, seeds, strict=True)], dtype=float).reshape(p.shape)

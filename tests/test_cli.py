@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -548,6 +549,46 @@ class TestCalibrateCommand:
         want = calibrate_confusion(10, NoiseModel(readout=0.0211))
         assert payload["matrix"] == want.tolist()
         assert (payload["n_bits"], payload["readout"], payload["shots"]) == (10, 0.0211, 0)
+
+    @staticmethod
+    def joined(n_bits: int, rate: float, shots: int, seed: int) -> str:
+        """The calibrate output as the whole matrix's Python floats joined
+        into one string, each distinct entry's repr made once."""
+        confusion = calibrate_confusion(n_bits, NoiseModel(readout=rate), shots=shots or None, seed=seed)
+        cells: dict = {}
+        rows = ",\n".join(
+            "    [" + ", ".join([cells.get(v) or cells.setdefault(v, repr(v)) for v in row]) + "]"
+            for row in confusion.tolist())
+        rest = json.dumps({"n_bits": n_bits, "readout": rate, "shots": shots}, indent=2, sort_keys=True)
+        return '{\n  "matrix": [\n' + rows + "\n  ]," + rest[1:] + "\n"
+
+    @pytest.mark.parametrize("shots", [0, 200])
+    def test_streamed_rows_are_the_joined_output(self, tmp_path, capsys, shots):
+        """Written row by row, the output has the bytes of the matrix joined
+        at once, for 1 to 8 bits, exact and sampled, to a file and to stdout."""
+        for n_bits in range(1, 9):
+            dest = tmp_path / f"cal{n_bits}.json"
+            args = ["calibrate", "--n-bits", str(n_bits), "--shots", str(shots), "--seed", str(n_bits)]
+            assert main(args + ["--out", str(dest)]) == 0
+            want = self.joined(n_bits, 0.0211, shots, n_bits)
+            assert dest.read_bytes() == want.encode()
+        assert main(args) == 0
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("shots", ["0", "100"])
+    def test_a_10_bit_calibration_peaks_below_twice_its_matrix(self, tmp_path, shots):
+        """The 8 MiB matrix of 2**10 x 2**10 floats is written a row at a time:
+        Python allocations peak below 2 x 8 MiB (about 10.3 MiB measured, where
+        the whole matrix as Python floats joined into one string peaked at
+        77.5 MiB exact and 46 MiB sampled)."""
+        tracemalloc.start()
+        try:
+            assert main(["calibrate", "--n-bits", "10", "--shots", shots, "--seed", "1",
+                         "--out", str(tmp_path / "cal10.json")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 8 * 2 ** 20
 
     @pytest.mark.parametrize(
         "flags,field", [(["--n-bits", "0"], "n_bits"), (["--shots", "-5"], "shots"),

@@ -292,7 +292,7 @@ def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
     the same gate kinds, qubits and layouts, and the angles differ at the
     compiler's four slots and nowhere else."""
     topo = resolve_topology(topology)
-    compiler = experiment._SweepCompiler(ExperimentConfig(topology=topology, layout=layout))
+    compiler = compile_sweep(ExperimentConfig(topology=topology, layout=layout))
     placed = []
     for eps in (0.37, -0.81):
         lowered = lower_to_basis(build_evolution_circuit(eps, prepend_ground_prep=True))

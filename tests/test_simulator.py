@@ -526,36 +526,57 @@ def test_stacked_angles_equal_each_circuit_alone_and_the_kraus_sum(noise):
             assert np.abs(got - kraus_probabilities(c, noise)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("kwargs,bound,row_bound", [
-    # gate noise: one density-matrix pass
-    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 160, 891),
-    # readout only, SWAP-routed: one statevector pass
-    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 260, 1570),
-], ids=["belem-like", "nairobi-like-swap"])
-def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, bound, row_bound):
-    cfg = ExperimentConfig(shots=50, **kwargs)
+def _spy_on_rows(monkeypatch) -> list:
+    """The number of rows of every kernel call made from here on."""
     applied = []
     apply = simulator._Kernel.apply
 
-    def counted(kernel, states, kind, axes, *args):
+    def counted(kernel, states, *args):
         applied.append(len(states))
-        return apply(kernel, states, kind, axes, *args)
+        return apply(kernel, states, *args)
 
     monkeypatch.setattr(simulator._Kernel, "apply", counted)
+    return applied
+
+
+def tree_rows(circuits) -> tuple[int, int]:
+    """(kernel calls, rows) of one pass over measured circuits: a call per
+    distinct prefix of gate kinds and qubits, on a row per distinct prefix
+    of gates with their angles' bits below it."""
+    gates = [[g for g in c.gates if g.kind != "measure"] for c in circuits]
+    nodes: dict[tuple, set] = {}
+    for seq in gates:
+        for d in range(1, len(seq) + 1):
+            nodes.setdefault(tuple((g.kind, g.qubits) for g in seq[:d]), set()).add(
+                tuple(None if g.param is None else g.param.hex() for g in seq[:d]))
+    return len(nodes), sum(len(states) for states in nodes.values())
+
+
+@pytest.mark.parametrize("kwargs,calls,row_count", [
+    # gate noise: one density-matrix pass
+    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 75, 891),
+    # readout only, SWAP-routed: one statevector pass
+    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 130, 1570),
+    # readout only on belem-like: the statevector pass of the same tree
+    (dict(topology="belem-like", readout=0.0211), 75, 891),
+], ids=["belem-like", "nairobi-like-swap", "readout-belem-like"])
+def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, calls, row_count):
+    cfg = ExperimentConfig(shots=50, **kwargs)
+    applied = _spy_on_rows(monkeypatch)
     run_sweep(cfg)
     circuits = {c for eps in cfg.epsilon_values for _, c in prepare_circuits(cfg, eps).values()}
     assert len(circuits) == 3 * len(cfg.epsilon_values)
     structures = [[(g.kind, g.qubits) for g in c.gates if g.kind != "measure"] for c in circuits]
     # one application per node of the tree of the distinct circuits' structures
     prefixes = {tuple(seq[:d]) for seq in structures for d in range(1, len(seq) + 1)}
-    assert len(applied) == len(prefixes) <= bound
+    assert len(applied) == len(prefixes) == calls
     # each application takes one row per distinct state: every gate before the
     # first core slot, where the points' angles part, acts on a single row
     exact = [[(g.kind, g.qubits, None if g.param is None else g.param.hex()) for g in c.gates]
              for c in circuits]
     shared = next(d for d, gates in enumerate(zip(*exact)) if len(set(gates)) > 1)
     assert shared > 0 and applied[:shared] == [1] * shared
-    assert sum(applied) <= row_bound
+    assert sum(applied) == row_count == tree_rows(circuits)[1]
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -680,3 +701,137 @@ def test_a_seven_qubit_gate_noise_pass_peaks_below_its_bound():
     finally:
         tracemalloc.stop()
     assert peak < 30 * 2 ** 20
+
+
+LANE_GRID = (0.0, -0.0, 0.01, -0.01, 0.01, 3e-4, -3e-4, 1e-7)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(topology="belem-like", readout=0.0211),
+    dict(topology="belem-like", **NOISE_PRESETS["belem-like"]),
+    dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306),
+], ids=["statevector-belem-like", "pauli-vector-belem-like", "swap-routed-nairobi-0246"])
+def test_each_lane_equals_its_points_circuits_evolved_alone(monkeypatch, kwargs):
+    """A sweep's three settings templates, each core slot a lane of one
+    angle per point, give every point and setting the bytes of that point's
+    bound circuit evolved alone; over 0, -0.0, a repeated epsilon and
+    epsilons of both signs. The walk takes a row per distinct state, so
+    0.0 and -0.0 part and the repeated epsilon shares every row."""
+    cfg = ExperimentConfig(epsilon_values=LANE_GRID, **kwargs)
+    noise = cfg.noise_model()
+    compiled = compile_sweep(cfg)
+    applied = _spy_on_rows(monkeypatch)
+    stack = compiled.distributions(noise)
+    assert (len(applied), sum(applied)) == tree_rows(
+        {id(c): c for p in range(len(compiled)) for _, c in compiled[p][1].values()}.values())
+    monkeypatch.undo()
+    assert stack.shape == (len(LANE_GRID), 5, 16)
+    for p, eps in enumerate(LANE_GRID):
+        for s, (_, circuit) in enumerate(compiled[p][1].values()):
+            alone, = outcome_distributions([circuit], noise)
+            assert stack[p, s].tobytes() == alone.tobytes(), (eps, s)
+
+
+@pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, sq_depol=0.01)],
+                         ids=["statevector", "pauli-vector"])
+def test_a_random_templates_lanes_equal_its_bound_circuits(monkeypatch, noise):
+    """Lanes at three rotations of a random circuit, among them 0.0, -0.0 and
+    a repeated lane, given with plain circuits that share its gates: each
+    lane is the bytes of its bound circuit run alone, and each plain circuit
+    its own bytes."""
+    rng = np.random.default_rng(89)
+    base = measured(Circuit(3, (h(0), h(1), h(2)) + random_circuit(rng, 3, 14).gates
+                            + (Gate("rz", (0,), 0.5), Gate("rx", (1,), 0.5), Gate("u1", (2,), 0.5))))
+    slots = [i for i, g in enumerate(base.gates) if g.kind in PARAM_KINDS][-3:]
+    lanes = {i: [0.0, -0.0, 0.7, 0.7, float(rng.uniform(-4, 4))] for i in slots}
+    lanes[slots[0]][2:] = [0.0, 0.0, -1.1]
+
+    def bound(lane):
+        return Circuit(3, tuple(Gate(g.kind, g.qubits, lanes[i][lane]) if i in lanes else g
+                                for i, g in enumerate(base.gates)))
+
+    plain = [bound(1), base]
+    applied = _spy_on_rows(monkeypatch)
+    got = outcome_distributions([(base, lanes)] + plain, noise)
+    # at the three rotations the lanes take 3, 4 and 4 rows, and the base one more
+    assert (len(applied), sum(applied)) == tree_rows([bound(lane) for lane in range(5)] + plain)
+    assert applied[-3:] == [4, 5, 5]
+    monkeypatch.undo()
+    assert got[0].shape == (5, 8) and not got[0].flags.writeable
+    for lane in range(5):
+        assert got[0][lane].tobytes() == outcome_distributions([bound(lane)], noise)[0].tobytes()
+    for c, p in zip(plain, got[1:]):
+        assert p.tobytes() == outcome_distributions([c], noise)[0].tobytes()
+
+
+def test_a_template_needs_as_many_angles_at_each_laned_rotation():
+    c = measured(Circuit(1, (h(0), Gate("rz", (0,), 0.1), Gate("rx", (0,), 0.1))))
+    for lanes in ({1: [0.1, 0.2], 2: [0.3]}, {1: [0.1], 2: [0.1, 0.2]}):
+        with pytest.raises(ValueError, match="zip"):
+            outcome_distributions([(c, lanes)], NoiseModel())
+
+
+@pytest.mark.parametrize("preset", ["none", "belem-like"])
+def test_a_one_qubit_gate_with_one_angle_is_built_once_per_pass(monkeypatch, preset):
+    """In a sweep, each one-qubit gate kind with one angle (or none) for
+    every row of a call gets its terms built once per kernel; only the core
+    slots, an angle per row, are built per call."""
+    built = []
+    terms = simulator._Kernel._terms
+
+    def spied(kernel, kind, params, rate):
+        built.append((id(kernel), kind, params if isinstance(params, list) else
+                      None if params is None else params.hex(), rate))
+        return terms(kernel, kind, params, rate)
+
+    monkeypatch.setattr(simulator._Kernel, "_terms", spied)
+    run_sweep(ExperimentConfig(shots=50, topology="belem-like", **NOISE_PRESETS[preset]))
+    constant = [b for b in built if not isinstance(b[2], list)]
+    assert constant and len(set(constant)) == len(constant)
+    assert 0 < len(built) - len(constant) <= 4 * 3
+
+
+def test_a_template_counts_one_row_per_lane_against_the_dense_limit(monkeypatch):
+    """One template on 12 qubits: a lane's statevector is 2**12 entries,
+    so 4**12 entries hold 4096 lanes. One lane runs; 4097 are refused
+    before anything is allocated."""
+    c = measured(Circuit(12, tuple(h(q) for q in range(12)) + (Gate("rz", (0,), 0.3),)))
+    one, = outcome_distributions([(c, {12: [0.3]})], NoiseModel())
+    assert one.shape == (1, 2 ** 12)
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a pass above the dense limit was allocated")
+
+    monkeypatch.setattr(np, "zeros", refuse)
+    with pytest.raises(CapacityError, match="4097 circuits and 0 CNOT pairs on 12 touched qubits"):
+        outcome_distributions([(c, {12: [0.3] * 4097})], NoiseModel())
+
+
+def test_stacked_draws_equal_one_row_draws_with_the_same_seed():
+    """Each row of a stacked draw is the bytes of a one-row draw with its
+    seed, and of the Philox multinomial of the clipped, normalised row."""
+    rng = np.random.default_rng(101)
+    probs = rng.dirichlet(np.ones(16), size=7)
+    seeds = [int(s) for s in rng.integers(0, 2**63, 7)]
+    got = sample_weights(probs, 1000, seeds)
+    assert got.shape == probs.shape and got.dtype == float
+    for row, seed, counts in zip(probs, seeds, got):
+        assert counts.tobytes() == sample_weights(row, 1000, seed).tobytes()
+        want = np.random.Generator(np.random.Philox(seed)).multinomial(1000, row / row.sum())
+        assert counts.tobytes() == want.astype(float).tobytes()
+    with pytest.raises(ValueError):
+        sample_weights(probs, 1000, seeds[:-1])
+
+
+def test_a_row_with_tiny_negative_entries_is_clipped_before_normalising():
+    rng = np.random.default_rng(103)
+    probs = rng.dirichlet(np.ones(16), size=3)
+    probs[1, [2, 5, 11]] = [-1e-17, -3e-18, -2e-16]
+    probs[1] /= probs[1].sum()
+    got = sample_weights(probs, 100_000, [5, 6, 7])
+    clipped = np.maximum(probs[1], 0.0)
+    want = np.random.Generator(np.random.Philox(6)).multinomial(100_000, clipped / clipped.sum())
+    assert got[1].tobytes() == want.astype(float).tobytes()
+    assert not got[1, [2, 5, 11]].any() and got[1].sum() == 100_000
+    for r, seed in ((0, 5), (2, 7)):
+        assert got[r].tobytes() == sample_weights(probs[r], 100_000, seed).tobytes()
