@@ -12,8 +12,8 @@ template of each circuit a point runs, with generic core angles, and
 gate for gate its own ``transpile``, in one structure for every epsilon. So
 does epsilon = 0, as the experiment at zero coupling, with Rz(0) cores where
 its own ``transpile`` would cancel every gate but two. A compiled sweep keeps
-each slot's angles as a *lane*, one per point, and binds a point only when
-asked, as ``prepare_circuits`` and the QASM export do.
+each slot's angles as a *lane*, one per point, binds a point only when asked,
+as ``prepare_circuits`` does, and exports the evolution template's QASM text.
 
 ``run_sweep`` then makes one ``outcome_distributions`` call on the three
 settings templates with their lanes, which evolves every point as a row of
@@ -337,10 +337,13 @@ class CompiledSweep:
         return (replace(self.skeleton, circuit=_bind(self.evolution, self.cores[p])),
                 {label: circuits[label] for label in SETTING_LABELS})
 
+    def laned(self, template: tuple) -> tuple:
+        """A template's circuit and its lanes: per slot (i, j, k), each point's angle at gate i."""
+        return template[0], {i: [turned(cores[j], k) for cores in self.cores] for i, j, k in template[1]}
+
     def distributions(self, noise: NoiseModel) -> np.ndarray:
         """(points, settings, 2**4): the templates in one call, each core slot a lane."""
-        laned = [(circuit, {i: [turned(cores[j], k) for cores in self.cores] for i, j, k in slots})
-                 for (circuit, slots), _ in self.settings]
+        laned = [self.laned(template) for template, _ in self.settings]
         got = {s.label: p for (_, settings), p in zip(self.settings, outcome_distributions(laned, noise))
                for s in settings}
         return np.stack([got[label] for label in SETTING_LABELS], axis=1)
@@ -435,9 +438,9 @@ def emit_outputs(
 
     Returns the paths written. The CSV holds exactly RESULT_COLUMNS and is
     byte-stable for a fixed config; the timestamp lives only in the JSON.
-    The QASM export binds each point's evolution into the template of the
-    sweep's ``compiled`` (its ``compile_sweep``, made here when not given),
-    one file at a time.
+    The QASM export is the evolution template of the sweep's ``compiled``
+    (its ``compile_sweep``, made here when not given), written once by
+    ``qasm.emit`` with each point's four core angles filled in.
     """
     if not table:
         raise ValueError("nothing to write")
@@ -470,11 +473,8 @@ def emit_outputs(
     if cfg.export_qasm:
         if compiled is None:
             compiled = compile_sweep(cfg)
-        qasm_paths = []
-        for i in range(len(compiled)):
-            path = os.path.join(out_dir, f"circuit_{i:02d}.qasm")
+        paths["qasm"] = [os.path.join(out_dir, f"circuit_{i:02d}.qasm") for i in range(len(compiled))]
+        for path, text in zip(paths["qasm"], qasm_emit(*compiled.laned(compiled.evolution))):
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(qasm_emit(_bind(compiled.evolution, compiled.cores[i])))
-            qasm_paths.append(path)
-        paths["qasm"] = qasm_paths
+                fh.write(text)
     return paths

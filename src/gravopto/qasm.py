@@ -1,9 +1,10 @@
 """OpenQASM 2.0 emission and parsing for the gate set used here.
 
 Angles are printed with 17 significant digits so a parameterised gate
-round-trips to the identical float. The parser accepts the emitted subset
-plus simple multiples of pi (pi/2, -3*pi/4, ...); ``Gate`` checks each gate
-statement's kind, arity and angle, and its refusal quotes the statement.
+round-trips to the identical float. A template's laned angles are holes in
+its text, written once, which each point fills in. The parser accepts the
+emitted subset plus simple multiples of pi (pi/2, -3*pi/4, ...); ``Gate``
+checks each statement's kind, arity and angle, and its refusal quotes it.
 """
 from __future__ import annotations
 
@@ -47,21 +48,28 @@ def _parse_angle(text: str) -> float:
     return value
 
 
-def emit(circuit: Circuit) -> str:
-    lines = [_HEADER + f"qreg q[{circuit.n_qubits}];"]
+def emit(circuit: Circuit, lanes: dict | None = None) -> str | list[str]:
+    """The circuit's text; with a template's ``lanes``, {gate index: each point's angle}, each point's."""
+    lines = [_HEADER, f"qreg q[{circuit.n_qubits}];\n"]
     cbits = [g.cbit for g in circuit.gates if g.kind == "measure"]
     if cbits:
-        lines.append(f"creg c[{max(cbits) + 1}];")
-    for g in circuit.gates:
+        lines.append(f"creg c[{max(cbits) + 1}];\n")
+    for i, g in enumerate(circuit.gates):
         if g.kind == "measure":
-            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.cbit}];")
+            lines.append(f"measure q[{g.qubits[0]}] -> c[{g.cbit}];\n")
         elif g.kind == "cx":
-            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];")
-        elif g.kind in PARAM_KINDS:
-            lines.append(f"{g.kind}({_format_angle(g.param)}) q[{g.qubits[0]}];")
+            lines.append(f"cx q[{g.qubits[0]}],q[{g.qubits[1]}];\n")
+        elif g.kind not in PARAM_KINDS:
+            lines.append(f"{g.kind} q[{g.qubits[0]}];\n")
+        elif lanes is not None and i in lanes:  # a hole; no other statement holds a %
+            lines.append(f"{g.kind}(%s) q[{g.qubits[0]}];\n")
         else:
-            lines.append(f"{g.kind} q[{g.qubits[0]}];")
-    return "\n".join(lines) + "\n"
+            lines.append(f"{g.kind}({_format_angle(g.param)}) q[{g.qubits[0]}];\n")
+    text = "".join(lines)
+    if lanes is None:
+        return text
+    return [text % tuple(map(_format_angle, angles))  # a hole per lane, in gate order
+            for angles in zip(*(lanes[i] for i in sorted(lanes)), strict=True)]
 
 
 def parse(text: str) -> Circuit:
@@ -71,19 +79,15 @@ def parse(text: str) -> Circuit:
     body = re.sub(r"//[^\n]*", "", text)
     for raw in body.split(";"):
         stmt = raw.strip()
-        if not stmt:
+        if not stmt or stmt.startswith("include") or re.match(r"^creg\s+c\[(\d+)\]$", stmt):
             continue
         if stmt.startswith("OPENQASM"):
             if stmt.split()[1] != "2.0":
                 raise ValueError(f"unsupported version in {stmt!r}")
             continue
-        if stmt.startswith("include"):
-            continue
         m = re.match(r"^qreg\s+q\[(\d+)\]$", stmt)
         if m:
             n_qubits = int(m.group(1))
-            continue
-        if re.match(r"^creg\s+c\[(\d+)\]$", stmt):
             continue
         if n_qubits is None:
             raise ValueError("gate before qreg declaration")

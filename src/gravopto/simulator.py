@@ -268,7 +268,7 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
         n = sum(lanes for _, lanes in group)
         if (n + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
             raise CapacityError(
-                f"{n} circuits and {len(pairs)} CNOT pairs on {len(register)} touched "
+                f"{n} lanes and {len(pairs)} CNOT pairs on {len(register)} touched "
                 f"qubits exceed the dense limit of 4**{MAX_DENSE_QUBITS} entries per pass")
     done: dict[int, np.ndarray] = {}
     for (mixed, register), group in passes.items():

@@ -25,6 +25,7 @@ that in the last bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -182,11 +183,16 @@ def mitigate_weights(weights: np.ndarray, readout: float) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True) * totals
 
 
+@cache
+def _decoded(label: str, n_bits: int) -> tuple:
+    """The ``decode`` of each ``n_bits`` outcome key in key order, made once."""
+    return tuple(MeasurementSetting(label).decode(format(i, f"0{n_bits}b")) for i in range(2 ** n_bits))
+
+
 def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
     """(estimate, shot-noise standard error) of the setting's eigenvalue for
     each row, from the ``decode`` of every outcome key."""
-    n_bits = weights.shape[-1].bit_length() - 1
-    decoded = np.array([setting.decode(format(i, f"0{n_bits}b")) for i in range(2 ** n_bits)])
+    decoded = _decoded(setting.label, weights.shape[-1].bit_length() - 1)
     den = _totals(weights)
     if not (den > 0).all():
         raise ValueError("no weight left to average")

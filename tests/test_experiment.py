@@ -24,6 +24,7 @@ from gravopto.experiment import (
     run_point,
     run_sweep,
 )
+from gravopto.qasm import emit as qasm_emit
 from gravopto.qasm import parse as qasm_parse
 from gravopto.simulator import outcome_distributions, sample_weights
 from gravopto.tomography import (
@@ -767,6 +768,51 @@ class TestEmitOutputs:
             circ = qasm_parse(open(path).read())
             want = unitary_of(build_evolution_circuit(eps, prepend_ground_prep=True))
             assert linear_distance(unitary_of(circ), want) <= 1e-10
+
+    @pytest.mark.parametrize("kwargs", [
+        {"topology": "belem-like"},
+        {"topology": "nairobi-like", "layout": (0, 2, 4, 6)},  # SWAP-routed
+        {"transpile": False},  # u1 core slots
+    ])
+    def test_each_exported_file_is_its_bound_evolution(self, kwargs, tmp_path):
+        """Each circuit_NN.qasm is, byte for byte, ``emit`` of point NN's
+        bound evolution, over 0, -0.0, a repeated epsilon, both signs and a
+        tiny one; its angles read back bit for bit (float.hex tells -0.0
+        from 0.0)."""
+        cfg = ExperimentConfig(epsilon_values=(0.01, 0.0, -0.0, 0.01, -0.5, 1e-7),
+                               analytic_mode=True, export_qasm=True, **kwargs)
+        paths = emit_outputs(run_sweep(cfg), cfg, out_dir=str(tmp_path), timestamp="T")
+        assert len(paths["qasm"]) == len(cfg.epsilon_values)
+        for p, path in enumerate(paths["qasm"]):
+            bound = compile_sweep(cfg)[p][0].circuit
+            text = open(path, encoding="utf-8").read()
+            assert text == qasm_emit(bound)
+            back = qasm_parse(text)
+            assert [g.kind for g in back.gates] == [g.kind for g in bound.gates]
+            assert ([None if g.param is None else g.param.hex() for g in back.gates]
+                    == [None if g.param is None else g.param.hex() for g in bound.gates])
+
+    def test_a_sweep_is_emitted_once_and_binds_no_point(self, tmp_path, monkeypatch):
+        """The export writes the evolution template's text in one ``emit``
+        call, not one per point, and binds no point's circuit."""
+        cfg = self.small_config(epsilon_values=DEFAULT_EPSILONS, export_qasm=True,
+                                topology="nairobi-like", layout=(0, 2, 4, 6), transpile=True)
+        compiled = compile_sweep(cfg)
+        table = run_sweep(cfg, compiled)
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return qasm_emit(*args)
+
+        def refuse(*args):
+            pytest.fail("the export bound a point's circuit")
+
+        monkeypatch.setattr(experiment, "qasm_emit", spy)
+        monkeypatch.setattr(experiment, "_bind", refuse)
+        paths = emit_outputs(table, cfg, out_dir=str(tmp_path), timestamp="T", compiled=compiled)
+        assert len(calls) == 1
+        assert len(paths["qasm"]) == len(DEFAULT_EPSILONS) == 13
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -682,7 +682,7 @@ def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
         pytest.fail("a pass over 20 touched qubits was allocated")
 
     monkeypatch.setattr(np, "zeros", refuse)
-    with pytest.raises(CapacityError, match="3 circuits and 37 CNOT pairs on 20 touched qubits"):
+    with pytest.raises(CapacityError, match="3 lanes and 37 CNOT pairs on 20 touched qubits"):
         outcome_distributions(circuits, cfg.noise_model())
 
 
@@ -803,7 +803,7 @@ def test_a_template_counts_one_row_per_lane_against_the_dense_limit(monkeypatch)
         pytest.fail("a pass above the dense limit was allocated")
 
     monkeypatch.setattr(np, "zeros", refuse)
-    with pytest.raises(CapacityError, match="4097 circuits and 0 CNOT pairs on 12 touched qubits"):
+    with pytest.raises(CapacityError, match="4097 lanes and 0 CNOT pairs on 12 touched qubits"):
         outcome_distributions([(c, {12: [0.3] * 4097})], NoiseModel())
 
 
