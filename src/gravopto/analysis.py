@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 
+from .bosonmap import N_QUBITS
 from .tomography import SETTING_LABELS
 
 
@@ -42,21 +43,20 @@ def fidelity_from_traces(epsilon: float, traces) -> float:
     )
 
 
-def trace_uncertainty(trace: float, lam: float, n_qubits: int = 4) -> float:
-    """Linear readout-error propagation for one correlator: n lambda (1 + tr)."""
-    if n_qubits < 1:
-        raise ValueError("need at least one measured qubit")
-    return n_qubits * lam * (1.0 + trace)
+def trace_uncertainty(trace: float, lam: float) -> float:
+    """Linear readout-error propagation for one correlator over the
+    N_QUBITS measured bits: N_QUBITS lambda (1 + tr)."""
+    return N_QUBITS * lam * (1.0 + trace)
 
 
-def fidelity_error(epsilon: float, traces, lam: float, n_qubits: int = 4) -> float:
+def fidelity_error(epsilon: float, traces, lam: float) -> float:
     """Quadrature combination of per-trace uncertainties.
 
     Weights are {1, 4 eps^2, 4 eps^2, 1 - 4 eps^2, 1 - 4 eps^2} on the
     squared uncertainties of {ZZ, XY, YX, IZ, ZI}.
     """
     t = _trace_dict(traces)
-    d = {lab: trace_uncertainty(t[lab], lam, n_qubits) for lab in SETTING_LABELS}
+    d = {lab: trace_uncertainty(t[lab], lam) for lab in SETTING_LABELS}
     w_off = 4.0 * epsilon ** 2
     w_pop = 1.0 - 4.0 * epsilon ** 2
     total = (

@@ -3,17 +3,19 @@
 A sweep point is fully determined by the config and a per-point seed derived
 from the global one, so results are reproducible row by row.
 
-``compile_sweep`` is the one way a point compiles, and ``prepare_circuits``
-is its one-point case. Every point is one circuit: a Clifford skeleton and
-four core rotations whose angles depend on epsilon. So a sweep simplifies a
-template of each circuit a point runs, with generic core angles, and
-``simplify`` keeps each core an Rz of its own with k quarter turns merged in
-(see ``transpiler``). A point's angle there is ``turned(core angle, k)``:
-gate for gate its own ``transpile``, in one structure for every epsilon. So
-does epsilon = 0, as the experiment at zero coupling, with Rz(0) cores where
-its own ``transpile`` would cancel every gate but two. A compiled sweep keeps
-each slot's angles as a *lane*, one per point, binds a point only when asked,
-as ``prepare_circuits`` does, and exports the evolution template's QASM text.
+``compile_sweep`` is the one way a sweep compiles. Every point is one
+circuit: a Clifford skeleton and four core rotations, the only gates whose
+angles (epsilon / 2 each) depend on epsilon. So a sweep builds the evolution
+once, at an epsilon whose core angles are no quarter turns, compiles it with
+``transpile`` as ``gravopto circuit --transpile`` does, and places each
+measurement suffix after it, simplified again. ``simplify`` keeps each core
+an Rz of its own with k quarter turns merged in (see ``transpiler``), so a
+point's angle there is ``turned(core angle, k)``: gate for gate its own
+``transpile``, in one structure for every epsilon. So does epsilon = 0, as
+the experiment at zero coupling, with Rz(0) cores where its own
+``transpile`` would cancel every gate but two. A compiled sweep keeps each
+slot's angles as a *lane*, one per point, and exports the evolution
+template's QASM text with each point's lanes filled in.
 
 ``run_sweep`` then makes one ``outcome_distributions`` call on the three
 settings templates with their lanes, which evolves every point as a row of
@@ -40,7 +42,7 @@ from .analysis import (
     fidelity_from_traces,
 )
 from .bosonmap import N_QUBITS
-from .circuit import Circuit, Gate
+from .circuit import Circuit
 from .digitizer import build_evolution_circuit, core_angles
 from .errors import ConfigError, RoutingError
 from .qasm import emit as qasm_emit
@@ -55,14 +57,12 @@ from .tomography import (
 )
 from .transpiler import (
     TOPOLOGY_PRESETS,
-    RoutedCircuit,
     Topology,
     hub_layout,
-    lower_to_basis,
     place_suffix,
     quarter_turns,
-    route,
     simplify,
+    transpile,
     turned,
 )
 
@@ -257,44 +257,23 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
         ) from exc
 
 
-# generic core angles: no quarter turns, nor two a whole number of them apart
-_SLOT_MARKERS = (0.1, 0.2, 0.3, 0.4)
-
-
-def _bind(template: tuple, cores) -> Circuit:
-    """A template's circuit with ``cores[j]`` at each of its slots (i, j, k)
-    as ``turned(cores[j], k)``: what ``simplify`` makes of that core."""
-    circuit, slots = template
-    gates = list(circuit.gates)
-    for i, j, k in slots:
-        gates[i] = Gate._trusted(gates[i].kind, gates[i].qubits, turned(cores[j], k))
-    return Circuit._trusted(circuit.n_qubits, tuple(gates))
+# an epsilon whose core angles, all epsilon / 2, are generic: no quarter
+# turns, so each marks its core in the compiled evolution
+_MARKING_EPSILON = 0.3
 
 
 class CompiledSweep:
-    """What the points of a sweep share, made once: the resolved topology and
-    layout, the evolution's skeleton (its circuit at epsilon = 0, lowered
-    and routed, whose only 0.0 angles are its four core slots) and the
-    templates, simplified through one memo when the sweep transpiles; and
-    each point's core angles, which ``sweep[p]`` binds into them."""
+    """What the points of a sweep share, made once: the templates of the
+    evolution and of each distinct settings circuit, compiled at the marking
+    epsilon on the resolved topology and layout; and each point's core angles."""
 
     def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self.topology = resolve_topology(cfg.topology) if cfg.transpile else None
-        self.layout = device_layout(self.topology, N_QUBITS, cfg.layout) if cfg.transpile else None
-        skeleton = build_evolution_circuit(0.0, prepend_ground_prep=True)
-        skeleton = lower_to_basis(skeleton) if cfg.transpile else skeleton
-        ident = tuple(range(N_QUBITS))
-        self.skeleton = (RoutedCircuit(skeleton, ident, ident, ident) if self.topology is None
-                         else route(skeleton, self.topology, self.layout))
-        self.slots = [i for i, g in enumerate(self.skeleton.circuit.gates)
-                      if g.kind in ("u1", "rz") and g.param == 0.0]
-        if len(self.slots) != 4:
-            raise RuntimeError(f"the skeleton has {len(self.slots)} zero angles, not 4 core slots")
-        marked = _bind((self.skeleton.circuit, [(i, j, 0) for j, i in enumerate(self.slots)]),
-                       _SLOT_MARKERS)
-        memo: dict = {}
-        self.evolution = self._template(marked.gates, memo)
+        topology = resolve_topology(cfg.topology) if cfg.transpile else None
+        layout = device_layout(topology, N_QUBITS, cfg.layout) if cfg.transpile else None
+        marked = build_evolution_circuit(_MARKING_EPSILON, prepend_ground_prep=True)
+        routed = transpile(marked, topology, layout) if cfg.transpile else None
+        evolution = routed.circuit if routed else marked
+        self.evolution = self._template(evolution)
         # each distinct suffix (ZZ, IZ and ZI share one), placed once after
         # the evolution's template: simplified again, that is its transpile
         suffixes: dict[Circuit, list] = {}
@@ -302,40 +281,29 @@ class CompiledSweep:
             suffixes.setdefault(suffix, []).append(setting)
         self.settings = []
         for suffix, settings in suffixes.items():
-            placed = place_suffix(suffix, self.skeleton) if cfg.transpile else suffix
-            gates = self.evolution[0].gates + placed.gates
+            placed = place_suffix(suffix, routed) if cfg.transpile else suffix
+            circuit = Circuit._trusted(evolution.n_qubits, evolution.gates + placed.gates)
             if any(g.kind != "measure" for g in placed.gates):
-                template = self._template(gates, memo)
+                template = self._template(simplify(circuit) if cfg.transpile else circuit)
             else:  # measurements keep a fixpoint one: a pass stops at them as at the end
-                template = (Circuit._trusted(marked.n_qubits, gates), self.evolution[1])
+                template = (circuit, self.evolution[1])
             self.settings.append((template, settings))
         self.gate_counts = self.settings[0][0][0].gate_counts()  # ZZ's template: every point's
         self.cores = [core_angles(eps) for eps in cfg.epsilon_values]
 
-    def _template(self, gates: tuple, memo: dict) -> tuple:
-        """The circuit of ``gates``, simplified when the sweep transpiles, and
-        each core slot in it as (gate index, core index, quarter turns k)."""
-        circuit = Circuit._trusted(self.skeleton.circuit.n_qubits, tuple(gates))
-        if self.cfg.transpile:
-            circuit = simplify(circuit, memo)
+    @staticmethod
+    def _template(circuit: Circuit) -> tuple:
+        """``circuit`` and each core slot in it as (gate index, core index j,
+        quarter turns k): its j-th rotation that is no quarter turn, at the
+        marking core angle plus k quarter turns."""
         rotations = [(i, g.param) for i, g in enumerate(circuit.gates)
                      if g.kind in ("u1", "rz") and quarter_turns(g.param) is None]
-        slots = [(i, j, quarter_turns(angle - marker)) for i, angle in rotations
-                 for j, marker in enumerate(_SLOT_MARKERS) if quarter_turns(angle - marker) is not None]
-        if len(rotations) != 4 or sorted(j for _, j, _ in slots) != [0, 1, 2, 3]:
+        marks = core_angles(_MARKING_EPSILON)
+        slots = [(i, j, quarter_turns(angle - mark))
+                 for j, ((i, angle), mark) in enumerate(zip(rotations, marks))]
+        if len(rotations) != 4 or any(k is None for _, _, k in slots):
             raise RuntimeError(f"a template has {len(rotations)} non-Clifford angles, not 4 slots")
         return circuit, slots
-
-    def __len__(self) -> int:
-        return len(self.cores)
-
-    def __getitem__(self, p: int) -> tuple[RoutedCircuit, dict]:
-        circuits = {}
-        for template, settings in self.settings:
-            circ = _bind(template, self.cores[p])
-            circuits.update((setting.label, (setting, circ)) for setting in settings)
-        return (replace(self.skeleton, circuit=_bind(self.evolution, self.cores[p])),
-                {label: circuits[label] for label in SETTING_LABELS})
 
     def laned(self, template: tuple) -> tuple:
         """A template's circuit and its lanes: per slot (i, j, k), each point's angle at gate i."""
@@ -350,18 +318,8 @@ class CompiledSweep:
 
 
 def compile_sweep(cfg: ExperimentConfig) -> CompiledSweep:
-    """The sweep's templates and its points' core angles; item p is point p's
-    ``(evolution, settings)``: its evolution as it runs, and its ``prepare_circuits``."""
+    """The sweep's templates and its points' core angles."""
     return CompiledSweep(cfg)
-
-
-def prepare_circuits(cfg: ExperimentConfig, epsilon: float) -> dict:
-    """The five as-run measurement circuits for one sweep point, by setting
-    label: the point's evolution plus each setting's basis rotation and
-    measurements, ``compile_sweep`` of the one-point sweep. ZZ, IZ and ZI
-    share one circuit.
-    """
-    return compile_sweep(replace(cfg, epsilon_values=(epsilon,)))[0][1]
 
 
 def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
@@ -466,15 +424,15 @@ def emit_outputs(
     }
     json_path = os.path.join(out_dir, "report.json")
     with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
     paths["json"] = json_path
 
     if cfg.export_qasm:
         if compiled is None:
             compiled = compile_sweep(cfg)
-        paths["qasm"] = [os.path.join(out_dir, f"circuit_{i:02d}.qasm") for i in range(len(compiled))]
-        for path, text in zip(paths["qasm"], qasm_emit(*compiled.laned(compiled.evolution))):
+        texts = qasm_emit(*compiled.laned(compiled.evolution))
+        paths["qasm"] = [os.path.join(out_dir, f"circuit_{i:02d}.qasm") for i in range(len(texts))]
+        for path, text in zip(paths["qasm"], texts):
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     return paths

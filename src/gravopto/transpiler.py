@@ -29,9 +29,10 @@ Simplification iterates three deterministic passes to a fixpoint:
 
 All three preserve the unitary up to global phase and never increase any
 gate count, so simplify is idempotent gate for gate. A run's replacement
-depends on its gates alone, so ``simplify`` takes a memo of them, and on an
-angle only through whether it is a quarter turn, so a sweep compiles
-templates with generic core angles and binds each point's (``experiment``).
+depends on its gates alone, so ``simplify``'s passes share a memo of them,
+and on an angle only through whether it is a quarter turn, so a sweep
+transpiles its evolution once, at generic core angles, and gives each
+point's as a lane of angles (``experiment``).
 ``place_suffix`` lowers a suffix of 1-qubit gates and measurements and
 places it through a routed circuit's final layout.
 
@@ -212,7 +213,7 @@ def lower_to_basis(c: Circuit) -> Circuit:
     out: list[Gate] = []
     for g in c.gates:
         q = g.qubits[0]
-        if g.kind in ("x", "sx", "rz", "cx", "measure"):
+        if g.kind in BASIS_KINDS:
             out.append(g)
         elif g.kind == "s":
             out.append(_rz(q, math.pi / 2))
@@ -482,11 +483,10 @@ def _resynth_runs(gates: list[Gate], memo: dict) -> list[Gate]:
 _SIMPLIFY_MAX_PASSES = 60
 
 
-def simplify(c: Circuit, memo: dict | None = None) -> Circuit:
-    """Deterministic peephole cleanup; idempotent, count-nonincreasing.
-    Calls on related circuits may share a ``memo`` of resyntheses (see
-    ``_resynth_runs``); it changes only the speed, not the result."""
-    memo = {} if memo is None else memo
+def simplify(c: Circuit) -> Circuit:
+    """Deterministic peephole cleanup; idempotent, count-nonincreasing. Its
+    passes share one memo of resyntheses (see ``_resynth_runs``)."""
+    memo: dict = {}
     gates = list(c.gates)
     for _ in range(_SIMPLIFY_MAX_PASSES):
         new = _resynth_runs(_cancel_cx_pairs(_float_rz(gates)), memo)

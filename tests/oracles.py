@@ -4,7 +4,8 @@ No command, sweep or bench script needs them: a run uses the four
 interaction strings, never their matrices. ``pauli_matrix``,
 ``mapped_hamiltonian`` and ``unitary_of`` are Kronecker products, apart from
 the simulator they check; ``run_ideal`` steps the simulator's own kernel one
-gate at a time.
+gate at a time; ``bound_points`` gives each point of a compiled sweep its own
+circuits, which a sweep never builds.
 """
 import math
 from functools import reduce
@@ -15,6 +16,7 @@ from gravopto.bosonmap import INTERACTION_FACTORS, N_QUBITS
 from gravopto.circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, Circuit, Gate, matrix_of
 from gravopto.errors import CapacityError
 from gravopto.simulator import _Kernel
+from gravopto.tomography import SETTING_LABELS
 
 _PAULI = {
     "I": np.array([[1, 0], [0, 1]], dtype=complex),
@@ -82,6 +84,26 @@ def run_ideal(c: Circuit) -> np.ndarray:
         if g.kind != "measure":
             psi = kernel.apply(psi, g.kind, g.qubits, [g.param])
     return psi.reshape(-1)
+
+
+def bound_points(compiled) -> list:
+    """Each point of ``compile_sweep``'s sweep as it runs: its evolution
+    circuit and {setting label: (setting, circuit)}, each a template with the
+    point's angle at every lane. ZZ, IZ and ZI share one circuit."""
+    def bound(template, p):
+        circuit, lanes = compiled.laned(template)
+        return Circuit(circuit.n_qubits, tuple(
+            Gate(g.kind, g.qubits, lanes[i][p], g.cbit) if i in lanes else g
+            for i, g in enumerate(circuit.gates)))
+
+    points = []
+    for p in range(len(compiled.cores)):
+        circuits = {}
+        for template, settings in compiled.settings:
+            circuit = bound(template, p)
+            circuits.update((setting.label, (setting, circuit)) for setting in settings)
+        points.append((bound(compiled.evolution, p), {label: circuits[label] for label in SETTING_LABELS}))
+    return points
 
 
 def exact_state(epsilon: float) -> np.ndarray:

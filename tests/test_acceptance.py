@@ -19,8 +19,8 @@ from gravopto.digitizer import build_evolution_circuit, compile_pauli_exponentia
 from gravopto.experiment import (
     NOISE_PRESETS,
     ExperimentConfig,
+    compile_sweep,
     emit_outputs,
-    prepare_circuits,
     run_point,
     run_sweep,
 )
@@ -31,6 +31,7 @@ from gravopto.tomography import expectations, mitigate_weights
 from gravopto.transpiler import Topology, hub_layout, lower_to_basis, route, simplify
 
 from oracles import (
+    bound_points,
     concurrence,
     exact_state,
     exact_traces,
@@ -154,7 +155,7 @@ def test_criterion_08_noisy_sweep_mitigation_and_postselection_win():
 
 
 def test_criterion_09_readout_error_bars():
-    assert trace_uncertainty(1.0, 0.02, 4) == pytest.approx(0.16, abs=1e-15)
+    assert trace_uncertainty(1.0, 0.02) == pytest.approx(0.16, abs=1e-15)
     eps = 0.01
     t = exact_traces(eps)
     d = {label: 4 * 0.02 * (1.0 + t[label]) for label in t}
@@ -169,7 +170,7 @@ def test_criterion_09_readout_error_bars():
     noise = NoiseModel(readout=0.0211, sq_depol=2.76e-4, cx_depol=0.00875)
     shots = 32
     cfg = ExperimentConfig(epsilon_values=(eps,), shots=shots)
-    circuits = prepare_circuits(cfg, eps)
+    (_, circuits), = bound_points(compile_sweep(cfg))
     seeds = np.random.SeedSequence(0).generate_state(5)
     settings = [setting for setting, _ in circuits.values()]
     distributions = outcome_distributions([circ for _, circ in circuits.values()], noise)

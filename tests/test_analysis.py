@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces, trace_uncertainty
-from gravopto.experiment import ExperimentConfig, prepare_circuits
+from gravopto.experiment import ExperimentConfig, compile_sweep
 from gravopto.simulator import NoiseModel, outcome_distributions
 from gravopto.tomography import expectations
 
-from oracles import concurrence, exact_state, exact_traces, perturbative_traces
+from oracles import bound_points, concurrence, exact_state, exact_traces, perturbative_traces
 
 
 def perturbative_state(eps: float) -> np.ndarray:
@@ -108,7 +108,8 @@ class TestFidelityFromTraces:
 
     def test_accepts_tomography_result_shape(self):
         # a dict of each setting's estimate, from its exact distribution
-        circuits = prepare_circuits(ExperimentConfig(transpile=False), 0.02)
+        (_, circuits), = bound_points(compile_sweep(ExperimentConfig(transpile=False,
+                                                                     epsilon_values=(0.02,))))
         traces = {label: float(expectations(outcome_distributions([circ], NoiseModel())[0][None],
                                             setting)[0][0])
                   for label, (setting, circ) in circuits.items()}
@@ -141,19 +142,14 @@ def test_formula_tracks_true_overlap():
 
 class TestTraceUncertainty:
     def test_reference_value(self):
-        assert trace_uncertainty(1.0, 0.02, n_qubits=4) == pytest.approx(0.16)
+        assert trace_uncertainty(1.0, 0.02) == pytest.approx(0.16)
 
     def test_zero_rate(self):
         assert trace_uncertainty(0.7, 0.0) == 0.0
 
     def test_scaling(self):
-        assert trace_uncertainty(0.0, 0.01, n_qubits=2) == pytest.approx(0.02)
+        assert trace_uncertainty(0.0, 0.01) == pytest.approx(0.04)
         assert trace_uncertainty(-1.0, 0.3) == 0.0
-
-    def test_validation(self):
-        # the rate's range is NoiseModel's to check
-        with pytest.raises(ValueError):
-            trace_uncertainty(0.5, 0.1, n_qubits=0)
 
 
 class TestFidelityError:

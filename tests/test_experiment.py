@@ -9,7 +9,7 @@ import pytest
 from gravopto import experiment, tomography, transpiler
 from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces
 from gravopto.circuit import Circuit, Gate, u1
-from gravopto.digitizer import build_evolution_circuit
+from gravopto.digitizer import build_evolution_circuit, core_angles
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
     DEFAULT_EPSILONS,
@@ -19,7 +19,6 @@ from gravopto.experiment import (
     compile_sweep,
     device_layout,
     emit_outputs,
-    prepare_circuits,
     resolve_topology,
     run_point,
     run_sweep,
@@ -42,9 +41,10 @@ from gravopto.transpiler import (
     lower_to_basis,
     route,
     transpile,
+    turned,
 )
 
-from oracles import exact_traces, unitary_of
+from oracles import bound_points, exact_traces, unitary_of
 from test_circuit import linear_distance
 
 
@@ -160,17 +160,14 @@ def exact_gates(circ):
     dict(transpile=False),
 ], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-transpile"])
 def test_compile_sweep_equals_each_point_compiled_alone(kwargs):
-    """One memo, suffix set and topology for the sweep change no gate:
-    each point as the one-point sweep of it compiles, with a memo of its
-    own."""
+    """One set of templates and topology for the sweep change no gate:
+    each point as the one-point sweep of it compiles."""
     cfg = ExperimentConfig(epsilon_values=DEFAULT_EPSILONS + (0.1, -0.3, 1e-7), **kwargs)
     compiled = compile_sweep(cfg)
-    assert len(compiled) == len(cfg.epsilon_values)
-    for eps, (evolution, circuits) in zip(cfg.epsilon_values, compiled):
-        alone, want = compile_sweep(dataclasses.replace(cfg, epsilon_values=(eps,)))[0]
-        assert exact_gates(evolution.circuit) == exact_gates(alone.circuit), eps
-        assert evolution.initial_layout == alone.initial_layout
-        assert evolution.final_layout == alone.final_layout
+    assert len(compiled.cores) == len(cfg.epsilon_values)
+    for eps, (evolution, circuits) in zip(cfg.epsilon_values, bound_points(compiled)):
+        (alone, want), = bound_points(compile_sweep(dataclasses.replace(cfg, epsilon_values=(eps,))))
+        assert exact_gates(evolution) == exact_gates(alone), eps
         assert list(circuits) == list(want)
         for label, (setting, circ) in circuits.items():
             assert setting == want[label][0]
@@ -180,7 +177,7 @@ def test_compile_sweep_equals_each_point_compiled_alone(kwargs):
         assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
 
 
-SKELETON_CASES = pytest.mark.parametrize("kwargs", [
+COMPILE_CASES = pytest.mark.parametrize("kwargs", [
     dict(topology="belem-like"),
     dict(topology="nairobi-like"),
     dict(topology="nairobi-like", layout=(0, 2, 4, 6)),
@@ -189,7 +186,7 @@ SKELETON_CASES = pytest.mark.parametrize("kwargs", [
 ], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-topology", "no-transpile"])
 
 
-@SKELETON_CASES
+@COMPILE_CASES
 def test_compile_sweep_equals_the_reference_compile(kwargs):
     """Each point as it compiles from scratch, with nothing shared: its
     evolution, and each setting's whole circuit, built, lowered, routed and
@@ -199,18 +196,15 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
     eps_values = DEFAULT_EPSILONS + (0.1, -0.3, -1e-7, 0.9, -0.999)
     cfg = ExperimentConfig(epsilon_values=eps_values, **kwargs)
     topo = resolve_topology(cfg.topology)
-    for eps, (evolution, circuits) in zip(eps_values, compile_sweep(cfg)):
+    for eps, (evolution, circuits) in zip(eps_values, bound_points(compile_sweep(cfg))):
         base = build_evolution_circuit(eps, prepend_ground_prep=True)
         if cfg.transpile:
             want = transpile(base, topo, device_layout(topo, 4, cfg.layout))
         else:
             want = RoutedCircuit(base, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3))
         key = (kwargs, eps.hex())
-        assert exact_gates(evolution.circuit) == exact_gates(want.circuit), key
-        assert evolution.circuit.n_qubits == want.circuit.n_qubits
-        assert evolution.initial_layout == want.initial_layout, key
-        assert evolution.final_layout == want.final_layout, key
-        assert evolution.full_final_layout == want.full_final_layout, key
+        assert exact_gates(evolution) == exact_gates(want.circuit), key
+        assert evolution.n_qubits == want.circuit.n_qubits
         # ZZ, IZ and ZI share one suffix and one circuit, made for ZZ
         refs = {}
         for (setting, suffix), (_, full) in zip(measurement_circuits(Circuit(4)),
@@ -222,7 +216,7 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
             assert got.n_qubits == ref.n_qubits
 
 
-@SKELETON_CASES
+@COMPILE_CASES
 def test_evolution_compile_runs_once_per_sweep(kwargs, monkeypatch):
     """Build, lowering and routing of the evolution do not grow with the
     number of points: one build, one route, and each gate of the evolution
@@ -262,9 +256,37 @@ def test_evolution_compile_runs_once_per_sweep(kwargs, monkeypatch):
     assert sum(n for name, n in many if name == "lower") == (whole if cfg.transpile else 0)
 
 
-@SKELETON_CASES
+@COMPILE_CASES
+def test_a_sweep_compiles_its_evolution_with_one_transpile(kwargs, monkeypatch):
+    """A transpiled sweep makes one ``transpile`` call, whatever its number
+    of points, and its evolution template is, gate for gate, that
+    ``transpile`` of the evolution at the marking epsilon, whose four core
+    angles are its slots; an untranspiled sweep makes none."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return transpile(*args)
+
+    monkeypatch.setattr(experiment, "transpile", counted)
+    cfg = ExperimentConfig(**kwargs)
+    for eps_values in (DEFAULT_EPSILONS, (0.01,)):
+        calls.clear()
+        compiled = compile_sweep(dataclasses.replace(cfg, epsilon_values=eps_values))
+        assert len(calls) == (1 if cfg.transpile else 0)
+    marked = build_evolution_circuit(experiment._MARKING_EPSILON, prepend_ground_prep=True)
+    topo = resolve_topology(cfg.topology)
+    want = transpile(marked, topo, device_layout(topo, 4, cfg.layout)).circuit if cfg.transpile else marked
+    template, slots = compiled.evolution
+    assert exact_gates(template) == exact_gates(want)
+    assert [j for _, j, _ in slots] == [0, 1, 2, 3]
+    marks = core_angles(experiment._MARKING_EPSILON)
+    assert [template.gates[i].param for i, _, _ in slots] == [turned(marks[j], k) for _, j, k in slots]
+
+
+@COMPILE_CASES
 def test_suffixes_are_lowered_once_per_sweep(kwargs, monkeypatch):
-    """Every point keeps the skeleton's final layout, so each of the three
+    """Every point keeps the evolution's final layout, so each of the three
     distinct measurement suffixes is lowered and placed once per sweep,
     whatever the number of points."""
     lowered = []
@@ -275,8 +297,7 @@ def test_suffixes_are_lowered_once_per_sweep(kwargs, monkeypatch):
             lowered.append(circuit)
         return lower(circuit)
 
-    for module in (experiment, transpiler):
-        monkeypatch.setattr(module, "lower_to_basis", counted)
+    monkeypatch.setattr(transpiler, "lower_to_basis", counted)
     cfg = ExperimentConfig(**kwargs)
     for eps_values in (DEFAULT_EPSILONS, (0.01,)):
         lowered.clear()
@@ -290,10 +311,9 @@ def test_suffixes_are_lowered_once_per_sweep(kwargs, monkeypatch):
 ], ids=["belem-like", "nairobi-like", "nairobi-like-0246", "no-topology"])
 def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
     """The evolution at two epsilons, lowered and routed from scratch, has
-    the same gate kinds, qubits and layouts, and the angles differ at the
-    compiler's four slots and nowhere else."""
+    the same gate kinds, qubits and layouts, and the angles differ at four
+    Rz gates and nowhere else: there each has its core angles, in order."""
     topo = resolve_topology(topology)
-    compiler = compile_sweep(ExperimentConfig(topology=topology, layout=layout))
     placed = []
     for eps in (0.37, -0.81):
         lowered = lower_to_basis(build_evolution_circuit(eps, prepend_ground_prep=True))
@@ -306,36 +326,61 @@ def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
     assert [(g.kind, g.qubits) for g in a] == [(g.kind, g.qubits) for g in b]
     assert layout_a == layout_b
     differ = [i for i, (g, h) in enumerate(zip(a, b)) if g.param != h.param]
-    assert differ == list(compiler.slots)
     assert all(a[i].kind == "rz" for i in differ)
+    assert [a[i].param for i in differ] == list(core_angles(0.37))
+    assert [b[i].param for i in differ] == list(core_angles(-0.81))
 
 
-@pytest.mark.parametrize("transpile", [True, False])
-def test_a_zero_angle_besides_the_cores_is_refused(monkeypatch, transpile):
-    """The sweep finds its four core slots as the skeleton's only zero
-    angles; an extra U1(0) in the skeleton is not taken for a core."""
+def with_extra_u1(monkeypatch, angle):
+    """Make the sweep's evolution end with U1(angle) on qubit 2."""
     build = experiment.build_evolution_circuit
 
     def with_extra(epsilon, prepend_ground_prep=False):
         circ = build(epsilon, prepend_ground_prep)
-        return Circuit(circ.n_qubits, circ.gates + (u1(2, 0.0),))
+        return Circuit(circ.n_qubits, circ.gates + (u1(2, angle),))
 
     monkeypatch.setattr(experiment, "build_evolution_circuit", with_extra)
-    with pytest.raises(RuntimeError, match="has 5 zero angles"):
+
+
+@pytest.mark.parametrize("transpile", [True, False])
+def test_an_extra_rotation_besides_the_cores_is_refused(monkeypatch, transpile):
+    """The sweep takes its four core slots as the template's rotations that
+    are no quarter turns; a fifth, an extra U1(0.7), is refused."""
+    with_extra_u1(monkeypatch, 0.7)
+    with pytest.raises(RuntimeError, match="has 5 non-Clifford angles, not 4 slots"):
         compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like",
                                        transpile=transpile))
 
 
+@pytest.mark.parametrize("transpile", [True, False])
+def test_an_extra_u1_of_zero_is_not_taken_for_a_core(monkeypatch, transpile):
+    """An extra U1(0) in the evolution is no core slot: the sweep's rows,
+    over 0, -0.0 and both signs, are those it gives without it, float for
+    float, but for the gate itself in the untranspiled gate count."""
+    cfg = ExperimentConfig(epsilon_values=(0.0, -0.0, 0.01, -0.3), topology="belem-like",
+                           readout=0.02, analytic_mode=True, transpile=transpile)
+    want = run_sweep(cfg)
+    with_extra_u1(monkeypatch, 0.0)
+    compiled = compile_sweep(cfg)
+    slots = {i for i, _, _ in compiled.evolution[1]}
+    zeros = {i for i, g in enumerate(compiled.evolution[0].gates) if g.param == 0.0}
+    assert len(slots) == 4 and not slots & zeros
+    assert len(zeros) == (0 if transpile else 1)  # simplify drops it
+    for row in want:
+        row["single_qubit_gates"] += len(zeros)
+    assert [exact_row(row) for row in run_sweep(cfg, compiled)] == [exact_row(row) for row in want]
+
+
 def test_a_template_without_one_angle_per_core_slot_is_refused(monkeypatch):
-    """A point binds its cores only where the template has each slot once.
+    """A sweep lanes its cores only where a template has each slot once.
     A ``simplify`` that turned one core into a quarter turn (3 angles left
-    that are not quarter turns), or into an angle that names no core (4
-    such angles, one slot missing), is refused."""
+    that are not quarter turns), or into an angle that is no core's plus
+    quarter turns (4 such angles, one slot missing), is refused."""
     simplify = experiment.simplify
 
     def rewritten(angle):
-        def wrong(circuit, memo=None):
-            gates = list(simplify(circuit, memo).gates)
+        def wrong(circuit):
+            gates = list(simplify(circuit).gates)
             i = next(i for i, g in enumerate(gates) if g.kind == "rz" and abs(g.param) < 1)
             gates[i] = Gate("rz", gates[i].qubits, angle)
             return Circuit(circuit.n_qubits, tuple(gates))
@@ -376,9 +421,9 @@ def test_a_bound_point_equals_its_own_transpile(kwargs):
     topo = resolve_topology(cfg.topology)
     layout = device_layout(topo, 4, cfg.layout)
     quarter_turns = [math.remainder(k * (math.pi / 2), 2 * math.pi) for k in range(-2, 3)]
-    for eps, (evolution, circuits) in zip(cfg.epsilon_values, compile_sweep(cfg)):
+    for eps, (evolution, circuits) in zip(cfg.epsilon_values, bound_points(compile_sweep(cfg))):
         base = build_evolution_circuit(eps, prepend_ground_prep=True)
-        pairs = [(evolution.circuit, base)] + [(circuits[setting.label][1], full)
+        pairs = [(evolution, base)] + [(circuits[setting.label][1], full)
                                                for setting, full in measurement_circuits(base)]
         for got, logical in pairs:
             want = transpile(logical, topo, layout).circuit if cfg.transpile else logical
@@ -406,7 +451,7 @@ def test_every_epsilon_compiles_to_one_structure(kwargs):
     every epsilon < 0, and 28 above.)"""
     cfg = ExperimentConfig(epsilon_values=DEFAULT_EPSILONS + tuple(-e for e in DEFAULT_EPSILONS),
                            **kwargs)
-    (_, first), *rest = compile_sweep(cfg)
+    (_, first), *rest = bound_points(compile_sweep(cfg))
     for eps, (_, circuits) in zip(cfg.epsilon_values[1:], rest):
         for label, (_, circ) in circuits.items():
             assert structure(circ) == structure(first[label][1]), (eps, label)
@@ -432,8 +477,8 @@ def test_epsilon_zero_keeps_the_sweep_structure():
     and the gates of epsilon = 1e-7, though its own ``transpile`` drops the
     cores and cancels every CNOT."""
     cfg = ExperimentConfig(topology="belem-like", epsilon_values=(0.0, -0.0, 1e-7))
-    (zero, at_zero), (_, at_minus_zero), (small, at_small) = compile_sweep(cfg)
-    assert structure(zero.circuit) == structure(small.circuit)
+    (zero, at_zero), (_, at_minus_zero), (small, at_small) = bound_points(compile_sweep(cfg))
+    assert structure(zero) == structure(small)
     for label, (_, circ) in at_small.items():
         assert structure(at_zero[label][1]) == structure(at_minus_zero[label][1]) == structure(circ)
         assert at_zero[label][1].gate_counts() == circ.gate_counts()
@@ -479,10 +524,16 @@ def test_every_trace_is_a_trigonometric_polynomial_in_epsilon(preset, kwargs):
         assert np.abs(trace[n + len(probes):] - sign * at_away).max() <= 1e-12, label
 
 
+def prepared(cfg: ExperimentConfig, eps: float) -> dict:
+    """The circuits of one point's settings, as its one-point sweep runs them."""
+    (_, circuits), = bound_points(compile_sweep(dataclasses.replace(cfg, epsilon_values=(eps,))))
+    return circuits
+
+
 class TestPrepareCircuits:
     def test_five_settings(self):
         cfg = ExperimentConfig(transpile=False)
-        circuits = prepare_circuits(cfg, 0.01)
+        circuits = prepared(cfg, 0.01)
         assert set(circuits) == {"ZZ", "XY", "YX", "IZ", "ZI"}
         for label, (setting, circ) in circuits.items():
             assert setting.label == label
@@ -493,10 +544,10 @@ class TestPrepareCircuits:
         [("belem-like", None), ("nairobi-like", (0, 2, 4, 6)), (None, None)],
     )
     def test_shared_compile_matches_full_transpile(self, topology, layout):
-        cfg = ExperimentConfig(topology=topology, layout=layout)
+        cfg = ExperimentConfig(topology=topology, layout=layout,
+                               epsilon_values=DEFAULT_EPSILONS + (0.3, -0.5))
         topo = resolve_topology(topology)
-        for eps in DEFAULT_EPSILONS + (0.3, -0.5):
-            circuits = prepare_circuits(cfg, eps)
+        for eps, (_, circuits) in zip(cfg.epsilon_values, bound_points(compile_sweep(cfg))):
             base = build_evolution_circuit(eps, prepend_ground_prep=True)
             for setting, full in measurement_circuits(base):
                 want = transpile(full, topo, device_layout(topo, 4, layout)).circuit
@@ -510,14 +561,14 @@ class TestPrepareCircuits:
 
     def test_transpiled_to_basis(self):
         cfg = ExperimentConfig(transpile=True)
-        circuits = prepare_circuits(cfg, 0.01)
+        circuits = prepared(cfg, 0.01)
         for _, circ in circuits.values():
             assert all(g.kind in BASIS_KINDS for g in circ.gates)
             assert circ.n_qubits == 4
 
     def test_routed_onto_topology(self):
         cfg = ExperimentConfig(topology="belem-like")
-        circuits = prepare_circuits(cfg, 0.01)
+        circuits = prepared(cfg, 0.01)
         topo = Topology.preset("belem-like")
         _, zz = circuits["ZZ"]
         assert zz.n_qubits == 5
@@ -655,7 +706,7 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
     noise = cfg.noise_model()
     point_seeds = np.random.SeedSequence(cfg.seed).generate_state(len(cfg.epsilon_values))
     rows = []
-    for eps, seed, (_, circuits) in zip(cfg.epsilon_values, point_seeds, compile_sweep(cfg)):
+    for eps, seed, (_, circuits) in zip(cfg.epsilon_values, point_seeds, bound_points(compile_sweep(cfg))):
         setting_seeds = np.random.SeedSequence(int(seed)).generate_state(5)
         distributions = outcome_distributions([circuits[lab][1] for lab in SETTING_LABELS], noise)
         traces, retained = {}, {}
@@ -783,8 +834,7 @@ class TestEmitOutputs:
                                analytic_mode=True, export_qasm=True, **kwargs)
         paths = emit_outputs(run_sweep(cfg), cfg, out_dir=str(tmp_path), timestamp="T")
         assert len(paths["qasm"]) == len(cfg.epsilon_values)
-        for p, path in enumerate(paths["qasm"]):
-            bound = compile_sweep(cfg)[p][0].circuit
+        for path, (bound, _) in zip(paths["qasm"], bound_points(compile_sweep(cfg))):
             text = open(path, encoding="utf-8").read()
             assert text == qasm_emit(bound)
             back = qasm_parse(text)
@@ -794,7 +844,8 @@ class TestEmitOutputs:
 
     def test_a_sweep_is_emitted_once_and_binds_no_point(self, tmp_path, monkeypatch):
         """The export writes the evolution template's text in one ``emit``
-        call, not one per point, and binds no point's circuit."""
+        call, not one per point: the template itself with its lanes, no
+        point's circuit."""
         cfg = self.small_config(epsilon_values=DEFAULT_EPSILONS, export_qasm=True,
                                 topology="nairobi-like", layout=(0, 2, 4, 6), transpile=True)
         compiled = compile_sweep(cfg)
@@ -805,14 +856,33 @@ class TestEmitOutputs:
             calls.append(args)
             return qasm_emit(*args)
 
-        def refuse(*args):
-            pytest.fail("the export bound a point's circuit")
-
         monkeypatch.setattr(experiment, "qasm_emit", spy)
-        monkeypatch.setattr(experiment, "_bind", refuse)
         paths = emit_outputs(table, cfg, out_dir=str(tmp_path), timestamp="T", compiled=compiled)
         assert len(calls) == 1
+        assert calls[0][0] is compiled.evolution[0]
         assert len(paths["qasm"]) == len(DEFAULT_EPSILONS) == 13
+
+    def test_the_report_is_written_in_one_write(self, tmp_path, monkeypatch):
+        """report.json goes out in one write of the whole text: 2-space
+        indented, keys sorted, a newline at the end."""
+        cfg = self.small_config(epsilon_values=DEFAULT_EPSILONS)
+        table = run_sweep(cfg)
+        writes = []
+        real_open = open
+
+        def spied_open(path, mode="r", *args, **kwargs):
+            fh = real_open(path, mode, *args, **kwargs)
+            if str(path).endswith("report.json"):
+                write = fh.write
+                fh.write = lambda text: writes.append(text) or write(text)
+            return fh
+
+        monkeypatch.setattr("builtins.open", spied_open)
+        paths = emit_outputs(table, cfg, out_dir=str(tmp_path), timestamp="T")
+        monkeypatch.undo()
+        text = open(paths["json"], encoding="utf-8").read()
+        assert len(writes) == 1 and writes[0] == text
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -842,15 +912,14 @@ def test_random_device_graphs_compile_and_run_exactly(tmp_path):
         cfg = ExperimentConfig(epsilon_values=RANDOM_GRAPH_EPSILONS, analytic_mode=True,
                                topology=str(path), layout=layout)
         compiled = compile_sweep(cfg)
-        for row, (evolution, circuits) in zip(run_sweep(cfg, compiled), compiled):
+        for row, (evolution, circuits) in zip(run_sweep(cfg, compiled), bound_points(compiled)):
             eps = row["epsilon"]
             key = (trial, sorted(topo.edges), layout, eps)
             for label, want in exact_traces(eps).items():
                 assert abs(row[f"tr_{label.lower()}"] - want) <= 1e-12, (key, label)
             ref = transpile(build_evolution_circuit(eps, prepend_ground_prep=True), topo,
                             layout or hub_layout(topo, 4))
-            assert exact_gates(evolution.circuit) == exact_gates(ref.circuit), key
-            assert evolution.full_final_layout == ref.full_final_layout, key
+            assert exact_gates(evolution) == exact_gates(ref.circuit), key
             for setting, full in measurement_circuits(build_evolution_circuit(eps, prepend_ground_prep=True)):
                 if setting.label in ("IZ", "ZI"):  # the ZZ circuit
                     continue

@@ -15,7 +15,6 @@ from gravopto.experiment import (
     ExperimentConfig,
     compile_sweep,
     emit_outputs,
-    prepare_circuits,
     run_point,
     run_sweep,
 )
@@ -27,7 +26,7 @@ from gravopto.simulator import (
 )
 from gravopto.transpiler import TOPOLOGY_PRESETS
 
-from oracles import pauli_matrix, run_ideal, unitary_of
+from oracles import bound_points, pauli_matrix, run_ideal, unitary_of
 from test_circuit import random_circuit
 
 
@@ -287,8 +286,10 @@ class TestNoisyProbabilities:
             probs[0] = 1.0
 
     def test_sampler_chi_square_on_routed_xy_setting(self):
-        cfg = ExperimentConfig(**NOISE_PRESETS["belem-like"], topology="belem-like")
-        _, circ = prepare_circuits(cfg, 1e-2)["XY"]
+        cfg = ExperimentConfig(**NOISE_PRESETS["belem-like"], topology="belem-like",
+                               epsilon_values=(1e-2,))
+        (_, circuits), = bound_points(compile_sweep(cfg))
+        _, circ = circuits["XY"]
         noise = cfg.noise_model()
         shots = 200_000
         probs, = outcome_distributions([circ], noise)
@@ -480,7 +481,7 @@ def test_a_sweep_over_both_zeros_keeps_each_points_bytes():
     # at epsilon 0.0 and -0.0 the core slots' angles are equal with different bits
     cfg = ExperimentConfig(analytic_mode=True, epsilon_values=(0.0, -0.0), topology="belem-like",
                            **NOISE_PRESETS["belem-like"])
-    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    circuits = [c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()]
     zero, minus_zero = circuits[0], circuits[len(circuits) // 2]
     assert any(a.param.hex() != b.param.hex() for a, b in zip(zero.gates, minus_zero.gates)
                if a.kind in PARAM_KINDS)
@@ -564,7 +565,7 @@ def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, calls,
     cfg = ExperimentConfig(shots=50, **kwargs)
     applied = _spy_on_rows(monkeypatch)
     run_sweep(cfg)
-    circuits = {c for eps in cfg.epsilon_values for _, c in prepare_circuits(cfg, eps).values()}
+    circuits = {c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()}
     assert len(circuits) == 3 * len(cfg.epsilon_values)
     structures = [[(g.kind, g.qubits) for g in c.gates if g.kind != "measure"] for c in circuits]
     # one application per node of the tree of the distinct circuits' structures
@@ -602,7 +603,7 @@ def test_a_pass_above_the_dense_limit_raises_before_allocation(tmp_path, monkeyp
     line = tmp_path / "line20.json"
     line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
     cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), cx_depol=0.01)
-    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    circuits = [c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()]
     assert all({q for g in c.gates for q in g.qubits} == set(range(20)) for c in circuits)
 
     def refuse(*args, **kwargs):
@@ -676,7 +677,7 @@ def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
     line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
     cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), readout=0.02,
                            epsilon_values=(0.01,))
-    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    circuits = [c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()]
 
     def refuse(*args, **kwargs):
         pytest.fail("a pass over 20 touched qubits was allocated")
@@ -693,7 +694,7 @@ def test_a_seven_qubit_gate_noise_pass_peaks_below_its_bound():
     measured; as complex density matrices it peaked at 45 MiB)."""
     cfg = ExperimentConfig(topology="nairobi-like", layout=(0, 2, 4, 6),
                            **NOISE_PRESETS["nairobi-like"])
-    circuits = [c for _, settings in compile_sweep(cfg) for _, c in settings.values()]
+    circuits = [c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()]
     tracemalloc.start()
     try:
         outcome_distributions(circuits, cfg.noise_model())
@@ -720,14 +721,15 @@ def test_each_lane_equals_its_points_circuits_evolved_alone(monkeypatch, kwargs)
     cfg = ExperimentConfig(epsilon_values=LANE_GRID, **kwargs)
     noise = cfg.noise_model()
     compiled = compile_sweep(cfg)
+    points = bound_points(compiled)
     applied = _spy_on_rows(monkeypatch)
     stack = compiled.distributions(noise)
     assert (len(applied), sum(applied)) == tree_rows(
-        {id(c): c for p in range(len(compiled)) for _, c in compiled[p][1].values()}.values())
+        {id(c): c for _, circuits in points for _, c in circuits.values()}.values())
     monkeypatch.undo()
     assert stack.shape == (len(LANE_GRID), 5, 16)
-    for p, eps in enumerate(LANE_GRID):
-        for s, (_, circuit) in enumerate(compiled[p][1].values()):
+    for p, ((_, circuits), eps) in enumerate(zip(points, LANE_GRID)):
+        for s, (_, circuit) in enumerate(circuits.values()):
             alone, = outcome_distributions([circuit], noise)
             assert stack[p, s].tobytes() == alone.tobytes(), (eps, s)
 

@@ -30,7 +30,6 @@ from gravopto.experiment import (
     DEFAULT_EPSILONS,
     ExperimentConfig,
     compile_sweep,
-    prepare_circuits,
     resolve_topology,
 )
 from gravopto.transpiler import (
@@ -431,22 +430,29 @@ class TestSimplify:
         (g,) = simplify(c).gates
         assert g == rz(0, 0.4)
 
-    def test_a_shared_memo_keys_runs_by_their_angles(self):
+    def test_a_shared_memo_keys_runs_by_their_angles(self, monkeypatch):
         """Runs that differ in one Rz angle only: x rz x is kept (a rotation
         keeps its sign), and sx rz sx is kept unless the angle is pi, a
-        Clifford run that shrinks to its shortest word. Simplified through
-        one memo, each comes out as it does alone."""
+        Clifford run that shrinks to its shortest word. Side by side in one
+        circuit, whose passes share one memo, each comes out as it does
+        alone, and no run is resynthesised twice."""
         circuits = [
             Circuit(2, (x(0), rz(0, 0.3), x(0), cx(0, 1), sx(1), rz(1, 0.3), sx(1))),
             Circuit(2, (x(0), rz(0, 0.5), x(0), cx(0, 1), sx(1), rz(1, math.pi), sx(1))),
         ]
         alone = [simplify(c).gates for c in circuits]
         assert alone[0] != alone[1]
-        for order in (circuits, circuits[::-1]):
-            memo = {}
-            for c in order:
-                assert simplify(c, memo).gates == alone[circuits.index(c)]
-            assert len(memo) == 4
+
+        def shifted(gates, by):
+            return tuple(Gate(g.kind, tuple(q + by for q in g.qubits), g.param) for g in gates)
+
+        calls = []
+        original = transpiler._resynthesis
+        monkeypatch.setattr(transpiler, "_resynthesis", lambda run: calls.append(run) or original(run))
+        both = simplify(Circuit(4, circuits[0].gates + shifted(circuits[1].gates, 2))).gates
+        assert tuple(g for g in both if g.qubits[0] < 2) == alone[0]
+        assert shifted(tuple(g for g in both if g.qubits[0] >= 2), -2) == alone[1]
+        assert len(calls) == len(set(calls)) == 4
 
     def test_non_convergence_raises(self, monkeypatch):
         # a pass that reverses the gate list never reaches a fixpoint
@@ -655,11 +661,12 @@ class TestSuffixWindow:
 
 
 def test_resynthesis_count_guard(monkeypatch):
-    """Preparing the 13 default belem-like points one by one re-synthesises
-    at most 260 single-qubit runs. Each point is a one-point sweep whose
-    templates share one memo, so it makes 117: 9 distinct runs a point. An
-    earlier compile took 520: every simplify re-synthesised every run
-    twice, and the two rotated settings re-simplified the whole prefix."""
+    """Compiling the 13 default belem-like points one by one re-synthesises
+    at most 260 single-qubit runs. Each point is a one-point sweep of three
+    ``simplify`` calls, each with a memo of its own, so it makes 195: 15
+    runs a point. An earlier compile took 520: every simplify re-synthesised
+    every run twice, and the two rotated settings re-simplified the whole
+    prefix."""
     calls = []
     original = transpiler._resynthesis
 
@@ -670,14 +677,15 @@ def test_resynthesis_count_guard(monkeypatch):
     monkeypatch.setattr(transpiler, "_resynthesis", counted)
     cfg = ExperimentConfig(topology="belem-like")
     for eps in DEFAULT_EPSILONS:
-        prepare_circuits(cfg, eps)
+        compile_sweep(dataclasses.replace(cfg, epsilon_values=(eps,)))
     assert len(calls) <= 260
 
 
 def test_a_sweep_resynthesises_each_distinct_run_once(monkeypatch):
-    """``compile_sweep`` shares one resynthesis memo across its templates:
-    the default belem-like sweep resynthesises 9 distinct runs. The memo
-    lives for one call, so a second sweep makes as many calls again."""
+    """Each of ``compile_sweep``'s three ``simplify`` calls resynthesises
+    each distinct run once, whatever the number of points: the default
+    belem-like sweep makes 15 calls. A memo lives for one ``simplify`` call,
+    so a second sweep makes as many calls again."""
     calls = []
     original = transpiler._resynthesis
 
@@ -696,7 +704,7 @@ def test_a_sweep_resynthesises_each_distinct_run_once(monkeypatch):
 
 def test_a_sweep_simplifies_as_many_circuits_as_one_point(monkeypatch):
     """A sweep simplifies one template per circuit a point runs, and each
-    point binds its angles into them: the evolution, and the XY and YX
+    point's angles are lanes of them: the evolution, and the XY and YX
     settings circuits. (ZZ, IZ and ZI share the evolution's template with
     measurements after it, still a fixpoint.) So the 13 default belem-like
     points make as many ``simplify`` calls as one point. Nothing outlives a
@@ -704,9 +712,9 @@ def test_a_sweep_simplifies_as_many_circuits_as_one_point(monkeypatch):
     calls = []
     original = transpiler.simplify
 
-    def counted(c, memo=None):
+    def counted(c):
         calls.append(c)
-        return original(c, memo)
+        return original(c)
 
     for module in (experiment, transpiler):
         monkeypatch.setattr(module, "simplify", counted)
@@ -823,10 +831,8 @@ def test_simplify_keeps_the_unitary_and_never_grows():
     """On seeded random basis circuits whose Rz angles are often 0, +-pi/2,
     pi, 1e-13 or 1e-7, ``simplify`` keeps the unitary within 1e-10 in the
     linear distance and the measurements, never adds a gate of either kind,
-    is its own fixpoint, and gives the same gates with a memo shared by
-    every circuit as alone. It shrinks more than 1000 of the 2000."""
+    and is its own fixpoint. It shrinks more than 1000 of the 2000."""
     rng = np.random.default_rng(97)
-    shared: dict = {}
     shrank = 0
     for trial in range(2000):
         n = int(rng.integers(1, 5))
@@ -847,7 +853,6 @@ def test_simplify_keeps_the_unitary_and_never_grows():
             gates += [measure(q, q) for q in range(n)]
         c = Circuit(n, tuple(gates))
         out = simplify(c)
-        assert simplify(c, shared).gates == out.gates, (trial, gates)
         assert simplify(out).gates == out.gates, (trial, gates)
         assert all(new <= old for new, old in zip(out.gate_counts(), c.gate_counts())), (trial, gates)
         assert out.measurements == c.measurements
