@@ -29,15 +29,12 @@ tomography settings, with one *lane* of angles per point at their core
 slots) into exact outcome distributions in one pass per register. A
 circuit's register is the qubits its gates and measurements touch, so a
 device's idle qubits, which stay in |0>, are never simulated; a circuit with
-gate noise evolves their Pauli vector, any other their statevector. Items on
-one register walk the tree of their gate structures, the gates' kinds and
-qubits without their angles: each position in it is one kernel call on a
-stack of the distinct states below it, so every lane shares every call.
-Lanes share a row while their gates and their angles' bits agree (0.0 and
--0.0 part): the points up to the first angle they differ in, a point's
-settings over their evolution, and equal copies throughout. Every row gets
-the arithmetic of its circuit evolved alone; a circuit is one lane. Shots
-are i.i.d., so ``sample_weights`` draws a setting as one multinomial
+gate noise evolves their Pauli vector, any other their statevector. A pass
+evolves the leading gates that all its items have alike, kinds, qubits and
+angles' bits (0.0 and -0.0 part), once on a stack of one row per lane; then
+each item's other gates from that stack, each gate one kernel call. Every
+row gets the arithmetic of its circuit evolved alone; a circuit is one lane.
+Shots are i.i.d., so ``sample_weights`` draws a setting as one multinomial
 sample, a row of counts. Nothing is kept between calls.
 """
 from __future__ import annotations
@@ -174,7 +171,7 @@ class _Kernel:
         if kind != "cx":
             return _apply_1q(self._made[key], states, axes[0])
         perm, factor = self._made[key]
-        states = states[:, perm]
+        states = np.take(states, perm, axis=1)  # in C order, which later sums follow
         return states if factor is None else np.multiply(states, factor, out=states)
 
     def _terms(self, kind: str, params, rate: float) -> list[list]:
@@ -227,45 +224,52 @@ class NoiseModel:
                 raise ConfigError(f"{name}: {rate} outside [0, {high:g})")
 
 
+def _bits(angle):
+    """An angle's bits, or a lane's each: ``float.hex`` tells -0.0 from 0.0, which == does not."""
+    return [*map(_bits, angle)] if isinstance(angle, list) else None if angle is None else angle.hex()
+
+
 def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     """Exact outcome distribution over the 2**k classical keys of each
     measured circuit under noise, in order; a template, a circuit and
     ``{gate index: one angle per lane}``, gets row l of a (lanes, 2**k)
-    array for the circuit with each laned gate at its angle l.
+    array for the circuit with each laned gate at its angle l. Lanes of
+    unequal length are a ValueError.
 
     Each item evolves over the qubits its gates and measurements touch: a
     Pauli vector if one of its gates carries an error rate, else a
-    statevector. Items on the same such register share one pass over the
-    tree of their gate structures, the gates' kinds and qubits: each
-    position in it is applied once to a stack of the distinct states below
-    it. Lanes share a row while their gates and their angles' bits agree,
-    and every row sees the arithmetic of its circuit evolved alone. The
-    results are read-only; an item given again shares one array. A
-    CapacityError is raised before anything is allocated if a pass's lanes
-    plus its CNOT tables, one per pair of qubits, times a row's entries
-    exceed 4**MAX_DENSE_QUBITS, the dense limit.
+    statevector. Items on the same such register share one pass. If they
+    have as many lanes each, the leading gates that they all have alike,
+    kinds, qubits and angles' bits, are applied once to a stack of a row per
+    lane. Each item's other gates then go on from that stack, repeated to a
+    row per lane where the stack has one row. Every row sees the arithmetic
+    of its circuit evolved alone. The results are read-only; an item given
+    again shares one array. A CapacityError is raised before anything is
+    allocated if a pass's lanes plus its CNOT tables, one per pair of
+    qubits, times a row's entries exceed 4**MAX_DENSE_QUBITS, the dense
+    limit.
     """
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
     passes: dict[tuple, list[tuple]] = {}
     # an item given again is computed once; ``circuits`` keeps it alive, so no id is reused
     for key, item in {id(c): c for c in circuits}.items():
         circuit, lanes = item if isinstance(item, tuple) else (item, {})
-        n = len(next(iter(lanes.values()), [None]))
-        gates = [(i, g) for i, g in enumerate(circuit.gates) if g.kind != "measure"]
-        seq = [(g.kind, g.qubits) for _, g in gates]
-        # each position's angle bits (float.hex tells -0.0 from 0.0), one per lane where it has lanes
-        bits = [[a.hex() for a in lanes[i]] if i in lanes
-                else g.param if g.param is None else g.param.hex() for i, g in gates]
+        counts = {len(angles) for angles in lanes.values()} or {1}
+        if len(counts) > 1:
+            raise ValueError(f"a template's lanes hold {sorted(counts)} angles, not one count")
+        # each gate's kind, qubits and angle, a list of one per lane where it has lanes
+        steps = [(g.kind, g.qubits, list(lanes[i]) if i in lanes else g.param)
+                 for i, g in enumerate(circuit.gates) if g.kind != "measure"]
         measured = _measure_order(circuit)
-        register = tuple(sorted(set(measured).union(*(q for _, q in seq))))
+        register = tuple(sorted(set(measured).union(*(q for _, q, _ in steps))))
         kept = tuple(register.index(q) for q in measured)
         out = slice(None) if circuit is not item else 0  # a template's every row, a circuit's one
-        passes.setdefault((any(rates[k] for k, _ in seq), register), []).append(
-            ((seq, bits, kept, key, out), n))
+        passes.setdefault((any(rates[k] for k, _, _ in steps), register), []).append(
+            (steps, kept, key, out, *counts))
     for (mixed, register), group in passes.items():
         # a CNOT's table per pair of qubits holds as many entries as a row
-        pairs = {qubits for (seq, *_), _ in group for _, qubits in seq if len(qubits) == 2}
-        n = sum(lanes for _, lanes in group)
+        pairs = {qubits for steps, *_ in group for _, qubits, _ in steps if len(qubits) == 2}
+        n = sum(lanes for *_, lanes in group)
         if (n + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
             raise CapacityError(
                 f"{n} lanes and {len(pairs)} CNOT pairs on {len(register)} touched "
@@ -275,43 +279,29 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
         m = len(register)
         kernel = _Kernel(m, mixed)
         axis = {q: a for a, q in enumerate(register)}
-        start = np.zeros((1, (4 if mixed else 2) ** m), float if mixed else complex)
-        start[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
-        # walk the tree of the group's structures, an edge per gate position; a node holds
-        # its distinct states and, per item below it, the row of each of its lanes
-        todo = [(0, start, [(item, [0] * lanes) for item, lanes in group])]
-        while todo:
-            depth, states, below = todo.pop()
-            branches: dict[tuple, list[tuple]] = {}
-            for item, rows in below:
-                seq, _, kept, key, out = item
-                if len(seq) > depth:
-                    branches.setdefault(seq[depth], []).append((item, rows))
-                    continue
-                if mixed:
-                    probs = _pauli_probabilities(states[np.ix_(rows, _iz_index(m, kept))])
-                else:  # |psi|**2 summed down to the measured axes, in classical-bit order
-                    p = (np.abs(states[rows]) ** 2).reshape((len(rows),) + (2,) * m)
-                    p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
-                    probs = p.reshape(len(rows), 2 ** len(kept), -1).sum(axis=2)
-                done[key] = apply_readout(probs, noise.readout)[out]
-            for (kind, qubits), subs in branches.items():
-                at = [item[1][depth] for item, _ in subs]
-                if len(subs) == len(below) and at.count(at[0]) == len(at) and not isinstance(at[0], list):
-                    # one angle on every lane, and every row goes on: reuse the stack
-                    stack, moved, b = states, subs, at[0]
-                else:  # a row per distinct (row, angle's bits); unequal lanes are a ValueError
-                    new, moved = {}, []
-                    for (item, rows), a in zip(subs, at):
-                        keys = zip(rows, a if isinstance(a, list) else [a] * len(rows), strict=True)
-                        moved.append((item, [new.setdefault(k, len(new)) for k in keys]))
-                    src, b = zip(*new)
-                    stack = states if src == tuple(range(len(states))) else states[list(src)]
-                    # the angle bits here: one for every row (built once per kernel), or a row's each
-                    b = b[0] if b.count(b[0]) == len(b) else b
-                params = [*map(float.fromhex, b)] if isinstance(b, tuple) else b and float.fromhex(b)
-                todo.append((depth + 1, kernel.apply(stack, kind, tuple(axis[q] for q in qubits),
-                                                     params, rates[kind]), moved))
+        counts = {lanes for *_, lanes in group}
+        # the shared prefix: the leading steps alike in every item, if all have as many lanes
+        shared = 0
+        for column in zip(*(((k, q, _bits(a)) for k, q, a in steps) for steps, *_ in group)):
+            if len(counts) > 1 or column.count(column[0]) < len(column):
+                break
+            shared += 1
+        prefix = np.zeros((max(counts) if len(counts) == 1 else 1, (4 if mixed else 2) ** m),
+                          float if mixed else complex)
+        prefix[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
+        for kind, qubits, angle in group[0][0][:shared]:
+            prefix = kernel.apply(prefix, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
+        for steps, kept, key, out, lanes in group:
+            states = prefix if lanes == len(prefix) else np.repeat(prefix, lanes, axis=0)
+            for kind, qubits, angle in steps[shared:]:
+                states = kernel.apply(states, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
+            if mixed:
+                probs = _pauli_probabilities(states[:, _iz_index(m, kept)])
+            else:  # |psi|**2 summed down to the measured axes, in classical-bit order
+                p = (np.abs(states) ** 2).reshape((lanes,) + (2,) * m)
+                p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
+                probs = p.reshape(lanes, 2 ** len(kept), -1).sum(axis=2)
+            done[key] = apply_readout(probs, noise.readout)[out]
     for p in done.values():
         p.setflags(write=False)
     return [done[id(c)] for c in circuits]

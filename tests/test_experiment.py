@@ -392,6 +392,25 @@ def test_a_template_without_one_angle_per_core_slot_is_refused(monkeypatch):
             compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like"))
 
 
+def test_an_evolution_with_three_core_rotations_is_refused(monkeypatch):
+    """The evolution's template comes from ``transpile``, not ``simplify``:
+    a ``transpile`` that turns one core into a quarter turn leaves 3
+    rotations that are no quarter turns, and the sweep is refused there."""
+    transpile = experiment.transpile
+
+    def wrong(*args):
+        routed = transpile(*args)
+        gates = list(routed.circuit.gates)
+        i = next(i for i, g in enumerate(gates) if g.kind in ("u1", "rz")
+                 and transpiler.quarter_turns(g.param) is None)
+        gates[i] = Gate(gates[i].kind, gates[i].qubits, math.pi / 2)
+        return dataclasses.replace(routed, circuit=Circuit(routed.circuit.n_qubits, tuple(gates)))
+
+    monkeypatch.setattr(experiment, "transpile", wrong)
+    with pytest.raises(RuntimeError, match=r"^a template has 3 non-Clifford angles, not 4 slots$"):
+        compile_sweep(ExperimentConfig(epsilon_values=(0.01,), topology="belem-like"))
+
+
 BINDING_CASES = pytest.mark.parametrize("kwargs", [
     dict(topology="belem-like"),
     dict(topology="nairobi-like"),

@@ -458,9 +458,9 @@ def test_equal_circuits_share_one_array_without_hashing(monkeypatch, noise):
 @pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, sq_depol=0.01)],
                          ids=["statevector", "pauli-vector"])
 def test_rows_merge_by_angle_bits_not_by_equality(monkeypatch, noise):
-    """rz(0.0) and rz(-0.0) are equal angles with different bits, so the two
-    circuits part into rows of their own there; each gets the bytes of its
-    own one-circuit run."""
+    """rz(0.0) and rz(-0.0) are equal angles with different bits, so the
+    shared prefix of the two circuits stops there, after h(0), and each goes
+    on on a row of its own; each gets the bytes of its own one-circuit run."""
     rest = random_circuit(np.random.default_rng(53), 3, 8).gates
     circuits = [measured(Circuit(3, (h(0), Gate("rz", (0,), angle)) + rest)) for angle in (0.0, -0.0)]
     rows = []
@@ -472,7 +472,7 @@ def test_rows_merge_by_angle_bits_not_by_equality(monkeypatch, noise):
 
     monkeypatch.setattr(simulator._Kernel, "apply", counted)
     got = outcome_distributions(circuits, noise)
-    assert rows == [1] + [2] * (len(rest) + 1)
+    assert rows == [1] + [1] * 2 * (len(rest) + 1)
     for c, p in zip(circuits, got):
         assert p.tobytes() == outcome_distributions([c], noise)[0].tobytes()
 
@@ -540,44 +540,48 @@ def _spy_on_rows(monkeypatch) -> list:
     return applied
 
 
-def tree_rows(circuits) -> tuple[int, int]:
-    """(kernel calls, rows) of one pass over measured circuits: a call per
-    distinct prefix of gate kinds and qubits, on a row per distinct prefix
-    of gates with their angles' bits below it."""
-    gates = [[g for g in c.gates if g.kind != "measure"] for c in circuits]
-    nodes: dict[tuple, set] = {}
-    for seq in gates:
-        for d in range(1, len(seq) + 1):
-            nodes.setdefault(tuple((g.kind, g.qubits) for g in seq[:d]), set()).add(
-                tuple(None if g.param is None else g.param.hex() for g in seq[:d]))
-    return len(nodes), sum(len(states) for states in nodes.values())
+def prefix_rows(items) -> tuple[int, int]:
+    """(kernel calls, rows) of one pass over measured circuits and templates
+    ``(circuit, {gate index: one angle per lane})``. If every item has as
+    many lanes, the leading gates alike in all of them (kind, qubits and
+    angle bits, a tuple of them at a laned gate) are applied once, on a row
+    per lane; every other gate once per item, on a row per lane of it."""
+    seqs, lanes = [], []
+    for item in items:
+        c, laned = item if isinstance(item, tuple) else (item, {})
+        lanes.append(len(next(iter(laned.values()), [None])))
+        seqs.append([(g.kind, g.qubits, tuple(a.hex() for a in laned[i]) if i in laned
+                      else None if g.param is None else g.param.hex())
+                     for i, g in enumerate(c.gates) if g.kind != "measure"])
+    shared = 0
+    while (len(set(lanes)) == 1 and all(len(seq) > shared for seq in seqs)
+           and len({seq[shared] for seq in seqs}) == 1):
+        shared += 1
+    tails = [len(seq) - shared for seq in seqs]
+    return shared + sum(tails), shared * lanes[0] + sum(t * n for t, n in zip(tails, lanes))
 
 
 @pytest.mark.parametrize("kwargs,calls,row_count", [
     # gate noise: one density-matrix pass
-    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 75, 891),
+    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 75, 975),
     # readout only, SWAP-routed: one statevector pass
-    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 130, 1570),
-    # readout only on belem-like: the statevector pass of the same tree
-    (dict(topology="belem-like", readout=0.0211), 75, 891),
+    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), readout=0.0306), 142, 1846),
+    # readout only on belem-like: the statevector pass of the same templates
+    (dict(topology="belem-like", readout=0.0211), 75, 975),
 ], ids=["belem-like", "nairobi-like-swap", "readout-belem-like"])
 def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, calls, row_count):
+    """A sweep's three settings templates, 13 lanes each, share the prefix
+    of the evolution: it is applied once, and every call takes a row per
+    point."""
     cfg = ExperimentConfig(shots=50, **kwargs)
+    compiled = compile_sweep(cfg)
     applied = _spy_on_rows(monkeypatch)
-    run_sweep(cfg)
-    circuits = {c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()}
-    assert len(circuits) == 3 * len(cfg.epsilon_values)
-    structures = [[(g.kind, g.qubits) for g in c.gates if g.kind != "measure"] for c in circuits]
-    # one application per node of the tree of the distinct circuits' structures
-    prefixes = {tuple(seq[:d]) for seq in structures for d in range(1, len(seq) + 1)}
-    assert len(applied) == len(prefixes) == calls
-    # each application takes one row per distinct state: every gate before the
-    # first core slot, where the points' angles part, acts on a single row
-    exact = [[(g.kind, g.qubits, None if g.param is None else g.param.hex()) for g in c.gates]
-             for c in circuits]
-    shared = next(d for d, gates in enumerate(zip(*exact)) if len(set(gates)) > 1)
-    assert shared > 0 and applied[:shared] == [1] * shared
-    assert sum(applied) == row_count == tree_rows(circuits)[1]
+    run_sweep(cfg, compiled)
+    laned = [compiled.laned(template) for template, _ in compiled.settings]
+    assert applied == [len(cfg.epsilon_values)] * calls
+    assert (len(applied), sum(applied)) == (calls, row_count) == prefix_rows(laned)
+    evolution = [g for g in compiled.evolution[0].gates if g.kind != "measure"]
+    assert calls < 3 * len(evolution)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -587,7 +591,10 @@ def test_a_sweep_applies_each_structural_prefix_once(monkeypatch, kwargs, calls,
     # equal circuits that are distinct objects
     dict(analytic_mode=True, epsilon_values=(0.01, 0.01, 0.02), topology="belem-like",
          **NOISE_PRESETS["belem-like"]),
-], ids=["analytic-gate-noise", "sampled-gate-noise", "analytic-readout-swap", "repeated-epsilon"])
+    # templates that end in a CNOT: the stacks' memory order sets how the rows are summed
+    dict(analytic_mode=True, epsilon_values=(-0.3, 0.0, 0.01), topology="nairobi-like", transpile=False),
+], ids=["analytic-gate-noise", "sampled-gate-noise", "analytic-readout-swap", "repeated-epsilon",
+        "untranspiled"])
 def test_sweep_rows_equal_each_point_run_alone(kwargs):
     cfg = ExperimentConfig(**kwargs)
     compiled = compile_sweep(cfg)
@@ -688,20 +695,24 @@ def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
 
 
 def test_a_seven_qubit_gate_noise_pass_peaks_below_its_bound():
-    """The nairobi-like [0, 2, 4, 6] gate-noise sweep: one stack of its 39
-    Pauli vectors of 4**7 floats is 5 MiB, and the tree walk keeps a few
-    stacks alive at once. The pass peaks under 30 MiB (about 20 MiB
-    measured; as complex density matrices it peaked at 45 MiB)."""
+    """The nairobi-like [0, 2, 4, 6] gate-noise sweep, as its 3 templates of
+    13 lanes and as its 39 bound circuits: a stack of 13 Pauli vectors of
+    4**7 floats is 1.6 MiB, and a pass keeps its shared prefix's stack and
+    one item's stacks alive at once. Both peak under 16 MiB (about 7.7 and
+    3.5 MiB measured)."""
     cfg = ExperimentConfig(topology="nairobi-like", layout=(0, 2, 4, 6),
                            **NOISE_PRESETS["nairobi-like"])
-    circuits = [c for _, settings in bound_points(compile_sweep(cfg)) for _, c in settings.values()]
-    tracemalloc.start()
-    try:
-        outcome_distributions(circuits, cfg.noise_model())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 30 * 2 ** 20
+    compiled = compile_sweep(cfg)
+    circuits = [c for _, settings in bound_points(compiled) for _, c in settings.values()]
+    noise = cfg.noise_model()
+    for run in (lambda: compiled.distributions(noise), lambda: outcome_distributions(circuits, noise)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 LANE_GRID = (0.0, -0.0, 0.01, -0.01, 0.01, 3e-4, -3e-4, 1e-7)
@@ -716,16 +727,17 @@ def test_each_lane_equals_its_points_circuits_evolved_alone(monkeypatch, kwargs)
     """A sweep's three settings templates, each core slot a lane of one
     angle per point, give every point and setting the bytes of that point's
     bound circuit evolved alone; over 0, -0.0, a repeated epsilon and
-    epsilons of both signs. The walk takes a row per distinct state, so
-    0.0 and -0.0 part and the repeated epsilon shares every row."""
+    epsilons of both signs. The templates share their leading gates, core
+    slots and all, and every call takes a row per point."""
     cfg = ExperimentConfig(epsilon_values=LANE_GRID, **kwargs)
     noise = cfg.noise_model()
     compiled = compile_sweep(cfg)
     points = bound_points(compiled)
     applied = _spy_on_rows(monkeypatch)
     stack = compiled.distributions(noise)
-    assert (len(applied), sum(applied)) == tree_rows(
-        {id(c): c for _, circuits in points for _, c in circuits.values()}.values())
+    assert (len(applied), sum(applied)) == prefix_rows(
+        [compiled.laned(template) for template, _ in compiled.settings])
+    assert set(applied) == {len(LANE_GRID)}
     monkeypatch.undo()
     assert stack.shape == (len(LANE_GRID), 5, 16)
     for p, ((_, circuits), eps) in enumerate(zip(points, LANE_GRID)):
@@ -755,9 +767,10 @@ def test_a_random_templates_lanes_equal_its_bound_circuits(monkeypatch, noise):
     plain = [bound(1), base]
     applied = _spy_on_rows(monkeypatch)
     got = outcome_distributions([(base, lanes)] + plain, noise)
-    # at the three rotations the lanes take 3, 4 and 4 rows, and the base one more
-    assert (len(applied), sum(applied)) == tree_rows([bound(lane) for lane in range(5)] + plain)
-    assert applied[-3:] == [4, 5, 5]
+    # one lane and five share no prefix: the template runs on 5 rows, each circuit on one
+    gates = len(base.gates) - base.n_qubits
+    assert (len(applied), sum(applied)) == prefix_rows([(base, lanes)] + plain) == (3 * gates, 7 * gates)
+    assert applied == [5] * gates + [1] * 2 * gates
     monkeypatch.undo()
     assert got[0].shape == (5, 8) and not got[0].flags.writeable
     for lane in range(5):
@@ -769,7 +782,7 @@ def test_a_random_templates_lanes_equal_its_bound_circuits(monkeypatch, noise):
 def test_a_template_needs_as_many_angles_at_each_laned_rotation():
     c = measured(Circuit(1, (h(0), Gate("rz", (0,), 0.1), Gate("rx", (0,), 0.1))))
     for lanes in ({1: [0.1, 0.2], 2: [0.3]}, {1: [0.1], 2: [0.1, 0.2]}):
-        with pytest.raises(ValueError, match="zip"):
+        with pytest.raises(ValueError, match=r"lanes hold \[1, 2\] angles"):
             outcome_distributions([(c, lanes)], NoiseModel())
 
 
