@@ -268,8 +268,8 @@ class CompiledSweep:
     epsilon on the resolved topology and layout; and each point's core angles."""
 
     def __init__(self, cfg: ExperimentConfig):
-        topology = resolve_topology(cfg.topology) if cfg.transpile else None
-        layout = device_layout(topology, N_QUBITS, cfg.layout) if cfg.transpile else None
+        topology = resolve_topology(cfg.topology)
+        layout = device_layout(topology, N_QUBITS, cfg.layout)
         marked = build_evolution_circuit(_MARKING_EPSILON, prepend_ground_prep=True)
         routed = transpile(marked, topology, layout) if cfg.transpile else None
         evolution = routed.circuit if routed else marked

@@ -174,8 +174,10 @@ def mitigate_weights(weights: np.ndarray, readout: float) -> np.ndarray:
     quasi-distribution. It can have negative entries; its Euclidean
     projection onto the simplex is the closest distribution (Smolin,
     Gambetta and Smith, PRL 108, 070502 (2012)). Each result is rescaled to
-    its row's total weight.
+    its row's total weight. The stack is read in C order, so its memory
+    order cannot change the sums' rounding.
     """
+    weights = np.ascontiguousarray(weights)
     totals = weights.sum(axis=-1, keepdims=True)
     if not (totals > 0).all():
         raise ValueError("a row has no weight")

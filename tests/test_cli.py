@@ -349,6 +349,31 @@ def test_bad_device_graph_is_a_config_error_before_compiling(command, graph, tmp
     assert not os.path.exists(out)
 
 
+# a sweep checks its device whether or not it transpiles: a missing topology
+# file, a layout off the device and a hub component of 3 qubits are config
+# errors under --no-transpile too
+UNCOMPILED_DEVICES = {
+    "missing-file": ({"topology": "missing.json"}, "topology"),
+    "layout-off-device": ({"topology": "belem-like", "layout": [0, 1, 2, 7]}, "layout"),
+    "three-qubits": ({"topology": "three.json"}, "topology"),
+}
+
+
+@pytest.mark.parametrize("case", UNCOMPILED_DEVICES)
+@pytest.mark.parametrize("command", ["sweep", "tomography"])
+def test_a_device_is_checked_without_transpiling(command, case, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "three.json").write_text(json.dumps(BAD_GRAPHS["three-qubits"][0]))
+    fields, field = UNCOMPILED_DEVICES[case]
+    (tmp_path / "cfg.json").write_text(json.dumps(fields))
+    args = [command, "--config", "cfg.json", "--epsilon", "0.01", "--analytic", "--no-transpile"]
+    assert main(args + (["--out-dir", "out"] if command == "sweep" else [])) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {field}:")
+    assert captured.out == ""
+    assert not list(tmp_path.rglob("results.csv"))
+
+
 def test_a_pass_above_the_dense_limit_exits_3_before_allocation(tmp_path, monkeypatch, capsys):
     topo = tmp_path / "line20.json"
     topo.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))

@@ -31,37 +31,31 @@ def term_circuit(index: int, epsilon: float):
     return compile_pauli_exponential(INTERACTION_FACTORS[index - 1], epsilon / 4)
 
 
-def random_nontrivial_string(rng, n):
-    while True:
-        factors = "".join(rng.choice(list("IXYZ")) for _ in range(n))
-        if set(factors) != {"I"}:
-            return factors
+# every string of four X or Y factors: the kind of term the coupling has
+LADDER_STRINGS = ["".join(f) for f in itertools.product("XY", repeat=4)]
 
 
 class TestPauliExponential:
     def test_matches_dense_exponential(self):
         rng = np.random.default_rng(31)
-        for _ in range(80):
-            n = int(rng.integers(1, 5))
-            string = random_nontrivial_string(rng, n)
-            angle = float(rng.uniform(-2.0, 2.0))
-            circ = compile_pauli_exponential(string, angle)
-            d = linear_distance(unitary_of(circ), exact_exponential(string, angle))
-            assert d <= 1e-12, f"{string} at {angle}: d = {d}"
+        for string in LADDER_STRINGS:
+            for angle in rng.uniform(-2.0, 2.0, 5):
+                circ = compile_pauli_exponential(string, float(angle))
+                d = linear_distance(unitary_of(circ), exact_exponential(string, angle))
+                assert d <= 1e-12, f"{string} at {angle}: d = {d}"
 
     def test_closed_form_cos_sin(self):
         # exp(i t P) = cos(t) I + i sin(t) P for any Pauli string P
-        string = "XYZX"
+        string = "XYYX"
         t = 0.31
         want = math.cos(t) * np.eye(16) + 1j * math.sin(t) * pauli_matrix(string)
         got = unitary_of(compile_pauli_exponential(string, t))
         assert linear_distance(got, want) <= 1e-12
 
-    def test_single_z_is_one_gate(self):
-        circ = compile_pauli_exponential("IZI", 0.4)
-        assert len(circ.gates) == 1 and circ.gates[0].kind == "u1"
-        d = linear_distance(unitary_of(circ), exact_exponential("IZI", 0.4))
-        assert d <= 1e-12
+    @pytest.mark.parametrize("string", ["IZI", "XXYZ", "XXY", "XXXXX", "III"])
+    def test_a_string_that_is_no_ladder_is_rejected(self, string):
+        with pytest.raises(ValueError, match=repr(string)):
+            compile_pauli_exponential(string, 0.4)
 
     def test_identity_rejected(self):
         with pytest.raises(ValueError):
@@ -72,13 +66,12 @@ class TestPauliExponential:
             compile_pauli_exponential("XQ", 0.1)
 
     def test_cnots_touch_only_the_pivot_and_support(self):
-        circ = compile_pauli_exponential("IXIYZ", 0.7)
-        support = {1, 3, 4}
-        pivot = 1
-        for g in circ.gates:
-            assert set(g.qubits) <= support
-            if g.kind == "cx":
-                assert g.qubits[0] == pivot
+        # the pivot is qubit 0 and the fan reaches qubits 3, 2, 1 and back
+        for string in LADDER_STRINGS:
+            circ = compile_pauli_exponential(string, 0.7)
+            cnots = [g.qubits for g in circ.gates if g.kind == "cx"]
+            assert [control for control, _ in cnots] == [0] * 6
+            assert [target for _, target in cnots] == [3, 2, 1, 1, 2, 3]
 
 
 def test_term_circuits_match_their_exponentials():

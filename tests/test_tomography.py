@@ -10,6 +10,7 @@ from gravopto import simulator
 from gravopto.circuit import Circuit, Gate, h, measure, sdg
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError
+from gravopto.experiment import ExperimentConfig, compile_sweep
 from gravopto.simulator import (
     NoiseModel,
     apply_readout,
@@ -361,6 +362,17 @@ class TestMitigate:
         ideal, = outcome_distributions([circ], NoiseModel())
         sampled = out / out.sum()
         assert np.abs(sampled - ideal).sum() <= 0.02
+
+    def test_memory_order_does_not_change_the_bytes(self):
+        # a sampled readout-belem sweep's (65, 16) weights, mitigated as laid
+        # out in C order and as an F-ordered copy of the same values
+        cfg = ExperimentConfig(readout=0.0211, topology="belem-like", shots=1000)
+        flat = compile_sweep(cfg).distributions(cfg.noise_model()).reshape(-1, 16)
+        weights = sample_weights(flat, cfg.shots, list(range(len(flat))))
+        assert weights.shape == (65, 16) and weights.flags.c_contiguous
+        want = mitigate_weights(weights, cfg.readout)
+        got = mitigate_weights(np.asfortranarray(weights), cfg.readout)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestExpectation:
