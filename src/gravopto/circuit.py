@@ -1,4 +1,4 @@
-"""Gate-level circuit container and the gates' matrices.
+"""Gate-level circuit container and the fixed gates' matrices.
 
 Gate definitions (exact, testable):
 
@@ -103,14 +103,6 @@ def x(q: int) -> Gate:
     return Gate("x", (q,))
 
 
-def sx(q: int) -> Gate:
-    return Gate("sx", (q,))
-
-
-def sxdg(q: int) -> Gate:
-    return Gate("sxdg", (q,))
-
-
 def h(q: int) -> Gate:
     return Gate("h", (q,))
 
@@ -127,10 +119,6 @@ def rx(q: int, theta: float) -> Gate:
     return Gate("rx", (q,), param=theta)
 
 
-def rz(q: int, lam: float) -> Gate:
-    return Gate("rz", (q,), param=lam)
-
-
 def u1(q: int, lam: float) -> Gate:
     return Gate("u1", (q,), param=lam)
 
@@ -141,26 +129,6 @@ def cx(control: int, target: int) -> Gate:
 
 def measure(qubit: int, cbit: int) -> Gate:
     return Gate("measure", (qubit,), cbit=cbit)
-
-
-def matrix_of(gate: Gate) -> np.ndarray:
-    """Dense matrix of a unitary gate (2x2, or 4x4 for cx)."""
-    if gate.kind in FIXED_MATRICES:
-        return FIXED_MATRICES[gate.kind].copy()
-    if gate.kind == "rx":
-        half = gate.param / 2.0
-        c, sn = math.cos(half), math.sin(half)
-        return np.array([[c, -1j * sn], [-1j * sn, c]])
-    if gate.kind == "rz":
-        half = gate.param / 2.0
-        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
-    if gate.kind == "u1":
-        return np.array([[1, 0], [0, np.exp(1j * gate.param)]])
-    if gate.kind == "cx":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    raise ValueError(f"{gate.kind} has no unitary matrix")
 
 
 @dataclass(frozen=True)

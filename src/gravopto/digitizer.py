@@ -52,11 +52,12 @@ def build_evolution_circuit(epsilon: float, prepend_ground_prep: bool = False) -
     return Circuit(4, gates)
 
 
-def core_angles(epsilon: float) -> tuple[float, ...]:
-    """The angles of ``build_evolution_circuit(epsilon)``'s four U1 gates, in
-    order: its Y-type cores, and the only gates whose angle depends on epsilon."""
+def core_angle(epsilon: float) -> float:
+    """The angle of each of ``build_evolution_circuit(epsilon)``'s four U1
+    gates: its Y-type cores, one per term, all of coefficient epsilon / 4,
+    and the only gates whose angle depends on epsilon."""
     _check_epsilon(epsilon)
-    return (2.0 * float(epsilon / 4.0),) * len(INTERACTION_FACTORS)
+    return 2.0 * float(epsilon / 4.0)
 
 
 def _check_epsilon(epsilon: float):

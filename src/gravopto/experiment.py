@@ -21,16 +21,15 @@ template's QASM text with each point's lanes filled in.
 settings templates with their lanes, which evolves every point as a row of
 one stack. The settings' weights, sampled or exact, are the rows of one
 (points x settings) array, which is mitigated, post-selected and estimated
-row by row (see ``tomography``). ``run_point`` is the one-point case of the
-same code. The CSV payload is byte-stable for a fixed config; the JSON
-report additionally carries a timestamp.
+row by row (see ``tomography``). The CSV payload is byte-stable for a
+fixed config; the JSON report additionally carries a timestamp.
 """
 from __future__ import annotations
 
 import csv
 import json
 import os
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import datetime, timezone
 from numbers import Integral, Real
 
@@ -43,7 +42,7 @@ from .analysis import (
 )
 from .bosonmap import N_QUBITS
 from .circuit import Circuit
-from .digitizer import build_evolution_circuit, core_angles
+from .digitizer import build_evolution_circuit, core_angle
 from .errors import ConfigError, RoutingError
 from .qasm import emit as qasm_emit
 from .simulator import NoiseModel, outcome_distributions, sample_weights
@@ -265,7 +264,7 @@ _MARKING_EPSILON = 0.3
 class CompiledSweep:
     """What the points of a sweep share, made once: the templates of the
     evolution and of each distinct settings circuit, compiled at the marking
-    epsilon on the resolved topology and layout; and each point's core angles."""
+    epsilon on the resolved topology and layout; and each point's core angle."""
 
     def __init__(self, cfg: ExperimentConfig):
         topology = resolve_topology(cfg.topology)
@@ -289,25 +288,23 @@ class CompiledSweep:
                 template = (circuit, self.evolution[1])
             self.settings.append((template, settings))
         self.gate_counts = self.settings[0][0][0].gate_counts()  # ZZ's template: every point's
-        self.cores = [core_angles(eps) for eps in cfg.epsilon_values]
+        self.cores = [core_angle(eps) for eps in cfg.epsilon_values]
 
     @staticmethod
     def _template(circuit: Circuit) -> tuple:
-        """``circuit`` and each core slot in it as (gate index, core index j,
-        quarter turns k): its j-th rotation that is no quarter turn, at the
-        marking core angle plus k quarter turns."""
-        rotations = [(i, g.param) for i, g in enumerate(circuit.gates)
-                     if g.kind in ("u1", "rz") and quarter_turns(g.param) is None]
-        marks = core_angles(_MARKING_EPSILON)
-        slots = [(i, j, quarter_turns(angle - mark))
-                 for j, ((i, angle), mark) in enumerate(zip(rotations, marks))]
-        if len(rotations) != 4 or any(k is None for _, _, k in slots):
-            raise RuntimeError(f"a template has {len(rotations)} non-Clifford angles, not 4 slots")
+        """``circuit`` and each core slot in it as (gate index, quarter turns
+        k): a rotation that is no quarter turn, at the marking core angle
+        plus k quarter turns. There must be four."""
+        mark = core_angle(_MARKING_EPSILON)
+        slots = [(i, quarter_turns(g.param - mark)) for i, g in enumerate(circuit.gates)
+                 if g.kind in ("u1", "rz") and quarter_turns(g.param) is None]
+        if len(slots) != 4 or any(k is None for _, k in slots):
+            raise RuntimeError(f"a template has {len(slots)} non-Clifford angles, not 4 slots")
         return circuit, slots
 
     def laned(self, template: tuple) -> tuple:
-        """A template's circuit and its lanes: per slot (i, j, k), each point's angle at gate i."""
-        return template[0], {i: [turned(cores[j], k) for cores in self.cores] for i, j, k in template[1]}
+        """A template's circuit and its lanes: per slot (i, k), each point's angle at gate i."""
+        return template[0], {i: [turned(core, k) for core in self.cores] for i, k in template[1]}
 
     def distributions(self, noise: NoiseModel) -> np.ndarray:
         """(points, settings, 2**4): the templates in one call, each core slot a lane."""
@@ -320,12 +317,6 @@ class CompiledSweep:
 def compile_sweep(cfg: ExperimentConfig) -> CompiledSweep:
     """The sweep's templates and its points' core angles."""
     return CompiledSweep(cfg)
-
-
-def run_point(cfg: ExperimentConfig, epsilon: float, seed: int) -> dict:
-    """One sweep row; self-contained and deterministic for (cfg, eps, seed)."""
-    cfg = replace(cfg, epsilon_values=(epsilon,))
-    return _rows(cfg, compile_sweep(cfg), [seed])[0]
 
 
 def run_sweep(cfg: ExperimentConfig, compiled: CompiledSweep | None = None) -> list[dict]:
@@ -358,7 +349,7 @@ def _rows(cfg: ExperimentConfig, compiled: CompiledSweep, point_seeds: list[int]
     rows = {label: weights[s::len(SETTING_LABELS)] for s, label in enumerate(SETTING_LABELS)}
     # the sweep post-selects the correlation setting; the population settings
     # keep their leakage, which decodes to zero weight
-    kept, retained = postselect_weights(rows["ZZ"], MeasurementSetting("ZZ"))
+    kept, retained = postselect_weights(rows["ZZ"])
     if cfg.postselection:
         empty = [eps for eps, frac in zip(cfg.epsilon_values, retained) if not frac > 0]
         if empty:

@@ -26,16 +26,17 @@ undoes a flip at r, which is how ``tomography`` mitigates it.
 
 ``outcome_distributions`` turns measured circuits and templates (a sweep's
 tomography settings, with one *lane* of angles per point at their core
-slots) into exact outcome distributions in one pass per register. A
-circuit's register is the qubits its gates and measurements touch, so a
-device's idle qubits, which stay in |0>, are never simulated; a circuit with
-gate noise evolves their Pauli vector, any other their statevector. A pass
-evolves the leading gates that all its items have alike, kinds, qubits and
-angles' bits (0.0 and -0.0 part), once on a stack of one row per lane; then
-each item's other gates from that stack, each gate one kernel call. Every
-row gets the arithmetic of its circuit evolved alone; a circuit is one lane.
-Shots are i.i.d., so ``sample_weights`` draws a setting as one multinomial
-sample, a row of counts. Nothing is kept between calls.
+slots) into exact outcome distributions in one pass per call. The items of
+a call touch the same qubits, its register, with their gates and
+measurements, so a device's idle qubits, which stay in |0>, are never
+simulated; the pass evolves their Pauli vector if the noise model has a
+gate error rate, else their statevector. It evolves the leading gates that
+all its items have alike, kinds, qubits and angles' bits (0.0 and -0.0
+part), once on a stack of one row per lane; then each item's other gates
+from that stack, each gate one kernel call. Every row gets the arithmetic
+of its circuit evolved alone; a circuit is one lane. Shots are i.i.d., so
+``sample_weights`` draws a setting as one multinomial sample, a row of
+counts. Nothing is kept between calls.
 """
 from __future__ import annotations
 
@@ -233,78 +234,74 @@ def outcome_distributions(circuits, noise: NoiseModel) -> list[np.ndarray]:
     """Exact outcome distribution over the 2**k classical keys of each
     measured circuit under noise, in order; a template, a circuit and
     ``{gate index: one angle per lane}``, gets row l of a (lanes, 2**k)
-    array for the circuit with each laned gate at its angle l. Lanes of
-    unequal length are a ValueError.
+    array for the circuit with each laned gate at its angle l.
 
-    Each item evolves over the qubits its gates and measurements touch: a
-    Pauli vector if one of its gates carries an error rate, else a
-    statevector. Items on the same such register share one pass. If they
-    have as many lanes each, the leading gates that they all have alike,
-    kinds, qubits and angles' bits, are applied once to a stack of a row per
-    lane. Each item's other gates then go on from that stack, repeated to a
-    row per lane where the stack has one row. Every row sees the arithmetic
-    of its circuit evolved alone. The results are read-only; an item given
-    again shares one array. A CapacityError is raised before anything is
-    allocated if a pass's lanes plus its CNOT tables, one per pair of
+    The items are one pass: they must touch the same qubits, with their
+    gates and measurements, and have as many lanes each (a circuit has
+    one); else a ValueError names the registers and lane counts given. The
+    pass evolves Pauli vectors if the noise has a gate error rate, else
+    statevectors. The leading gates that every item has alike, kinds,
+    qubits and angles' bits, are applied once to a stack of a row per lane;
+    each item's other gates then go on from that stack. Every row sees the
+    arithmetic of its circuit evolved alone. The results are read-only. A
+    CapacityError is raised before anything is allocated if the pass's
+    lanes, over all its items, plus its CNOT tables, one per pair of
     qubits, times a row's entries exceed 4**MAX_DENSE_QUBITS, the dense
     limit.
     """
     rates = {"cx": noise.cx_depol, **{kind: noise.sq_depol for kind in SINGLE_QUBIT_KINDS}}
-    passes: dict[tuple, list[tuple]] = {}
-    # an item given again is computed once; ``circuits`` keeps it alive, so no id is reused
-    for key, item in {id(c): c for c in circuits}.items():
+    mixed = bool(noise.sq_depol or noise.cx_depol)
+    items, registers, counts = [], set(), set()
+    for item in circuits:
         circuit, lanes = item if isinstance(item, tuple) else (item, {})
-        counts = {len(angles) for angles in lanes.values()} or {1}
-        if len(counts) > 1:
-            raise ValueError(f"a template's lanes hold {sorted(counts)} angles, not one count")
+        counts.update({len(angles) for angles in lanes.values()} or {1})
         # each gate's kind, qubits and angle, a list of one per lane where it has lanes
         steps = [(g.kind, g.qubits, list(lanes[i]) if i in lanes else g.param)
                  for i, g in enumerate(circuit.gates) if g.kind != "measure"]
         measured = _measure_order(circuit)
         register = tuple(sorted(set(measured).union(*(q for _, q, _ in steps))))
-        kept = tuple(register.index(q) for q in measured)
-        out = slice(None) if circuit is not item else 0  # a template's every row, a circuit's one
-        passes.setdefault((any(rates[k] for k, _, _ in steps), register), []).append(
-            (steps, kept, key, out, *counts))
-    for (mixed, register), group in passes.items():
-        # a CNOT's table per pair of qubits holds as many entries as a row
-        pairs = {qubits for steps, *_ in group for _, qubits, _ in steps if len(qubits) == 2}
-        n = sum(lanes for *_, lanes in group)
-        if (n + len(pairs)) * (4 if mixed else 2) ** len(register) > 4 ** MAX_DENSE_QUBITS:
-            raise CapacityError(
-                f"{n} lanes and {len(pairs)} CNOT pairs on {len(register)} touched "
-                f"qubits exceed the dense limit of 4**{MAX_DENSE_QUBITS} entries per pass")
-    done: dict[int, np.ndarray] = {}
-    for (mixed, register), group in passes.items():
-        m = len(register)
-        kernel = _Kernel(m, mixed)
-        axis = {q: a for a, q in enumerate(register)}
-        counts = {lanes for *_, lanes in group}
-        # the shared prefix: the leading steps alike in every item, if all have as many lanes
-        shared = 0
-        for column in zip(*(((k, q, _bits(a)) for k, q, a in steps) for steps, *_ in group)):
-            if len(counts) > 1 or column.count(column[0]) < len(column):
-                break
-            shared += 1
-        prefix = np.zeros((max(counts) if len(counts) == 1 else 1, (4 if mixed else 2) ** m),
-                          float if mixed else complex)
-        prefix[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
-        for kind, qubits, angle in group[0][0][:shared]:
-            prefix = kernel.apply(prefix, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
-        for steps, kept, key, out, lanes in group:
-            states = prefix if lanes == len(prefix) else np.repeat(prefix, lanes, axis=0)
-            for kind, qubits, angle in steps[shared:]:
-                states = kernel.apply(states, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
-            if mixed:
-                probs = _pauli_probabilities(states[:, _iz_index(m, kept)])
-            else:  # |psi|**2 summed down to the measured axes, in classical-bit order
-                p = (np.abs(states) ** 2).reshape((lanes,) + (2,) * m)
-                p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
-                probs = p.reshape(lanes, 2 ** len(kept), -1).sum(axis=2)
-            done[key] = apply_readout(probs, noise.readout)[out]
-    for p in done.values():
-        p.setflags(write=False)
-    return [done[id(c)] for c in circuits]
+        registers.add(register)
+        # a template's every row, a circuit's one
+        items.append((steps, [register.index(q) for q in measured], 0 if circuit is item else slice(None)))
+    if len(registers) > 1 or len(counts) > 1:
+        raise ValueError(f"one call evolves one register with one lane count, not registers "
+                         f"{sorted(registers)} with lane counts {sorted(counts)}")
+    if not items:
+        return []
+    (register,), (lanes,) = registers, counts
+    m, entries = len(register), (4 if mixed else 2) ** len(register)
+    # a CNOT's table per pair of qubits holds as many entries as a row
+    pairs = {qubits for steps, *_ in items for _, qubits, _ in steps if len(qubits) == 2}
+    if (lanes * len(items) + len(pairs)) * entries > 4 ** MAX_DENSE_QUBITS:
+        raise CapacityError(
+            f"{lanes * len(items)} lanes and {len(pairs)} CNOT pairs on {m} touched "
+            f"qubits exceed the dense limit of 4**{MAX_DENSE_QUBITS} entries per pass")
+    kernel = _Kernel(m, mixed)
+    axis = {q: a for a, q in enumerate(register)}
+    # the shared prefix: the leading steps alike in every item
+    shared = 0
+    for column in zip(*(((k, q, _bits(a)) for k, q, a in steps) for steps, *_ in items)):
+        if column.count(column[0]) < len(column):
+            break
+        shared += 1
+    prefix = np.zeros((lanes, entries), float if mixed else complex)
+    prefix[:, _iz_index(m, range(m)) if mixed else 0] = 1.0  # |0><0| = prod (I + Z)/2
+    for kind, qubits, angle in items[0][0][:shared]:
+        prefix = kernel.apply(prefix, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
+    done = []
+    for steps, kept, out in items:
+        states = prefix
+        for kind, qubits, angle in steps[shared:]:
+            states = kernel.apply(states, kind, tuple(axis[q] for q in qubits), angle, rates[kind])
+        if mixed:
+            probs = _pauli_probabilities(states[:, _iz_index(m, kept)])
+        else:  # |psi|**2 summed down to the measured axes, in classical-bit order
+            p = (np.abs(states) ** 2).reshape((lanes,) + (2,) * m)
+            p = np.moveaxis(p, [a + 1 for a in kept], range(1, len(kept) + 1))
+            probs = p.reshape(lanes, 2 ** len(kept), -1).sum(axis=2)
+        done.append(apply_readout(probs, noise.readout)[out])
+        done[-1].setflags(write=False)
+    return done
 
 
 def sample_weights(probs: np.ndarray, shots: int, seeds) -> np.ndarray:

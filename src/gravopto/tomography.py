@@ -49,11 +49,6 @@ class MeasurementSetting:
         if len(self.label) != 2 or set(self.label) - set("IXYZ"):
             raise ValueError(f"bad setting label {self.label!r}")
 
-    @property
-    def z_type(self) -> bool:
-        """True when measured directly in the computational basis."""
-        return set(self.label) <= {"I", "Z"}
-
     def rotation_gates(self) -> list[Gate]:
         gates: list[Gate] = []
         for mode, basis in enumerate(self.label):
@@ -101,18 +96,13 @@ def _totals(weights: np.ndarray) -> np.ndarray:
     return 0.0 + np.cumsum(weights, axis=-1)[..., -1]
 
 
-def postselect_weights(weights: np.ndarray,
-                       setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
-    """Drop leaked outcomes from each row for computational-basis settings.
-
-    Rotated settings pass through untouched (leakage is not identifiable
-    there); the second return value is each row's retained weight fraction.
-    """
+def postselect_weights(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop leaked outcomes from each row of a setting measured in the
+    computational basis (ZZ, IZ or ZI), where leakage is identifiable; the
+    second return value is each row's retained weight fraction."""
     totals = _totals(weights)
     if not (totals > 0).all():
         raise ValueError("a row has no weight")
-    if not setting.z_type:
-        return weights, np.ones(len(weights))
     if weights.shape[-1] != 2 ** N_QUBITS:
         raise ValueError(f"post-selection reads {N_QUBITS}-bit outcomes")
     kept = np.zeros_like(weights)

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Sequence
 
-from .circuit import PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate, matrix_of
+from .circuit import FIXED_MATRICES, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate
 from .errors import RoutingError
 
 BASIS_KINDS = ("x", "sx", "rz", "cx", "measure")
@@ -409,14 +409,14 @@ _SHORTEST, _BEFORE, _AFTER = _clifford_tables()
 
 def _product(run) -> tuple:
     """The 2x2 product of (kind, param) gates as rows of Python complex
-    numbers, an Rz as diag(1, e^(i angle))."""
+    numbers, an Rz or U1 as diag(1, e^(i angle))."""
     (a, b), (c, d) = (1, 0), (0, 1)
     for kind, param in run:
-        if kind == "rz":
+        if kind in ("rz", "u1"):
             z = complex(math.cos(param), math.sin(param))
             c, d = z * c, z * d
         else:
-            (m, n), (o, p) = matrix_of(Gate._trusted(kind, (0,), param)).tolist()
+            (m, n), (o, p) = FIXED_MATRICES[kind].tolist()
             (a, b), (c, d) = (m * a + n * c, m * b + n * d), (o * a + p * c, o * b + p * d)
     return (a, b), (c, d)
 

@@ -1,20 +1,25 @@
-"""Dense references that the tests check the package against.
+"""Dense references and helpers that the tests check the package against.
 
 No command, sweep or bench script needs them: a run uses the four
-interaction strings, never their matrices. ``pauli_matrix``,
-``mapped_hamiltonian`` and ``unitary_of`` are Kronecker products, apart from
-the simulator they check; ``run_ideal`` steps the simulator's own kernel one
-gate at a time; ``bound_points`` gives each point of a compiled sweep its own
-circuits, which a sweep never builds.
+interaction strings, never their matrices. ``matrix_of`` writes out a
+gate's matrix, and ``pauli_matrix``, ``mapped_hamiltonian`` and
+``unitary_of`` are Kronecker products, apart from the simulator they
+check; ``run_ideal`` steps the simulator's own kernel one gate at a time;
+``bound_points`` gives each point of a compiled sweep its own circuits,
+which a sweep never builds, and ``run_point`` its own sweep of one point.
+``sx``, ``sxdg`` and ``rz`` build gates that only tests write by hand (the
+transpiler and the QASM parser make theirs through ``Gate``).
 """
+import dataclasses
 import math
 from functools import reduce
 
 import numpy as np
 
 from gravopto.bosonmap import INTERACTION_FACTORS, N_QUBITS
-from gravopto.circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, Circuit, Gate, matrix_of
+from gravopto.circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, Circuit, Gate
 from gravopto.errors import CapacityError
+from gravopto.experiment import _rows, compile_sweep
 from gravopto.simulator import _Kernel
 from gravopto.tomography import SETTING_LABELS
 
@@ -24,6 +29,38 @@ _PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
+
+
+def sx(q: int) -> Gate:
+    return Gate("sx", (q,))
+
+
+def sxdg(q: int) -> Gate:
+    return Gate("sxdg", (q,))
+
+
+def rz(q: int, lam: float) -> Gate:
+    return Gate("rz", (q,), param=lam)
+
+
+def matrix_of(gate: Gate) -> np.ndarray:
+    """Dense matrix of a unitary gate (2x2, or 4x4 for cx)."""
+    if gate.kind in FIXED_MATRICES:
+        return FIXED_MATRICES[gate.kind].copy()
+    if gate.kind == "rx":
+        half = gate.param / 2.0
+        c, sn = math.cos(half), math.sin(half)
+        return np.array([[c, -1j * sn], [-1j * sn, c]])
+    if gate.kind == "rz":
+        half = gate.param / 2.0
+        return np.array([[np.exp(-1j * half), 0], [0, np.exp(1j * half)]])
+    if gate.kind == "u1":
+        return np.array([[1, 0], [0, np.exp(1j * gate.param)]])
+    if gate.kind == "cx":
+        return np.array(
+            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+        )
+    raise ValueError(f"{gate.kind} has no unitary matrix")
 
 
 def pauli_matrix(factors: str) -> np.ndarray:
@@ -104,6 +141,12 @@ def bound_points(compiled) -> list:
             circuits.update((setting.label, (setting, circuit)) for setting in settings)
         points.append((bound(compiled.evolution, p), {label: circuits[label] for label in SETTING_LABELS}))
     return points
+
+
+def run_point(cfg, epsilon: float, seed: int) -> dict:
+    """The sweep row of one point, its config's one-point sweep with ``seed``."""
+    cfg = dataclasses.replace(cfg, epsilon_values=(epsilon,))
+    return _rows(cfg, compile_sweep(cfg), [seed])[0]
 
 
 def exact_state(epsilon: float) -> np.ndarray:

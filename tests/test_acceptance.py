@@ -21,7 +21,6 @@ from gravopto.experiment import (
     ExperimentConfig,
     compile_sweep,
     emit_outputs,
-    run_point,
     run_sweep,
 )
 from gravopto.qasm import emit as qasm_emit
@@ -39,6 +38,7 @@ from oracles import (
     pauli_matrix,
     perturbative_traces,
     run_ideal,
+    run_point,
     unitary_of,
 )
 from test_circuit import linear_distance

@@ -8,19 +8,15 @@ from gravopto.circuit import (
     Gate,
     cx,
     h,
-    matrix_of,
     measure,
-    rz,
     s,
     sdg,
-    sx,
-    sxdg,
     u1,
     x,
 )
 from gravopto.errors import CapacityError
 
-from oracles import unitary_of
+from oracles import matrix_of, rz, sx, sxdg, unitary_of
 
 PARAMLESS = ("x", "sx", "sxdg", "h", "s", "sdg")
 

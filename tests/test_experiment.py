@@ -9,7 +9,7 @@ import pytest
 from gravopto import experiment, tomography, transpiler
 from gravopto.analysis import concurrence_theory, fidelity_error, fidelity_from_traces
 from gravopto.circuit import Circuit, Gate, u1
-from gravopto.digitizer import build_evolution_circuit, core_angles
+from gravopto.digitizer import build_evolution_circuit, core_angle
 from gravopto.errors import ConfigError
 from gravopto.experiment import (
     DEFAULT_EPSILONS,
@@ -20,7 +20,6 @@ from gravopto.experiment import (
     device_layout,
     emit_outputs,
     resolve_topology,
-    run_point,
     run_sweep,
 )
 from gravopto.qasm import emit as qasm_emit
@@ -44,7 +43,7 @@ from gravopto.transpiler import (
     turned,
 )
 
-from oracles import bound_points, exact_traces, unitary_of
+from oracles import bound_points, exact_traces, run_point, unitary_of
 from test_circuit import linear_distance
 
 
@@ -279,9 +278,9 @@ def test_a_sweep_compiles_its_evolution_with_one_transpile(kwargs, monkeypatch):
     want = transpile(marked, topo, device_layout(topo, 4, cfg.layout)).circuit if cfg.transpile else marked
     template, slots = compiled.evolution
     assert exact_gates(template) == exact_gates(want)
-    assert [j for _, j, _ in slots] == [0, 1, 2, 3]
-    marks = core_angles(experiment._MARKING_EPSILON)
-    assert [template.gates[i].param for i, _, _ in slots] == [turned(marks[j], k) for _, j, k in slots]
+    assert len(slots) == 4
+    mark = core_angle(experiment._MARKING_EPSILON)
+    assert [template.gates[i].param for i, _ in slots] == [turned(mark, k) for _, k in slots]
 
 
 @COMPILE_CASES
@@ -327,8 +326,8 @@ def test_lowering_and_routing_do_not_branch_on_a_slot_angle(topology, layout):
     assert layout_a == layout_b
     differ = [i for i, (g, h) in enumerate(zip(a, b)) if g.param != h.param]
     assert all(a[i].kind == "rz" for i in differ)
-    assert [a[i].param for i in differ] == list(core_angles(0.37))
-    assert [b[i].param for i in differ] == list(core_angles(-0.81))
+    assert [a[i].param for i in differ] == [core_angle(0.37)] * 4
+    assert [b[i].param for i in differ] == [core_angle(-0.81)] * 4
 
 
 def with_extra_u1(monkeypatch, angle):
@@ -362,7 +361,7 @@ def test_an_extra_u1_of_zero_is_not_taken_for_a_core(monkeypatch, transpile):
     want = run_sweep(cfg)
     with_extra_u1(monkeypatch, 0.0)
     compiled = compile_sweep(cfg)
-    slots = {i for i, _, _ in compiled.evolution[1]}
+    slots = {i for i, _ in compiled.evolution[1]}
     zeros = {i for i, g in enumerate(compiled.evolution[0].gates) if g.param == 0.0}
     assert len(slots) == 4 and not slots & zeros
     assert len(zeros) == (0 if transpile else 1)  # simplify drops it
@@ -738,7 +737,7 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
             if cfg.mitigation:
                 row = mitigate_weights(row, cfg.readout)
             if label == "ZZ":
-                kept, fraction = postselect_weights(row, setting)
+                kept, fraction = postselect_weights(row)
                 retained[label] = float(fraction[0])
                 if cfg.postselection:
                     row = kept

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gravopto.circuit import GATE_KINDS, PARAM_KINDS, Circuit, Gate, cx, h, measure, rz
+from gravopto.circuit import GATE_KINDS, PARAM_KINDS, Circuit, Gate, cx, h, measure
 from gravopto.qasm import emit, parse
 
-from oracles import unitary_of
+from oracles import rz, unitary_of
 from test_circuit import linear_distance, random_circuit
 
 

@@ -15,7 +15,6 @@ from gravopto.experiment import (
     ExperimentConfig,
     compile_sweep,
     emit_outputs,
-    run_point,
     run_sweep,
 )
 from gravopto.simulator import (
@@ -26,7 +25,7 @@ from gravopto.simulator import (
 )
 from gravopto.transpiler import TOPOLOGY_PRESETS
 
-from oracles import bound_points, pauli_matrix, run_ideal, unitary_of
+from oracles import bound_points, pauli_matrix, run_ideal, run_point, unitary_of
 from test_circuit import random_circuit
 
 
@@ -384,23 +383,22 @@ def test_statevector_rows_read_out_together_equal_one_row_at_a_time(readout):
         assert np.array_equal(p, want)
 
 
-def _family(rng, n):
-    """Measured circuits sharing a random trunk: branches of it, the trunk
-    itself, a copy of a branch, and a circuit on fewer touched qubits."""
+def _families(rng, n):
+    """Families of measured circuits, each on one register: branches of a
+    random trunk, the trunk itself, a copy of a branch and the first branch
+    again; a trunk and a branch of it whose gates and measurements touch
+    qubits 0 and 2 only; and two circuits on a register of n - 1 qubits."""
     trunk = random_circuit(rng, n, 10)
-    out = [Circuit(n, trunk.gates + random_circuit(rng, n, int(rng.integers(1, 6))).gates)
-           for _ in range(3)]
-    out += [trunk, out[0]]
-    out = [measured(c) for c in out]
-    # gates and measurements on qubits 0 and 2 only, in the same register
-    narrow = Circuit(n, tuple(
-        type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param)
-        for g in random_circuit(rng, 2, 8).gates
-    ))
-    out.append(Circuit(n, narrow.gates + (measure(2, 0), measure(0, 1))))
-    # a different register width
-    out.append(measured(random_circuit(rng, n - 1, 6)))
-    return out
+    wide = [Circuit(n, trunk.gates + random_circuit(rng, n, int(rng.integers(1, 6))).gates)
+            for _ in range(3)]
+    wide = [measured(c) for c in wide + [trunk, wide[0]]]
+    wide.append(wide[0])
+    narrow_trunk = random_circuit(rng, 2, 8).gates
+    narrow = [Circuit(n, tuple(
+        type(g)(g.kind, tuple(2 * q for q in g.qubits), g.param) for g in gates
+    ) + (measure(2, 0), measure(0, 1))) for gates in (
+        narrow_trunk, narrow_trunk + random_circuit(rng, 2, 3).gates)]
+    return [wide, narrow, [measured(random_circuit(rng, n - 1, 6)) for _ in range(2)]]
 
 
 @pytest.mark.parametrize("noise", [
@@ -412,26 +410,25 @@ def _family(rng, n):
 def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
     rng = np.random.default_rng(41)
     for _ in range(4):
-        circuits = _family(rng, 4)
-        circuits.append(circuits[0])
-        together = outcome_distributions(circuits, noise)
-        assert len(together) == len(circuits)
-        for c, got in zip(circuits, together):
-            assert np.array_equal(got, outcome_distributions([c], noise)[0])
-            assert not got.flags.writeable
-        # the object given again is computed once; the equal copy shares every
-        # row and gets only its own output array
-        assert together[-1] is together[0]
-        assert together[4] is not together[0] and np.array_equal(together[4], together[0])
+        families = _families(rng, 4)
+        results = [outcome_distributions(circuits, noise) for circuits in families]
+        for circuits, together in zip(families, results):
+            for c, got in zip(circuits, together, strict=True):
+                assert np.array_equal(got, outcome_distributions([c], noise)[0])
+                assert not got.flags.writeable
+        # the object given again and the equal copy each get their own output array
+        wide = results[0]
+        assert wide[-1] is not wide[0] and np.array_equal(wide[-1], wide[0])
+        assert wide[4] is not wide[0] and np.array_equal(wide[4], wide[0])
 
 
 @pytest.mark.parametrize("noise", [NoiseModel(readout=0.02), NoiseModel(readout=0.02, cx_depol=0.01)],
                          ids=["statevector", "pauli-vector"])
-def test_equal_circuits_share_one_array_without_hashing(monkeypatch, noise):
-    """A circuit object given again (a point's ZZ, IZ and ZI settings) is
-    found by identity and computed once; neither a Circuit nor a Gate is
-    hashed. An equal copy that is another object gets equal values, and
-    one that differs in a single angle is not taken for an equal one."""
+def test_equal_circuits_get_equal_bytes_without_hashing(monkeypatch, noise):
+    """A circuit object given again (a point's ZZ, IZ and ZI settings) and
+    an equal copy that is another object get equal bytes; neither a Circuit
+    nor a Gate is hashed. One that differs in a single angle gets the bytes
+    of its own run."""
     rng = np.random.default_rng(47)
     a = measured(random_circuit(rng, 3, 8))
     b = measured(random_circuit(rng, 3, 8))
@@ -447,10 +444,9 @@ def test_equal_circuits_share_one_array_without_hashing(monkeypatch, noise):
     monkeypatch.setattr(Gate, "__hash__", refuse)
     circuits = [a, a, b, a, b, b_copy, b_moved]
     got = outcome_distributions(circuits, noise)
-    assert got[0] is got[1] is got[3]
-    assert got[2] is got[4]
-    assert np.array_equal(got[5], got[2])
-    assert got[0] is not got[2] and got[6] is not got[2]
+    assert got[0].tobytes() == got[1].tobytes() == got[3].tobytes()
+    assert got[2].tobytes() == got[4].tobytes() == got[5].tobytes()
+    assert not np.array_equal(got[0], got[2])
     for c, p in zip(circuits, got):
         assert np.array_equal(p, outcome_distributions([c], noise)[0])
 
@@ -606,7 +602,7 @@ def test_sweep_rows_equal_each_point_run_alone(kwargs):
 
 def test_a_pass_above_the_dense_limit_raises_before_allocation(tmp_path, monkeypatch):
     # a layout spread over a 20-qubit line: the SWAP chains touch every qubit,
-    # so one gate-noise pass would hold 39 density matrices of 4**20 entries
+    # so one gate-noise pass would hold 65 density matrices of 4**20 entries
     line = tmp_path / "line20.json"
     line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
     cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), cx_depol=0.01)
@@ -666,20 +662,27 @@ def test_idle_device_qubits_are_not_simulated(tmp_path, monkeypatch):
 
 
 def test_only_gate_noise_evolves_pauli_vectors(monkeypatch):
-    # readout alone keeps statevector kernels; a gate error rate makes Pauli vectors
-    circuits = _family(np.random.default_rng(73), 4)
+    """Readout alone keeps a statevector kernel; a gate error rate in the
+    noise model makes one Pauli-vector kernel per call, even for circuits
+    without a gate of that kind."""
+    rng = np.random.default_rng(73)
+    circuits = _families(rng, 4)[0]
+    no_cnot = [measured(Circuit(3, tuple(g for g in random_circuit(rng, 3, 12).gates if g.kind != "cx")))
+               for _ in range(2)]
     kernels = _spy_on_kernels(monkeypatch)
     outcome_distributions(circuits, NoiseModel(readout=0.05))
-    assert kernels and not any(mixed for _, mixed in kernels)
-    kernels.clear()
-    outcome_distributions(circuits, NoiseModel(readout=0.05, sq_depol=0.01))
-    assert kernels and all(mixed for _, mixed in kernels)
+    assert kernels == [(4, False)]
+    for noise in (NoiseModel(readout=0.05, sq_depol=0.01), NoiseModel(cx_depol=0.01)):
+        kernels.clear()
+        outcome_distributions(circuits, noise)
+        outcome_distributions(no_cnot, noise)
+        assert kernels == [(4, True), (3, True)]
 
 
 def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
-    """Readout only at one ε on a 20-qubit line: 3 statevectors of 2**20
-    entries fit 4**12, but the SWAP chains' 37 CNOT pairs each need a
-    permutation of 2**20 entries too, and the pass would not."""
+    """Readout only at one ε on a 20-qubit line: the 5 settings' statevectors
+    of 2**20 entries fit 4**12, but the SWAP chains' 37 CNOT pairs each need
+    a permutation of 2**20 entries too, and the pass would not."""
     line = tmp_path / "line20.json"
     line.write_text(json.dumps({"n": 20, "edges": [[i, i + 1] for i in range(19)]}))
     cfg = ExperimentConfig(topology=str(line), layout=(0, 6, 12, 19), readout=0.02,
@@ -690,16 +693,16 @@ def test_a_pass_counts_its_cnot_tables_before_allocation(tmp_path, monkeypatch):
         pytest.fail("a pass over 20 touched qubits was allocated")
 
     monkeypatch.setattr(np, "zeros", refuse)
-    with pytest.raises(CapacityError, match="3 lanes and 37 CNOT pairs on 20 touched qubits"):
+    with pytest.raises(CapacityError, match="5 lanes and 37 CNOT pairs on 20 touched qubits"):
         outcome_distributions(circuits, cfg.noise_model())
 
 
 def test_a_seven_qubit_gate_noise_pass_peaks_below_its_bound():
     """The nairobi-like [0, 2, 4, 6] gate-noise sweep, as its 3 templates of
-    13 lanes and as its 39 bound circuits: a stack of 13 Pauli vectors of
+    13 lanes and as its 65 bound circuits: a stack of 13 Pauli vectors of
     4**7 floats is 1.6 MiB, and a pass keeps its shared prefix's stack and
     one item's stacks alive at once. Both peak under 16 MiB (about 7.7 and
-    3.5 MiB measured)."""
+    3.7 MiB measured)."""
     cfg = ExperimentConfig(topology="nairobi-like", layout=(0, 2, 4, 6),
                            **NOISE_PRESETS["nairobi-like"])
     compiled = compile_sweep(cfg)
@@ -750,9 +753,9 @@ def test_each_lane_equals_its_points_circuits_evolved_alone(monkeypatch, kwargs)
                          ids=["statevector", "pauli-vector"])
 def test_a_random_templates_lanes_equal_its_bound_circuits(monkeypatch, noise):
     """Lanes at three rotations of a random circuit, among them 0.0, -0.0 and
-    a repeated lane, given with plain circuits that share its gates: each
-    lane is the bytes of its bound circuit run alone, and each plain circuit
-    its own bytes."""
+    a repeated lane: each lane is the bytes of its bound circuit run alone.
+    Plain circuits that share its gates, one lane each, are a call of their
+    own, and each gets its own bytes."""
     rng = np.random.default_rng(89)
     base = measured(Circuit(3, (h(0), h(1), h(2)) + random_circuit(rng, 3, 14).gates
                             + (Gate("rz", (0,), 0.5), Gate("rx", (1,), 0.5), Gate("u1", (2,), 0.5))))
@@ -766,24 +769,38 @@ def test_a_random_templates_lanes_equal_its_bound_circuits(monkeypatch, noise):
 
     plain = [bound(1), base]
     applied = _spy_on_rows(monkeypatch)
-    got = outcome_distributions([(base, lanes)] + plain, noise)
-    # one lane and five share no prefix: the template runs on 5 rows, each circuit on one
+    template, = outcome_distributions([(base, lanes)], noise)
+    got = outcome_distributions(plain, noise)
+    # the template runs every gate on 5 rows; the circuits share all but the 3 slots, on one row
     gates = len(base.gates) - base.n_qubits
-    assert (len(applied), sum(applied)) == prefix_rows([(base, lanes)] + plain) == (3 * gates, 7 * gates)
-    assert applied == [5] * gates + [1] * 2 * gates
+    assert (gates, 5 * gates) == prefix_rows([(base, lanes)])
+    assert (gates + 3, gates + 3) == prefix_rows(plain)
+    assert applied == [5] * gates + [1] * (gates + 3)
     monkeypatch.undo()
-    assert got[0].shape == (5, 8) and not got[0].flags.writeable
+    assert template.shape == (5, 8) and not template.flags.writeable
     for lane in range(5):
-        assert got[0][lane].tobytes() == outcome_distributions([bound(lane)], noise)[0].tobytes()
-    for c, p in zip(plain, got[1:]):
+        assert template[lane].tobytes() == outcome_distributions([bound(lane)], noise)[0].tobytes()
+    for c, p in zip(plain, got):
         assert p.tobytes() == outcome_distributions([c], noise)[0].tobytes()
 
 
 def test_a_template_needs_as_many_angles_at_each_laned_rotation():
     c = measured(Circuit(1, (h(0), Gate("rz", (0,), 0.1), Gate("rx", (0,), 0.1))))
     for lanes in ({1: [0.1, 0.2], 2: [0.3]}, {1: [0.1], 2: [0.1, 0.2]}):
-        with pytest.raises(ValueError, match=r"lanes hold \[1, 2\] angles"):
+        with pytest.raises(ValueError, match=r"lane counts \[1, 2\]"):
             outcome_distributions([(c, lanes)], NoiseModel())
+
+
+def test_a_call_takes_one_register_and_one_lane_count():
+    """Items on two registers, or with two lane counts, are no one pass:
+    the call names the registers and lane counts it got."""
+    wide = measured(Circuit(3, (h(0), cx(0, 2))))
+    narrow = Circuit(3, (h(0), cx(0, 1), measure(0, 0), measure(1, 1)))
+    with pytest.raises(ValueError, match=r"registers \[\(0, 1\), \(0, 1, 2\)\] with lane counts \[1\]"):
+        outcome_distributions([wide, narrow], NoiseModel())
+    template = (measured(Circuit(3, (h(0), cx(0, 2), Gate("rz", (1,), 0.1)))), {2: [0.1, 0.2]})
+    with pytest.raises(ValueError, match=r"registers \[\(0, 1, 2\)\] with lane counts \[1, 2\]"):
+        outcome_distributions([wide, template], NoiseModel(cx_depol=0.01))
 
 
 @pytest.mark.parametrize("preset", ["none", "belem-like"])

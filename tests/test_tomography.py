@@ -51,9 +51,6 @@ def test_setting_validation():
         MeasurementSetting("Z")
     with pytest.raises(ValueError):
         MeasurementSetting("QQ")
-    assert [MeasurementSetting(s).z_type for s in SETTING_LABELS] == [
-        True, False, False, True, True,
-    ]
 
 
 def test_rotation_gates():
@@ -123,32 +120,27 @@ def test_decoded_settings_match_dense_operators():
 class TestPostselect:
     def test_filters_z_settings(self):
         weights = weights_row({"0101": 900, "0110": 50, "1010": 40, "1111": 10})
-        kept, retained = postselect_weights(weights, MeasurementSetting("ZZ"))
+        kept, retained = postselect_weights(weights)
         assert retained[0] == pytest.approx(0.99)
         assert np.flatnonzero(kept[0]).tolist() == [int(k, 2) for k in ("0101", "0110", "1010")]
         assert kept.sum() == 990
 
-    def test_rotated_settings_pass_through(self):
-        weights = weights_row({"1111": 7})
-        kept, retained = postselect_weights(weights, MeasurementSetting("XY"))
-        assert np.array_equal(kept, weights) and retained.tolist() == [1.0]
-
     def test_idempotent(self):
         weights = weights_row({"0101": 5, "0011": 5})
-        once, _ = postselect_weights(weights, MeasurementSetting("IZ"))
-        twice, retained = postselect_weights(once, MeasurementSetting("IZ"))
+        once, _ = postselect_weights(weights)
+        twice, retained = postselect_weights(once)
         assert np.array_equal(twice, once) and retained.tolist() == [1.0]
 
     def test_empty_histogram_rejected(self):
         with pytest.raises(ValueError):
-            postselect_weights(np.zeros((1, 16)), MeasurementSetting("ZZ"))
+            postselect_weights(np.zeros((1, 16)))
 
     @pytest.mark.parametrize("n_bits", [2, 5])
     def test_other_widths_are_refused(self, n_bits):
         # the physical subspace is one of 4-bit dual-rail keys
         weights = weights_row({"0" * (n_bits - 1) + "1": 3}, n_bits)
         with pytest.raises(ValueError, match="4-bit"):
-            postselect_weights(weights, MeasurementSetting("ZZ"))
+            postselect_weights(weights)
 
 
 def exact_confusion(lam: float, n_bits: int) -> np.ndarray:
@@ -424,10 +416,10 @@ def random_weight_rows() -> np.ndarray:
 def test_row_sums_run_in_key_order():
     """Each sum adds a row's nonzero weights one by one in key order."""
     weights = random_weight_rows()
+    kept, retained = postselect_weights(weights)
     for label in SETTING_LABELS:
         setting = MeasurementSetting(label)
         est, se = expectations(weights, setting)
-        kept, retained = postselect_weights(weights, setting)
         for w, e, s, k, frac in zip(weights, est, se, kept, retained):
             keys = [(format(i, "04b"), w[i]) for i in np.flatnonzero(w)]
             num = den = 0.0
@@ -442,14 +434,11 @@ def test_row_sums_run_in_key_order():
 def test_a_fully_leaked_row_keeps_no_weight():
     weights = random_weight_rows()
     zz = MeasurementSetting("ZZ")
-    kept, retained = postselect_weights(weights, zz)
+    kept, retained = postselect_weights(weights)
     assert retained[-1] == 0.0 and retained[:-1].min() > 0.0
     with pytest.raises(ValueError, match="no weight left"):
         expectations(kept, zz)
     expectations(kept[:-1], zz)
-    # a rotated setting cannot see the leakage, and keeps the row whole
-    _, rotated = postselect_weights(weights, MeasurementSetting("XY"))
-    assert rotated.tolist() == [1.0] * len(weights)
 
 
 def test_projection_of_rows_is_each_row_projected():

@@ -12,14 +12,10 @@ from gravopto.circuit import (
     Gate,
     cx,
     h,
-    matrix_of,
     measure,
     rx,
-    rz,
     s,
     sdg,
-    sx,
-    sxdg,
     u1,
     x,
 )
@@ -44,7 +40,7 @@ from gravopto.transpiler import (
     transpile,
 )
 
-from oracles import unitary_of
+from oracles import matrix_of, rz, sx, sxdg, unitary_of
 from test_circuit import linear_distance, random_circuit
 
 
