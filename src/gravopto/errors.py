@@ -2,7 +2,7 @@
 
 
 class CapacityError(ValueError):
-    """A request exceeds a hard size limit (dense matrices)."""
+    """A request exceeds a hard size limit (dense matrices, a topology's qubits)."""
 
 
 class RoutingError(RuntimeError):

@@ -48,7 +48,6 @@ from .qasm import emit as qasm_emit
 from .simulator import NoiseModel, outcome_distributions, sample_weights
 from .tomography import (
     SETTING_LABELS,
-    MeasurementSetting,
     expectations,
     measurement_circuits,
     mitigate_weights,
@@ -276,17 +275,17 @@ class CompiledSweep:
         # each distinct suffix (ZZ, IZ and ZI share one), placed once after
         # the evolution's template: simplified again, that is its transpile
         suffixes: dict[Circuit, list] = {}
-        for setting, suffix in measurement_circuits(Circuit(N_QUBITS)):
-            suffixes.setdefault(suffix, []).append(setting)
+        for label, suffix in measurement_circuits(Circuit(N_QUBITS)):
+            suffixes.setdefault(suffix, []).append(label)
         self.settings = []
-        for suffix, settings in suffixes.items():
+        for suffix, labels in suffixes.items():
             placed = place_suffix(suffix, routed) if cfg.transpile else suffix
             circuit = Circuit._trusted(evolution.n_qubits, evolution.gates + placed.gates)
             if any(g.kind != "measure" for g in placed.gates):
                 template = self._template(simplify(circuit) if cfg.transpile else circuit)
             else:  # measurements keep a fixpoint one: a pass stops at them as at the end
                 template = (circuit, self.evolution[1])
-            self.settings.append((template, settings))
+            self.settings.append((template, labels))
         self.gate_counts = self.settings[0][0][0].gate_counts()  # ZZ's template: every point's
         self.cores = [core_angle(eps) for eps in cfg.epsilon_values]
 
@@ -309,8 +308,8 @@ class CompiledSweep:
     def distributions(self, noise: NoiseModel) -> np.ndarray:
         """(points, settings, 2**4): the templates in one call, each core slot a lane."""
         laned = [self.laned(template) for template, _ in self.settings]
-        got = {s.label: p for (_, settings), p in zip(self.settings, outcome_distributions(laned, noise))
-               for s in settings}
+        got = {label: p for (_, labels), p in zip(self.settings, outcome_distributions(laned, noise))
+               for label in labels}
         return np.stack([got[label] for label in SETTING_LABELS], axis=1)
 
 
@@ -356,7 +355,7 @@ def _rows(cfg: ExperimentConfig, compiled: CompiledSweep, point_seeds: list[int]
             raise ConfigError(f"shots: {cfg.shots} is too few: post-selection keeps no weight of "
                               f"setting ZZ at epsilon {empty[0]!r}; use more shots or --no-postselect")
         rows["ZZ"] = kept
-    estimates = {label: expectations(w, MeasurementSetting(label))[0] for label, w in rows.items()}
+    estimates = {label: expectations(w, label)[0] for label, w in rows.items()}
     table = []
     single, cnots = compiled.gate_counts
     for n, (epsilon, seed) in enumerate(zip(cfg.epsilon_values, point_seeds)):

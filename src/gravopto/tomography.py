@@ -3,17 +3,16 @@
 A logical mode lives on a qubit pair: |0> = |01|, |1> = |10|, first qubit
 leftmost. Restricted to that pair, logical Z is Z on the first qubit, logical
 X is XX, and logical Y is YX (Y on the first qubit, X on the second). So a
-logical basis choice turns into local pre-rotations:
+logical basis choice is a local pre-rotation of the pair, and the pair's two
+measured bits read as one eigenvalue of the basis; ``_BASES`` holds both.
 
-    Z or I  ->  none
-    X       ->  h on both qubits
-    Y       ->  sdg, h on the first qubit and h on the second
-
-Decoding a 4-bit outcome key (cbit order, mode 0 first): a Z factor reads the
-pair as 01 -> +1, 10 -> -1, and anything else contributes 0 to the numerator
-while the shot still counts in the denominator. X and Y factors read the pair
-parity, (-1)**(sum of the two bits). Post-selection applies only to settings
-measured in the computational basis, where leaked pairs are identifiable.
+``EIGENVALUES`` is each setting's eigenvalue on every 4-bit outcome key
+(cbit order, mode 0 first), the product of its two pairs' entries. A Z
+factor reads the pair as 01 -> +1, 10 -> -1 and a leaked 00 or 11 as 0, so
+a leaked shot adds nothing to the numerator but still counts in the
+denominator. X and Y factors read the pair parity, (-1)**(sum of the two
+bits). Post-selection applies only to settings measured in the
+computational basis, where leaked pairs are identifiable.
 
 A sweep's settings are the rows of one weights array, 2**4 weights per row
 in key order; one setting's weights are a one-row array. ``mitigate_weights``
@@ -24,9 +23,6 @@ that in the last bit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cache
-
 import numpy as np
 
 from .bosonmap import N_QUBITS, SUBSPACE_INDICES
@@ -36,58 +32,35 @@ from .simulator import NoiseModel, apply_readout, sample_weights
 
 SETTING_LABELS = ("ZZ", "XY", "YX", "IZ", "ZI")
 
-_PAIR_Z = {"01": 1.0, "10": -1.0}
+# each logical basis on a mode's pair (2m, 2m+1): its pre-rotation, as (gate,
+# 0 for the first qubit or 1 for the second), and its eigenvalue on the pair's
+# outcomes 00, 01, 10 and 11
+_BASES = {
+    "I": ((), (1.0, 1.0, 1.0, 1.0)),
+    "Z": ((), (0.0, 1.0, -1.0, 0.0)),
+    "X": (((h, 0), (h, 1)), (1.0, -1.0, -1.0, 1.0)),
+    "Y": (((sdg, 0), (h, 0), (h, 1)), (1.0, -1.0, -1.0, 1.0)),
+}
+
+# each setting's eigenvalue on every 4-bit outcome key, in key order; a
+# leaked Z pair times -1 is -0.0, which ``_totals`` adds to 0.0
+EIGENVALUES = {label: np.kron(_BASES[label[0]][1], _BASES[label[1]][1]) for label in SETTING_LABELS}
 
 
-@dataclass(frozen=True)
-class MeasurementSetting:
-    """One tomography setting; label[m] is the basis for logical mode m."""
-
-    label: str
-
-    def __post_init__(self):
-        if len(self.label) != 2 or set(self.label) - set("IXYZ"):
-            raise ValueError(f"bad setting label {self.label!r}")
-
-    def rotation_gates(self) -> list[Gate]:
-        gates: list[Gate] = []
-        for mode, basis in enumerate(self.label):
-            first, second = 2 * mode, 2 * mode + 1
-            if basis == "X":
-                gates += [h(first), h(second)]
-            elif basis == "Y":
-                gates += [sdg(first), h(first), h(second)]
-        return gates
-
-    def decode(self, key: str) -> float:
-        """Eigenvalue of this setting for one outcome key (0 on leakage)."""
-        value = 1.0
-        for mode, basis in enumerate(self.label):
-            pair = key[2 * mode: 2 * mode + 2]
-            if basis == "I":
-                continue
-            if basis == "Z":
-                z = _PAIR_Z.get(pair)
-                if z is None:
-                    return 0.0
-                value *= z
-            else:
-                value *= -1.0 if pair.count("1") % 2 else 1.0
-        return value
+def rotation_gates(label: str) -> list[Gate]:
+    """The pre-rotations of a setting; label[m] is the basis for logical mode m."""
+    return [gate(2 * mode + q) for mode, basis in enumerate(label) for gate, q in _BASES[basis][0]]
 
 
-def measurement_circuits(base: Circuit) -> list[tuple[MeasurementSetting, Circuit]]:
+def measurement_circuits(base: Circuit) -> list[tuple[str, Circuit]]:
     """Append basis rotations and a full register measurement per setting."""
     if base.has_measurements:
         raise ValueError("base circuit already measures")
     if base.n_qubits != N_QUBITS:
         raise ValueError(f"base circuit must act on {N_QUBITS} qubits")
-    out = []
-    for label in SETTING_LABELS:
-        setting = MeasurementSetting(label)
-        gates = setting.rotation_gates() + [measure(q, q) for q in range(N_QUBITS)]
-        out.append((setting, Circuit(N_QUBITS, base.gates + tuple(gates))))
-    return out
+    measures = tuple(measure(q, q) for q in range(N_QUBITS))
+    return [(label, Circuit(N_QUBITS, base.gates + tuple(rotation_gates(label)) + measures))
+            for label in SETTING_LABELS]
 
 
 def _totals(weights: np.ndarray) -> np.ndarray:
@@ -175,18 +148,11 @@ def mitigate_weights(weights: np.ndarray, readout: float) -> np.ndarray:
     return probs / probs.sum(axis=-1, keepdims=True) * totals
 
 
-@cache
-def _decoded(label: str, n_bits: int) -> tuple:
-    """The ``decode`` of each ``n_bits`` outcome key in key order, made once."""
-    return tuple(MeasurementSetting(label).decode(format(i, f"0{n_bits}b")) for i in range(2 ** n_bits))
-
-
-def expectations(weights: np.ndarray, setting: MeasurementSetting) -> tuple[np.ndarray, np.ndarray]:
+def expectations(weights: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
     """(estimate, shot-noise standard error) of the setting's eigenvalue for
-    each row, from the ``decode`` of every outcome key."""
-    decoded = _decoded(setting.label, weights.shape[-1].bit_length() - 1)
+    each row, from its ``EIGENVALUES``."""
     den = _totals(weights)
     if not (den > 0).all():
         raise ValueError("no weight left to average")
-    est = _totals(weights * decoded) / den
+    est = _totals(weights * EIGENVALUES[label]) / den
     return est, np.sqrt(np.maximum(1.0 - est * est, 0.0) / den)

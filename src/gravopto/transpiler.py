@@ -49,12 +49,15 @@ from numbers import Integral
 from typing import Sequence
 
 from .circuit import FIXED_MATRICES, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate
-from .errors import RoutingError
+from .errors import CapacityError, RoutingError
 
 BASIS_KINDS = ("x", "sx", "rz", "cx", "measure")
 
 _TWO_PI = 2.0 * math.pi
 _ANGLE_TOL = 1e-12
+
+# a Topology keeps a neighbour list per qubit, so more qubits are refused before any is built
+MAX_TOPOLOGY_QUBITS = 2 ** 16
 
 TOPOLOGY_PRESETS = {
     "belem-like": (5, ((0, 1), (1, 2), (1, 3), (3, 4))),
@@ -75,6 +78,8 @@ class Topology:
         ends = [q for edge in self.edges for q in edge]
         if not all(isinstance(v, Integral) and not isinstance(v, bool) for v in (self.n, *ends)):
             raise ValueError("the qubit count and the edge ends must be integers")
+        if self.n > MAX_TOPOLOGY_QUBITS:
+            raise CapacityError(f"n: {self.n} qubits exceed the limit of {MAX_TOPOLOGY_QUBITS}")
         if self.n < 1:
             raise ValueError("topology needs at least one qubit")
         norm = set()

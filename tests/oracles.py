@@ -125,7 +125,7 @@ def run_ideal(c: Circuit) -> np.ndarray:
 
 def bound_points(compiled) -> list:
     """Each point of ``compile_sweep``'s sweep as it runs: its evolution
-    circuit and {setting label: (setting, circuit)}, each a template with the
+    circuit and {setting label: (label, circuit)}, each a template with the
     point's angle at every lane. ZZ, IZ and ZI share one circuit."""
     def bound(template, p):
         circuit, lanes = compiled.laned(template)
@@ -136,9 +136,9 @@ def bound_points(compiled) -> list:
     points = []
     for p in range(len(compiled.cores)):
         circuits = {}
-        for template, settings in compiled.settings:
+        for template, labels in compiled.settings:
             circuit = bound(template, p)
-            circuits.update((setting.label, (setting, circuit)) for setting in settings)
+            circuits.update((label, (label, circuit)) for label in labels)
         points.append((bound(compiled.evolution, p), {label: circuits[label] for label in SETTING_LABELS}))
     return points
 

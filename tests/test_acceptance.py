@@ -172,17 +172,17 @@ def test_criterion_09_readout_error_bars():
     cfg = ExperimentConfig(epsilon_values=(eps,), shots=shots)
     (_, circuits), = bound_points(compile_sweep(cfg))
     seeds = np.random.SeedSequence(0).generate_state(5)
-    settings = [setting for setting, _ in circuits.values()]
+    settings = list(circuits)
     distributions = outcome_distributions([circ for _, circ in circuits.values()], noise)
     counts = [sample_weights(p, shots, int(seed)) for p, seed in zip(distributions, seeds)]
-    traces = {s.label: float(expectations(w[None], s)[0][0]) for s, w in zip(settings, counts)}
+    traces = {s: float(expectations(w[None], s)[0][0]) for s, w in zip(settings, counts)}
     formula = fidelity_error(eps, traces, 0.0211)
     # redraw index, setting, key: each redraw takes one row per setting
     rng = np.random.default_rng(1000)
     redraws = np.array([[rng.multinomial(shots, w / w.sum()) for w in counts]
                         for _ in range(200)], dtype=float)
     estimates = [expectations(redraws[:, i], s)[0] for i, s in enumerate(settings)]
-    samples = [fidelity_from_traces(eps, {s.label: float(e[k]) for s, e in zip(settings, estimates)})
+    samples = [fidelity_from_traces(eps, {s: float(e[k]) for s, e in zip(settings, estimates)})
                for k in range(len(redraws))]
     bootstrap = float(np.std(samples))
     ratio = formula / bootstrap

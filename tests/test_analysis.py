@@ -111,8 +111,8 @@ class TestFidelityFromTraces:
         (_, circuits), = bound_points(compile_sweep(ExperimentConfig(transpile=False,
                                                                      epsilon_values=(0.02,))))
         traces = {label: float(expectations(outcome_distributions([circ], NoiseModel())[0][None],
-                                            setting)[0][0])
-                  for label, (setting, circ) in circuits.items()}
+                                            label)[0][0])
+                  for label, (_, circ) in circuits.items()}
         assert fidelity_from_traces(0.02, traces) == pytest.approx(
             fidelity_from_traces(0.02, exact_traces(0.02)), abs=1e-12
         )

@@ -155,7 +155,8 @@ def test_missing_config_file_is_a_config_error(tmp_path, capsys):
 @pytest.mark.parametrize("text", [
     '{"n": 5}', "not json", '{"n": 3, "edges": [[0, 0]]}',
     '{"n": 5.9, "edges": [[0, 1.7], [1, 2], [1, 3], [3, 4]]}', '{"n": true, "edges": []}',
-], ids=["no-edges", "not-json", "self-loop", "fractional", "bool-size"])
+    '{"n": 1000000000, "edges": [[0, 1], [1, 2], [2, 3]]}',
+], ids=["no-edges", "not-json", "self-loop", "fractional", "bool-size", "over-the-limit"])
 @pytest.mark.parametrize("command", [
     ["sweep", "--epsilon", "0.01", "--analytic", "--shots", "10"],
     ["tomography", "--epsilon", "0.01", "--analytic", "--shots", "10"],

@@ -206,12 +206,12 @@ def test_compile_sweep_equals_the_reference_compile(kwargs):
         assert evolution.n_qubits == want.circuit.n_qubits
         # ZZ, IZ and ZI share one suffix and one circuit, made for ZZ
         refs = {}
-        for (setting, suffix), (_, full) in zip(measurement_circuits(Circuit(4)),
-                                                 measurement_circuits(base)):
-            got = circuits[setting.label][1]
+        for (label, suffix), (_, full) in zip(measurement_circuits(Circuit(4)),
+                                               measurement_circuits(base)):
+            got = circuits[label][1]
             ref = refs.setdefault(suffix, transpile(full, topo, device_layout(topo, 4, cfg.layout))
                                   .circuit if cfg.transpile else Circuit(4, want.circuit.gates + suffix.gates))
-            assert exact_gates(got) == exact_gates(ref), (key, setting.label)
+            assert exact_gates(got) == exact_gates(ref), (key, label)
             assert got.n_qubits == ref.n_qubits
 
 
@@ -441,8 +441,8 @@ def test_a_bound_point_equals_its_own_transpile(kwargs):
     quarter_turns = [math.remainder(k * (math.pi / 2), 2 * math.pi) for k in range(-2, 3)]
     for eps, (evolution, circuits) in zip(cfg.epsilon_values, bound_points(compile_sweep(cfg))):
         base = build_evolution_circuit(eps, prepend_ground_prep=True)
-        pairs = [(evolution, base)] + [(circuits[setting.label][1], full)
-                                               for setting, full in measurement_circuits(base)]
+        pairs = [(evolution, base)] + [(circuits[label][1], full)
+                                               for label, full in measurement_circuits(base)]
         for got, logical in pairs:
             want = transpile(logical, topo, layout).circuit if cfg.transpile else logical
             assert got.n_qubits == want.n_qubits
@@ -554,7 +554,7 @@ class TestPrepareCircuits:
         circuits = prepared(cfg, 0.01)
         assert set(circuits) == {"ZZ", "XY", "YX", "IZ", "ZI"}
         for label, (setting, circ) in circuits.items():
-            assert setting.label == label
+            assert setting == label
             assert circ.has_measurements
 
     @pytest.mark.parametrize(
@@ -567,9 +567,9 @@ class TestPrepareCircuits:
         topo = resolve_topology(topology)
         for eps, (_, circuits) in zip(cfg.epsilon_values, bound_points(compile_sweep(cfg))):
             base = build_evolution_circuit(eps, prepend_ground_prep=True)
-            for setting, full in measurement_circuits(base):
+            for label, full in measurement_circuits(base):
                 want = transpile(full, topo, device_layout(topo, 4, layout)).circuit
-                assert circuits[setting.label][1].gates == want.gates, (eps, setting.label)
+                assert circuits[label][1].gates == want.gates, (eps, label)
             assert circuits["ZZ"][1] is circuits["IZ"][1] is circuits["ZI"][1]
 
     def test_layout_off_the_topology_is_a_config_error(self):
@@ -729,7 +729,6 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
         distributions = outcome_distributions([circuits[lab][1] for lab in SETTING_LABELS], noise)
         traces, retained = {}, {}
         for label, probs, setting_seed in zip(SETTING_LABELS, distributions, setting_seeds):
-            setting = circuits[label][0]
             if cfg.analytic_mode:
                 row = probs[None] * cfg.shots
             else:
@@ -741,7 +740,7 @@ def reference_rows(cfg: ExperimentConfig) -> list[dict]:
                 retained[label] = float(fraction[0])
                 if cfg.postselection:
                     row = kept
-            traces[label] = float(expectations(row, setting)[0][0])
+            traces[label] = float(expectations(row, label)[0][0])
         single, cnots = circuits["ZZ"][1].gate_counts()
         rows.append({
             "epsilon": eps,
@@ -938,9 +937,9 @@ def test_random_device_graphs_compile_and_run_exactly(tmp_path):
             ref = transpile(build_evolution_circuit(eps, prepend_ground_prep=True), topo,
                             layout or hub_layout(topo, 4))
             assert exact_gates(evolution) == exact_gates(ref.circuit), key
-            for setting, full in measurement_circuits(build_evolution_circuit(eps, prepend_ground_prep=True)):
-                if setting.label in ("IZ", "ZI"):  # the ZZ circuit
+            for label, full in measurement_circuits(build_evolution_circuit(eps, prepend_ground_prep=True)):
+                if label in ("IZ", "ZI"):  # the ZZ circuit
                     continue
                 want = transpile(full, topo, layout or hub_layout(topo, 4)).circuit
-                assert exact_gates(circuits[setting.label][1]) == exact_gates(want), (key, setting.label)
+                assert exact_gates(circuits[label][1]) == exact_gates(want), (key, label)
     assert time.perf_counter() - start < 4.0

@@ -427,13 +427,14 @@ def test_shared_prefix_distributions_equal_each_circuit_alone(noise):
 def test_equal_circuits_get_equal_bytes_without_hashing(monkeypatch, noise):
     """A circuit object given again (a point's ZZ, IZ and ZI settings) and
     an equal copy that is another object get equal bytes; neither a Circuit
-    nor a Gate is hashed. One that differs in a single angle gets the bytes
-    of its own run."""
+    nor a Gate is hashed. One that differs in a single angle, which sets a
+    measured marginal, gets other bytes: those of its own run."""
     rng = np.random.default_rng(47)
     a = measured(random_circuit(rng, 3, 8))
-    b = measured(random_circuit(rng, 3, 8))
+    # b's last gate before its measurements is an rx on qubit 2, in |0> there
+    b = measured(Circuit(3, random_circuit(rng, 3, 8).gates + (Gate("rx", (2,), 0.4),)))
     b_copy = Circuit(b.n_qubits, b.gates)
-    i = next(i for i, g in enumerate(b.gates) if g.kind in PARAM_KINDS)
+    i = len(b.gates) - 1 - b.n_qubits
     b_moved = Circuit(b.n_qubits, b.gates[:i] + (Gate(b.gates[i].kind, b.gates[i].qubits,
                                                       b.gates[i].param + 1e-3),) + b.gates[i + 1:])
 
@@ -447,6 +448,7 @@ def test_equal_circuits_get_equal_bytes_without_hashing(monkeypatch, noise):
     assert got[0].tobytes() == got[1].tobytes() == got[3].tobytes()
     assert got[2].tobytes() == got[4].tobytes() == got[5].tobytes()
     assert not np.array_equal(got[0], got[2])
+    assert got[6].tobytes() != got[2].tobytes()
     for c, p in zip(circuits, got):
         assert np.array_equal(p, outcome_distributions([c], noise)[0])
 

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -18,17 +19,18 @@ from gravopto.simulator import (
     sample_weights,
 )
 from gravopto.tomography import (
+    EIGENVALUES,
     SETTING_LABELS,
-    MeasurementSetting,
     calibrate_confusion,
     expectations,
     measurement_circuits,
     mitigate_weights,
     postselect_weights,
     project_to_simplex,
+    rotation_gates,
 )
 
-from oracles import pauli_matrix, run_ideal
+from oracles import pauli_matrix, run_ideal, unitary_of
 
 # the Pauli string of one logical factor on a dual-rail qubit pair
 PAIR_FACTORS = {"I": "II", "Z": "ZI", "X": "XX", "Y": "YX"}
@@ -46,53 +48,71 @@ def weights_row(entries: dict, n_bits: int = 4) -> np.ndarray:
     return row
 
 
-def test_setting_validation():
-    with pytest.raises(ValueError):
-        MeasurementSetting("Z")
-    with pytest.raises(ValueError):
-        MeasurementSetting("QQ")
+def eigenvalue(label: str, key: str) -> float:
+    return float(EIGENVALUES[label][int(key, 2)])
 
 
 def test_rotation_gates():
-    assert MeasurementSetting("ZZ").rotation_gates() == []
-    assert MeasurementSetting("IZ").rotation_gates() == []
-    assert MeasurementSetting("XY").rotation_gates() == [
+    assert rotation_gates("ZZ") == []
+    assert rotation_gates("IZ") == []
+    assert rotation_gates("XY") == [
         h(0), h(1), sdg(2), h(2), h(3),
     ]
-    assert MeasurementSetting("YX").rotation_gates() == [
+    assert rotation_gates("YX") == [
         sdg(0), h(0), h(1), h(2), h(3),
     ]
 
 
 class TestDecode:
     def test_z_pairs(self):
-        zz = MeasurementSetting("ZZ")
-        assert zz.decode("0101") == 1.0
-        assert zz.decode("0110") == -1.0
-        assert zz.decode("1001") == -1.0
-        assert zz.decode("1010") == 1.0
+        assert eigenvalue("ZZ", "0101") == 1.0
+        assert eigenvalue("ZZ", "0110") == -1.0
+        assert eigenvalue("ZZ", "1001") == -1.0
+        assert eigenvalue("ZZ", "1010") == 1.0
 
     def test_z_leakage_reads_zero(self):
-        zz = MeasurementSetting("ZZ")
-        assert zz.decode("0011") == 0.0
-        assert zz.decode("1111") == 0.0
+        assert eigenvalue("ZZ", "0011") == 0.0
+        assert eigenvalue("ZZ", "1111") == 0.0
         # identity on the leaked pair rescues the shot
-        assert MeasurementSetting("IZ").decode("1110") == -1.0
-        assert MeasurementSetting("ZI").decode("0111") == 1.0
+        assert eigenvalue("IZ", "1110") == -1.0
+        assert eigenvalue("ZI", "0111") == 1.0
 
     def test_parity_decode(self):
-        xy = MeasurementSetting("XY")
-        assert xy.decode("0000") == 1.0
-        assert xy.decode("0100") == -1.0
-        assert xy.decode("0110") == 1.0
-        assert xy.decode("1110") == -1.0
+        assert eigenvalue("XY", "0000") == 1.0
+        assert eigenvalue("XY", "0100") == -1.0
+        assert eigenvalue("XY", "0110") == 1.0
+        assert eigenvalue("XY", "1110") == -1.0
+
+
+# h as sqrt(2) h, so a rotation with k h gates is 2**(k/2) times its unitary
+# in Gaussian integers, and its conjugate of a Pauli string is exact
+_SCALED_1Q = {"h": np.array([[1, 1], [1, -1]]), "sdg": np.diag([1, -1j])}
+
+
+def test_eigenvalues_are_the_rotated_operators_diagonal():
+    """Each entry is the diagonal of U O U^dag, U the setting's rotation and O
+    its Pauli string, except where a Z factor's pair leaked (00 or 11): 0."""
+    for label in SETTING_LABELS:
+        gates = rotation_gates(label)
+        per_qubit = [np.eye(2)] * 4
+        for g in gates:
+            per_qubit[g.qubits[0]] = _SCALED_1Q[g.kind] @ per_qubit[g.qubits[0]]
+        k = sum(g.kind == "h" for g in gates)
+        scaled = reduce(np.kron, per_qubit)
+        assert np.abs(scaled / np.sqrt(2) ** k - unitary_of(Circuit(4, tuple(gates)))).max() <= 1e-15
+        diagonal = np.diag(scaled @ setting_operator(label) @ scaled.conj().T) / 2 ** k
+        assert not diagonal.imag.any()
+        for i in range(16):
+            key = format(i, "04b")
+            leaked = any(b == "Z" and key[2 * m] == key[2 * m + 1] for m, b in enumerate(label))
+            assert EIGENVALUES[label][i] == (0.0 if leaked else diagonal[i].real), (label, key)
 
 
 def test_measurement_circuits_structure():
     base = build_evolution_circuit(0.1, prepend_ground_prep=True)
     pairs = measurement_circuits(base)
-    assert [s.label for s, _ in pairs] == list(SETTING_LABELS)
-    for setting, circ in pairs:
+    assert [label for label, _ in pairs] == list(SETTING_LABELS)
+    for _, circ in pairs:
         assert circ.measurements == tuple((q, q) for q in range(4))
         assert circ.gates[: len(base.gates)] == base.gates
 
@@ -111,10 +131,10 @@ def test_decoded_settings_match_dense_operators():
     for eps in (0.0, 0.05, 0.2, 0.45):
         base = build_evolution_circuit(eps, prepend_ground_prep=True)
         psi = run_ideal(base)
-        for setting, circ in measurement_circuits(base):
-            want = np.vdot(psi, setting_operator(setting.label) @ psi).real
-            est, _ = expectations(outcome_distributions([circ], NoiseModel())[0][None], setting)
-            assert abs(est[0] - want) <= 1e-9, (eps, setting.label)
+        for label, circ in measurement_circuits(base):
+            want = np.vdot(psi, setting_operator(label) @ psi).real
+            est, _ = expectations(outcome_distributions([circ], NoiseModel())[0][None], label)
+            assert abs(est[0] - want) <= 1e-9, (eps, label)
 
 
 class TestPostselect:
@@ -369,21 +389,21 @@ class TestMitigate:
 
 class TestExpectation:
     def test_plain_average(self):
-        est, se = expectations(weights_row({"0101": 3, "0110": 1}), MeasurementSetting("ZZ"))
+        est, se = expectations(weights_row({"0101": 3, "0110": 1}), "ZZ")
         assert est[0] == pytest.approx((3 - 1) / 4)
         assert se[0] == pytest.approx(np.sqrt((1 - 0.25) / 4))
 
     def test_leakage_dilutes_the_estimate(self):
-        est, _ = expectations(weights_row({"0101": 1, "0011": 1}), MeasurementSetting("ZZ"))
+        est, _ = expectations(weights_row({"0101": 1, "0011": 1}), "ZZ")
         assert est[0] == pytest.approx(0.5)
 
     def test_deterministic_outcome_has_zero_error(self):
-        est, se = expectations(weights_row({"0101": 6, "1010": 2}), MeasurementSetting("ZZ"))
+        est, se = expectations(weights_row({"0101": 6, "1010": 2}), "ZZ")
         assert est[0] == 1.0 and se[0] == 0.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            expectations(np.zeros((1, 16)), MeasurementSetting("ZZ"))
+            expectations(np.zeros((1, 16)), "ZZ")
 
 
 def test_estimate_traces_collects_everything():
@@ -392,8 +412,8 @@ def test_estimate_traces_collects_everything():
     base = build_evolution_circuit(eps, prepend_ground_prep=True)
     pairs = measurement_circuits(base)
     distributions = outcome_distributions([circ for _, circ in pairs], NoiseModel())
-    traces = {setting.label: float(expectations(p[None], setting)[0][0])
-              for (setting, _), p in zip(pairs, distributions)}
+    traces = {label: float(expectations(p[None], label)[0][0])
+              for (label, _), p in zip(pairs, distributions)}
     assert list(traces) == list(SETTING_LABELS)
     assert traces["ZZ"] == pytest.approx(1.0, abs=1e-9)
     assert traces["XY"] == pytest.approx(np.sin(2 * eps), abs=1e-9)
@@ -418,13 +438,12 @@ def test_row_sums_run_in_key_order():
     weights = random_weight_rows()
     kept, retained = postselect_weights(weights)
     for label in SETTING_LABELS:
-        setting = MeasurementSetting(label)
-        est, se = expectations(weights, setting)
+        est, se = expectations(weights, label)
         for w, e, s, k, frac in zip(weights, est, se, kept, retained):
             keys = [(format(i, "04b"), w[i]) for i in np.flatnonzero(w)]
             num = den = 0.0
             for key, weight in keys:
-                num += weight * setting.decode(key)
+                num += weight * eigenvalue(label, key)
                 den += weight
             assert e == num / den
             assert s == float(np.sqrt(max(1.0 - e * e, 0.0) / den))
@@ -433,12 +452,11 @@ def test_row_sums_run_in_key_order():
 
 def test_a_fully_leaked_row_keeps_no_weight():
     weights = random_weight_rows()
-    zz = MeasurementSetting("ZZ")
     kept, retained = postselect_weights(weights)
     assert retained[-1] == 0.0 and retained[:-1].min() > 0.0
     with pytest.raises(ValueError, match="no weight left"):
-        expectations(kept, zz)
-    expectations(kept[:-1], zz)
+        expectations(kept, "ZZ")
+    expectations(kept[:-1], "ZZ")
 
 
 def test_projection_of_rows_is_each_row_projected():

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from gravopto.circuit import (
 )
 from gravopto.digitizer import build_evolution_circuit
 from gravopto import experiment, transpiler
-from gravopto.errors import RoutingError
+from gravopto.errors import CapacityError, RoutingError
 from gravopto.experiment import (
     DEFAULT_EPSILONS,
     ExperimentConfig,
@@ -94,6 +95,20 @@ class TestTopology:
             Topology(2, frozenset({(0, 0)}))
         with pytest.raises(ValueError):
             Topology(2, frozenset({(0, 5)}))
+
+    def test_a_qubit_count_over_the_limit_is_refused_before_allocation(self):
+        """10**9 qubits would take about 68 GiB of neighbour lists."""
+        assert Topology(transpiler.MAX_TOPOLOGY_QUBITS).n == 2 ** 16
+        with pytest.raises(CapacityError, match="limit"):
+            Topology(transpiler.MAX_TOPOLOGY_QUBITS + 1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="limit"):
+                Topology(10 ** 9, frozenset({(0, 1), (1, 2), (2, 3)}))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
     @pytest.mark.parametrize("n,edges", [
         (5, {(0, 1.7), (1, 2)}),
