@@ -49,6 +49,10 @@ PAULI_1Q = {
     "sxdg": ((1, 1), (3, 1), (2, -1)), "h": ((3, 1), (2, -1), (1, 1)),
     "s": ((2, -1), (1, 1), (3, 1)), "sdg": ((2, 1), (1, -1), (3, 1)),
 }
+# the angles at which an Rz (or U1) is exactly k quarter turns, k mod 4; it
+# is then S**k up to a phase, and RZ_PAULI[k] is its map as in PAULI_1Q
+TURNS_OF = {0.0: 0, math.pi / 2: 1, math.pi: 2, -math.pi / 2: 3, -math.pi: 2}
+RZ_PAULI = (((1, 1), (2, 1), (3, 1)), PAULI_1Q["s"], ((1, -1), (2, -1), (3, 1)), PAULI_1Q["sdg"])
 
 
 @dataclass(frozen=True)

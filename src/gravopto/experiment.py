@@ -43,7 +43,7 @@ from .analysis import (
 from .bosonmap import N_QUBITS
 from .circuit import Circuit
 from .digitizer import build_evolution_circuit, core_angle
-from .errors import ConfigError, RoutingError
+from .errors import CapacityError, ConfigError, RoutingError
 from .qasm import emit as qasm_emit
 from .simulator import NoiseModel, outcome_distributions, sample_weights
 from .tomography import (
@@ -249,6 +249,8 @@ def resolve_topology(name_or_path: str | None) -> Topology | None:
     try:
         with open(name_or_path, "r", encoding="utf-8") as fh:
             return Topology.from_json(fh.read())
+    except CapacityError as exc:  # a topology, only over the program's limit
+        raise ConfigError(f"topology: {name_or_path!r} is too large ({exc})") from exc
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise ConfigError(
             f"topology: {name_or_path!r} is not a topology file ({type(exc).__name__}: {exc})"

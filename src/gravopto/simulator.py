@@ -12,7 +12,13 @@ Both share one kernel, which acts on a stack of them, one per row. A
 one-qubit gate is applied elementwise on one axis, out_i = sum_j u_ij v_j
 over the slices v_j of ``states.reshape(rows, d**a, d, -1)``: u is the 2x2
 matrix (d = 2) or the real 4x4 Pauli transfer matrix (d = 4), per row for
-Rz, Rx and U1. A CNOT is a gather of entries, the same on every row.
+Rz, Rx and U1. A CNOT is a gather of entries, the same on every row. On
+Pauli vectors a Clifford one-qubit gate, a fixed kind or an Rz or U1 of
+one angle at exactly 0, +-pi/2 or +-pi, maps each digit to one signed
+digit, so it too is a signed gather, of its axis; a compiled template's
+one-qubit gates are all Cliffords but its core slots. An Rz or U1 with an
+angle per row takes exact cos and sin at those angles, 0 and +-1, so a row
+at a quarter turn gets the gather's bytes.
 
 The noise model puts, after every gate and with the configured probability, a
 uniformly random non-identity Pauli error on the gate's qubits. That is the
@@ -44,7 +50,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import FIXED_MATRICES, MAX_DENSE_QUBITS, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit
+from .circuit import (
+    FIXED_MATRICES, MAX_DENSE_QUBITS, PAULI_1Q, RZ_PAULI, SINGLE_QUBIT_KINDS, TURNS_OF, Circuit,
+)
 from .errors import CapacityError, ConfigError
 
 
@@ -75,24 +83,36 @@ def _terms_of(kind: str, params) -> list[list]:
     return [[(0, c), (1, minus_i_s)], [(0, minus_i_s), (1, c)]]
 
 
-def _pauli_terms_of(kind: str, params, keep: float) -> list[list]:
+def _pauli_terms_of(kind: str, params, keep: float) -> list[list] | tuple:
     """``_terms_of`` for the gate's 4x4 Pauli transfer matrix, with its X, Y
-    and Z rows scaled by ``keep``."""
-    if kind in PAULI_1Q:
-        return [[(0, 1.0)]] + [[(j, keep * sign)] for j, sign in PAULI_1Q[kind]]
+    and Z rows scaled by ``keep``; for a Clifford (a fixed kind, or an Rz or
+    U1 of one angle in ``TURNS_OF``), which maps each digit to one signed
+    digit, the gather (index, factor): out_i = factor_i v_index_i."""
+    if kind in PAULI_1Q or kind != "rx" and not isinstance(params, list) and params in TURNS_OF:
+        index, sign = zip((0, 1), *(PAULI_1Q.get(kind) or RZ_PAULI[TURNS_OF[params]]))
+        return np.array(index), np.array([1.0] + [keep * f for f in sign[1:]])[:, None]
     theta = np.asarray(params, dtype=float).reshape(-1, 1, 1)
-    c, s = keep * np.cos(theta), keep * np.sin(theta)
+    c, s = np.cos(theta), np.sin(theta)
+    # an Rz or U1 lane at k quarter turns gets its gather's 0 and +-1, not cos(pi/2) = 6.1e-17
+    exact = [kind != "rx" and a in TURNS_OF for a in theta.flat]
+    if any(exact):
+        c[exact], s[exact] = np.round(c[exact]), np.round(s[exact])
+    c, s = keep * c, keep * s
     if kind == "rx":  # turns Y towards Z
         return [[(0, 1.0)], [(1, keep)], [(2, c), (3, -s)], [(2, s), (3, c)]]
     # rz, and u1, equal to it up to a global phase, turn X towards Y
     return [[(0, 1.0)], [(1, c), (2, -s)], [(1, s), (2, c)], [(3, keep)]]
 
 
-def _apply_1q(terms: list[list], states: np.ndarray, axis: int) -> np.ndarray:
+def _apply_1q(terms: list[list] | tuple, states: np.ndarray, axis: int) -> np.ndarray:
     """A one-qubit gate (``_terms_of``, ``_pauli_terms_of``) on one qubit
     axis of every row of a stack of flat states, 2 or 4 entries per axis;
-    axis 0 is the leftmost. Structural zeros' terms are left out, which
-    changes no value but the sign of a zero."""
+    axis 0 is the leftmost. A gather takes one signed entry per digit; a
+    sum leaves out structural zeros' terms, which changes no value but the
+    sign of a zero."""
+    if isinstance(terms, tuple):
+        out = states.reshape(len(states), 4 ** axis, 4, -1).take(terms[0], axis=2)
+        return np.multiply(out, terms[1], out=out).reshape(len(states), -1)
     v = states.reshape(len(states), len(terms) ** axis, len(terms), -1)
     out = np.empty_like(v)
     for i, ((j, a), *rest) in enumerate(terms):
@@ -145,11 +165,13 @@ class _Kernel:
 
     A gate U maps v_s to tr(U^dag P_s U rho). For a CNOT, U^dag P_s U is a
     signed Pauli string, so the gate is a signed gather; for a one-qubit
-    gate, a real mix of X, Y and Z, so a 4x4 map on one digit. The
+    gate, a real mix of X, Y and Z, so a 4x4 map on one digit, but for a
+    Clifford one signed Pauli again, so a signed gather of the digit. The
     depolarising error on k qubits then keeps 1 - rate 4**k / (4**k - 1) of
     every string that is not the identity on them, a scaling folded into
     the gate. A CNOT's gather with its factors, and a one-qubit gate's terms
-    for one angle on every row, are built once per kernel and shared.
+    (or gather) for one angle on every row, are built once per kernel and
+    shared.
     """
 
     def __init__(self, m: int, mixed: bool):
@@ -172,10 +194,10 @@ class _Kernel:
         if kind != "cx":
             return _apply_1q(self._made[key], states, axes[0])
         perm, factor = self._made[key]
-        states = np.take(states, perm, axis=1)  # in C order, which later sums follow
+        states = states.take(perm, axis=1)  # in C order, which later sums follow
         return states if factor is None else np.multiply(states, factor, out=states)
 
-    def _terms(self, kind: str, params, rate: float) -> list[list]:
+    def _terms(self, kind: str, params, rate: float) -> list[list] | tuple:
         return (_pauli_terms_of(kind, params, 1.0 - 4.0 * rate / 3.0) if self.mixed
                 else _terms_of(kind, params))
 

@@ -48,7 +48,7 @@ from dataclasses import dataclass, field, replace
 from numbers import Integral
 from typing import Sequence
 
-from .circuit import FIXED_MATRICES, PAULI_1Q, SINGLE_QUBIT_KINDS, Circuit, Gate
+from .circuit import FIXED_MATRICES, PAULI_1Q, RZ_PAULI, SINGLE_QUBIT_KINDS, TURNS_OF, Circuit, Gate
 from .errors import CapacityError, RoutingError
 
 BASIS_KINDS = ("x", "sx", "rz", "cx", "measure")
@@ -172,14 +172,13 @@ def _wrap(angle: float) -> float:
 _HALF_PI = math.pi / 2
 # k quarter turns, k mod 4, as the one angle every compiled Rz of them has
 _QUARTER_TURNS = (0.0, _HALF_PI, math.pi, -_HALF_PI)
-_TURNS_OF = {angle: k for k, angle in enumerate(_QUARTER_TURNS)} | {-math.pi: 2}
 
 
 def quarter_turns(angle: float) -> int | None:
     """k in 0..3 when ``angle`` is within 1e-12 of k * pi / 2 modulo 2 pi,
     else None."""
-    if angle in _TURNS_OF:  # every compiled quarter turn
-        return _TURNS_OF[angle]
+    if angle in TURNS_OF:  # every compiled quarter turn
+        return TURNS_OF[angle]
     angle = _wrap(angle)
     k = round(angle / _HALF_PI)
     return k % 4 if abs(angle - k * _HALF_PI) < _ANGLE_TOL else None
@@ -364,17 +363,13 @@ def _cancel_cx_pairs(gates: list[Gate]) -> list[Gate]:
     return [g for g in out if g is not None]
 
 
-# a one-qubit Clifford gate U as U^dag P U for P = X, Y, Z (as ``PAULI_1Q``);
-# an Rz (or U1) of k quarter turns is S^k up to phase
-_RZ_MAPS = (((1, 1), (2, 1), (3, 1)), PAULI_1Q["s"], ((1, -1), (2, -1), (3, 1)), PAULI_1Q["sdg"])
-
-
 def _pauli_map(kind: str, param: float | None) -> tuple | None:
-    """A gate's Clifford map; None for a rotation that is no quarter-turn Rz."""
+    """A gate's Clifford map U^dag P U for P = X, Y, Z, as ``PAULI_1Q`` has
+    it; None for a rotation that is no quarter-turn Rz."""
     if kind in PAULI_1Q:
         return PAULI_1Q[kind]
     k = quarter_turns(param) if kind in ("rz", "u1") else None
-    return None if k is None else _RZ_MAPS[k]
+    return None if k is None else RZ_PAULI[k]
 
 
 def _clifford_key(run) -> tuple:

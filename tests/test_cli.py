@@ -180,6 +180,20 @@ def test_malformed_topology_file_is_a_config_error(command, text, tmp_path, caps
     assert not os.path.exists(out)
 
 
+def test_a_topology_over_the_qubit_limit_is_worded_as_the_limit(tmp_path, capsys):
+    """A well-formed file whose qubit count only exceeds the limit is a
+    config error about its size, not a malformed file."""
+    topo = tmp_path / "huge.json"
+    topo.write_text('{"n": 1000000000, "edges": [[0, 1], [1, 2], [2, 3]]}')
+    rc = main(["sweep", "--analytic", "--epsilon", "0.01", "--topology", str(topo),
+               "--out-dir", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == (f"config error: topology: {str(topo)!r} is too large "
+                   "(n: 1000000000 qubits exceed the limit of 65536)\n")
+    assert "is not a topology file" not in err
+
+
 def test_sweep_rejects_malformed_epsilon(capsys):
     rc = main(["sweep", "--epsilon", "abc", "--analytic"])
     assert rc == 2

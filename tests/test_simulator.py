@@ -7,7 +7,7 @@ import pytest
 
 from gravopto import simulator
 from gravopto.bosonmap import SUBSPACE_INDICES, ground_state_prep
-from gravopto.circuit import PARAM_KINDS, Circuit, Gate, cx, h, measure, x
+from gravopto.circuit import PARAM_KINDS, PAULI_1Q, Circuit, Gate, cx, h, measure, x
 from gravopto.digitizer import build_evolution_circuit
 from gravopto.errors import CapacityError, ConfigError
 from gravopto.experiment import (
@@ -323,6 +323,64 @@ def test_pauli_vector_gates_are_the_transfer_matrices_of_their_unitaries():
             got = simulator._Kernel(n, mixed=True).apply(np.eye(4 ** n), "cx", pair)
             want = pauli_transfer(unitary_of(Circuit(n, (cx(*pair),))))
             assert np.abs(got.T - want).max() <= 1e-15
+
+
+QUARTER_TURNS = (0.0, -0.0, np.pi / 2, -np.pi / 2, np.pi, -np.pi)
+
+
+def test_a_clifford_on_pauli_vectors_is_a_signed_gather_of_its_transfer_matrix():
+    """Every fixed kind, and Rz and U1 at each exact quarter turn, with
+    one angle on every row is a gather of its qubit's digit: on every axis
+    of a 3-qubit stack it is the gate's transfer matrix, X, Y and Z scaled
+    by the depolarising factor 1 - 4p/3."""
+    rate = 0.01
+    keep = np.diag([1.0] + [1.0 - 4.0 * rate / 3.0] * 3)
+    states = np.random.default_rng(62).uniform(-1, 1, (3, 4 ** 3))
+    gates = [(kind, None) for kind in PAULI_1Q] + [(k, a) for k in ("rz", "u1") for a in QUARTER_TURNS]
+    for kind, angle in gates:
+        kernel = simulator._Kernel(3, mixed=True)
+        assert isinstance(kernel._terms(kind, angle, rate), tuple)
+        transfer = keep @ pauli_transfer(unitary_of(Circuit(1, (Gate(kind, (0,), angle),))))
+        for axis in range(3):
+            got = kernel.apply(states, kind, (axis,), angle, rate)
+            want = np.einsum("ij,rajb->raib", transfer, states.reshape(3, 4 ** axis, 4, -1))
+            assert np.abs(got - want.reshape(3, -1)).max() <= 1e-15
+
+
+def test_a_lane_at_a_quarter_turn_gets_the_bytes_of_its_gather():
+    """Rz and U1 with a lane per row, each at an exact quarter turn, give
+    each row the bytes of the one-angle gather: their cos and sin are
+    exactly 0 and +-1, where libm's cos(pi/2) is 6.1e-17."""
+    states = np.random.default_rng(63).uniform(-1, 1, (len(QUARTER_TURNS), 4 ** 3))
+    for kind in ("rz", "u1"):
+        for axis in range(3):
+            kernel = simulator._Kernel(3, mixed=True)
+            laned = kernel.apply(states, kind, (axis,), list(QUARTER_TURNS), 0.01)
+            for row, angle in enumerate(QUARTER_TURNS):
+                alone = kernel.apply(states[row:row + 1], kind, (axis,), angle, 0.01)
+                assert laned[row].tobytes() == alone[0].tobytes()
+
+
+@pytest.mark.parametrize("kwargs, gathers", [
+    (dict(topology="belem-like", **NOISE_PRESETS["belem-like"]), 47),
+    (dict(topology="nairobi-like", layout=(0, 2, 4, 6), **NOISE_PRESETS["nairobi-like"]), 57),
+], ids=["belem-like", "nairobi-like-0246"])
+def test_a_gate_noise_pass_sums_only_its_core_slots(monkeypatch, kwargs, gathers):
+    """A compiled sweep's one-qubit gates are Clifford but for its 4 core
+    slots: on Pauli vectors those 4 are a 4x4 sum each, every other one a
+    gather."""
+    cfg = ExperimentConfig(**kwargs)
+    compiled = compile_sweep(cfg)
+    summed = []
+    apply_1q = simulator._apply_1q
+
+    def spied(terms, states, axis):
+        summed.append(isinstance(terms, list))
+        return apply_1q(terms, states, axis)
+
+    monkeypatch.setattr(simulator, "_apply_1q", spied)
+    compiled.distributions(cfg.noise_model())
+    assert (summed.count(True), summed.count(False)) == (4, gathers)
 
 
 @pytest.mark.parametrize("n", [4, 5])
